@@ -58,7 +58,6 @@ func realMain() int {
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: all)")
 	modes := flag.String("modes", "", "comma-separated policy subset for mode sweeps (default: all registered: "+strings.Join(pipeline.PolicyNames(), ",")+")")
 	jobs := flag.Int("j", 0, fmt.Sprintf("concurrent simulations (default: GOMAXPROCS, %d here)", runtime.GOMAXPROCS(0)))
-	parallel := flag.Int("parallel", 0, "alias for -j (kept for compatibility)")
 	remote := flag.String("remote", "", "run pipeline simulations on specmpkd daemon(s) at these comma-separated addresses instead of in-process; more than one enables consistent-hash cluster placement")
 	hedgeAfter := flag.Duration("hedge-after", 500*time.Millisecond, "cluster mode: latency budget before a lagging peer is hedged to the next replica (<0 disables)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON rows instead of tables")
@@ -86,9 +85,6 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "specmpk-bench: profile: %v\n", err)
 		}
 	}()
-	if *jobs == 0 {
-		*jobs = *parallel
-	}
 	r := experiments.Runner{Parallelism: *jobs}
 	if *workloads != "" {
 		r.Workloads = strings.Split(*workloads, ",")

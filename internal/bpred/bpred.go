@@ -5,6 +5,8 @@
 // address stack with checkpoint-based recovery.
 package bpred
 
+import "fmt"
+
 // ---------------------------------------------------------------------------
 // TAGE direction predictor
 
@@ -233,11 +235,11 @@ type btbEntry struct {
 }
 
 // NewBTB builds a direct-mapped BTB with n entries (power of two).
-func NewBTB(n int) *BTB {
+func NewBTB(n int) (*BTB, error) {
 	if n <= 0 || n&(n-1) != 0 {
-		panic("bpred: BTB size must be a positive power of two")
+		return nil, fmt.Errorf("bpred: BTB size %d not a positive power of two", n)
 	}
-	return &BTB{entries: make([]btbEntry, n), mask: uint64(n - 1)}
+	return &BTB{entries: make([]btbEntry, n), mask: uint64(n - 1)}, nil
 }
 
 // Lookup returns the predicted target for pc, if any.

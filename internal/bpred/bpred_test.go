@@ -117,7 +117,7 @@ func TestFold(t *testing.T) {
 }
 
 func TestBTB(t *testing.T) {
-	b := NewBTB(16)
+	b := mustBTB(t, 16)
 	if _, ok := b.Lookup(0x40); ok {
 		t.Fatal("cold BTB must miss")
 	}
@@ -140,13 +140,21 @@ func TestBTB(t *testing.T) {
 	}
 }
 
-func TestBTBBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+func TestBTBBadSizeErrors(t *testing.T) {
+	for _, n := range []int{12, 0, -16} {
+		if _, err := NewBTB(n); err == nil {
+			t.Errorf("NewBTB(%d) must fail", n)
 		}
-	}()
-	NewBTB(12)
+	}
+}
+
+func mustBTB(t *testing.T, n int) *BTB {
+	t.Helper()
+	b, err := NewBTB(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestRASPushPop(t *testing.T) {

@@ -30,7 +30,7 @@ func TestProviderCountersSumToLookups(t *testing.T) {
 }
 
 func TestBTBCounters(t *testing.T) {
-	b := NewBTB(64)
+	b := mustBTB(t, 64)
 	b.Lookup(0x100) // cold miss
 	b.Update(0x100, 0x200)
 	if _, ok := b.Lookup(0x100); !ok {
@@ -57,7 +57,7 @@ func TestRASCounters(t *testing.T) {
 
 func TestRegisterExposesAllComponents(t *testing.T) {
 	p := NewTAGE()
-	b := NewBTB(64)
+	b := mustBTB(t, 64)
 	s := NewRAS(8)
 	reg := stats.NewRegistry()
 	p.Register(reg, "bpred.tage")

@@ -95,14 +95,18 @@ type Config struct {
 	NextLinePrefetch bool
 }
 
-// New builds a cache level in front of next.
-func New(cfg Config, next Level) *Cache {
+// New builds a cache level in front of next. The line size and the set
+// count must be positive powers of two.
+func New(cfg Config, next Level) (*Cache, error) {
 	if cfg.LineB <= 0 || cfg.LineB&(cfg.LineB-1) != 0 {
-		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineB))
+		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineB)
 	}
-	sets := cfg.SizeB / (cfg.Ways * cfg.LineB)
+	if cfg.Ways <= 0 {
+		return nil, fmt.Errorf("cache %s: %d ways", cfg.Name, cfg.Ways)
+	}
+	sets := cfg.SizeB / cfg.LineB / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, sets))
+		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
 	lb := uint(0)
 	for 1<<lb != cfg.LineB {
@@ -117,7 +121,7 @@ func New(cfg Config, next Level) *Cache {
 		lines:    make([]line, sets*cfg.Ways),
 		next:     next,
 		prefetch: cfg.NextLinePrefetch,
-	}
+	}, nil
 }
 
 // Name returns the level's configured name.
@@ -304,27 +308,33 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
-// NewHierarchy builds the four-level hierarchy.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+// NewHierarchy builds the four-level hierarchy, or reports the first level
+// whose geometry New rejects.
+func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if cfg.LineB == 0 {
 		cfg = DefaultHierarchyConfig()
 	}
-	mem := &Memory{Latency: cfg.MemLatency}
-	fix := func(c Config) Config {
+	h := &Hierarchy{Mem: &Memory{Latency: cfg.MemLatency}}
+	level := func(c Config, next Level) (*Cache, error) {
 		if c.LineB == 0 {
 			c.LineB = cfg.LineB
 		}
-		return c
+		return New(c, next)
 	}
-	l3 := New(fix(cfg.L3), mem)
-	l2 := New(fix(cfg.L2), l3)
-	return &Hierarchy{
-		L1I: New(fix(cfg.L1I), l2),
-		L1D: New(fix(cfg.L1D), l2),
-		L2:  l2,
-		L3:  l3,
-		Mem: mem,
+	var err error
+	if h.L3, err = level(cfg.L3, h.Mem); err != nil {
+		return nil, err
 	}
+	if h.L2, err = level(cfg.L2, h.L3); err != nil {
+		return nil, err
+	}
+	if h.L1I, err = level(cfg.L1I, h.L2); err != nil {
+		return nil, err
+	}
+	if h.L1D, err = level(cfg.L1D, h.L2); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // Register publishes one level's counters under prefix ("cache.l2").

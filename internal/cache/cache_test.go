@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-func smallCache() *Cache {
+func smallCache(t *testing.T) *Cache {
 	// 4 sets x 2 ways x 64B lines = 512B, backed by 100-cycle memory.
-	return New(Config{Name: "t", SizeB: 512, Ways: 2, LineB: 64, Latency: 3},
+	return mustNew(t, Config{Name: "t", SizeB: 512, Ways: 2, LineB: 64, Latency: 3},
 		&Memory{Latency: 100})
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := smallCache()
+	c := smallCache(t)
 	if lat := c.Access(0x1000, false); lat != 103 {
 		t.Fatalf("cold miss latency = %d, want 103", lat)
 	}
@@ -25,7 +25,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestLRUReplacement(t *testing.T) {
-	c := smallCache()
+	c := smallCache(t)
 	// Three distinct lines mapping to set 0 (line 64B, 4 sets → stride 256).
 	a, b, d := uint64(0), uint64(256), uint64(512)
 	c.Access(a, false)
@@ -45,7 +45,7 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestDirtyWriteback(t *testing.T) {
 	mem := &Memory{Latency: 100}
-	c := New(Config{Name: "t", SizeB: 512, Ways: 2, LineB: 64, Latency: 3}, mem)
+	c := mustNew(t, Config{Name: "t", SizeB: 512, Ways: 2, LineB: 64, Latency: 3}, mem)
 	c.Access(0, true)    // dirty line in set 0
 	c.Access(256, false) // fills way 2
 	c.Access(512, false) // evicts dirty line → writeback
@@ -59,7 +59,7 @@ func TestDirtyWriteback(t *testing.T) {
 }
 
 func TestFlushLine(t *testing.T) {
-	c := smallCache()
+	c := smallCache(t)
 	c.Access(0x40, false)
 	if !c.Probe(0x40) {
 		t.Fatal("line should be resident")
@@ -74,7 +74,7 @@ func TestFlushLine(t *testing.T) {
 }
 
 func TestInvalidateAll(t *testing.T) {
-	c := smallCache()
+	c := smallCache(t)
 	for i := 0; i < 8; i++ {
 		c.Access(uint64(i)*64, false)
 	}
@@ -87,7 +87,7 @@ func TestInvalidateAll(t *testing.T) {
 }
 
 func TestProbeDoesNotPerturb(t *testing.T) {
-	c := smallCache()
+	c := smallCache(t)
 	c.Access(0x80, false)
 	h, m := c.Stats.Hits, c.Stats.Misses
 	c.Probe(0x80)
@@ -110,24 +110,43 @@ func TestStatsHelpers(t *testing.T) {
 	}
 }
 
-func TestBadConfigPanics(t *testing.T) {
+func TestBadConfigErrors(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "x", SizeB: 512, Ways: 2, LineB: 48, Latency: 1}, // non-pow2 line
 		{Name: "x", SizeB: 384, Ways: 2, LineB: 64, Latency: 1}, // non-pow2 sets
+		{Name: "x", SizeB: 512, Ways: 0, LineB: 64, Latency: 1},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v must panic", cfg)
-				}
-			}()
-			New(cfg, &Memory{Latency: 1})
-		}()
+		if _, err := New(cfg, &Memory{Latency: 1}); err == nil {
+			t.Errorf("config %+v must be rejected", cfg)
+		}
+	}
+	bad := DefaultHierarchyConfig()
+	bad.L2.SizeB = 3 << 10
+	if _, err := NewHierarchy(bad); err == nil {
+		t.Error("a hierarchy with a non-pow2 L2 must be rejected")
 	}
 }
 
+func mustNew(t *testing.T, cfg Config, next Level) *Cache {
+	t.Helper()
+	c, err := New(cfg, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func mustHierarchy(t *testing.T, cfg HierarchyConfig) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestHierarchyLatencies(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchyConfig())
+	h := mustHierarchy(t, DefaultHierarchyConfig())
 	// Cold load: L1D(5) + L2(15) + L3(40) + mem(110) = 170.
 	if lat := h.LoadLatency(0x1000); lat != 170 {
 		t.Fatalf("cold load = %d, want 170", lat)
@@ -137,7 +156,7 @@ func TestHierarchyLatencies(t *testing.T) {
 	}
 	// Evict from L1 only; line still in L2 → 5+15 = 20.
 	h.L1D.FlushLine(0x1000)
-	h2 := NewHierarchy(DefaultHierarchyConfig())
+	h2 := mustHierarchy(t, DefaultHierarchyConfig())
 	h2.LoadLatency(0x1000)
 	h2.L1D.flushOnlyThisLevel(0x1000)
 	if lat := h2.LoadLatency(0x1000); lat != 20 {
@@ -157,7 +176,7 @@ func (c *Cache) flushOnlyThisLevel(paddr uint64) {
 }
 
 func TestHierarchyFlushRemovesEverywhere(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchyConfig())
+	h := mustHierarchy(t, DefaultHierarchyConfig())
 	h.LoadLatency(0x2000)
 	h.Flush(0x2000)
 	if lat := h.LoadLatency(0x2000); lat != 170 {
@@ -166,7 +185,7 @@ func TestHierarchyFlushRemovesEverywhere(t *testing.T) {
 }
 
 func TestHierarchyFetchPath(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchyConfig())
+	h := mustHierarchy(t, DefaultHierarchyConfig())
 	if lat := h.FetchLatency(0x3000); lat != 170 {
 		t.Fatalf("cold fetch = %d", lat)
 	}
@@ -180,7 +199,7 @@ func TestHierarchyFetchPath(t *testing.T) {
 }
 
 func TestZeroConfigDefaults(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{})
+	h := mustHierarchy(t, HierarchyConfig{})
 	if h.L1D.LineBytes() != 64 || h.L1D.Sets() != 64 || h.L1D.Ways() != 12 {
 		t.Fatalf("unexpected default geometry: sets=%d ways=%d", h.L1D.Sets(), h.L1D.Ways())
 	}
@@ -192,7 +211,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 // Property: after any access sequence, each set holds at most `ways` valid
 // lines and the most recently accessed address is always resident.
 func TestResidencyInvariant(t *testing.T) {
-	c := smallCache()
+	c := smallCache(t)
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
 		addr := uint64(r.Intn(64)) * 64
@@ -216,7 +235,7 @@ func TestResidencyInvariant(t *testing.T) {
 
 func TestNextLinePrefetch(t *testing.T) {
 	mem := &Memory{Latency: 100}
-	c := New(Config{Name: "p", SizeB: 4096, Ways: 4, LineB: 64, Latency: 3, NextLinePrefetch: true}, mem)
+	c := mustNew(t, Config{Name: "p", SizeB: 4096, Ways: 4, LineB: 64, Latency: 3, NextLinePrefetch: true}, mem)
 	c.Access(0x1000, false) // miss; should prefetch 0x1040
 	if c.Stats.Prefetches != 1 {
 		t.Fatalf("prefetches = %d", c.Stats.Prefetches)
@@ -238,7 +257,7 @@ func TestNextLinePrefetch(t *testing.T) {
 
 func TestPrefetchSequentialStream(t *testing.T) {
 	mem := &Memory{Latency: 100}
-	c := New(Config{Name: "p", SizeB: 8192, Ways: 4, LineB: 64, Latency: 3, NextLinePrefetch: true}, mem)
+	c := mustNew(t, Config{Name: "p", SizeB: 8192, Ways: 4, LineB: 64, Latency: 3, NextLinePrefetch: true}, mem)
 	misses := 0
 	for i := 0; i < 32; i++ {
 		if lat := c.Access(uint64(i)*64, false); lat > 3 {
@@ -250,7 +269,7 @@ func TestPrefetchSequentialStream(t *testing.T) {
 	if misses > 2 {
 		t.Fatalf("sequential misses = %d with prefetching", misses)
 	}
-	off := New(Config{Name: "np", SizeB: 8192, Ways: 4, LineB: 64, Latency: 3}, &Memory{Latency: 100})
+	off := mustNew(t, Config{Name: "np", SizeB: 8192, Ways: 4, LineB: 64, Latency: 3}, &Memory{Latency: 100})
 	offMisses := 0
 	for i := 0; i < 32; i++ {
 		if lat := off.Access(uint64(i)*64, false); lat > 3 {

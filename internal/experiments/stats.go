@@ -21,11 +21,10 @@ type StatsRow struct {
 	Metrics  map[string]any    `json:"metrics"`
 }
 
-// StatsRows runs every catalogue workload under each registered
-// microarchitecture policy (restrict with Runner.Modes) and captures the
-// unified registry per run. It verifies the CPI-stack invariant (buckets sum
-// exactly to the cycle count) on every row and fails loudly if the accounting
-// ever leaks a cycle — including for policies registered outside this package.
+// StatsRows runs every catalogue workload under each microarchitecture
+// policy (restrict with Runner.Modes) and captures the unified registry per
+// run. It verifies the CPI-stack invariant (buckets sum exactly to the cycle
+// count) on every row and fails loudly if the accounting ever leaks a cycle.
 func StatsRows(r Runner) ([]StatsRow, error) {
 	cat := r.catalog()
 	modes := r.modes()

@@ -191,7 +191,10 @@ func mpkLeastPrivilege() (bool, error) {
 // evalMprotect models the page-table route: every switch is a syscall pair
 // plus a TLB shootdown, after which the working set re-walks.
 func evalMprotect() Properties {
-	t := tlb.New(tlb.DefaultDataConfig())
+	t, err := tlb.New(tlb.DefaultDataConfig())
+	if err != nil {
+		panic(err) // the default geometry is valid
+	}
 	const workingSetPages = 32
 	const switches = 100
 	var walkCycles uint64

@@ -25,7 +25,7 @@ func benchProgram(b *testing.B, wl string) workload.Profile {
 
 func BenchmarkMachineStep(b *testing.B) {
 	for _, wl := range []string{"548.exchange2_r", "520.omnetpp_r", "505.mcf_r"} {
-		for _, mode := range []pipeline.Mode{pipeline.ModeSerialized, pipeline.ModeNonSecure, pipeline.ModeSpecMPK} {
+		for _, mode := range pipeline.RegisteredModes() {
 			b.Run(wl+"/"+mode.String(), func(b *testing.B) {
 				prog, err := benchProgram(b, wl).Build(workload.VariantFull)
 				if err != nil {

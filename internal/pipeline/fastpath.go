@@ -20,8 +20,8 @@ package pipeline
 // them, everything else), (b) fetch's stall expiring (m.fetchStallTo), (c) the
 // head of the fetch queue leaving the decode pipe (readyAt), or (d) the
 // squash-recovery shadow ending (which only changes the *attribution* of
-// empty-window cycles, so it bounds the skip too). PKRUPolicy gate hooks are
-// verdicts, not actions (see PKRUPolicy), so eliding their re-evaluation on
+// empty-window cycles, so it bounds the skip too). The rename stage's WRPKRU/
+// RDPKRU gate is a verdict, not an action, so eliding its re-evaluation on
 // skipped cycles is unobservable.
 //
 // One real Step always lands on the event cycle itself, so every actual state

@@ -181,10 +181,9 @@ type AuditEvent struct {
 }
 
 // AuditSink receives pkey security audit events. The events fire at the
-// points where a PKRUPolicy verdict takes effect (gate results, WRPKRU
-// execute/retire/squash, deferred fills), so every registered policy —
-// including ones registered outside this package — is audited without its
-// own instrumentation.
+// points where a policy verdict takes effect (load/store check results,
+// WRPKRU execute/retire/squash, deferred fills), so every row of the policy
+// table is audited without instrumentation of its own.
 type AuditSink interface {
 	Audit(AuditEvent)
 }
@@ -203,7 +202,7 @@ func (m *Machine) audit(e AuditEvent) {
 // designs have such windows: a serialized WRPKRU updates the ARF directly at
 // execute, so its grants are architectural the moment they exist.
 func (m *Machine) auditUpgradeOpen(e *alEntry) {
-	if m.Audit == nil || !m.policy.RenamesPKRU() {
+	if m.Audit == nil || !m.pol.renamesPKRU {
 		return
 	}
 	nv := mpk.PKRU(e.storeData)

@@ -4,9 +4,10 @@
 // disambiguation with store-to-load forwarding, a TAGE+BTB+RAS front end,
 // split TLBs and a four-level cache hierarchy — configured per Table III.
 //
-// The WRPKRU microarchitecture is pluggable: every point where designs
-// differ is a PKRUPolicy hook (see policy.go), and a Config's Mode selects a
-// registered policy. Five ship in-tree (paper §VII plus two extensions):
+// The WRPKRU microarchitecture is data: the designs differ only in a few
+// verdicts (rename or serialize PKRU, where its rename slots live, the load
+// and store checks, TLB-miss timing), and a Config's Mode selects one row of
+// the policy table in policy.go. Five rows (paper §VII plus two extensions):
 //
 //   - ModeSerialized: WRPKRU drains the pipeline at rename and blocks rename
 //     until it retires (models current hardware).
@@ -25,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"specmpk/internal/asm"
 	"specmpk/internal/bpred"
@@ -38,18 +40,27 @@ import (
 	"specmpk/internal/trace"
 )
 
-// Mode selects the WRPKRU microarchitecture. It is a registry handle: each
-// value resolves to a registered PKRUPolicy (see policy.go), so new designs
-// plug in via RegisterPolicy without the core loop learning about them.
-// ParseMode maps policy names to Modes; Mode.String maps back.
+// Mode selects the WRPKRU microarchitecture: it indexes the policy table
+// (policy.go). ParseMode maps policy names to Modes; Mode.String maps back.
+// Specs and cache keys name the policy rather than storing the number.
 type Mode int
 
-// The three microarchitectures the paper evaluates (pre-registered).
-// Additional registered designs: ModeDelayUpgrade, ModeNoForward.
 const (
+	// The three microarchitectures the paper evaluates.
 	ModeSerialized Mode = iota
 	ModeNonSecure
 	ModeSpecMPK
+	// ModeDelayUpgrade is the Okapi-style design (Schmitz et al.): PKRU is
+	// renamed and WRPKRU executes speculatively, but a load permitted only
+	// by a transient upgrade — the speculative PKRU allows its pKey while
+	// the committed ARF_pkru forbids it — waits for the window head. No
+	// Disabling Counters, no forwarding suppression, no TLB deferral.
+	ModeDelayUpgrade
+	// ModeNoForward is SpecMPK's Store Check alone: a suspect store loses
+	// store-to-load forwarding and re-verifies at commit; loads never stall
+	// on the Load Check and TLB misses walk at execute. It isolates the
+	// cost of the §V-C2 forwarding restriction.
+	ModeNoForward
 )
 
 // Config is the machine configuration (Table III defaults via DefaultConfig).
@@ -140,15 +151,64 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate(pol PKRUPolicy) error {
-	if c.Width <= 0 || c.IssueWidth <= 0 {
-		return fmt.Errorf("pipeline: widths must be positive")
+// Upper bounds on the sizes New allocates from a Config. Configs arrive from
+// clients (api.JobSpec.Config), so without them one request could make a
+// worker allocate arbitrarily large arrays. Each sits far above Table III and
+// every shape WindowSweep builds (at most AL 352, PRF 280).
+const (
+	maxWidth         = 64      // fetch/rename/retire and issue width
+	maxFrontendDepth = 64      // decode stages; with the width, sizes the fetch queue
+	maxWindow        = 1 << 12 // AL, IQ, LQ, SQ, PRF and ROB_pkru entries
+	maxBTBEntries    = 1 << 16
+	maxTLBEntries    = 1 << 16
+	maxCacheLines    = 1 << 18 // per cache level
+)
+
+// Validate reports whether New can build c: a Mode with a policy, structure
+// sizes between their lower bounds and the fixed upper bounds above. Set and
+// line geometry is checked by the cache, TLB and BTB constructors.
+func (c Config) Validate() error {
+	if !c.Mode.valid() {
+		return fmt.Errorf("pipeline: mode %d has no policy (valid: %s)",
+			int(c.Mode), strings.Join(PolicyNames(), ", "))
 	}
-	if c.ALSize <= 0 || c.PRFSize < isa.NumRegs+c.Width {
-		return fmt.Errorf("pipeline: AL/PRF too small")
+	minROBPkru := 0
+	if policies[c.Mode].renamesPKRU {
+		minROBPkru = 1
 	}
-	if pol.RenamesPKRU() && c.ROBPkruSize <= 0 {
-		return fmt.Errorf("pipeline: ROB_pkru size must be positive")
+	for _, f := range [...]struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"Width", c.Width, 1, maxWidth},
+		{"IssueWidth", c.IssueWidth, 1, maxWidth},
+		{"FrontendDepth", c.FrontendDepth, 0, maxFrontendDepth},
+		{"ALSize", c.ALSize, 1, maxWindow},
+		{"IQSize", c.IQSize, 1, maxWindow},
+		{"LQSize", c.LQSize, 1, maxWindow},
+		{"SQSize", c.SQSize, 1, maxWindow},
+		{"PRFSize", c.PRFSize, isa.NumRegs + c.Width, maxWindow},
+		{"ROBPkruSize", c.ROBPkruSize, minROBPkru, maxWindow},
+		{"BTBEntries", c.BTBEntries, 1, maxBTBEntries},
+		{"RASEntries", c.RASEntries, 1, bpred.MaxRAS},
+		{"DTLB.Entries", c.DTLB.Entries, 1, maxTLBEntries},
+		{"ITLB.Entries", c.ITLB.Entries, 1, maxTLBEntries},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("pipeline: %s = %d outside [%d, %d]", f.name, f.v, f.lo, f.hi)
+		}
+	}
+	if c.Caches.LineB == 0 {
+		return nil // cache.NewHierarchy builds the Table III hierarchy
+	}
+	for _, l := range [...]cache.Config{c.Caches.L1I, c.Caches.L1D, c.Caches.L2, c.Caches.L3} {
+		line := l.LineB
+		if line == 0 {
+			line = c.Caches.LineB
+		}
+		if line > 0 && l.SizeB/line > maxCacheLines {
+			return fmt.Errorf("pipeline: cache %s holds %d lines, above %d", l.Name, l.SizeB/line, maxCacheLines)
+		}
 	}
 	return nil
 }
@@ -299,10 +359,10 @@ type TraceRecord struct {
 
 // alEntry is one in-flight instruction.
 type alEntry struct {
-	seq  uint64
-	pc   uint64
-	in   isa.Inst
-	st   alState
+	seq uint64
+	pc  uint64
+	in  isa.Inst
+	st  alState
 	// alIdx is the entry's own active-list slot (set once at rename), so
 	// code holding only the entry pointer can maintain the issue bitmap.
 	alIdx int32
@@ -332,7 +392,6 @@ type alEntry struct {
 	actTarget  uint64
 
 	// PKRU.
-	pkruTag int // renamed PKRU source (core.TagARF or ROB_pkru index)
 	pkruDst int // ROB_pkru entry written by this WRPKRU, else -1
 	// pkruDepSeq is the sequence number of the youngest older WRPKRU this
 	// instruction must wait for (0 = none in flight at rename). Sequence
@@ -378,14 +437,9 @@ type Machine struct {
 	Prog *asm.Program
 	AS   *mem.AddressSpace
 
-	// policy is the WRPKRU microarchitecture Cfg.Mode resolved to; every
-	// mode-specific decision in the stage functions goes through it.
-	// polKind caches which built-in implementation policy is, so the stage
-	// functions can dispatch the per-cycle hooks statically (dispatch.go)
-	// instead of through the interface; polGeneric keeps the registry seam
-	// for out-of-tree policies.
-	policy  PKRUPolicy
-	polKind polKind
+	// pol is Cfg.Mode's row of the policy table; the stage functions read
+	// its verdicts wherever the WRPKRU designs differ.
+	pol policy
 
 	Stats Stats
 
@@ -578,27 +632,42 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 // intervals are simulated in detail from the middle of a program.
 func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 	regs *[isa.NumRegs]uint64, pkru mpk.PKRU, pc uint64) (*Machine, error) {
-	pol, err := newPolicy(cfg.Mode)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	pol := policies[cfg.Mode]
+	pkruEntries := cfg.ROBPkruSize
+	if pol.pkruInPRF {
+		pkruEntries = cfg.ALSize
+	}
+	hier, err := cache.NewHierarchy(cfg.Caches)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(pol); err != nil {
+	dtlb, err := tlb.New(cfg.DTLB)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: DTLB: %w", err)
+	}
+	itlb, err := tlb.New(cfg.ITLB)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: ITLB: %w", err)
+	}
+	btb, err := bpred.NewBTB(cfg.BTBEntries)
+	if err != nil {
 		return nil, err
 	}
-	pkruEntries := pol.ROBPkruEntries(cfg)
 	fqCap := cfg.Width * (cfg.FrontendDepth + 1)
 	m := &Machine{
 		Cfg:       cfg,
-		policy:    pol,
-		polKind:   specializePolicy(pol),
+		pol:       pol,
 		Prog:      prog,
 		AS:        as,
-		Hier:      cache.NewHierarchy(cfg.Caches),
-		DTLB:      tlb.New(cfg.DTLB),
-		ITLB:      tlb.New(cfg.ITLB),
+		Hier:      hier,
+		DTLB:      dtlb,
+		ITLB:      itlb,
 		PKRUState: core.New(core.Config{ROBSize: max(pkruEntries, 1)}),
 		tage:      bpred.NewTAGE(),
-		btb:       bpred.NewBTB(cfg.BTBEntries),
+		btb:       btb,
 		ras:       bpred.NewRAS(cfg.RASEntries),
 		pc:        pc,
 		prf:       make([]uint64, cfg.PRFSize),

@@ -648,6 +648,28 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(ser, p); err != nil {
 		t.Fatalf("serialized mode needs no ROB_pkru: %v", err)
 	}
+	// Sizes beyond the fixed upper bounds, and geometry the cache, TLB and
+	// BTB constructors reject, are errors rather than huge allocations or
+	// panics.
+	for name, set := range map[string]func(*Config){
+		"AL":         func(c *Config) { c.ALSize = 1 << 40 },
+		"PRF":        func(c *Config) { c.PRFSize = 1 << 40 },
+		"ROB_pkru":   func(c *Config) { c.ROBPkruSize = 1 << 40 },
+		"fetch":      func(c *Config) { c.FrontendDepth = 1 << 40 },
+		"RAS":        func(c *Config) { c.RASEntries = 1 << 10 },
+		"L3 lines":   func(c *Config) { c.Caches.L3.SizeB = 1 << 40 },
+		"DTLB":       func(c *Config) { c.DTLB.Entries = 1 << 40 },
+		"L2 sets":    func(c *Config) { c.Caches.L2.SizeB = 3 << 10 },
+		"ITLB ways":  func(c *Config) { c.ITLB.Ways = 0 },
+		"BTB pow2":   func(c *Config) { c.BTBEntries = 1000 },
+		"mode range": func(c *Config) { c.Mode = Mode(len(policies)) },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := New(cfg, p); err == nil {
+			t.Errorf("%s: config must be rejected", name)
+		}
+	}
 }
 
 func TestModeString(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"specmpk/internal/core"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
+	"specmpk/internal/mpk"
 	"specmpk/internal/stats"
 	"specmpk/internal/trace"
 )
@@ -189,9 +190,22 @@ func (m *Machine) renameStage() {
 			reason = stallResource
 			break
 		}
-		// WRPKRU / RDPKRU serialization per microarchitecture.
-		if r := m.polRenameGate(in); r != stallNone {
-			reason = r
+		// WRPKRU / RDPKRU serialization. This must stay a pure verdict:
+		// the idle fast-forward skips re-evaluating it on stalled cycles.
+		switch {
+		case m.serialWait:
+			// A serializing WRPKRU is in flight: rename is blocked.
+			reason = stallSerialize
+		case in.Op == isa.OpWrpkru && !m.pol.renamesPKRU && m.alCnt > 0:
+			// Drain before the serializing instruction enters.
+			reason = stallSerialize
+		case in.Op == isa.OpWrpkru && m.PKRUState.Full():
+			reason = stallPkruFull
+		case in.Op == isa.OpRdpkru && m.PKRUState.RMTValid():
+			// RDPKRU serializes against in-flight WRPKRU (§V-C6).
+			reason = stallSerialize
+		}
+		if reason != stallNone {
 			break
 		}
 
@@ -213,7 +227,6 @@ func (m *Machine) renameStage() {
 			newPhys:    noReg,
 			physRs1:    noReg,
 			physRs2:    noReg,
-			pkruTag:    core.TagARF,
 			pkruDst:    -1,
 			predTaken:  fe.predTaken,
 			predTarget: fe.predTarget,
@@ -242,8 +255,20 @@ func (m *Machine) renameStage() {
 		if in.ReadsRs2() {
 			e.physRs2 = m.rmt[in.Rs2]
 		}
-		// PKRU renaming / serialization bookkeeping.
-		m.polDispatchWrpkru(e)
+		// PKRU renaming: memory ops and WRPKRU wait for the youngest older
+		// renamed WRPKRU; a WRPKRU takes a rename slot or, serialized,
+		// blocks rename until it retires.
+		if in.Op.IsMem() || in.Op == isa.OpWrpkru {
+			e.pkruDepSeq = m.lastRenamedWrpkruSeq
+		}
+		if in.Op == isa.OpWrpkru {
+			if m.pol.renamesPKRU {
+				e.pkruDst = m.PKRUState.Rename(e.seq)
+				m.lastRenamedWrpkruSeq = e.seq
+			} else {
+				m.serialWait = true
+			}
+		}
 		if writes {
 			p := m.freeList[len(m.freeList)-1]
 			m.freeList = m.freeList[:len(m.freeList)-1]
@@ -471,7 +496,7 @@ func (m *Machine) execute(e *alEntry, idx int) bool {
 		m.loadExecute(e, idx, rs1)
 		return false
 	case e.isStore:
-		m.storeExecute(e, rs1, rs2)
+		m.storeExecute(e, idx, rs1, rs2)
 		return m.checkMemOrder(idx)
 	case e.in.Op == isa.OpWrpkru:
 		e.storeData = uint64(uint32(rs1))
@@ -558,7 +583,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 
 	pte, hit := m.DTLB.Lookup(vpn)
 	if !hit {
-		if m.polTLBUpdateTiming(e) == TLBDeferToRetire {
+		if m.pol.deferTLB && !m.Cfg.NoTLBDeferral {
 			// The pKey of an uncached page is unknown, so the access
 			// conservatively stalls and re-executes at the AL head.
 			e.stallTillHead = true
@@ -588,17 +613,26 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 	}
 	e.pkey = int(pte.PKey)
 
-	switch m.polLoadIssueGate(e, idx) {
-	case GateStallTillHead:
-		// PKRU Load Check failed: stall until non-squashable, leaving
-		// no cache or TLB footprint.
+	var stall bool
+	switch {
+	case m.pol.load == loadCheckStall:
+		stall = m.PKRUState.LoadCheckFails(e.pkey)
+	case !m.specPKRU(idx).Allows(e.pkey, false):
+		// Forbidden even speculatively: a transient fault, squashed on
+		// the wrong path and delivered at retire otherwise.
+		m.finishFaulted(e, pkeyFault(e.vaddr, mem.Read, e.pkey), lat)
+		return
+	case m.pol.load == loadUpgradeStall:
+		// Allowed only by an in-flight WRPKRU upgrade?
+		stall = !m.PKRUState.ARF().Allows(e.pkey, false)
+	}
+	if stall {
+		// Stall until non-squashable, leaving no cache or TLB footprint;
+		// the head replay re-checks against the committed ARF.
 		e.stallTillHead = true
 		e.stallCyc = m.cycle
 		m.Stats.LoadsStalledTillHead++
 		m.audit(AuditEvent{Kind: AuditLoadStall, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Reason: "load_check"})
-		return
-	case GateFault:
-		m.finishFaulted(e, pkeyFault(e.vaddr, mem.Read, e.pkey), lat)
 		return
 	}
 
@@ -616,7 +650,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 			if !overlaps(s.vaddr, s.memBytes, e.vaddr, e.memBytes) {
 				continue
 			}
-			if !m.polAllowStoreForward(s) {
+			if s.noForward {
 				// Forwarding suppressed; the load waits for the head
 				// (by which time the store has committed to memory).
 				e.stallTillHead = true
@@ -708,7 +742,7 @@ func (m *Machine) finishFaulted(e *alEntry, f *mem.Fault, lat int) {
 	m.markIssued(e, m.cycle+uint64(lat))
 }
 
-func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
+func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
 	e.vaddr = rs1 + uint64(e.in.Imm)
 	e.storeData = rs2
 	e.addrReady = true
@@ -717,30 +751,20 @@ func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 	vpn := e.vaddr >> mem.PageBits
 
 	pte, hit := m.DTLB.Lookup(vpn)
-	if !hit {
-		switch m.polTLBUpdateTiming(e) {
-		case TLBWalkNow:
-			lat += m.DTLB.WalkLatency()
-			paddr, pte2, err := m.AS.Translate(e.vaddr, mem.Write)
-			if err != nil {
-				m.finishFaulted(e, err.(*mem.Fault), lat)
-				return
-			}
+	if !hit && (!m.pol.deferTLB || m.Cfg.NoTLBDeferral) {
+		lat += m.DTLB.WalkLatency()
+		paddr, pte2, err := m.AS.Translate(e.vaddr, mem.Write)
+		switch {
+		case err == nil:
 			m.DTLB.Fill(vpn, pte2)
 			pte, hit = pte2, true
 			e.paddr = paddr
-		case TLBWalkSpeculative:
-			// Ablation: walk speculatively, swallowing translation faults
-			// (the store then defers to commit), then apply the checks.
-			lat += m.DTLB.WalkLatency()
-			if paddr, pte2, err := m.AS.Translate(e.vaddr, mem.Write); err == nil {
-				m.DTLB.Fill(vpn, pte2)
-				pte, hit = pte2, true
-				e.paddr = paddr
-			}
-		case TLBDeferToRetire:
-			// No speculative walk at all.
+		case !m.pol.deferTLB:
+			m.finishFaulted(e, err.(*mem.Fault), lat)
+			return
 		}
+		// NoTLBDeferral on a deferring design swallows the translation
+		// fault: the store stays untranslated and defers to commit.
 	}
 
 	if !hit {
@@ -759,19 +783,19 @@ func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 		e.paddr = pte.PPN<<mem.PageBits | e.vaddr&(mem.PageSize-1)
 		if !pte.AllowsProt(mem.Write) {
 			e.fault = &mem.Fault{Kind: mem.FaultProt, Addr: e.vaddr, Access: mem.Write}
-		} else {
-			switch m.polStoreIssueGate(e) {
-			case GateNoForward:
-				// Store Check failed: no forwarding; precise permission
-				// re-verification happens at retirement (commitStore).
+		} else if m.pol.store == storeCheckNoForward {
+			if m.PKRUState.StoreCheckFails(e.pkey) {
+				// Store Check failed: execute (address generation still
+				// helps younger loads) but never forward; the precise
+				// permission check happens at retirement (commitStore).
 				e.noForward = true
 				e.stallCyc = m.cycle
 				m.Stats.StoresNoForward++
 				m.emit(trace.Event{Kind: trace.KindNoForward, Seq: e.seq, PC: e.pc, Note: "store_check"})
 				m.audit(AuditEvent{Kind: AuditNoForward, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Store: true, Reason: "store_check"})
-			case GateFault:
-				e.fault = pkeyFault(e.vaddr, mem.Write, e.pkey)
 			}
+		} else if !m.specPKRU(idx).Allows(e.pkey, true) {
+			e.fault = pkeyFault(e.vaddr, mem.Write, e.pkey)
 		}
 	}
 	if e.noForward && e.fault == nil && m.Cfg.StallSuspectStores {
@@ -825,9 +849,14 @@ func (m *Machine) completeStage() {
 		switch {
 		case e.in.Op == isa.OpWrpkru:
 			// Open the audit ledger's transient-upgrade windows against the
-			// still-committed ARF before the policy delivers the value.
+			// still-committed ARF before the value is delivered.
 			m.auditUpgradeOpen(e)
-			m.polWrpkruExecute(e)
+			if m.pol.renamesPKRU {
+				m.PKRUState.Execute(e.pkruDst, mpk.PKRU(e.storeData))
+				m.wrpkruExecHighwater = max(m.wrpkruExecHighwater, e.seq)
+			} else {
+				m.PKRUState.SetARF(mpk.PKRU(e.storeData))
+			}
 		case e.in.Op.IsControl():
 			if m.resolveControl(e, i) {
 				// Squashed everything younger; stop scanning. squashAfter
@@ -917,7 +946,9 @@ func (m *Machine) squashAfter(idx int, why string) {
 		if e.isStore {
 			m.sqCnt--
 		}
-		m.polOnSquashEntry(e)
+		if e.in.Op == isa.OpWrpkru {
+			m.serialWait = false
+		}
 		m.Stats.Squashed++
 	}
 	m.alCnt = idx + 1
@@ -944,7 +975,8 @@ func (m *Machine) squashAfter(idx int, why string) {
 			youngestPkruSeq = e.seq
 		}
 	}
-	m.policy.OnSquashRecover(m, youngestPkru, youngestPkruSeq)
+	m.PKRUState.SetRMT(youngestPkru)
+	m.lastRenamedWrpkruSeq = youngestPkruSeq
 }
 
 // ---------------------------------------------------------------------------
@@ -983,7 +1015,11 @@ func (m *Machine) retireStage() {
 			m.lqCnt--
 			m.Stats.Loads++
 		case e.in.Op == isa.OpWrpkru:
-			m.policy.OnRetireWrpkru(m, e)
+			if m.pol.renamesPKRU {
+				m.PKRUState.Retire()
+			} else {
+				m.serialWait = false
+			}
 			m.auditUpgradeClose(e, true)
 			m.Stats.Wrpkru++
 			m.emit(trace.Event{Kind: trace.KindWrpkruRetire, Seq: e.seq, PC: e.pc, N: e.storeData})

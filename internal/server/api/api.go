@@ -63,10 +63,9 @@ type JobSpec struct {
 	// Seed selects a BuildSeeded replication of the workload (0 = the
 	// canonical program). Ignored for Asm jobs.
 	Seed int64 `json:"seed,omitempty"`
-	// Mode is the registered policy name ("" = the default config's mode).
-	// It is authoritative: the Mode field inside Config is ignored, because
-	// pipeline.Mode values are registry handles whose numeric value is not
-	// stable across builds.
+	// Mode is the policy name ("" = the default config's mode). It is
+	// authoritative: the Mode field inside Config is ignored, so specs and
+	// cache keys name the policy rather than carry its pipeline.Mode index.
 	Mode string `json:"mode,omitempty"`
 	// Config overrides the Table III machine (nil = pipeline.DefaultConfig).
 	Config *pipeline.Config `json:"config,omitempty"`
@@ -176,11 +175,18 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	if out.Mode == "" {
 		out.Mode = cfg.Mode.String()
 	}
-	if _, err := pipeline.ParseMode(out.Mode); err != nil {
+	mode, err := pipeline.ParseMode(out.Mode)
+	if err != nil {
 		return out, err
 	}
-	// The numeric Mode is a registry handle, not a stable identity; the
-	// canonical form carries the policy by name only.
+	// Reject a config the worker could not build, or that would make it
+	// allocate beyond the pipeline's size bounds, before it is queued.
+	cfg.Mode = mode
+	if err := cfg.Validate(); err != nil {
+		return out, fmt.Errorf("api: config: %w", err)
+	}
+	// The canonical form carries the policy by name only: the name is what
+	// a client chose, so the numeric Config.Mode never reaches the key.
 	cfg.Mode = 0
 	out.Config = &cfg
 

@@ -71,8 +71,8 @@ func TestKeySeparatesDistinctWork(t *testing.T) {
 }
 
 func TestKeyIgnoresNumericConfigMode(t *testing.T) {
-	// The numeric Mode inside Config is a registry handle; only the Mode
-	// name may influence the key.
+	// Only the Mode name may influence the key, never the numeric Mode
+	// inside Config.
 	cfgA := pipeline.DefaultConfig()
 	cfgA.Mode = pipeline.ModeSerialized
 	cfgB := pipeline.DefaultConfig()
@@ -87,6 +87,33 @@ func TestKeyIgnoresNumericConfigMode(t *testing.T) {
 	}
 	if kA != kB {
 		t.Fatal("numeric Config.Mode leaked into the key")
+	}
+}
+
+// TestKeyPinnedPerPolicy pins one literal key per policy. Cached results and
+// cluster placement are addressed by these keys, so a change to mode naming,
+// Normalize or the canonical Config JSON that silently orphans every cached
+// result must fail here; a deliberate change bumps Version and re-pins.
+func TestKeyPinnedPerPolicy(t *testing.T) {
+	want := map[string]string{
+		"serialized":   "f05819d27abc75851b29ac39587501a80a86101fe18bee9063f9240fcd585e1b",
+		"nonsecure":    "767c770bf8195059788af877d592082ff0581ae84169b6d4a7485cd7e8b321a2",
+		"specmpk":      "11d61eecf30dd5af654df1dac7cc3155ad3e5cdecf01e22bfdb711af11c7858c",
+		"delayupgrade": "46ef59f26cfa9da605da217e49b55865273ccac0b75fbcd239932786032e8833",
+		"noforward":    "3bb14c5e12ebd0791e3995bd461749995be18527711633fb72b85c978580b5b9",
+	}
+	names := pipeline.PolicyNames()
+	if len(names) != len(want) {
+		t.Fatalf("%d policies registered, %d keys pinned", len(names), len(want))
+	}
+	for _, name := range names {
+		got, err := (JobSpec{Workload: "548.exchange2_r", Mode: name}).Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[name] {
+			t.Errorf("%s: key %s, pinned %s", name, got, want[name])
+		}
 	}
 }
 

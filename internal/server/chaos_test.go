@@ -142,6 +142,31 @@ func TestChaosCacheFaultsDegradeToMisses(t *testing.T) {
 	}
 }
 
+// TestChaosCacheFillPrecedesDone: a slow cache fill must not open a window
+// in which a client has seen "done" but a resubmission of the same spec
+// misses the cache and attaches to the finished execution as a dedup.
+func TestChaosCacheFillPrecedesDone(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	armPlan(t, faults.Plan{Rules: []faults.Rule{
+		{Point: "server.cache.put", Action: faults.ActionLatency, DelayMS: 200},
+	}})
+	spec := spinSpec(5_000)
+	info, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJob(t, s, info.ID); final.State != api.StateDone {
+		t.Fatalf("state %s, want done", final.State)
+	}
+	again, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached {
+		t.Fatalf("resubmission after done: cached=%v deduped=%v, want a cache hit", again.Cached, again.Deduped)
+	}
+}
+
 // TestChaosAdmissionFaultIsRetryable503: an injected admission fault
 // surfaces exactly like queue-full — ErrUnavailable in-process, 503 with
 // Retry-After over HTTP — so existing client retry logic absorbs it.

@@ -63,6 +63,15 @@ func (s *Server) runExecution(ex *execution) {
 		ex.simSpan.SetError(errMsg)
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
+	// Only a clean, deterministic completion reaches the cache: failed
+	// (including deadline-exceeded and panicking) and cancelled runs never
+	// produce result bytes, so they can never poison it. The fill precedes
+	// finish, which publishes the terminal event: a client that resubmits
+	// the moment it sees done must hit the cache, not the dying execution.
+	var cacheDisp string
+	if state == api.StateDone {
+		cacheDisp = s.cache.put(ex.key, result)
+	}
 	if !ex.finish(state, errMsg, result, cycle, insts) {
 		return // lost the race with Cancel; it did the bookkeeping
 	}
@@ -70,10 +79,7 @@ func (s *Server) runExecution(ex *execution) {
 	switch state {
 	case api.StateDone:
 		s.jobsDone.Add(1)
-		// Only a clean, deterministic completion reaches the cache: failed
-		// (including deadline-exceeded and panicking) and cancelled runs
-		// never produce result bytes, so they can never poison it.
-		ex.setTrace("", s.cache.put(ex.key, result))
+		ex.setTrace("", cacheDisp)
 	case api.StateFailed:
 		s.jobsFailed.Add(1)
 		ex.setTrace("", "uncacheable")

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"specmpk/internal/pipeline"
 	"specmpk/internal/server/api"
 )
 
@@ -536,6 +537,42 @@ func TestHTTPEndToEnd(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec status %d", bad.StatusCode)
+	}
+}
+
+// TestHTTPRejectsOversizedConfig: a machine config beyond the pipeline's
+// size bounds is refused at admission with a 400, before any worker could
+// allocate it.
+func TestHTTPRejectsOversizedConfig(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, set := range []func(*pipeline.Config){
+		func(c *pipeline.Config) { c.ALSize = 1 << 40 },
+		func(c *pipeline.Config) { c.PRFSize = 1 << 40 },
+		func(c *pipeline.Config) { c.Caches.L3.SizeB = 1 << 40 },
+	} {
+		cfg := pipeline.DefaultConfig()
+		set(&cfg)
+		body, err := json.Marshal(api.JobSpec{Workload: "548.exchange2_r", Config: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("oversized config: status %d, want 400", resp.StatusCode)
+		}
+	}
+	if n := s.accepted.Load(); n != 0 {
+		t.Fatalf("%d oversized jobs accepted", n)
+	}
+	if n := s.jobsDone.Load() + s.jobsFailed.Load(); n != 0 {
+		t.Fatalf("%d workers ran an oversized config", n)
 	}
 }
 

@@ -11,6 +11,8 @@
 package tlb
 
 import (
+	"fmt"
+
 	"specmpk/internal/mem"
 	"specmpk/internal/stats"
 )
@@ -69,18 +71,21 @@ type TLB struct {
 	Stats   Stats
 }
 
-// New builds a TLB from cfg.
-func New(cfg Config) *TLB {
+// New builds a TLB from cfg. The set count must be a positive power of two.
+func New(cfg Config) (*TLB, error) {
+	if cfg.Ways <= 0 {
+		return nil, fmt.Errorf("tlb: %d ways", cfg.Ways)
+	}
 	sets := cfg.Entries / cfg.Ways
 	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("tlb: set count must be a positive power of two")
+		return nil, fmt.Errorf("tlb: set count %d not a positive power of two", sets)
 	}
 	return &TLB{
 		sets:    sets,
 		ways:    cfg.Ways,
 		walkLat: cfg.WalkLatency,
 		entries: make([]Entry, cfg.Entries),
-	}
+	}, nil
 }
 
 // WalkLatency returns the configured page-walk cost.

@@ -7,12 +7,21 @@ import (
 	"specmpk/internal/mem"
 )
 
+func mustNew(t *testing.T, cfg Config) *TLB {
+	t.Helper()
+	tl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
 func pte(ppn uint64, key uint8) mem.PTE {
 	return mem.PTE{PPN: ppn, Prot: mem.ProtRW, PKey: key, Valid: true}
 }
 
 func TestMissThenFillThenHit(t *testing.T) {
-	tl := New(DefaultDataConfig())
+	tl := mustNew(t, DefaultDataConfig())
 	if _, hit := tl.Lookup(5); hit {
 		t.Fatal("cold lookup must miss")
 	}
@@ -30,7 +39,7 @@ func TestMissThenFillThenHit(t *testing.T) {
 }
 
 func TestFillRefreshesInPlace(t *testing.T) {
-	tl := New(DefaultDataConfig())
+	tl := mustNew(t, DefaultDataConfig())
 	tl.Fill(5, pte(99, 3))
 	tl.Fill(5, pte(99, 7)) // pkey_mprotect changed the key
 	got, _ := tl.Lookup(5)
@@ -43,7 +52,7 @@ func TestFillRefreshesInPlace(t *testing.T) {
 }
 
 func TestLRUEvictionWithinSet(t *testing.T) {
-	tl := New(Config{Entries: 8, Ways: 2, WalkLatency: 10}) // 4 sets
+	tl := mustNew(t, Config{Entries: 8, Ways: 2, WalkLatency: 10}) // 4 sets
 	// VPNs 0, 4, 8 all map to set 0.
 	tl.Fill(0, pte(1, 0))
 	tl.Fill(4, pte(2, 0))
@@ -58,7 +67,7 @@ func TestLRUEvictionWithinSet(t *testing.T) {
 }
 
 func TestInvalidatePage(t *testing.T) {
-	tl := New(DefaultDataConfig())
+	tl := mustNew(t, DefaultDataConfig())
 	tl.Fill(9, pte(1, 0))
 	tl.InvalidatePage(9)
 	if tl.Probe(9) {
@@ -68,7 +77,7 @@ func TestInvalidatePage(t *testing.T) {
 }
 
 func TestFlushAll(t *testing.T) {
-	tl := New(DefaultDataConfig())
+	tl := mustNew(t, DefaultDataConfig())
 	for i := uint64(0); i < 40; i++ {
 		tl.Fill(i, pte(i, 0))
 	}
@@ -85,7 +94,7 @@ func TestFlushAll(t *testing.T) {
 }
 
 func TestProbeDoesNotPerturb(t *testing.T) {
-	tl := New(DefaultDataConfig())
+	tl := mustNew(t, DefaultDataConfig())
 	tl.Fill(1, pte(1, 0))
 	s := tl.Stats
 	tl.Probe(1)
@@ -96,7 +105,7 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 }
 
 func TestMissRate(t *testing.T) {
-	tl := New(DefaultDataConfig())
+	tl := mustNew(t, DefaultDataConfig())
 	tl.Lookup(1)
 	tl.Fill(1, pte(1, 0))
 	tl.Lookup(1)
@@ -108,17 +117,20 @@ func TestMissRate(t *testing.T) {
 	}
 }
 
-func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-pow2 sets must panic")
+func TestBadConfigErrors(t *testing.T) {
+	for _, cfg := range []Config{
+		{Entries: 6, Ways: 2}, // non-pow2 sets
+		{Entries: 8, Ways: 0},
+		{Entries: 8, Ways: -2},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("config %+v must be rejected", cfg)
 		}
-	}()
-	New(Config{Entries: 6, Ways: 2})
+	}
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	tl := New(Config{Entries: 16, Ways: 4, WalkLatency: 10})
+	tl := mustNew(t, Config{Entries: 16, Ways: 4, WalkLatency: 10})
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		vpn := uint64(r.Intn(256))

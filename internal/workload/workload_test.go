@@ -325,10 +325,9 @@ func TestBuildSeededReplications(t *testing.T) {
 }
 
 // TestPipelineEquivalenceFullCatalog is the heavyweight oracle — and the
-// policy seam's differential test: every catalogue workload (paper set +
+// policy table's differential test: every catalogue workload (paper set +
 // extensions) must produce bit-identical architectural state across the
-// functional reference and every registered microarchitecture policy,
-// including ones registered outside the pipeline package.
+// functional reference and every microarchitecture policy.
 func TestPipelineEquivalenceFullCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")

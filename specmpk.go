@@ -34,12 +34,11 @@ import (
 	"specmpk/internal/workload"
 )
 
-// Mode selects the WRPKRU microarchitecture (paper §VII). A Mode is a handle
-// into the security-policy registry; ParseMode resolves names and
-// RegisterPolicy mints modes for new policies.
+// Mode selects the WRPKRU microarchitecture (paper §VII): one row of the
+// pipeline's policy table. ParseMode resolves policy names.
 type Mode = pipeline.Mode
 
-// The three microarchitectures the paper evaluates.
+// The three microarchitectures the paper evaluates, then two extensions.
 const (
 	// Serialized models current hardware: WRPKRU drains the pipeline.
 	Serialized = pipeline.ModeSerialized
@@ -47,10 +46,6 @@ const (
 	NonSecure = pipeline.ModeNonSecure
 	// SpecMPK is the paper's secure speculative design.
 	SpecMPK = pipeline.ModeSpecMPK
-)
-
-// Policies added through the PKRUPolicy seam (no core-pipeline changes).
-var (
 	// DelayUpgrade is the Okapi-style design: loads that are permitted only
 	// by a transient (uncommitted) PKRU upgrade stall until non-speculative;
 	// stores keep executing and forwarding under the speculative view.
@@ -61,14 +56,14 @@ var (
 )
 
 // ParseMode resolves a policy name ("serialized", "specmpk", ...) to its
-// Mode; the error lists every registered name.
+// Mode; the error lists every valid name.
 func ParseMode(name string) (Mode, error) { return pipeline.ParseMode(name) }
 
-// RegisteredModes returns every registered policy's Mode in registration
-// order; PolicyNames returns the matching names.
+// RegisteredModes returns every policy's Mode in table order; PolicyNames
+// returns the matching names.
 func RegisteredModes() []Mode { return pipeline.RegisteredModes() }
 
-// PolicyNames lists the registered policy names in registration order.
+// PolicyNames lists the policy names in table order.
 func PolicyNames() []string { return pipeline.PolicyNames() }
 
 // Config is the machine configuration; DefaultConfig matches Table III.
