@@ -35,9 +35,9 @@ race-core:
 	$(GO) test -race ./internal/stats ./internal/trace ./internal/pipeline \
 		./internal/funcsim ./internal/simpoint
 
-# The service layer under the race detector: queue, worker pool, cache,
-# dedup, the HTTP/streaming handlers, and the span flight recorder all share
-# state across goroutines.
+# The service layer under the race detector: queue, worker pool, the
+# content-addressed store (results, dedup, profiles), the HTTP/streaming
+# handlers, and the span flight recorder all share state across goroutines.
 race-server:
 	$(GO) test -race ./internal/server/... ./internal/otrace
 
@@ -50,9 +50,9 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Deadline|Cache' ./internal/server
 
 # Cluster chaos drill: the consistent-hash ring property suite and the
-# coordinator's fault-point scenarios (peer-cache misses, dying forwards,
-# hedge suppression, probe failures, seeded bit-identity) under -race — the
-# coordinator's peer table and counters are all cross-goroutine state.
+# coordinator's fault-point scenarios (dying forwards, hedge suppression,
+# probe failures, seeded bit-identity with dropped cache fills) under -race —
+# the coordinator's peer table and counters are all cross-goroutine state.
 chaos-cluster:
 	$(GO) test -race -count=1 ./internal/cluster
 
@@ -63,10 +63,11 @@ e2e-smoke:
 	sh scripts/e2e_smoke.sh
 
 # Full-stack cluster e2e: three clustered daemons, exactly-once placement
-# with a warm peer-cache pass, daemon-side forwarding with a merged
-# cross-node Perfetto trace, hedging past a latency-faulted node, and a
-# SIGKILL mid-sweep that must recover via failover + resubmission with
-# output bit-identical to a pristine single-node run.
+# with a warm pass answered from the owners' result stores, daemon-side
+# forwarding with a merged cross-node Perfetto trace, hedging past a
+# latency-faulted node, and a SIGKILL mid-sweep that must recover via
+# failover + resubmission with output bit-identical to a pristine
+# single-node run.
 e2e-cluster:
 	sh scripts/e2e_cluster.sh
 
@@ -102,10 +103,15 @@ perf-diff:
 	$(GO) run ./cmd/specmpk-bench -threshold $(PERF_THRESHOLD) \
 		perfdiff BENCH_baseline.json BENCH_$(PERF_LABEL).json
 
-# Short fuzz pass over the assembler's parser (the repo's untrusted-input
-# surface); CI runs it on every push.
+# Short fuzz passes over the untrusted-input surfaces: the assembler's
+# parser, the instruction decoder, and the job-spec JSON that content-addresses
+# every daemon result (Normalize must be idempotent and key-stable, because a
+# cluster owner re-normalizes forwarded specs); CI runs them on every push.
+# `go test -fuzz` takes one target per run.
 fuzz-smoke:
-	$(GO) test -fuzz=Fuzz -fuzztime=10s -run=^$$ ./internal/asm
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/asm
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run=^$$ ./internal/isa
+	$(GO) test -fuzz=FuzzJobSpecKey -fuzztime=10s -run=^$$ ./internal/server/api
 
 # The tier-1 gate: what CI runs. The perf trajectory (make perf, make
 # perf-diff against BENCH_baseline.json) rides alongside without gating it.

@@ -28,8 +28,8 @@
 //
 // A comma-separated -remote list enables cluster mode: the bench becomes a
 // coordinator (internal/cluster) that consistent-hashes each spec onto the
-// daemon owning it, probes peer caches before simulating anywhere, hedges
-// placements slower than -hedge-after, fails over dead peers via
+// daemon owning it (whose result store answers any spec it already ran),
+// hedges placements slower than -hedge-after, fails over dead peers via
 // content-addressed resubmission, and — when every peer is down — degrades
 // cells to in-process simulation. A one-line cluster summary (forwards,
 // cache hits, hedges, failovers) lands on stderr after the run.
@@ -107,9 +107,9 @@ func realMain() int {
 		default:
 			// Cluster mode: the bench process itself is the coordinator
 			// (Self is empty — every key is remote), placing each spec on
-			// the peer owning it, with peer-cache lookup, hedging and
-			// failover; a full-cluster outage degrades cells to in-process
-			// simulation via ClusterSim.
+			// the peer owning it, with hedging and failover; a full-cluster
+			// outage degrades cells to in-process simulation via
+			// ClusterSim.
 			co, err := cluster.New(cluster.Options{Peers: addrs, HedgeAfter: *hedgeAfter})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "specmpk-bench: -remote: %v\n", err)

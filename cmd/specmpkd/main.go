@@ -58,13 +58,12 @@
 // -peers enables cluster mode (internal/cluster): normalized job keys are
 // consistent-hashed across the listed daemons, each node simulates the keys
 // it owns (-self names this node's entry; -coordinator owns none and
-// forwards everything), peers' content-addressed caches are probed before
-// simulating anywhere, placements exceeding -hedge-after are hedged to the
-// next replica, dead peers (tracked via /v1/healthz at -probe-interval) are
+// forwards everything) and answers repeats from its content-addressed
+// result store, placements exceeding -hedge-after are hedged to the next
+// replica, dead peers (tracked via /v1/healthz at -probe-interval) are
 // failed over with content-addressed resubmission, and when every peer is
 // down the node degrades to local-only simulation. GET /v1/cache/{key}
-// serves the local result cache to peers; cluster.* metrics join
-// /v1/metrics.
+// serves a resident result read-only; cluster.* metrics join /v1/metrics.
 package main
 
 import (
@@ -190,10 +189,10 @@ func main() {
 		Logger:              logger,
 	})
 
-	// Cluster mode: a coordinator consistent-hashes job keys across -peers,
-	// probing peer caches and hedging slow placements; the daemon simulates
-	// only the keys it owns (or everything, when no healthy peer can take a
-	// forwarded job — the degradation ladder's bottom rung).
+	// Cluster mode: a coordinator consistent-hashes job keys across -peers
+	// and hedges slow placements; the daemon simulates only the keys it owns
+	// (or everything, when no healthy peer can take a forwarded job — the
+	// degradation ladder's bottom rung).
 	var co *cluster.Coordinator
 	if *peers != "" {
 		selfAddr := *self

@@ -22,9 +22,6 @@ import (
 // coordinator adds to the request path is injectable, so the chaos machinery
 // that hardened the single-node daemon drives cluster-level plans too.
 //
-//   - cluster.peer.lookup: the peer cache probe; an injected fault degrades
-//     to a miss (the job simulates — never fails — exactly like a flaky
-//     local cache).
 //   - cluster.peer.forward: the forwarded run itself; an injected fault is
 //     what a dying peer looks like and triggers failover to the next
 //     replica.
@@ -35,7 +32,6 @@ import (
 //   - cluster.rebalance: re-placement after a peer failure; an injected
 //     fault suppresses the failover launch, forcing the degradation ladder.
 var (
-	fpPeerLookup  = faults.Register("cluster.peer.lookup")
 	fpPeerForward = faults.Register("cluster.peer.forward")
 	fpHedgeFire   = faults.Register("cluster.hedge.fire")
 	fpHealthProbe = faults.Register("cluster.health.probe")
@@ -77,7 +73,7 @@ type Options struct {
 	// HedgeAfter is the latency budget before a lagging placement is hedged
 	// with a duplicate request to the next replica; first success wins.
 	// Deterministic specs make hedges safe: both runs compute identical
-	// bytes, and failed runs never enter any cache. 0 = 500ms, negative
+	// bytes, and failed runs never enter any store. 0 = 500ms, negative
 	// disables hedging.
 	HedgeAfter time.Duration
 	// ProbeInterval is the health-prober cadence (0 = 1s, negative disables
@@ -85,13 +81,11 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (0 = 2s).
 	ProbeTimeout time.Duration
-	// LookupTimeout bounds one peer cache probe (0 = 2s).
-	LookupTimeout time.Duration
 	// Retry shapes every peer client's resilience layer (zero = client
 	// defaults).
 	Retry client.RetryPolicy
-	// Recorder receives the coordinator's spans (cluster.lookup,
-	// cluster.forward, cluster.hedge); nil disables them (nil-safe seams).
+	// Recorder receives the coordinator's cluster.forward spans, hedges
+	// and resubmissions included; nil disables them (nil-safe seams).
 	Recorder *otrace.Recorder
 	// Logger receives health transitions and failovers (nil =
 	// slog.Default()).
@@ -123,9 +117,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
 	}
-	if o.LookupTimeout <= 0 {
-		o.LookupTimeout = 2 * time.Second
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -150,10 +141,10 @@ func (p *peer) isDown() bool { return p.state.Load() == peerDown }
 // concurrent use; create with New, optionally Start the background prober,
 // Close when done.
 type Coordinator struct {
-	opt   Options
-	ring  *Ring
-	self  string
-	peers []*peer // ring order of Nodes(), self excluded
+	opt    Options
+	ring   *Ring
+	self   string
+	peers  []*peer // ring order of Nodes(), self excluded
 	byName map[string]*peer
 	rec    *otrace.Recorder
 	logger *slog.Logger
@@ -165,7 +156,7 @@ type Coordinator struct {
 
 	// Metrics (atomics: snapshotted concurrently with placements).
 	forwards        atomic.Uint64
-	peerLookups     atomic.Uint64
+	placements      atomic.Uint64
 	peerHits        atomic.Uint64
 	hedgesFired     atomic.Uint64
 	hedgesWon       atomic.Uint64
@@ -394,28 +385,20 @@ type RemoteResult struct {
 	// StopReason/Cycles/Insts are the run's headline figures.
 	StopReason    string
 	Cycles, Insts uint64
-	// Peer is the node that answered. PeerCacheHit marks an answer served
-	// from the peer's content-addressed cache without simulating anywhere;
-	// Hedged marks a result won by a hedge request.
+	// Peer is the node that answered. PeerCacheHit marks an answer the
+	// peer served from its content-addressed result store without
+	// simulating anywhere; Hedged marks a result won by a hedge request.
 	Peer         string
 	PeerCacheHit bool
 	Hedged       bool
 }
 
-// resultMeta extracts the headline figures from canonical result bytes.
-func resultMeta(raw []byte) (stop string, cycles, insts uint64, err error) {
-	var res api.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return "", 0, 0, err
-	}
-	return res.StopReason, res.Stats.Cycles, res.Stats.Insts, nil
-}
-
-// RunRemote places spec (whose content-addressed key is key) on the cluster:
-// peer cache probe on the preferred replica first (cluster-wide
-// single-flight), then a hedged, failover-protected run. The returned error
-// wraps ErrNoPeers when every placement failed — the signal to degrade to
-// local simulation.
+// RunRemote places spec (whose content-addressed key is key) on the cluster
+// as a hedged, failover-protected run. The owner's submit path consults its
+// own result store first, so a key any earlier placement computed is
+// answered from there (cluster-wide single-flight) without a separate
+// probe. The returned error wraps ErrNoPeers when every placement failed —
+// the signal to degrade to local simulation.
 func (c *Coordinator) RunRemote(ctx context.Context, key string, spec api.JobSpec) (RemoteResult, error) {
 	cands := c.placement(key)
 	if len(cands) == 0 {
@@ -426,11 +409,12 @@ func (c *Coordinator) RunRemote(ctx context.Context, key string, spec api.JobSpe
 	// the receiving daemon never forwards onward: routing loops are
 	// impossible even when peers disagree about membership.
 	ctx = client.WithForwarded(ctx)
-	parent := otrace.FromContext(ctx)
-	if rr, ok := c.peerLookup(ctx, parent, cands[0], key); ok {
-		return rr, nil
+	c.placements.Add(1)
+	rr, err := c.runHedged(ctx, otrace.FromContext(ctx), cands, key, spec)
+	if rr.PeerCacheHit {
+		c.peerHits.Add(1)
 	}
-	return c.runHedged(ctx, parent, cands, key, spec)
+	return rr, err
 }
 
 // Run is RunRemote plus key derivation and result decoding — the one-call
@@ -451,49 +435,10 @@ func (c *Coordinator) Run(ctx context.Context, spec api.JobSpec) (api.Result, Re
 	return res, rr, nil
 }
 
-// peerLookup probes the preferred replica's content-addressed cache before
-// anything simulates: if any node already computed this key, the whole
-// cluster answers from that one execution. Failures of any kind degrade to
-// a miss — the run path is the fallback, never an error.
-func (c *Coordinator) peerLookup(ctx context.Context, parent otrace.SpanContext, p *peer, key string) (RemoteResult, bool) {
-	c.peerLookups.Add(1)
-	sp := c.rec.StartSpan(parent, "cluster.lookup")
-	sp.SetAttr("peer", p.name)
-	sp.SetAttr("key", key)
-	defer sp.End()
-	if err := fpPeerLookup.Fire(); err != nil {
-		sp.Event("fault_injected", "point", fpPeerLookup.Name(), "error", err.Error())
-		sp.SetAttr("hit", false)
-		return RemoteResult{}, false
-	}
-	lctx, cancel := context.WithTimeout(ctx, c.opt.LookupTimeout)
-	raw, ok, err := p.c.CachedResult(lctx, key)
-	cancel()
-	if err != nil || !ok {
-		if err != nil {
-			sp.SetError(err.Error())
-		}
-		sp.SetAttr("hit", false)
-		return RemoteResult{}, false
-	}
-	stop, cycles, insts, err := resultMeta(raw)
-	if err != nil {
-		sp.SetError("bad cached payload: " + err.Error())
-		sp.SetAttr("hit", false)
-		return RemoteResult{}, false
-	}
-	c.peerHits.Add(1)
-	sp.SetAttr("hit", true)
-	return RemoteResult{
-		Raw: raw, StopReason: stop, Cycles: cycles, Insts: insts,
-		Peer: p.name, PeerCacheHit: true,
-	}, true
-}
-
 // runHedged runs spec on the candidate list with hedging and failover:
 // launch on the preferred replica; if it exceeds the hedge budget, launch a
 // duplicate on the next replica (first success wins — safe because the spec
-// is deterministic and failed runs never enter any cache); if a placement
+// is deterministic and failed runs never enter any store); if a placement
 // dies at the connection level, mark the peer down and re-place via
 // content-addressed resubmission on the next replica. A terminal job
 // failure on a healthy peer is returned as-is: deterministic, re-running
@@ -614,18 +559,19 @@ func (c *Coordinator) runOn(ctx context.Context, p *peer, spec api.JobSpec) (Rem
 	// client.Run sees carry transport formatting. Compacting restores the
 	// stored form without touching a single value (numbers pass through
 	// verbatim), keeping forwarded results bit-identical to the origin
-	// node's cache — and to the peer-lookup path, which reads that cache
-	// directly.
+	// node's result store — and to GET /v1/cache/{key}, which reads that
+	// store directly.
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, info.Result); err != nil {
 		return RemoteResult{}, fmt.Errorf("cluster: bad result payload from %s: %w", p.name, err)
 	}
 	return RemoteResult{
-		Raw:        buf.Bytes(),
-		StopReason: res.StopReason,
-		Cycles:     res.Stats.Cycles,
-		Insts:      res.Stats.Insts,
-		Peer:       p.name,
+		Raw:          buf.Bytes(),
+		StopReason:   res.StopReason,
+		Cycles:       res.Stats.Cycles,
+		Insts:        res.Stats.Insts,
+		Peer:         p.name,
+		PeerCacheHit: info.Cached,
 	}, nil
 }
 
@@ -656,8 +602,8 @@ func (c *Coordinator) AnyClient() *client.Client {
 // the daemon merges them into its /v1/metrics registry.
 func (c *Coordinator) RegisterMetrics(r *stats.Registry) {
 	r.Counter("cluster.jobs.forwarded", "runs launched on cluster peers (hedges and failovers included)", c.forwards.Load)
-	r.Counter("cluster.peer_cache.lookups", "peer cache probes issued before simulating", c.peerLookups.Load)
-	r.Counter("cluster.peer_cache.hits", "jobs answered from a peer's content-addressed cache", c.peerHits.Load)
+	r.Counter("cluster.peer_cache.lookups", "jobs placed on a peer (each consults the owner's result store)", c.placements.Load)
+	r.Counter("cluster.peer_cache.hits", "placed jobs the peer answered from its content-addressed result store", c.peerHits.Load)
 	r.Counter("cluster.hedges.fired", "duplicate requests launched after the hedge latency budget", c.hedgesFired.Load)
 	r.Counter("cluster.hedges.won", "hedged requests that answered first", c.hedgesWon.Load)
 	r.Counter("cluster.failovers", "placements that failed and fell to the next replica", c.failovers.Load)
@@ -678,7 +624,7 @@ func (c *Coordinator) Summary() string {
 	return fmt.Sprintf(
 		"peers=%d healthy=%d forwards=%d peer_cache_hits=%d/%d hedges=%d won=%d failovers=%d resubmits=%d degraded_local=%d",
 		len(c.peers), c.healthyPeers(), c.forwards.Load(),
-		c.peerHits.Load(), c.peerLookups.Load(),
+		c.peerHits.Load(), c.placements.Load(),
 		c.hedgesFired.Load(), c.hedgesWon.Load(),
 		c.failovers.Load(), c.resubmits.Load(), c.degraded.Load())
 }

@@ -112,8 +112,8 @@ func specOwnedBy(t *testing.T, co *Coordinator, node string) api.JobSpec {
 
 // TestClusterPlacementAndPeerCacheHit: a spec simulates once cluster-wide.
 // The first run lands on its owner; a rerun — even from a brand-new
-// coordinator, as another client process would be — is answered from the
-// owner's content-addressed cache via the peer-lookup path, bit-identical,
+// coordinator, as another client process would be — is placed on the same
+// owner and answered from its content-addressed result store, bit-identical,
 // without simulating anywhere.
 func TestClusterPlacementAndPeerCacheHit(t *testing.T) {
 	nodes := startNodes(t, 3, nil)
@@ -136,7 +136,7 @@ func TestClusterPlacementAndPeerCacheHit(t *testing.T) {
 	}
 
 	// A second coordinator = a different client process: same membership,
-	// same placement, so every lookup must hit the owner's cache.
+	// same placement, so every rerun must hit the owner's result store.
 	co2 := coordinatorOver(t, nodes, Options{})
 	for i := 0; i < jobs; i++ {
 		_, rr, err := co2.Run(context.Background(), clusterSpec(i))
@@ -422,8 +422,8 @@ func TestClusterHealthProbeTracksDrain(t *testing.T) {
 }
 
 // TestClusterChaosSeededFaultsBitIdentical: arm a seeded plan over the
-// cluster seams (lookup faults, forward faults, suppressed hedges and
-// rebalances) plus a server-side cache-put drop, run a sweep, and require
+// cluster seams (forward faults, suppressed hedges and rebalances) plus a
+// server-side cache-put drop, run a sweep, and require
 // every job to complete with bytes identical to a pristine single-node run.
 // Faults may cost retries and failovers — never correctness.
 func TestClusterChaosSeededFaultsBitIdentical(t *testing.T) {
@@ -444,7 +444,6 @@ func TestClusterChaosSeededFaultsBitIdentical(t *testing.T) {
 	nodes := startNodes(t, 3, nil)
 	co := coordinatorOver(t, nodes, Options{HedgeAfter: 100 * time.Millisecond})
 	if err := faults.Arm(faults.Plan{Seed: 7, Rules: []faults.Rule{
-		{Point: "cluster.peer.lookup", Action: faults.ActionError, Probability: 0.5},
 		{Point: "cluster.peer.forward", Action: faults.ActionError, Probability: 0.3},
 		{Point: "cluster.hedge.fire", Action: faults.ActionDrop, Probability: 0.5},
 		{Point: "server.cache.put", Action: faults.ActionDrop, Probability: 0.3},

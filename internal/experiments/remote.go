@@ -57,11 +57,11 @@ func RemoteSim(c *client.Client) SimFunc {
 
 // ClusterSim adapts a cluster coordinator into the SimFunc seam: each
 // simulation request is consistent-hash placed on the peer owning its
-// content-addressed key, with the coordinator's peer-cache lookup, hedging
-// and failover in front. When every peer is down the coordinator reports
-// ErrNoPeers and the job falls to the bottom rung of the degradation
-// ladder — in-process local simulation — so a sweep survives a full cluster
-// outage, just slower.
+// content-addressed key (whose result store answers any key it already
+// ran), with the coordinator's hedging and failover in front. When every
+// peer is down the coordinator reports ErrNoPeers and the job falls to the
+// bottom rung of the degradation ladder — in-process local simulation — so
+// a sweep survives a full cluster outage, just slower.
 func ClusterSim(co *cluster.Coordinator) SimFunc {
 	local := LocalSim
 	return func(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error) {

@@ -23,8 +23,24 @@ func TestCacheHammerPutGetEvict(t *testing.T) {
 		workers    = 16
 		opsEach    = 2000
 	)
-	c := newResultCache(maxEntries)
+	c := newStore[[]byte, *int](maxEntries)
 	payload := func(k int) string { return fmt.Sprintf("result-for-key-%03d", k) }
+	// put and get are a plain cache's two operations on the store: put fills
+	// the key unless another producer owns it; get is a counted lookup whose
+	// miss abandons the producer it installed.
+	newProducer := func() *int { return new(int) }
+	put := func(key string, b []byte) {
+		if _, p, st := c.lookup(key, false, newProducer); st == installed {
+			c.settle(key, p, b, true)
+		}
+	}
+	get := func(key string) ([]byte, bool) {
+		b, p, st := c.lookup(key, false, newProducer)
+		if st == installed {
+			c.settle(key, p, nil, false)
+		}
+		return b, st == resident
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -36,8 +52,8 @@ func TestCacheHammerPutGetEvict(t *testing.T) {
 				k := (w*31 + i*17) % keySpace
 				key := fmt.Sprintf("key-%03d", k)
 				if i%3 == 0 {
-					c.put(key, []byte(payload(k)))
-				} else if b, ok := c.get(key, nil); ok && string(b) != payload(k) {
+					put(key, []byte(payload(k)))
+				} else if b, ok := get(key); ok && string(b) != payload(k) {
 					errs <- fmt.Errorf("key %s returned %q, want %q", key, b, payload(k))
 					return
 				}
@@ -145,10 +161,81 @@ func TestCancelledJobNeverPoisonsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.cache.get(key, nil); ok {
+	if _, ok := s.cache.peek(key); ok {
 		t.Fatal("cancelled job's key answers from the cache")
 	}
 	if n := s.cache.len(); n != 0 {
 		t.Fatalf("cache holds %d entries after a lone cancelled job", n)
+	}
+}
+
+// TestCacheResubmitAfterCancelStartsFresh: a client that resubmits a spec
+// the moment its cancelled job's event stream closes must get a fresh
+// execution. Joining the cancelled one would hand back "cancelled" for a
+// job nobody cancelled. Every terminal path settles the key in the result
+// store before finish publishes the terminal event, which closes that
+// window. Each round starts its lanes together, each cancelling and
+// resubmitting its own spec: they contend for the server mutex, which is
+// what lets a resubmission overtake the cancelling goroutine's bookkeeping
+// when that ordering is broken.
+func TestCacheResubmitAfterCancelStartsFresh(t *testing.T) {
+	const rounds, lanes = 250, 16
+	// The blocker occupies the lone worker, so every execution below is
+	// cancelled while queued; the queue holds two per iteration.
+	s := newTestServer(t, Options{Workers: 1, QueueSize: 2*rounds*lanes + 8, EventInterval: 10_000})
+	blocker, err := s.Submit(uniqueSpec(1000, 1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(blocker.ID)
+	type submitted struct {
+		info api.JobInfo
+		err  error
+	}
+	iteration := func(spec api.JobSpec) error {
+		first, err := s.Submit(spec)
+		if err != nil {
+			return err
+		}
+		ch, unsubscribe, ok := s.Subscribe(first.ID)
+		if !ok {
+			return fmt.Errorf("unknown job %s", first.ID)
+		}
+		defer unsubscribe()
+		again := make(chan submitted, 1)
+		go func() {
+			for range ch {
+			}
+			info, err := s.Submit(spec)
+			again <- submitted{info, err}
+		}()
+		s.Cancel(first.ID)
+		r := <-again
+		if r.err != nil {
+			return fmt.Errorf("resubmit: %v", r.err)
+		}
+		s.Cancel(r.info.ID)
+		if r.info.Deduped || r.info.State == api.StateCancelled {
+			return fmt.Errorf("resubmission inherited the cancelled execution (deduped=%v state=%s)",
+				r.info.Deduped, r.info.State)
+		}
+		return nil
+	}
+	for round := 0; round < rounds; round++ {
+		errs := make([]error, lanes)
+		var wg sync.WaitGroup
+		wg.Add(lanes)
+		for l := 0; l < lanes; l++ {
+			go func(l int) {
+				defer wg.Done()
+				errs[l] = iteration(uniqueSpec(l, 1<<40))
+			}(l)
+		}
+		wg.Wait()
+		for l, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d lane %d: %v", round, l, err)
+			}
+		}
 	}
 }

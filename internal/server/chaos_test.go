@@ -354,7 +354,7 @@ func TestChaosEverySeamNoJobLost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached, ok := s.cache.get(key, nil)
+		cached, ok := s.cache.peek(key)
 		if !ok {
 			continue // never completed cleanly under chaos: fine
 		}

@@ -21,7 +21,7 @@ import (
 //	GET    /v1/jobs/{id}        job status (Result inlined once done)
 //	DELETE /v1/jobs/{id}        cancel (queued: immediate; running: via ctx)
 //	GET    /v1/jobs/{id}/events NDJSON progress stream (replay + live)
-//	GET    /v1/cache/{key}      content-addressed cache probe (cluster peer lookup)
+//	GET    /v1/cache/{key}      resident result for a content-addressed key (read-only peek)
 //	GET    /v1/metrics          Prometheus text exposition of server.* metrics
 //	GET    /v1/healthz          liveness + diagnostics (uptime, version, pool size)
 //	GET    /v1/debug/spans      span flight recorder dump (?trace= ?job= ?format=chrome)
@@ -280,10 +280,11 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCacheGet answers a cluster peer's content-addressed cache probe:
-// the canonical result bytes verbatim on a hit (bit-identical replay across
-// nodes is the whole point), 404 on a miss. It reads through peek, so peer
-// probes are counted apart from the submit path's hit/miss statistics.
+// handleCacheGet answers a content-addressed cache probe: the canonical
+// result bytes verbatim when the key is resident (bit-identical replay
+// across nodes is the whole point), 404 otherwise. It reads through the
+// result store's peek, so probes are counted apart from the submit path's
+// hit/miss statistics and never start a simulation.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	b, ok := s.cache.peek(key)

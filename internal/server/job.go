@@ -9,13 +9,18 @@ import (
 	"specmpk/internal/server/api"
 )
 
-// execution is one actual simulation run. Several jobs can attach to one
+// execution is one actual simulation run — the producer that owns its key
+// in the result store while pending. Several jobs can attach to one
 // execution: the submit path collapses identical in-flight specs onto the
 // primary execution (single-flight), so a sweep hammering the daemon with
 // the same request costs one simulation.
 type execution struct {
 	key  string
 	spec api.JobSpec // normalized
+
+	// jobs are the jobs attached to this execution, primary first; appended
+	// and read under Server.mu.
+	jobs []*job
 
 	// forwarded marks an execution a cluster coordinator already placed on
 	// this node: the worker must simulate it locally, never forward it
@@ -46,7 +51,7 @@ type execution struct {
 	// ending the attached jobs' spans.
 	traceMu    sync.Mutex
 	stopReason string
-	cacheDisp  string // result-cache disposition: hit|filled|refreshed|skipped_fault|uncacheable|disabled
+	cacheDisp  string // result-cache disposition: hit|filled|released|skipped_fault|uncacheable|disabled
 
 	mu       sync.Mutex
 	state    string
@@ -221,6 +226,7 @@ type job struct {
 	deduped   bool
 	submitted time.Time
 	exec      *execution
+	retired   bool // in the retention window; guarded by Server.mu
 
 	// traceID is the job's request trace (hex, "" when untraced); span is
 	// the job's root span, open from submit to terminal state (nil when the

@@ -25,11 +25,12 @@ func (s *Server) runExecutionContained(ex *execution) {
 			s.panicsRecovered.Add(1)
 			s.logger.Error("panic contained in worker pool",
 				"trace_id", ex.sc.Trace.String(), "key", ex.key, "panic", fmt.Sprint(r))
+			// Both idempotent: they release the key and retire the
+			// execution's jobs even when the panic struck after finish.
+			s.cache.settle(ex.key, ex, nil, false)
 			if ex.finish(api.StateFailed, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()), nil, 0, 0) {
 				s.jobsFailed.Add(1)
 			}
-			// Idempotent: releases the single-flight slot and retires the
-			// execution's jobs even when the panic struck after finish.
 			s.onExecutionDone(ex)
 		}
 	}()
@@ -37,8 +38,8 @@ func (s *Server) runExecutionContained(ex *execution) {
 }
 
 // runExecution is one worker's handling of one execution: simulate in
-// event-interval chunks, publish progress, resolve the terminal state, and
-// do the server-side bookkeeping (metrics, cache fill, single-flight slot).
+// event-interval chunks, publish progress, settle the key in the result
+// store, resolve the terminal state, and do the server-side bookkeeping.
 // The queue.wait and simulate stage spans close here with exactly the
 // durations the matching server.latency.* histograms observe.
 func (s *Server) runExecution(ex *execution) {
@@ -63,15 +64,7 @@ func (s *Server) runExecution(ex *execution) {
 		ex.simSpan.SetError(errMsg)
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
-	// Only a clean, deterministic completion reaches the cache: failed
-	// (including deadline-exceeded and panicking) and cancelled runs never
-	// produce result bytes, so they can never poison it. The fill precedes
-	// finish, which publishes the terminal event: a client that resubmits
-	// the moment it sees done must hit the cache, not the dying execution.
-	var cacheDisp string
-	if state == api.StateDone {
-		cacheDisp = s.cache.put(ex.key, result)
-	}
+	cacheDisp := s.settleResult(ex, state, result)
 	if !ex.finish(state, errMsg, result, cycle, insts) {
 		return // lost the race with Cancel; it did the bookkeeping
 	}
@@ -79,15 +72,38 @@ func (s *Server) runExecution(ex *execution) {
 	switch state {
 	case api.StateDone:
 		s.jobsDone.Add(1)
-		ex.setTrace("", cacheDisp)
 	case api.StateFailed:
 		s.jobsFailed.Add(1)
-		ex.setTrace("", "uncacheable")
 	case api.StateCancelled:
 		s.jobsCancelled.Add(1)
-		ex.setTrace("", "uncacheable")
 	}
+	ex.setTrace("", cacheDisp)
 	s.onExecutionDone(ex)
+}
+
+// settleResult moves the execution's key out of pending before finish
+// publishes the terminal event: a client that resubmits the moment it sees
+// the outcome finds the key resident (a clean result) or absent (anything
+// else), never still pending on this dead execution. Only a clean,
+// deterministic completion is kept: failed (including deadline-exceeded and
+// panicking) and cancelled runs never produce result bytes, so they can
+// never poison the store. An injected fault at server.cache.put skips the
+// fill: the job still succeeds, the next identical spec just re-simulates.
+// The returned disposition is what the job spans carry as "cache".
+func (s *Server) settleResult(ex *execution, state string, result []byte) string {
+	disp := "uncacheable"
+	if state == api.StateDone {
+		disp = "filled"
+		if err := fpCachePut.Fire(); err != nil {
+			disp = "skipped_fault"
+		} else if s.opt.CacheEntries <= 0 {
+			disp = "disabled"
+		}
+	}
+	if !s.cache.settle(ex.key, ex, result, disp == "filled") && disp == "filled" {
+		disp = "released" // a racing Cancel settled the key first
+	}
+	return disp
 }
 
 // simulateContained runs the simulation itself under a recover, so a panic

@@ -1,10 +1,10 @@
 // Sampled-fidelity execution: the server-side SimPoint path.
 //
 // A sampled job profiles its program once (the plan — chosen representative
-// intervals plus a restorable checkpoint at each — is cached
-// content-addressed by api.JobSpec.ProfileKey, so a policy sweep over one
-// workload profiles it exactly once), fans the representative intervals out
-// as sub-jobs across the same worker pool full jobs run on, and recombines
+// intervals plus a restorable checkpoint at each — lives in the profile
+// store, content-addressed by api.JobSpec.ProfileKey, so a policy sweep over
+// one workload profiles it exactly once), fans the representative intervals
+// out as sub-jobs across the same worker pool full jobs run on, and recombines
 // the per-interval statistics into an extrapolated whole-program result with
 // an error bound.
 //
@@ -17,9 +17,9 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,96 +31,48 @@ import (
 	"specmpk/internal/simpoint"
 )
 
-// profileCache holds sampled jobs' profiling products: immutable
-// simpoint.Plans keyed by api.JobSpec.ProfileKey. Eviction is LRU by access.
-// Builds are single-flight — concurrent sampled jobs needing the same plan
-// wait for one build instead of racing duplicate profiling passes. Build
-// errors are returned to every waiter and never cached: a transiently
-// unprofilable spec retries on the next submission.
-type profileCache struct {
-	mu      sync.Mutex
-	max     int // <= 0 disables caching (every job builds its own plan)
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	pending map[string]*profileBuild
-
-	hits, misses atomic.Uint64
-}
-
-type profileEntry struct {
-	key  string
-	plan *simpoint.Plan
-}
-
-// profileBuild is one in-flight single-flight build.
+// profileBuild is the profile store's producer: one pending plan build,
+// which joiners wait out on done.
 type profileBuild struct {
 	done chan struct{}
 	plan *simpoint.Plan
 	err  error
 }
 
-func newProfileCache(max int) *profileCache {
-	return &profileCache{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		pending: make(map[string]*profileBuild),
-	}
-}
+// errBuildAborted is what joiners see when a build panicked before
+// returning: the panic fails the building job, never strands its joiners.
+var errBuildAborted = errors.New("profile build aborted")
 
-// get returns the plan for key, building it with build on a miss. The second
-// return reports whether the plan came from the cache (including waiting out
-// another job's in-flight build) rather than from this call's own build.
-func (c *profileCache) get(key string, build func() (*simpoint.Plan, error)) (*simpoint.Plan, bool, error) {
-	if c.max <= 0 {
-		c.misses.Add(1)
-		p, err := build()
-		return p, false, err
-	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits.Add(1)
-		c.mu.Unlock()
-		return el.Value.(*profileEntry).plan, true, nil
-	}
-	if b, ok := c.pending[key]; ok {
-		c.mu.Unlock()
+// profile returns the plan for pkey from the profile store, building it on a
+// miss. Builds are single-flight — concurrent sampled jobs needing the same
+// plan wait out one build instead of racing duplicate profiling passes. A
+// build error reaches every waiter but is never kept: a transiently
+// unprofilable spec retries on the next submission. cached reports whether
+// the plan came from the store, including another job's successful build,
+// rather than from this call's own build.
+func (s *Server) profile(pkey string, build func() (*simpoint.Plan, error)) (plan *simpoint.Plan, cached bool, err error) {
+	plan, b, st := s.profiles.lookup(pkey, false, func() *profileBuild {
+		return &profileBuild{done: make(chan struct{}), err: errBuildAborted}
+	})
+	switch st {
+	case resident:
+		s.profileHits.Add(1)
+		return plan, true, nil
+	case joined:
 		<-b.done
 		if b.err != nil {
 			return nil, false, b.err
 		}
-		// Sharing the winner's build is a hit: the profiling work was not
-		// repeated for this job.
-		c.hits.Add(1)
+		s.profileHits.Add(1)
 		return b.plan, true, nil
 	}
-	b := &profileBuild{done: make(chan struct{})}
-	c.pending[key] = b
-	c.misses.Add(1)
-	c.mu.Unlock()
-
+	s.profileMisses.Add(1)
+	defer func() {
+		s.profiles.settle(pkey, b, b.plan, b.err == nil)
+		close(b.done)
+	}()
 	b.plan, b.err = build()
-	c.mu.Lock()
-	delete(c.pending, key)
-	if b.err == nil {
-		c.entries[key] = c.lru.PushFront(&profileEntry{key: key, plan: b.plan})
-		for c.lru.Len() > c.max {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*profileEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	close(b.done)
 	return b.plan, false, b.err
-}
-
-// len returns the current entry count.
-func (c *profileCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // intervalTask is one representative interval's detailed simulation, offered
@@ -134,9 +86,10 @@ type intervalTask struct {
 func (t *intervalTask) claim() bool { return t.claimed.CompareAndSwap(false, true) }
 
 // runSampled executes one sampled-fidelity job end to end on the owning
-// worker: resolve the plan (cached), fan the intervals out, recombine, and
-// optionally audit against a full-fidelity run. It is the sampled
-// counterpart of (*Server).simulate and returns through the same contract.
+// worker: resolve the plan (profile store), fan the intervals out,
+// recombine, and optionally audit against a full-fidelity run. It is the
+// sampled counterpart of (*Server).simulate and returns through the same
+// contract.
 func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64) {
 	spec := ex.spec
 	cfg, err := spec.MachineConfig()
@@ -173,11 +126,11 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 
 	// Profile once per program. The plan depends only on the program and the
 	// profiling parameters — not the mode or machine config — so a sweep's
-	// later jobs hit the cache here.
+	// later jobs find it in the profile store here.
 	pt0 := time.Now()
 	psp := s.rec.StartSpanAt(ex.simSpan.Context(), "sampled.profile", pt0)
 	psp.SetAttr("profile_key", pkey)
-	plan, cached, err := s.profiles.get(pkey, func() (*simpoint.Plan, error) {
+	plan, cached, err := s.profile(pkey, func() (*simpoint.Plan, error) {
 		return simpoint.BuildPlan(prog, spec.Sampled.SimPointConfig())
 	})
 	pd := time.Since(pt0)

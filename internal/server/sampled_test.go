@@ -128,11 +128,12 @@ func TestSampledProfileCacheReuse(t *testing.T) {
 		}
 		sampledResult(t, waitJob(t, s, info.ID))
 	}
-	if misses := s.profiles.misses.Load(); misses != 1 {
-		t.Fatalf("profile cache misses = %d, want 1 (one build for two modes)", misses)
+	snap := s.Registry().Snapshot()
+	if misses := snap.Number("server.sampled.profile_cache_misses"); misses != 1 {
+		t.Fatalf("profile cache misses = %v, want 1 (one build for two modes)", misses)
 	}
-	if hits := s.profiles.hits.Load(); hits != 1 {
-		t.Fatalf("profile cache hits = %d, want 1", hits)
+	if hits := snap.Number("server.sampled.profile_cache_hits"); hits != 1 {
+		t.Fatalf("profile cache hits = %v, want 1", hits)
 	}
 	k1, err := sampledSpec("specmpk").ProfileKey()
 	if err != nil {

@@ -1,8 +1,9 @@
 // Package server implements specmpkd's core: a bounded job queue served by
-// a context-aware worker pool, single-flight deduplication of identical
-// in-flight requests, a content-addressed result cache keyed by the
-// canonical spec hash (internal/server/api), streamed per-job progress
-// events, Prometheus-rendered server metrics, and graceful drain.
+// a context-aware worker pool, one content-addressed store keyed by the
+// canonical spec hash (internal/server/api) that both serves finished
+// results and collapses identical in-flight requests onto one execution,
+// streamed per-job progress events, Prometheus-rendered server metrics, and
+// graceful drain.
 //
 // The simulator itself stays single-threaded per machine — the server scales
 // by running independent machines on independent workers, which is exactly
@@ -27,6 +28,7 @@ import (
 	"specmpk/internal/faults"
 	"specmpk/internal/otrace"
 	"specmpk/internal/server/api"
+	"specmpk/internal/simpoint"
 	"specmpk/internal/stats"
 )
 
@@ -94,13 +96,15 @@ type Options struct {
 	// QueueSize bounds the pending-execution queue; submits beyond it are
 	// rejected with 503 rather than buffered without bound (0 = 256).
 	QueueSize int
-	// CacheEntries bounds the content-addressed result cache
-	// (0 = 512, negative disables caching).
+	// CacheEntries bounds the resident results of the content-addressed
+	// result store (0 = 512, negative retains none; identical in-flight
+	// specs still share one execution).
 	CacheEntries int
-	// ProfileCacheEntries bounds the sampled-job profile cache — immutable
-	// simpoint plans (chosen intervals + checkpoints) keyed by
-	// api.JobSpec.ProfileKey, so a policy sweep profiles each workload once
-	// (0 = 64, negative disables).
+	// ProfileCacheEntries bounds the resident plans of the sampled-job
+	// profile store — immutable simpoint plans (chosen intervals +
+	// checkpoints) keyed by api.JobSpec.ProfileKey, so a policy sweep
+	// profiles each workload once (0 = 64, negative retains none; concurrent
+	// builds of one plan are still shared).
 	ProfileCacheEntries int
 	// EventInterval is the progress-event cadence in simulated cycles
 	// (0 = 1,000,000).
@@ -177,7 +181,7 @@ type latencies struct {
 	dedupWait *stats.SyncHistogram
 	// simulate: wall time of the simulation itself on the worker.
 	simulate *stats.SyncHistogram
-	// cacheLookup: the content-addressed cache probe on the submit path.
+	// cacheLookup: the result-store lookup on the submit path.
 	cacheLookup *stats.SyncHistogram
 	// e2e: submit -> terminal state, for every job (cache hits included).
 	e2e *stats.SyncHistogram
@@ -201,8 +205,8 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // http.Handler).
 type Server struct {
 	opt      Options
-	cache    *resultCache
-	profiles *profileCache
+	cache    *store[[]byte, *execution]
+	profiles *store[*simpoint.Plan, *profileBuild]
 	started  time.Time
 	lat      latencies
 	// rec is the span flight recorder; nil when Options.SpanBuffer == 0
@@ -224,8 +228,7 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*job
-	inflight map[string]*execution // key -> queued/running execution
-	finished []string              // finished job ids, oldest first (retention)
+	finished []string // finished job ids, oldest first (retention)
 	nextID   uint64
 
 	// fwd is the cluster forwarding seam (nil = single-node). Written once
@@ -247,6 +250,8 @@ type Server struct {
 	sampledJobs          atomic.Uint64
 	sampledIntervals     atomic.Uint64
 	sampledStolen        atomic.Uint64
+	profileHits          atomic.Uint64
+	profileMisses        atomic.Uint64
 	running              atomic.Int64
 	wallMSTotal          atomic.Uint64
 	reg                  *stats.Registry
@@ -265,8 +270,8 @@ func New(opt Options) *Server {
 	}
 	s := &Server{
 		opt:        opt,
-		cache:      newResultCache(opt.CacheEntries),
-		profiles:   newProfileCache(opt.ProfileCacheEntries),
+		cache:      newStore[[]byte, *execution](opt.CacheEntries),
+		profiles:   newStore[*simpoint.Plan, *profileBuild](opt.ProfileCacheEntries),
 		started:    time.Now(),
 		lat:        newLatencies(),
 		rec:        otrace.NewRecorder(opt.SpanBuffer),
@@ -276,7 +281,6 @@ func New(opt Options) *Server {
 		queue:      make(chan *execution, opt.QueueSize),
 		subq:       make(chan *intervalTask, opt.QueueSize),
 		jobs:       make(map[string]*job),
-		inflight:   make(map[string]*execution),
 	}
 	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -292,9 +296,9 @@ type ErrUnavailable struct{ Reason string }
 func (e ErrUnavailable) Error() string { return "server unavailable: " + e.Reason }
 
 // Submit validates and accepts one job with no propagated trace context —
-// the in-process entry point (tests, the perf harness). See SubmitTraced.
+// the in-process entry point (tests, the perf harness). See SubmitWith.
 func (s *Server) Submit(spec api.JobSpec) (api.JobInfo, error) {
-	return s.SubmitTraced(otrace.SpanContext{}, spec)
+	return s.SubmitWith(SubmitOpts{}, spec)
 }
 
 // SetForwarder installs the cluster forwarding seam. Call it once, after New
@@ -317,20 +321,15 @@ type SubmitOpts struct {
 	Resubmit bool
 }
 
-// SubmitTraced validates and accepts one job, rooting its request trace at
-// parent (the span context propagated via the W3C traceparent header; the
-// zero value starts a fresh root when tracing is armed). The fast paths
-// never simulate: a result-cache hit resolves immediately, and a spec
-// identical to an in-flight execution attaches to it (single-flight).
-// Otherwise the job's execution enters the bounded queue, or the submit is
-// rejected with ErrUnavailable when the queue is full or the server is
-// draining.
-func (s *Server) SubmitTraced(parent otrace.SpanContext, spec api.JobSpec) (api.JobInfo, error) {
-	return s.SubmitWith(SubmitOpts{Parent: parent}, spec)
-}
-
-// SubmitWith is SubmitTraced with the full submission context — see
-// SubmitOpts for the cluster-coordination markers.
+// SubmitWith validates and accepts one job, rooting its request trace at
+// opts.Parent (the span context propagated via the W3C traceparent header;
+// the zero value starts a fresh root when tracing is armed) — see SubmitOpts
+// for the cluster-coordination markers. One result-store lookup decides the
+// fast paths, and neither simulates: a resident result resolves the job
+// immediately, and a spec identical to a pending execution attaches to it
+// (single-flight). Otherwise the job's new execution enters the bounded
+// queue, or the submit is rejected with ErrUnavailable when the queue is
+// full or the server is draining.
 func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, error) {
 	parent := opts.Parent
 	norm, err := spec.Normalize()
@@ -390,16 +389,25 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 
 	lookupStart := time.Now()
 	lsp := s.rec.StartSpanAt(j.span.Context(), "cache.lookup", lookupStart)
-	b, hit := s.cache.get(key, lsp)
+	// An injected fault at server.cache.get degrades to a miss — a flaky
+	// cache must cost a re-simulation, never a failed request — and is
+	// recorded on the lookup span so a chaos run's forced misses are
+	// reconstructable per request.
+	ferr := fpCacheGet.Fire()
+	if ferr != nil {
+		lsp.Event("fault_injected", "point", fpCacheGet.Name(), "error", ferr.Error())
+	}
+	b, ex, st := s.cache.lookup(key, ferr != nil, func() *execution { return newExecution(s.baseCtx, key, norm) })
 	lookupDur := time.Since(lookupStart)
 	s.lat.cacheLookup.Observe(ms(lookupDur))
-	lsp.SetAttr("hit", hit)
+	lsp.SetAttr("hit", st == resident)
 	lsp.EndAt(lookupStart.Add(lookupDur))
-	if hit {
+	switch st {
+	case resident:
 		j.cached = true
 		j.exec = resolvedExecution(key, norm, b)
 		s.registerLocked(j)
-		s.retireLocked(j.id)
+		s.retireLocked(j)
 		e2e := time.Since(j.submitted)
 		s.lat.e2e.Observe(ms(e2e))
 		j.span.SetAttr("state", api.StateDone)
@@ -407,36 +415,34 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 		j.span.SetAttr("cache", "hit")
 		j.span.EndAt(j.submitted.Add(e2e))
 		return j.info(), nil
-	}
-	if ex, ok := s.inflight[key]; ok {
+	case joined:
 		j.deduped = true
-		j.exec = ex
 		s.deduped.Add(1)
-		s.registerLocked(j)
 		j.span.SetAttr("deduped", true)
 		if ex.sc.Valid() {
 			// The simulate/queue spans live in the primary job's trace;
 			// link this trace to it so the dedup is reconstructable.
 			j.span.SetAttr("primary_trace", ex.sc.Trace.String())
 		}
-		return j.info(), nil
+	case installed:
+		ex.forwarded = opts.Forwarded
+		// Arm the execution's trace seams before it can reach a worker:
+		// stage spans parent onto this (primary) job's span.
+		ex.sc = j.span.Context()
+		ex.queueSpan = s.rec.StartSpanAt(ex.sc, "queue.wait", ex.queuedAt)
+		select {
+		case s.queue <- ex:
+		default:
+			ex.cancel()
+			s.cache.settle(key, ex, nil, false)
+			s.rejected.Add(1)
+			return api.JobInfo{}, ErrUnavailable{Reason: "queue full"}
+		}
 	}
-
-	ex := newExecution(s.baseCtx, key, norm)
-	ex.forwarded = opts.Forwarded
-	// Arm the execution's trace seams before it can reach a worker: stage
-	// spans parent onto this (primary) job's span.
-	ex.sc = j.span.Context()
-	ex.queueSpan = s.rec.StartSpanAt(ex.sc, "queue.wait", ex.queuedAt)
-	select {
-	case s.queue <- ex:
-	default:
-		ex.cancel()
-		s.rejected.Add(1)
-		return api.JobInfo{}, ErrUnavailable{Reason: "queue full"}
-	}
+	// Joins happen under s.mu, before the execution settles its key, so
+	// onExecutionDone (which takes s.mu after settling) sees every job.
 	j.exec = ex
-	s.inflight[key] = ex
+	ex.jobs = append(ex.jobs, j)
 	s.registerLocked(j)
 	return j.info(), nil
 }
@@ -446,13 +452,19 @@ func (s *Server) registerLocked(j *job) {
 	s.jobs[j.id] = j
 }
 
-// retireLocked records a job id as finished and enforces the retention cap.
-func (s *Server) retireLocked(id string) {
-	s.finished = append(s.finished, id)
+// retireLocked records a job as finished, once, and enforces the retention
+// cap. It reports whether this call retired the job.
+func (s *Server) retireLocked(j *job) bool {
+	if j.retired {
+		return false
+	}
+	j.retired = true
+	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.opt.RetainJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}
+	return true
 }
 
 // Job returns a job's status.
@@ -480,7 +492,10 @@ func (s *Server) Cancel(id string) (api.JobInfo, bool) {
 	ex := j.exec
 	ex.cancel()
 	// A queued execution has no worker to notice the cancellation yet;
-	// resolve it here. (A running one is finished by its worker.)
+	// resolve it here. (A running one is finished by its worker.) The key
+	// settles before finish publishes "cancelled", so a client resubmitting
+	// on that event starts a fresh execution instead of joining this one.
+	s.cache.settle(ex.key, ex, nil, false)
 	if ex.finish(api.StateCancelled, context.Canceled.Error(), nil, 0, 0) {
 		s.jobsCancelled.Add(1)
 		s.onExecutionDone(ex)
@@ -500,54 +515,42 @@ func (s *Server) Subscribe(id string) (<-chan api.Event, func(), bool) {
 	return ch, cancel, true
 }
 
-// onExecutionDone clears the single-flight slot and retires the execution's
-// attached jobs into the retention window, closing each job's root span with
-// its terminal state and emitting one structured log line per job.
+// onExecutionDone retires the execution's attached jobs into the retention
+// window, closing each job's root span with its terminal state and emitting
+// one structured log line per job.
 func (s *Server) onExecutionDone(ex *execution) {
 	state, errMsg, _, _, _ := ex.snapshot()
 	stopReason, cacheDisp := ex.traceInfo()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.inflight[ex.key] == ex {
-		delete(s.inflight, ex.key)
-	}
-	for id, j := range s.jobs {
-		if j.exec == ex {
-			alreadyRetired := false
-			for _, fid := range s.finished {
-				if fid == id {
-					alreadyRetired = true
-					break
-				}
-			}
-			if !alreadyRetired {
-				s.retireLocked(id)
-				// One observation per job, guarded by the retire check (the
-				// panic path can reach here twice for one execution).
-				wait := time.Since(j.submitted)
-				s.lat.e2e.Observe(ms(wait))
-				if j.deduped {
-					s.lat.dedupWait.Observe(ms(wait))
-					dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
-					dsp.EndAt(j.submitted.Add(wait))
-				}
-				j.span.SetAttr("state", state)
-				if stopReason != "" {
-					j.span.SetAttr("stop_reason", stopReason)
-				}
-				if cacheDisp != "" {
-					j.span.SetAttr("cache", cacheDisp)
-				}
-				if errMsg != "" {
-					j.span.SetError(errMsg)
-				}
-				j.span.EndAt(j.submitted.Add(wait))
-				s.logger.Debug("job finished",
-					"job_id", id, "trace_id", j.traceID, "key", j.key,
-					"state", state, "stop_reason", stopReason,
-					"deduped", j.deduped, "e2e_ms", ms(wait))
-			}
+	for _, j := range ex.jobs {
+		// One observation per job, guarded by the retire check (the panic
+		// path can reach here twice for one execution).
+		if !s.retireLocked(j) {
+			continue
 		}
+		wait := time.Since(j.submitted)
+		s.lat.e2e.Observe(ms(wait))
+		if j.deduped {
+			s.lat.dedupWait.Observe(ms(wait))
+			dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
+			dsp.EndAt(j.submitted.Add(wait))
+		}
+		j.span.SetAttr("state", state)
+		if stopReason != "" {
+			j.span.SetAttr("stop_reason", stopReason)
+		}
+		if cacheDisp != "" {
+			j.span.SetAttr("cache", cacheDisp)
+		}
+		if errMsg != "" {
+			j.span.SetError(errMsg)
+		}
+		j.span.EndAt(j.submitted.Add(wait))
+		s.logger.Debug("job finished",
+			"job_id", j.id, "trace_id", j.traceID, "key", j.key,
+			"state", state, "stop_reason", stopReason,
+			"deduped", j.deduped, "e2e_ms", ms(wait))
 	}
 }
 
@@ -634,16 +637,16 @@ func (s *Server) Registry() *stats.Registry {
 		r.Counter("server.panics_recovered", "worker/HTTP panics contained without killing the process", s.panicsRecovered.Load)
 		r.Counter("server.jobs.wall_ms_total", "total execution wall time (ms)", s.wallMSTotal.Load)
 		r.Counter("server.cache.hits", "result-cache hits", s.cache.hits.Load)
-		r.Counter("server.cache.misses", "result-cache misses", s.cache.misses.Load)
+		r.Counter("server.cache.misses", "result-cache misses (dedups onto a pending execution included)", s.cache.misses.Load)
 		r.Counter("server.cache.evictions", "result-cache LRU evictions", s.cache.evictions.Load)
 		r.Gauge("server.cache.entries", "result-cache resident entries", func() float64 { return float64(s.cache.len()) })
-		r.Counter("server.cache.peer_lookups", "cache probes from cluster peers (GET /v1/cache/{key})", s.cache.peerLookups.Load)
-		r.Counter("server.cache.peer_hits", "peer cache probes answered from the local cache", s.cache.peerHits.Load)
+		r.Counter("server.cache.peer_lookups", "cache probes from cluster peers (GET /v1/cache/{key})", s.cache.peeks.Load)
+		r.Counter("server.cache.peer_hits", "peer cache probes answered from the local cache", s.cache.peekHits.Load)
 		r.Counter("server.sampled.jobs", "sampled-fidelity executions completed", s.sampledJobs.Load)
 		r.Counter("server.sampled.intervals", "representative intervals simulated in detail", s.sampledIntervals.Load)
 		r.Counter("server.sampled.intervals_stolen", "intervals run by idle pool workers instead of the owning worker", s.sampledStolen.Load)
-		r.Counter("server.sampled.profile_cache_hits", "sampled jobs served an existing profile plan", s.profiles.hits.Load)
-		r.Counter("server.sampled.profile_cache_misses", "sampled jobs that had to build a profile plan", s.profiles.misses.Load)
+		r.Counter("server.sampled.profile_cache_hits", "sampled jobs served an existing profile plan", s.profileHits.Load)
+		r.Counter("server.sampled.profile_cache_misses", "sampled jobs that had to build a profile plan", s.profileMisses.Load)
 		r.Gauge("server.sampled.profile_cache_entries", "profile-cache resident plans", func() float64 { return float64(s.profiles.len()) })
 		r.Gauge("server.jobs.running", "executions currently on a worker", func() float64 { return float64(s.running.Load()) })
 		r.Gauge("server.queue.depth", "executions waiting for a worker", func() float64 { return float64(len(s.queue)) })
