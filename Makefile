@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core fuzz-smoke profile-artifact perf perf-diff check clean
+.PHONY: all build test vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke profile-artifact perf perf-diff check clean
 
 all: check
 
@@ -86,6 +86,19 @@ bench:
 bench-core:
 	$(GO) test -bench='MachineStep|MachineRun' -benchmem -run=^$$ \
 		./internal/pipeline
+
+# Answer smoke over the benchmark: each perfbench workload for a one-second
+# window (a window still holds at least 100 simulating jobs). perfbench
+# checks every answer — the CPI stack sums to cycles, the five policies retire
+# the same instructions, a resubmitted result is byte-identical — and the
+# target fails unless the last line of each run reads "correct":true.
+bench-smoke:
+	@for w in policy-sweep sampled-sweep service-cluster; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
+			{ echo "bench-smoke: $$w: answer checks failed" >&2; exit 1; }; \
+	done
 
 # Meta-benchmark: capture simulator + service throughput into
 # BENCH_$(PERF_LABEL).json (schema specmpk-bench/1). PERF_FLAGS defaults to a

@@ -101,31 +101,6 @@ func (m *Machine) skipIdle(n uint64) {
 	m.Stats.CPI.AddN(m.lastBucket, n)
 }
 
-// markIssued transitions a waiting entry to issued with completion cycle
-// done, maintaining the issue-queue occupancy count, the issue bitmap, the
-// issued-entry count, and the completion horizon. Every st → stIssued
-// transition goes through here so those invariants cannot drift from the
-// ring state.
-func (m *Machine) markIssued(e *alEntry, done uint64) {
-	if e.st == stWaiting {
-		m.iqCnt--
-		m.iqClearBit(int(e.alIdx))
-	}
-	e.st = stIssued
-	e.done = done
-	m.issuedCnt++
-	if done < m.nextDone {
-		m.nextDone = done
-	}
-}
-
-// iqSetBit / iqClearBit maintain the issue stage's waiting-entry bitmap
-// (Machine.iqBits); i is a physical active-list slot. Clearing is idempotent:
-// an entry deferred to the AL head clears its bit early and markIssued clears
-// it again at the replay.
-func (m *Machine) iqSetBit(i int)   { m.iqBits[i>>6] |= 1 << (uint(i) & 63) }
-func (m *Machine) iqClearBit(i int) { m.iqBits[i>>6] &^= 1 << (uint(i) & 63) }
-
 // rasCheckpoint returns the pool index describing the current RAS state,
 // appending a new pool entry only when this fetch group's instruction
 // actually pushed or popped (mutated); otherwise the previous checkpoint is

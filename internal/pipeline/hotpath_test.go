@@ -13,8 +13,9 @@ import (
 
 // This file pins the hot-path data structures the cycle-loop refactor
 // introduced: the active-list ring and its incremental occupancy counters,
-// the issue bitmap, the preallocated free list, the fetch-queue ring, the
-// RAS-checkpoint pool, and the batched load-latency histogram. The golden
+// the event-driven scheduler's bitmaps and wakeup registrations, the
+// preallocated free list, the fetch-queue ring, the RAS-checkpoint pool, and
+// the batched load-latency histogram. The golden
 // harness pins end-to-end timing; these tests pin the internal invariants
 // per cycle, under squash/refill storms, so a future edit that lets a
 // counter drift fails here with a named invariant instead of as an opaque
@@ -37,8 +38,8 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			m.cycle, m.alTail, wantTail, m.alHead, m.alCnt)
 	}
 
-	// Recount the window; verify counters, the issue bitmap, and alIdx.
-	var waiting, issued, unresolved, allocs int
+	// Recount the window; verify counters, the scheduler bitmaps, and alIdx.
+	var waiting, unresolved, allocs int
 	inWindow := make([]bool, n)
 	for i := 0; i < m.alCnt; i++ {
 		e := m.alAt(i)
@@ -54,36 +55,79 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 		case stWaiting:
 			waiting++
 		case stIssued:
-			issued++
 			if e.done < m.nextDone {
 				t.Fatalf("cycle %d: issued entry completes at %d before nextDone %d",
 					m.cycle, e.done, m.nextDone)
 			}
 		}
-		if e.isStore && !e.addrReady && e.fault == nil {
+		isUnresolved := e.isStore && !e.addrReady && e.fault == nil
+		if isUnresolved {
 			unresolved++
 		}
 		if e.newPhys != noReg {
 			allocs++
 		}
-		wantBit := e.st == stWaiting && !e.stallTillHead
-		if gotBit := m.iqBits[phys>>6]&(1<<(uint(phys)&63)) != 0; gotBit != wantBit {
-			t.Fatalf("cycle %d: iqBits[slot %d] = %v, want %v (st %d stallTillHead %v)",
-				m.cycle, phys, gotBit, wantBit, e.st, e.stallTillHead)
+		for _, b := range [...]struct {
+			name string
+			bits slotBits
+			want bool
+		}{
+			{"iqBits", m.iqBits, e.st == stWaiting && !e.stallTillHead},
+			{"issuedBits", m.issuedBits, e.st == stIssued},
+			{"sqUnresolvedBits", m.sqUnresolvedBits, isUnresolved},
+			{"pkruWait", m.pkruWait, e.pkruDepSeq > m.wrpkruExecHighwater},
+		} {
+			if got := b.bits.has(phys); got != b.want {
+				t.Fatalf("cycle %d: %s[slot %d] = %v, want %v (seq %d st %d stallTillHead %v)",
+					m.cycle, b.name, phys, got, b.want, e.seq, e.st, e.stallTillHead)
+			}
+		}
+		if e.st != stWaiting {
+			continue
+		}
+		// Wakeups: a waiting entry's ready bit says exactly whether its
+		// operands are ready (the issue walk trusts it), and an entry still
+		// missing one is registered where its arrival will wake it. A
+		// waiter row may also hold slots of squashed consumers; the wakeup
+		// re-checks whatever entry is in the slot, so only a missing
+		// registration is an error.
+		regsReady := true
+		for _, p := range [...]int{e.physRs1, e.physRs2} {
+			if p == noReg || m.prfReady[p] {
+				continue
+			}
+			regsReady = false
+			if !m.waiters(p).has(phys) {
+				t.Fatalf("cycle %d: missed wakeup: seq %d (slot %d) waits on p%d but is not registered",
+					m.cycle, e.seq, phys, p)
+			}
+		}
+		operandsReady := regsReady && e.pkruDepSeq <= m.wrpkruExecHighwater
+		if !e.stallTillHead && m.readyBits.has(phys) != operandsReady {
+			t.Fatalf("cycle %d: readyBits[slot %d] = %v but operands ready = %v (seq %d)",
+				m.cycle, phys, m.readyBits.has(phys), operandsReady, e.seq)
 		}
 	}
 	if waiting != m.iqCnt {
 		t.Fatalf("cycle %d: iqCnt %d, window has %d waiting", m.cycle, m.iqCnt, waiting)
 	}
-	if issued != m.issuedCnt {
-		t.Fatalf("cycle %d: issuedCnt %d, window has %d issued", m.cycle, m.issuedCnt, issued)
-	}
 	if unresolved != m.sqUnresolved {
 		t.Fatalf("cycle %d: sqUnresolved %d, window has %d", m.cycle, m.sqUnresolved, unresolved)
 	}
 	for slot := 0; slot < n; slot++ {
-		if !inWindow[slot] && m.iqBits[slot>>6]&(1<<(uint(slot)&63)) != 0 {
-			t.Fatalf("cycle %d: stale iqBits bit for slot %d outside the window", m.cycle, slot)
+		if inWindow[slot] {
+			continue
+		}
+		for _, b := range [...]struct {
+			name string
+			bits slotBits
+		}{
+			{"iqBits", m.iqBits}, {"issuedBits", m.issuedBits},
+			{"sqUnresolvedBits", m.sqUnresolvedBits}, {"pkruWait", m.pkruWait},
+		} {
+			if b.bits.has(slot) {
+				t.Fatalf("cycle %d: stale %s bit for slot %d outside the window", m.cycle, b.name, slot)
+			}
 		}
 	}
 

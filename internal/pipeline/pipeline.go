@@ -364,7 +364,8 @@ type alEntry struct {
 	in  isa.Inst
 	st  alState
 	// alIdx is the entry's own active-list slot (set once at rename), so
-	// code holding only the entry pointer can maintain the issue bitmap.
+	// code holding only the entry pointer can maintain the scheduler's
+	// bitmaps.
 	alIdx int32
 	done  uint64 // cycle the result becomes visible
 
@@ -381,8 +382,7 @@ type alEntry struct {
 	// (rasCkpts) rather than embedding the checkpoint: consecutive
 	// instructions share a checkpoint unless one of them pushed or popped
 	// the RAS, so pooling turns a 500+-byte copy per in-flight instruction
-	// into one copy per call/return — and keeps alEntry small enough that
-	// the window walks stay cache-resident.
+	// into one copy per call/return.
 	predTaken  bool
 	predTarget uint64
 	hasDir     bool
@@ -530,19 +530,14 @@ type Machine struct {
 	// stWaiting), maintained incrementally so the rename stage's issue-queue
 	// occupancy check is O(1) instead of a per-cycle window walk.
 	iqCnt int
-	// iqBits is the issue stage's work list: one bit per active-list slot
-	// (indexed physically, not by window offset), set while the entry is
-	// waiting and issuable. The issue walk scans set bits in age order
-	// instead of touching every window entry. A bit clears when its entry
-	// issues, squashes, or defers to the AL head (deferred entries rejoin
-	// via the retire stage, never the issue walk).
-	iqBits []uint64
-	// issuedCnt counts entries in stIssued (executed, completion pending);
-	// the completion walk stops once it has seen them all.
-	issuedCnt int
+	// The event-driven scheduler's bitmaps, one bit per physical
+	// active-list slot (regWaiters: one row of such words per physical
+	// register). sched.go describes what sets and clears each.
+	iqBits, readyBits, pkruWait, issuedBits, sqUnresolvedBits slotBits
+	regWaiters                                                []uint64
 	// sqUnresolved counts in-flight stores whose address is still unknown
 	// (addrReady false, no fault). Zero lets a load skip the conservative
-	// disambiguation scan entirely — the scan could not find anything.
+	// disambiguation check entirely — it could not find anything.
 	sqUnresolved int
 	// nextDone is a lower bound on the earliest completion cycle of any
 	// stIssued entry (noDone when none): the complete stage returns
@@ -657,6 +652,7 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		return nil, err
 	}
 	fqCap := cfg.Width * (cfg.FrontendDepth + 1)
+	alWords := (cfg.ALSize + 63) / 64
 	m := &Machine{
 		Cfg:       cfg,
 		pol:       pol,
@@ -674,9 +670,15 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		prfReady:  make([]bool, cfg.PRFSize),
 		al:        make([]alEntry, cfg.ALSize),
 		fq:        make([]fqEntry, fqCap),
-		iqBits:    make([]uint64, (cfg.ALSize+63)/64),
 		rasCkpts:  make([]bpred.RASCheckpoint, cfg.ALSize+fqCap+2),
 		nextDone:  noDone,
+
+		iqBits:           make(slotBits, alWords),
+		readyBits:        make(slotBits, alWords),
+		pkruWait:         make(slotBits, alWords),
+		issuedBits:       make(slotBits, alWords),
+		sqUnresolvedBits: make(slotBits, alWords),
+		regWaiters:       make([]uint64, cfg.PRFSize*alWords),
 	}
 	m.rasCkpts[0] = m.ras.Checkpoint()
 	m.PKRUState.SetARF(pkru)
@@ -743,32 +745,7 @@ func (m *Machine) fqClear() { m.fqHead, m.fqLen = 0, 0 }
 // RunInsts steps until n instructions have retired (or HALT/fault/cycle
 // budget). Used for fixed-length SimPoint interval simulation.
 func (m *Machine) RunInsts(n, maxCycles uint64) error {
-	maxCycles = m.clampBudget(maxCycles)
-	for m.cycle < maxCycles && m.Stats.Insts < n {
-		if m.halted {
-			m.Stats.Stop = StopHalt
-			return nil
-		}
-		if m.fault != nil {
-			m.Stats.Stop = StopFault
-			return m.fault
-		}
-		m.stepFast(maxCycles)
-	}
-	if m.halted {
-		m.Stats.Stop = StopHalt
-		return nil
-	}
-	if m.Stats.Insts >= n {
-		m.Stats.Stop = StopInstLimit
-		return nil
-	}
-	if m.fault != nil {
-		m.Stats.Stop = StopFault
-		return m.fault
-	}
-	m.Stats.Stop = StopCycleLimit
-	return ErrCycleLimit
+	return m.run(context.Background(), n, maxCycles)
 }
 
 // clampBudget folds the config-level cycle budget into a caller's budget.
@@ -859,21 +836,21 @@ const ctxCheckInterval = 1024
 // with Stats.Stop = StopCancelled. This is the seam the simulation server
 // uses for DELETE /v1/jobs/{id} and shutdown deadlines.
 func (m *Machine) RunContext(ctx context.Context, maxCycles uint64) error {
+	return m.run(ctx, ^uint64(0), maxCycles)
+}
+
+// run is the one step loop behind Run, RunContext and RunInsts: it steps
+// until HALT retires, n instructions have retired, a fault terminates the
+// program, the cycle budget elapses, or ctx is done, and records which in
+// Stats.Stop. When several hold at once the first of that list wins.
+func (m *Machine) run(ctx context.Context, n, maxCycles uint64) error {
 	maxCycles = m.clampBudget(maxCycles)
 	done := ctx.Done()
 	// The poll schedule is a moving target rather than a modulo so that idle
 	// fast-forward skips (which land the cycle counter on arbitrary values)
 	// cannot starve the cancellation check.
 	nextPoll := m.cycle
-	for m.cycle < maxCycles {
-		if m.halted {
-			m.Stats.Stop = StopHalt
-			return nil
-		}
-		if m.fault != nil {
-			m.Stats.Stop = StopFault
-			return m.fault
-		}
+	for m.cycle < maxCycles && m.Stats.Insts < n && !m.halted && m.fault == nil {
 		if done != nil && m.cycle >= nextPoll {
 			nextPoll = m.cycle + ctxCheckInterval
 			select {
@@ -889,11 +866,14 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles uint64) error {
 		}
 		m.stepFast(maxCycles)
 	}
-	if m.halted {
+	switch {
+	case m.halted:
 		m.Stats.Stop = StopHalt
 		return nil
-	}
-	if m.fault != nil {
+	case m.Stats.Insts >= n:
+		m.Stats.Stop = StopInstLimit
+		return nil
+	case m.fault != nil:
 		m.Stats.Stop = StopFault
 		return m.fault
 	}

@@ -215,12 +215,13 @@ func (m *Machine) renameStage() {
 		m.fqPop()
 		m.progressed = true
 		m.seq++
-		e := &m.al[m.alTail]
+		slot := m.alTail
+		e := &m.al[slot]
 		*e = alEntry{
 			seq:        m.seq,
 			pc:         fe.pc,
 			in:         in,
-			alIdx:      int32(m.alTail),
+			alIdx:      int32(slot),
 			fetchCyc:   fe.fetchedAt,
 			renameCyc:  m.cycle,
 			st:         stWaiting,
@@ -234,7 +235,7 @@ func (m *Machine) renameStage() {
 			dir:        fe.dir,
 			rasCkpt:    fe.rasCkpt,
 		}
-		m.iqSetBit(m.alTail)
+		m.iqBits.set(slot)
 		m.alTail++
 		if m.alTail == len(m.al) {
 			m.alTail = 0
@@ -247,19 +248,33 @@ func (m *Machine) renameStage() {
 			e.st = stDone
 			e.done = m.cycle
 			m.iqCnt--
-			m.iqClearBit(int(e.alIdx))
+			m.iqBits.clear(slot)
 		}
+		// Source operands: an entry registers with each one not yet
+		// written, and is ready now only if it waits on none.
+		ready := true
 		if in.ReadsRs1() {
 			e.physRs1 = m.rmt[in.Rs1]
+			ready = m.waitReg(e.physRs1, slot)
 		}
 		if in.ReadsRs2() {
 			e.physRs2 = m.rmt[in.Rs2]
+			ready = m.waitReg(e.physRs2, slot) && ready
 		}
 		// PKRU renaming: memory ops and WRPKRU wait for the youngest older
 		// renamed WRPKRU; a WRPKRU takes a rename slot or, serialized,
 		// blocks rename until it retires.
 		if in.Op.IsMem() || in.Op == isa.OpWrpkru {
 			e.pkruDepSeq = m.lastRenamedWrpkruSeq
+			if e.pkruDepSeq > m.wrpkruExecHighwater {
+				m.pkruWait.set(slot)
+				ready = false
+			}
+		}
+		if ready {
+			m.readyBits.set(slot)
+		} else {
+			m.readyBits.clear(slot)
 		}
 		if in.Op == isa.OpWrpkru {
 			if m.pol.renamesPKRU {
@@ -274,6 +289,7 @@ func (m *Machine) renameStage() {
 			m.freeList = m.freeList[:len(m.freeList)-1]
 			e.newPhys = p
 			m.prfReady[p] = false
+			clear(m.waiters(p))
 			m.rmt[in.Rd] = p
 		}
 		if in.Op.IsLoad() {
@@ -286,6 +302,7 @@ func (m *Machine) renameStage() {
 			e.memBytes = in.Op.MemBytes()
 			m.sqCnt++
 			m.sqUnresolved++ // address unknown until storeExecute
+			m.sqUnresolvedBits.set(slot)
 		}
 		renamed++
 		m.Stats.Renamed++
@@ -314,42 +331,20 @@ func (m *Machine) issueStage() {
 		return
 	}
 	issued := 0
-	n := len(m.al)
-	// Walk the waiting-entry bitmap in age order: the window occupies
-	// [alHead, alHead+alCnt) on the ring, i.e. at most two physical spans,
-	// and within a span ascending slot number is ascending age. Only bits for
-	// waiting, non-deferred entries are set, so the walk touches exactly the
-	// entries the old full-window scan would have executed or skipped as
-	// not-ready — in the same order, with the same intermediate state.
-	spanEnd := m.alHead + m.alCnt
-	hi0 := spanEnd
-	if hi0 > n {
-		hi0 = n
-	}
-	spans := [2][2]int{{m.alHead, hi0}, {0, spanEnd - hi0}}
-	for _, sp := range spans {
+	// Walk the waiting ∧ ready bits in age order. Readiness only changes in
+	// completeStage, so the walk visits exactly the entries a poll of every
+	// waiting entry would have found ready, in the same order, with the same
+	// intermediate state.
+	for _, sp := range m.windowSpans() {
 		lo, hi := sp[0], sp[1]
-		if lo >= hi {
-			continue
-		}
-		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			word := m.iqBits[w]
-			base := w << 6
-			if base < lo {
-				word &= ^uint64(0) << uint(lo-base)
-			}
-			if base+64 > hi {
-				word &= 1<<uint(hi-base) - 1
-			}
+		for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+			word := m.iqBits[w] & m.readyBits[w] & spanMask(w, lo, hi)
 			for word != 0 {
-				phys := base + bits.TrailingZeros64(word)
+				phys := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				e := &m.al[phys]
-				idx := phys - m.alHead // window offset (disambiguation scans)
-				if idx < 0 {
-					idx += n
-				}
-				if !m.ready(e, idx) {
+				idx := m.offset(phys)
+				if e.isLoad && m.loadBlocked(e, idx) {
 					continue
 				}
 				m.progressed = true // execute always mutates (issue, defer, or squash)
@@ -360,7 +355,7 @@ func (m *Machine) issueStage() {
 				} else {
 					// Deferred to the AL head: drop it from the walk; the
 					// retire stage replays it (markIssued re-clears the bit).
-					m.iqClearBit(phys)
+					m.iqBits.clear(phys)
 				}
 				if squashed {
 					// A resolving store found a memory-order violation and
@@ -373,42 +368,6 @@ func (m *Machine) issueStage() {
 			}
 		}
 	}
-}
-
-func (m *Machine) ready(e *alEntry, idx int) bool {
-	if e.physRs1 != noReg && !m.prfReady[e.physRs1] {
-		return false
-	}
-	if e.physRs2 != noReg && !m.prfReady[e.physRs2] {
-		return false
-	}
-	// All memory instructions and WRPKRU wait for every older WRPKRU to
-	// have executed (SpecMPK design principle 2; enforced in real hardware
-	// via the renamed PKRU source operand).
-	if e.pkruDepSeq > m.wrpkruExecHighwater {
-		return false
-	}
-	if e.isLoad {
-		// Conservative disambiguation: all older store addresses known.
-		// With memory-dependence speculation the load goes ahead anyway
-		// (unless its PC has violated before) and a later-resolving store
-		// squashes it on overlap.
-		if m.Cfg.MemDepSpeculation && !m.violators[e.pc] {
-			return true
-		}
-		if m.sqUnresolved == 0 {
-			// No in-flight store has an unknown address; the scan below
-			// could not find one.
-			return true
-		}
-		for j := 0; j < idx; j++ {
-			s := m.alAt(j)
-			if s.isStore && !s.addrReady && s.fault == nil {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (m *Machine) srcVal(p int) uint64 {
@@ -747,6 +706,7 @@ func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
 	e.storeData = rs2
 	e.addrReady = true
 	m.sqUnresolved-- // address now known (re-withheld below if suspect)
+	m.sqUnresolvedBits.clear(int(e.alIdx))
 	lat := 1
 	vpn := e.vaddr >> mem.PageBits
 
@@ -803,6 +763,7 @@ func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
 		// is non-squashable (see Config.StallSuspectStores).
 		e.addrReady = false
 		m.sqUnresolved++
+		m.sqUnresolvedBits.set(int(e.alIdx))
 		e.stallTillHead = true
 		return
 	}
@@ -819,49 +780,56 @@ func (m *Machine) completeStage() {
 	if m.cycle < m.nextDone {
 		return // nothing issued can complete yet
 	}
-	// Walk until every issued entry has been seen, recomputing the
+	// Walk the issued entries oldest first, so the first mispredicting
+	// branch squashes before any younger entry completes, and recompute the
 	// completion horizon from the ones still pending.
 	next := noDone
-	remaining := m.issuedCnt
-	for i := 0; i < m.alCnt && remaining > 0; i++ {
-		e := m.alAt(i)
-		if e.st != stIssued {
-			continue
-		}
-		remaining--
-		if e.done > m.cycle {
-			if e.done < next {
-				next = e.done
-			}
-			continue
-		}
-		m.progressed = true
-		e.st = stDone
-		m.issuedCnt--
-		if e.newPhys != noReg {
-			// Faulting producers also wake dependents: the value is
-			// garbage but never commits — either an older branch squashes
-			// the region or the fault terminates at retire before any
-			// dependent commits. Without the wakeup, dependents of a
-			// wrong-path faulting load would wedge the issue queue.
-			m.prfReady[e.newPhys] = true
-		}
-		switch {
-		case e.in.Op == isa.OpWrpkru:
-			// Open the audit ledger's transient-upgrade windows against the
-			// still-committed ARF before the value is delivered.
-			m.auditUpgradeOpen(e)
-			if m.pol.renamesPKRU {
-				m.PKRUState.Execute(e.pkruDst, mpk.PKRU(e.storeData))
-				m.wrpkruExecHighwater = max(m.wrpkruExecHighwater, e.seq)
-			} else {
-				m.PKRUState.SetARF(mpk.PKRU(e.storeData))
-			}
-		case e.in.Op.IsControl():
-			if m.resolveControl(e, i) {
-				// Squashed everything younger; stop scanning. squashAfter
-				// reset nextDone, forcing a full recompute next cycle.
-				return
+	for _, sp := range m.windowSpans() {
+		lo, hi := sp[0], sp[1]
+		for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+			word := m.issuedBits[w] & spanMask(w, lo, hi)
+			for word != 0 {
+				phys := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				e := &m.al[phys]
+				if e.done > m.cycle {
+					next = min(next, e.done)
+					continue
+				}
+				m.progressed = true
+				e.st = stDone
+				m.issuedBits.clear(phys)
+				if e.newPhys != noReg {
+					// Faulting producers also wake dependents: the value is
+					// garbage but never commits — either an older branch
+					// squashes the region or the fault terminates at retire
+					// before any dependent commits. Without the wakeup,
+					// dependents of a wrong-path faulting load would wedge
+					// the issue queue.
+					m.prfReady[e.newPhys] = true
+					m.wakeReg(e.newPhys)
+				}
+				switch {
+				case e.in.Op == isa.OpWrpkru:
+					// Open the audit ledger's transient-upgrade windows
+					// against the still-committed ARF before the value is
+					// delivered.
+					m.auditUpgradeOpen(e)
+					if m.pol.renamesPKRU {
+						m.PKRUState.Execute(e.pkruDst, mpk.PKRU(e.storeData))
+						m.wrpkruExecHighwater = max(m.wrpkruExecHighwater, e.seq)
+						m.wakePKRU()
+					} else {
+						m.PKRUState.SetARF(mpk.PKRU(e.storeData))
+					}
+				case e.in.Op.IsControl():
+					if m.resolveControl(e, m.offset(phys)) {
+						// Squashed everything younger; stop scanning.
+						// squashAfter reset nextDone, forcing a full
+						// recompute next cycle.
+						return
+					}
+				}
 			}
 		}
 	}
@@ -922,15 +890,18 @@ func (m *Machine) squashAfter(idx int, why string) {
 	m.recoverUntil = m.cycle + uint64(m.Cfg.FrontendDepth) + 1
 	for j := m.alCnt - 1; j > idx; j-- {
 		e := m.alAt(j)
+		slot := int(e.alIdx)
 		switch e.st {
 		case stWaiting:
 			m.iqCnt--
-			m.iqClearBit(int(e.alIdx))
+			m.iqBits.clear(slot)
+			m.pkruWait.clear(slot)
 		case stIssued:
-			m.issuedCnt--
+			m.issuedBits.clear(slot)
 		}
 		if e.isStore && !e.addrReady && e.fault == nil {
 			m.sqUnresolved--
+			m.sqUnresolvedBits.clear(slot)
 		}
 		if e.newPhys != noReg {
 			m.freeList = append(m.freeList, e.newPhys)
@@ -1116,6 +1087,7 @@ func (m *Machine) reissueStoreAtHead(e *alEntry) {
 	// The withheld address resolves now — either published below or the
 	// entry faults; both leave the disambiguation scan nothing to find.
 	m.sqUnresolved--
+	m.sqUnresolvedBits.clear(int(e.alIdx))
 	m.emit(trace.Event{Kind: trace.KindHeadReplay, Seq: e.seq, PC: e.pc, Note: "store"})
 	paddr, pte, err := m.AS.Translate(e.vaddr, mem.Write)
 	if err != nil {

@@ -112,6 +112,20 @@ type SampledParams struct {
 	Audit bool `json:"audit,omitempty"`
 }
 
+// Upper bounds on the sampled parameters, checked by Normalize so an
+// oversized request gets a 400 before it is queued. Each is at least 16× its
+// default and above every value a job spec in this repo uses. They bound
+// what a sampled job's profiling pass allocates: each of the up to
+// MaxSampledK checkpoints copies up to MaxSampledWarmInsts 24-byte warm
+// records (80 × 2^18 × 24 B = 480 MiB at worst), and the profile keeps one
+// 264-byte vector per interval (at most 2^26 / 1000 intervals, ≈ 17 MiB).
+const (
+	MaxSampledIntervalLen = 1 << 22
+	MaxSampledMaxInsts    = 1 << 26
+	MaxSampledK           = 80
+	MaxSampledWarmInsts   = 1 << 18
+)
+
 // DefaultSampledParams mirrors simpoint.DefaultConfig with the warm-up depth
 // spelled out: 20 k-instruction intervals over the first 1 M instructions,
 // 5 clusters, seed 1.
@@ -225,6 +239,19 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 			return out, fmt.Errorf("api: sampled k must be positive")
 		case sp.MaxInsts < sp.IntervalLen:
 			return out, fmt.Errorf("api: sampled maxInsts %d below one interval (%d)", sp.MaxInsts, sp.IntervalLen)
+		}
+		for _, b := range [...]struct {
+			name   string
+			v, max uint64
+		}{
+			{"intervalLen", sp.IntervalLen, MaxSampledIntervalLen},
+			{"maxInsts", sp.MaxInsts, MaxSampledMaxInsts},
+			{"k", uint64(sp.K), MaxSampledK},
+			{"warmInsts", sp.WarmInsts, MaxSampledWarmInsts},
+		} {
+			if b.v > b.max {
+				return out, fmt.Errorf("api: sampled %s %d above the bound %d", b.name, b.v, b.max)
+			}
 		}
 		out.Sampled = &sp
 	default:

@@ -372,6 +372,14 @@ func TestNormalizeFidelity(t *testing.T) {
 		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{IntervalLen: 10}}, // too short
 		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{K: -1}},           // bad k
 		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{MaxInsts: 5_000}}, // < one interval
+		// Upper bounds: one past each, and the 2^40 warm-up log that would
+		// otherwise size a fatal allocation in the profiling pass.
+		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{IntervalLen: MaxSampledIntervalLen + 1, MaxInsts: MaxSampledMaxInsts}},
+		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{MaxInsts: MaxSampledMaxInsts + 1}},
+		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{MaxInsts: 1 << 62}},
+		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{K: MaxSampledK + 1}},
+		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{WarmInsts: MaxSampledWarmInsts + 1}},
+		{Workload: "541.leela_r", Fidelity: FidelitySampled, Sampled: &SampledParams{WarmInsts: 1 << 40}},
 	}
 	for _, s := range bad {
 		if _, err := s.Normalize(); err == nil {

@@ -158,12 +158,21 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, httpError{Error: err.Error()})
 }
 
+// maxSubmitBytes bounds a job submission's body, and so the inline asm
+// program it can carry; a larger body is answered 413.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec api.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, err)
 		return
 	}
 	info, err := s.SubmitWith(SubmitOpts{

@@ -576,6 +576,63 @@ func TestHTTPRejectsOversizedConfig(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedSampling: sampled parameters above their bounds
+// are refused at admission with a 400. The warm-up depth sits one past its
+// bound, so a server without the bound queues the job (and fails the
+// assertion) rather than exhausting memory.
+func TestHTTPRejectsOversizedSampling(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	body, err := json.Marshal(api.JobSpec{Workload: "548.exchange2_r", Fidelity: api.FidelitySampled,
+		Sampled: &api.SampledParams{WarmInsts: api.MaxSampledWarmInsts + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized warmInsts: status %d, want 400", resp.StatusCode)
+	}
+	if n := s.accepted.Load(); n != 0 {
+		t.Fatalf("%d oversized sampled jobs queued", n)
+	}
+}
+
+// TestHTTPRejectsOversizedBody: a submission body past maxSubmitBytes gets a
+// 413 with the usual error body, even when the spec inside it is valid, and
+// nothing is queued.
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	spec, err := json.Marshal(api.JobSpec{Workload: "548.exchange2_r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(bytes.Repeat([]byte(" "), maxSubmitBytes), spec...)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded spec: status %d, want 413", resp.StatusCode)
+	}
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("413 body: error %q, decode err %v", e.Error, err)
+	}
+	if n := s.accepted.Load(); n != 0 {
+		t.Fatalf("%d oversized submissions queued", n)
+	}
+}
+
 func TestHTTPCancel(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, EventInterval: 10_000})
 	ts := httptest.NewServer(s)
