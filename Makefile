@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke profile-artifact perf perf-diff check clean
+.PHONY: all build test vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke profile-artifact check clean
 
 all: check
 
@@ -14,9 +14,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: staticcheck when available (CI installs it), vet-only
-# otherwise so the target works in hermetic environments.
+# Static analysis: gofmt over every tracked Go file, then staticcheck when
+# available (CI installs it), vet-only otherwise so the target works in
+# hermetic environments.
 lint: vet
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
 		$(STATICCHECK) ./...; \
 	else \
@@ -100,22 +102,6 @@ bench-smoke:
 			{ echo "bench-smoke: $$w: answer checks failed" >&2; exit 1; }; \
 	done
 
-# Meta-benchmark: capture simulator + service throughput into
-# BENCH_$(PERF_LABEL).json (schema specmpk-bench/1). PERF_FLAGS defaults to a
-# time-boxed smoke sized for CI; override with PERF_FLAGS= for the full
-# default budgets when refreshing BENCH_baseline.json.
-PERF_LABEL ?= local
-PERF_THRESHOLD ?= 50
-PERF_FLAGS ?= -perf-budget 200000 -perf-jobs 8 -perf-job-cycles 50000
-perf:
-	$(GO) run ./cmd/specmpk-bench -label $(PERF_LABEL) $(PERF_FLAGS) perf
-
-# Diff the latest capture against the committed baseline; exits non-zero when
-# any metric regressed beyond PERF_THRESHOLD percent.
-perf-diff:
-	$(GO) run ./cmd/specmpk-bench -threshold $(PERF_THRESHOLD) \
-		perfdiff BENCH_baseline.json BENCH_$(PERF_LABEL).json
-
 # Short fuzz passes over the untrusted-input surfaces: the assembler's
 # parser, the instruction decoder, and the job-spec JSON that content-addresses
 # every daemon result (Normalize must be idempotent and key-stable, because a
@@ -126,10 +112,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run=^$$ ./internal/isa
 	$(GO) test -fuzz=FuzzJobSpecKey -fuzztime=10s -run=^$$ ./internal/server/api
 
-# The tier-1 gate: what CI runs. The perf trajectory (make perf, make
-# perf-diff against BENCH_baseline.json) rides alongside without gating it.
+# The tier-1 gate: what CI runs. Simulator speed is measured by perfbench
+# (bash perfbench/run.sh; make bench-smoke checks its answers).
 check: build lint race
-	@echo "check passed (perf trajectory: make perf && make perf-diff)"
+	@echo "check passed (speed: bash perfbench/run.sh; answers: make bench-smoke)"
 
 clean:
 	$(GO) clean ./...

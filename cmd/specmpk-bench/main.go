@@ -9,16 +9,6 @@
 // all. Each prints the same rows/series the paper reports, plus the paper's
 // quoted aggregate for comparison.
 //
-// Two meta-benchmark subcommands measure the simulator itself rather than the
-// simulated machine:
-//
-//	specmpk-bench perf [-label L] [-perf-out FILE] ...
-//	specmpk-bench perfdiff [-threshold PCT] OLD.json NEW.json
-//
-// perf captures simulator and service throughput into BENCH_<label>.json;
-// perfdiff compares two captures and exits non-zero when any metric regressed
-// beyond the threshold.
-//
 // With -remote, pipeline simulations are batch-submitted as jobs to a
 // specmpkd daemon instead of running in-process; the daemon's
 // content-addressed cache answers repeated specs (e.g. the serialized
@@ -63,12 +53,6 @@ func realMain() int {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON rows instead of tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this run to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to `file`")
-	label := flag.String("label", "local", "perf: capture label (names the BENCH_<label>.json output)")
-	perfOut := flag.String("perf-out", "", "perf: output path (default BENCH_<label>.json in the current directory)")
-	perfBudget := flag.Uint64("perf-budget", 0, "perf: simulated-cycle budget per sim point (default 2000000)")
-	perfJobs := flag.Int("perf-jobs", 0, "perf: distinct jobs in the service section (default 32)")
-	perfJobCycles := flag.Uint64("perf-job-cycles", 0, "perf: cycle bound per service job (default 100000)")
-	threshold := flag.Float64("threshold", 5, "perfdiff: regression threshold in percent")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -134,92 +118,17 @@ func realMain() int {
 			r.Modes = append(r.Modes, m)
 		}
 	}
-	if flag.Arg(0) == "perfdiff" {
-		return runPerfDiff(flag.Args()[1:], *threshold)
-	}
 	for _, name := range flag.Args() {
 		var err error
-		switch {
-		case name == "perf":
-			err = runPerf(r, perfConfig{
-				label:     *label,
-				out:       *perfOut,
-				budget:    *perfBudget,
-				jobs:      *perfJobs,
-				jobCycles: *perfJobCycles,
-				workers:   *jobs,
-			})
-		case *asJSON:
+		if *asJSON {
 			err = runJSON(r, name)
-		default:
+		} else {
 			err = run(r, name)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "specmpk-bench: %s: %v\n", name, err)
 			return 1
 		}
-	}
-	return 0
-}
-
-// perfConfig carries the perf subcommand's flag values.
-type perfConfig struct {
-	label, out string
-	budget     uint64
-	jobs       int
-	jobCycles  uint64
-	workers    int
-}
-
-// runPerf captures a meta-benchmark and writes BENCH_<label>.json. The
-// -workloads/-modes flags restrict the sim sweep just as they do for
-// experiments.
-func runPerf(r experiments.Runner, cfg perfConfig) error {
-	b, err := perf.Run(perf.Options{
-		Label:            cfg.label,
-		Workloads:        r.Workloads,
-		Modes:            r.Modes,
-		CycleBudget:      cfg.budget,
-		ServiceJobs:      cfg.jobs,
-		ServiceJobCycles: cfg.jobCycles,
-		Workers:          cfg.workers,
-	})
-	if err != nil {
-		return err
-	}
-	b.Render(os.Stdout)
-	out := cfg.out
-	if out == "" {
-		out = perf.FileName(cfg.label)
-	}
-	if err := b.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runPerfDiff compares two BENCH captures and returns a non-zero exit code
-// when any metric regressed beyond the threshold — the CI gate.
-func runPerfDiff(args []string, thresholdPct float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: specmpk-bench perfdiff [-threshold PCT] OLD.json NEW.json")
-		return 2
-	}
-	before, err := perf.Load(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "specmpk-bench: perfdiff: %v\n", err)
-		return 2
-	}
-	after, err := perf.Load(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "specmpk-bench: perfdiff: %v\n", err)
-		return 2
-	}
-	d := perf.Compare(before, after, thresholdPct)
-	d.Render(os.Stdout)
-	if len(d.Regressions()) > 0 {
-		return 1
 	}
 	return 0
 }
@@ -262,11 +171,6 @@ experiments:
            each mode against the first (-modes a,b; default serialized,specmpk)
   diff     only the cross-policy differential tables from profile
   all      everything above
-
-meta-benchmarks (measure the simulator, not the simulated machine):
-  perf     capture sim + service throughput into BENCH_<label>.json
-  perfdiff compare two BENCH captures: perfdiff [-threshold PCT] OLD NEW
-           (exits 1 when any metric regressed beyond the threshold)
 
 flags:
 `)

@@ -62,14 +62,6 @@ type Options struct {
 	// Self is this node's address in Peers ("" = a pure coordinator/client:
 	// every key is remote). Self is added to the ring if absent from Peers.
 	Self string
-	// VNodes is the virtual-node count per node (0 = 64).
-	VNodes int
-	// LoadFactor bounds placement load: a candidate whose queueDepth +
-	// jobsInFlight exceeds LoadFactor × (cluster average + 1) is demoted
-	// behind less-loaded replicas (0 = 1.25). Classic bounded-load
-	// consistent hashing: hot keys spill to the next replica instead of
-	// piling onto one node.
-	LoadFactor float64
 	// HedgeAfter is the latency budget before a lagging placement is hedged
 	// with a duplicate request to the next replica; first success wins.
 	// Deterministic specs make hedges safe: both runs compute identical
@@ -79,8 +71,6 @@ type Options struct {
 	// ProbeInterval is the health-prober cadence (0 = 1s, negative disables
 	// the background prober; ProbeNow still works).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (0 = 2s).
-	ProbeTimeout time.Duration
 	// Retry shapes every peer client's resilience layer (zero = client
 	// defaults).
 	Retry client.RetryPolicy
@@ -95,13 +85,10 @@ type Options struct {
 	NewClient func(addr string) *client.Client
 }
 
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
+
 func (o Options) withDefaults() Options {
-	if o.VNodes <= 0 {
-		o.VNodes = defaultVNodes
-	}
-	if o.LoadFactor <= 0 {
-		o.LoadFactor = 1.25
-	}
 	switch {
 	case o.HedgeAfter == 0:
 		o.HedgeAfter = 500 * time.Millisecond
@@ -114,24 +101,19 @@ func (o Options) withDefaults() Options {
 	case o.ProbeInterval < 0:
 		o.ProbeInterval = 0 // disabled
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
 	return o
 }
 
-// peer is one remote daemon: its client plus the health/load state the
-// prober maintains and placement reads.
+// peer is one remote daemon: its client plus the health state the prober
+// maintains and placement reads.
 type peer struct {
 	name string
 	c    *client.Client
 
 	state      atomic.Int32 // peerUnknown | peerUp | peerDown
-	load       atomic.Int64 // queueDepth + jobsInFlight from the last probe
-	queueCap   atomic.Int64
 	probeFails atomic.Int32 // consecutive failures; reset by a good probe
 }
 
@@ -167,7 +149,6 @@ type Coordinator struct {
 	probeFailures   atomic.Uint64
 	transitionsDown atomic.Uint64
 	transitionsUp   atomic.Uint64
-	overloadSkips   atomic.Uint64
 }
 
 // New builds a coordinator over the membership in opt. It needs at least one
@@ -178,7 +159,7 @@ func New(opt Options) (*Coordinator, error) {
 	if opt.Self != "" {
 		members = append(members, opt.Self) // ring dedups
 	}
-	ring := NewRing(members, opt.VNodes)
+	ring := NewRing(members, defaultVNodes)
 	c := &Coordinator{
 		opt:       opt,
 		ring:      ring,
@@ -265,7 +246,7 @@ func (c *Coordinator) probeOne(p *peer) {
 		c.noteProbeFailure(p, err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.opt.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	h, err := p.c.HealthzInfo(ctx)
 	cancel()
 	c.probes.Add(1)
@@ -284,8 +265,6 @@ func (c *Coordinator) probeOne(p *peer) {
 		// Alive but draining: stop placing work there, keep probing.
 		c.setState(p, peerDown, "status "+h.Status)
 	default:
-		p.load.Store(int64(h.QueueDepth + h.JobsInFlight))
-		p.queueCap.Store(int64(h.QueueCap))
 		c.setState(p, peerUp, "")
 	}
 }
@@ -344,9 +323,8 @@ func (c *Coordinator) Remote(key string) bool {
 }
 
 // placement returns the key's candidate peers in preference order: ring
-// order, self excluded, known-down peers excluded, and — bounded-load — the
-// candidates whose last-probed load exceeds LoadFactor × (average + 1)
-// demoted behind the rest (they still serve as failover targets).
+// order, self excluded, known-down peers excluded. A healthy owner always
+// comes first, so a key runs where its result store already holds it.
 func (c *Coordinator) placement(key string) []*peer {
 	var cands []*peer
 	for _, name := range c.ring.Order(key) {
@@ -357,24 +335,7 @@ func (c *Coordinator) placement(key string) []*peer {
 			cands = append(cands, p)
 		}
 	}
-	if len(cands) < 2 {
-		return cands
-	}
-	var total int64
-	for _, p := range cands {
-		total += p.load.Load()
-	}
-	bound := c.opt.LoadFactor * (float64(total)/float64(len(cands)) + 1)
-	var ok, demoted []*peer
-	for _, p := range cands {
-		if float64(p.load.Load()) > bound {
-			demoted = append(demoted, p)
-			c.overloadSkips.Add(1)
-		} else {
-			ok = append(ok, p)
-		}
-	}
-	return append(ok, demoted...)
+	return cands
 }
 
 // RemoteResult is one cluster-placed job's outcome.
@@ -613,7 +574,6 @@ func (c *Coordinator) RegisterMetrics(r *stats.Registry) {
 	r.Counter("cluster.health.probe_failures", "health probes failed", c.probeFailures.Load)
 	r.Counter("cluster.peers.transitions_down", "peer up->down health transitions", c.transitionsDown.Load)
 	r.Counter("cluster.peers.transitions_up", "peer down->up health transitions", c.transitionsUp.Load)
-	r.Counter("cluster.placement.overload_demotions", "bounded-load demotions of overloaded candidates", c.overloadSkips.Load)
 	r.Gauge("cluster.peers.total", "configured peers (self excluded)", func() float64 { return float64(len(c.peers)) })
 	r.Gauge("cluster.peers.healthy", "peers not known down", func() float64 { return float64(c.healthyPeers()) })
 }

@@ -353,9 +353,9 @@ func waitTerminal(t *testing.T, s *server.Server, id string) api.JobInfo {
 	}
 }
 
-// TestClusterBoundedLoadDemotion (white-box): an overloaded preferred
-// replica is demoted behind its peers but kept as a failover target.
-func TestClusterBoundedLoadDemotion(t *testing.T) {
+// TestClusterPlacementFollowsRingOrder (white-box): placement offers every
+// healthy peer, in the key's ring order, so the owner is always tried first.
+func TestClusterPlacementFollowsRingOrder(t *testing.T) {
 	co, err := New(Options{
 		Peers:         []string{"http://a:1", "http://b:1", "http://c:1"},
 		ProbeInterval: -1,
@@ -366,30 +366,13 @@ func TestClusterBoundedLoadDemotion(t *testing.T) {
 	defer co.Close()
 	key := "some-job-key"
 	order := co.ring.Order(key)
-	owner := co.byName[order[0]]
-	owner.load.Store(100) // avg (100+0+0)/3 ≈ 33; bound 1.25*34 ≈ 43 < 100
-
 	cands := co.placement(key)
 	if len(cands) != 3 {
 		t.Fatalf("placement dropped candidates: %v", cands)
 	}
-	if cands[0].name == owner.name {
-		t.Errorf("overloaded owner %s still preferred", owner.name)
-	}
-	if cands[len(cands)-1].name != owner.name {
-		t.Errorf("overloaded owner %s not demoted to last: %v", owner.name,
-			[]string{cands[0].name, cands[1].name, cands[2].name})
-	}
-	if co.overloadSkips.Load() < 1 {
-		t.Error("overload demotion not counted")
-	}
-
-	// Balanced load: ring order is preserved untouched.
-	owner.load.Store(0)
-	cands = co.placement(key)
 	for i, want := range order {
 		if cands[i].name != want {
-			t.Fatalf("balanced placement reordered: got %s at %d, want %s", cands[i].name, i, want)
+			t.Fatalf("placement reordered: got %s at %d, want %s", cands[i].name, i, want)
 		}
 	}
 }

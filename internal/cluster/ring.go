@@ -1,11 +1,11 @@
 // Package cluster turns N independent specmpkd daemons into one service: a
-// coordinator consistent-hashes normalized job keys across the nodes with
-// bounded-load placement, so every submission of a key lands on the owner
-// whose content-addressed result store answers it after the first run
-// (cluster-wide single-flight), tracks per-peer health off /v1/healthz,
-// hedges requests to the next replica when a peer exceeds a latency budget,
-// re-places jobs via content-addressed resubmission when a node dies
-// mid-run, and degrades to local-only simulation when every peer is down.
+// coordinator consistent-hashes normalized job keys across the nodes, so
+// every submission of a key lands on the owner whose content-addressed
+// result store answers it after the first run (cluster-wide single-flight),
+// tracks per-peer health off /v1/healthz, hedges requests to the next
+// replica when a peer exceeds a latency budget, re-places jobs via
+// content-addressed resubmission when a node dies mid-run, and degrades to
+// local-only simulation when every peer is down.
 //
 // The design leans entirely on PR 4's content addressing: a job key names a
 // deterministic computation, so any node can run it, any cached copy is

@@ -94,15 +94,15 @@ func Sampled(r Runner) ([]SampledRow, error) {
 			fullCPI := float64(m.Stats.Cycles) / float64(m.Stats.Insts)
 
 			row := SampledRow{
-				Workload:    label(p),
-				Mode:        mode.String(),
-				SampledCPI:  est.CPI,
-				FullCPI:     fullCPI,
-				ErrPct:      100 * (est.CPI - fullCPI) / fullCPI,
-				BoundPct:    100 * est.ErrorBound,
-				SampledMS:   sampledMS,
-				FullMS:      fullMS,
-				Speedup:     fullMS / sampledMS,
+				Workload:   label(p),
+				Mode:       mode.String(),
+				SampledCPI: est.CPI,
+				FullCPI:    fullCPI,
+				ErrPct:     100 * (est.CPI - fullCPI) / fullCPI,
+				BoundPct:   100 * est.ErrorBound,
+				SampledMS:  sampledMS,
+				FullMS:     fullMS,
+				Speedup:    fullMS / sampledMS,
 			}
 			row.WithinBound = row.ErrPct >= -row.BoundPct && row.ErrPct <= row.BoundPct
 			perWL[i] = append(perWL[i], row)

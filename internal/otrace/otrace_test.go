@@ -43,14 +43,14 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		valid[:54],                                // truncated
-		strings.ToUpper(valid),                    // uppercase hex is forbidden
-		"ff" + valid[2:],                          // version ff is forbidden
-		valid + "x",                               // version 00 allows no trailing data
-		strings.Replace(valid, "-", "_", 1),       // wrong separator
+		valid[:54],                          // truncated
+		strings.ToUpper(valid),              // uppercase hex is forbidden
+		"ff" + valid[2:],                    // version ff is forbidden
+		valid + "x",                         // version 00 allows no trailing data
+		strings.Replace(valid, "-", "_", 1), // wrong separator
 		"00-" + strings.Repeat("0", 32) + valid[35:], // all-zero trace ID
 		valid[:36] + strings.Repeat("0", 16) + "-01", // all-zero span ID
-		"0g" + valid[2:],                          // non-hex version
+		"0g" + valid[2:], // non-hex version
 	}
 	for _, h := range bad {
 		if _, ok := ParseTraceparent(h); ok {

@@ -1,9 +1,12 @@
+// Package perf is the CLIs' pprof helper: StartProfiles arms the
+// -cpuprofile/-memprofile capture that specmpk-sim and specmpk-bench share.
+// The simulator's own speed is measured from outside by perfbench (see
+// perfbench/README.md).
 package perf
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -49,23 +52,4 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return errors.Join(errs...)
 	}, nil
-}
-
-// Render prints the capture as an aligned text summary: provenance first,
-// then every metric, sorted — what `specmpk-bench perf` shows next to the
-// BENCH file it writes.
-func (b *Bench) Render(w io.Writer) {
-	m := b.Meta
-	fmt.Fprintf(w, "perf capture %q  %s  %s  %s/%s  GOMAXPROCS=%d  sha=%s\n",
-		m.Label, m.CapturedAt, m.GoVersion, m.GOOS, m.GOARCH, m.GOMAXPROCS, short(m.GitSHA))
-	names := b.MetricNames()
-	nameW := 0
-	for _, n := range names {
-		if len(n) > nameW {
-			nameW = len(n)
-		}
-	}
-	for _, n := range names {
-		fmt.Fprintf(w, "%-*s %16.4g\n", nameW, n, b.Metrics[n])
-	}
 }

@@ -503,8 +503,9 @@ type SampledResult struct {
 
 // Healthz is the /v1/healthz diagnostic payload: enough to tell which
 // daemon answered (simulator version decides cache-key compatibility), how
-// long it has been up, how it is provisioned, and how loaded it is — the
-// load fields are what the cluster layer's bounded-load placement reads.
+// long it has been up, how it is provisioned, and how loaded it is. The
+// cluster prober reads only Status and Version; the load fields are for
+// operators and dashboards.
 type Healthz struct {
 	Status string `json:"status"` // "ok" while serving, "draining" during shutdown
 	// Version is the simulator/cache-key version (api.Version): two daemons
@@ -520,8 +521,6 @@ type Healthz struct {
 	QueueDepth int `json:"queueDepth"`
 	QueueCap   int `json:"queueCap"`
 	// JobsInFlight is how many executions are currently on a worker.
-	// QueueDepth + JobsInFlight is the load figure consistent-hash placement
-	// compares against the cluster average.
 	JobsInFlight int `json:"jobsInFlight"`
 }
 

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,6 +30,43 @@ func armPlan(t *testing.T, plan faults.Plan) {
 		t.Fatal(err)
 	}
 	t.Cleanup(faults.Disarm)
+}
+
+// TestChaosBookkeepingPanicStillPublishes: a panic in a job's terminal
+// bookkeeping (here the job-finished log line) strikes after the job's end
+// is claimed; the job must still publish the claimed outcome, be counted
+// once, and leave the worker serving.
+func TestChaosBookkeepingPanicStillPublishes(t *testing.T) {
+	logger := slog.New(panicOnHandler{msg: "job finished"})
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000, Logger: logger})
+	for i := 0; i < 2; i++ {
+		info, err := s.Submit(uniqueSpec(i, 5_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitJob(t, s, info.ID); final.State != api.StateDone {
+			t.Fatalf("job %s: state %s (%s), want done", info.ID, final.State, final.Error)
+		}
+	}
+	if got := s.panicsRecovered.Load(); got != 2 {
+		t.Fatalf("panics_recovered = %d, want 2", got)
+	}
+	if done, failed := s.jobsDone.Load(), s.jobsFailed.Load(); done != 2 || failed != 0 {
+		t.Fatalf("jobs done/failed = %d/%d, want 2/0", done, failed)
+	}
+}
+
+// panicOnHandler is a slog handler that panics on one log message.
+type panicOnHandler struct{ msg string }
+
+func (h panicOnHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h panicOnHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h panicOnHandler) WithGroup(string) slog.Handler            { return h }
+func (h panicOnHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		panic("injected panic on " + h.msg)
+	}
+	return nil
 }
 
 // TestChaosWorkerPanicContained: a panicking simulation becomes a failed

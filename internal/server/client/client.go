@@ -573,9 +573,8 @@ func (c *Client) Healthz(ctx context.Context) error {
 }
 
 // HealthzInfo probes daemon liveness and returns the diagnostic payload —
-// version (cache-key compatibility), worker pool, and the queue-load fields
-// the cluster layer's bounded-load placement consumes. Retry-free, like
-// Healthz.
+// status and version (what the cluster prober checks), worker pool, and the
+// queue-load fields. Retry-free, like Healthz.
 func (c *Client) HealthzInfo(ctx context.Context) (api.Healthz, error) {
 	var h api.Healthz
 	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)

@@ -16,14 +16,12 @@ import (
 	"specmpk/internal/server/api"
 )
 
-// The server side of the cluster seam: the load-bearing healthz figures the
-// coordinator's bounded-load placement reads, the /v1/cache/{key} endpoint
-// peers probe before simulating, the forwarded/resubmit submit markers, and
-// the Forwarder hook itself.
+// The server side of the cluster seam: the healthz load figures operators
+// read, the /v1/cache/{key} endpoint peers probe before simulating, the
+// forwarded/resubmit submit markers, and the Forwarder hook itself.
 
 // TestHealthzTracksLoad: the queueDepth/queueCap/jobsInFlight figures must
-// reflect a busy daemon — they are what keeps a coordinator from piling jobs
-// onto an overloaded node.
+// reflect a busy daemon.
 func TestHealthzTracksLoad(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, QueueSize: 8, EventInterval: 1000})
 	ts := httptest.NewServer(s)

@@ -309,9 +309,8 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // handleHealthz answers the liveness probe with a diagnostic payload:
 // uptime, the simulator version (which decides cache-key compatibility
 // across daemons), the worker-pool size, and the instantaneous load figures
-// (queue depth/capacity, jobs in flight) that drive cluster bounded-load
-// placement. During drain the status flips to "draining" — probers treat
-// that as "alive but do not place work here".
+// (queue depth/capacity, jobs in flight). During drain the status flips to
+// "draining" — probers treat that as "alive but do not place work here".
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	status := "ok"

@@ -53,10 +53,12 @@ type execution struct {
 	stopReason string
 	cacheDisp  string // result-cache disposition: hit|filled|released|skipped_fault|uncacheable|disabled
 
-	mu       sync.Mutex
-	state    string
-	errMsg   string
-	result   []byte // canonical result JSON, set when state == done
+	mu    sync.Mutex
+	state string
+	// final is the terminal outcome: reserved by claim, made visible by
+	// publish (which sets state to final.state). A non-empty final.state
+	// means the execution can end no other way.
+	final    outcome
 	started  time.Time
 	finished time.Time
 
@@ -65,8 +67,15 @@ type execution struct {
 	events []api.Event
 	subs   map[chan api.Event]struct{}
 	seq    uint64
+}
 
-	done chan struct{} // closed on the transition to a terminal state
+// outcome is how an execution ends: its terminal state, error, result bytes
+// (the canonical result JSON when state is done) and the final event's
+// progress figures.
+type outcome struct {
+	state, errMsg string
+	result        []byte
+	cycle, insts  uint64
 }
 
 // maxBufferedEvents bounds the replay buffer; older progress events are
@@ -84,7 +93,6 @@ func newExecution(parent context.Context, key string, spec api.JobSpec) *executi
 		queuedAt: time.Now(),
 		state:    api.StateQueued,
 		subs:     make(map[chan api.Event]struct{}),
-		done:     make(chan struct{}),
 	}
 }
 
@@ -93,12 +101,11 @@ func newExecution(parent context.Context, key string, spec api.JobSpec) *executi
 func resolvedExecution(key string, spec api.JobSpec, result []byte) *execution {
 	ex := newExecution(context.Background(), key, spec)
 	ex.cancel()
+	ex.final = outcome{state: api.StateDone, result: result}
 	ex.state = api.StateDone
-	ex.result = result
 	ex.finished = time.Now()
 	ex.events = append(ex.events, api.Event{Seq: 1, State: api.StateDone, Final: true})
 	ex.seq = 1
-	close(ex.done)
 	return ex
 }
 
@@ -106,15 +113,18 @@ func resolvedExecution(key string, spec api.JobSpec, result []byte) *execution {
 func (ex *execution) snapshot() (state, errMsg string, result []byte, started, finished time.Time) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	return ex.state, ex.errMsg, ex.result, ex.started, ex.finished
+	if api.Terminal(ex.state) {
+		errMsg, result = ex.final.errMsg, ex.final.result
+	}
+	return ex.state, errMsg, result, ex.started, ex.finished
 }
 
 // start transitions queued -> running and announces it on the event stream.
-// It returns false if the execution is already terminal (cancelled while
-// queued).
+// It returns false if the execution's end is already claimed (cancelled
+// while queued).
 func (ex *execution) start() bool {
 	ex.mu.Lock()
-	if api.Terminal(ex.state) {
+	if ex.final.state != "" {
 		ex.mu.Unlock()
 		return false
 	}
@@ -132,32 +142,48 @@ func (ex *execution) progress(cycle, insts uint64, ipc float64) {
 	ex.mu.Unlock()
 }
 
-// finish transitions to a terminal state exactly once, publishes the final
-// event, closes every subscriber, and wakes waiters. It reports whether this
-// call performed the transition.
-func (ex *execution) finish(state, errMsg string, result []byte, cycle, insts uint64) bool {
+// claim reserves the execution's end for o. Exactly one caller wins, and it
+// must publish afterwards: between the two it does the server-side
+// bookkeeping, so whoever the terminal event wakes finds it done. It
+// reports whether this call won.
+func (ex *execution) claim(o outcome) bool {
 	ex.mu.Lock()
-	if api.Terminal(ex.state) {
-		ex.mu.Unlock()
+	defer ex.mu.Unlock()
+	if ex.final.state != "" {
 		return false
 	}
-	ex.state = state
-	ex.errMsg = errMsg
-	ex.result = result
+	ex.final = o
+	return true
+}
+
+// claimed returns the claimed outcome (zero before any claim).
+func (ex *execution) claimed() outcome {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return ex.final
+}
+
+// publish makes the claimed outcome visible, once: the terminal state, the
+// final event, and the close of every subscriber.
+func (ex *execution) publish() {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	o := ex.final
+	if o.state == "" || api.Terminal(ex.state) {
+		return
+	}
+	ex.state = o.state
 	ex.finished = time.Now()
-	ex.publishLocked(api.Event{State: state, Cycle: cycle, Insts: insts, Final: true})
+	ex.publishLocked(api.Event{State: o.state, Cycle: o.cycle, Insts: o.insts, Final: true})
 	for ch := range ex.subs {
 		close(ch)
 		delete(ex.subs, ch)
 	}
-	ex.mu.Unlock()
-	close(ex.done)
-	return true
 }
 
 // publishLocked appends to the replay buffer and fans out to subscribers.
 // A subscriber that cannot keep up loses intermediate progress events (its
-// channel send would block) — the final state always arrives because finish
+// channel send would block) — the final state always arrives because publish
 // closes the channel after the terminal event is buffered.
 func (ex *execution) publishLocked(ev api.Event) {
 	ex.seq++
@@ -175,7 +201,8 @@ func (ex *execution) publishLocked(ev api.Event) {
 }
 
 // subscribe returns a channel replaying the buffered events and then
-// streaming live ones; the channel closes when the execution finishes.
+// streaming live ones; the channel closes when the execution's end is
+// published.
 // The returned cancel detaches early.
 func (ex *execution) subscribe() (<-chan api.Event, func()) {
 	ex.mu.Lock()

@@ -26,12 +26,12 @@ func (s *Server) runExecutionContained(ex *execution) {
 			s.logger.Error("panic contained in worker pool",
 				"trace_id", ex.sc.Trace.String(), "key", ex.key, "panic", fmt.Sprint(r))
 			// Both idempotent: they release the key and retire the
-			// execution's jobs even when the panic struck after finish.
+			// execution's jobs even when the panic struck after a claim,
+			// whose deferred publish has then already run.
 			s.cache.settle(ex.key, ex, nil, false)
-			if ex.finish(api.StateFailed, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()), nil, 0, 0) {
-				s.jobsFailed.Add(1)
+			if !s.conclude(ex, outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())}, 0, "") {
+				s.onExecutionDone(ex)
 			}
-			s.onExecutionDone(ex)
 		}
 	}()
 	s.runExecution(ex)
@@ -65,11 +65,24 @@ func (s *Server) runExecution(ex *execution) {
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
 	cacheDisp := s.settleResult(ex, state, result)
-	if !ex.finish(state, errMsg, result, cycle, insts) {
-		return // lost the race with Cancel; it did the bookkeeping
+	// A lost claim means Cancel won the race; it does the bookkeeping.
+	s.conclude(ex, outcome{state, errMsg, result, cycle, insts}, simDur, cacheDisp)
+}
+
+// conclude is the one way an execution ends. It claims the end for o (a
+// lost claim returns false and does nothing), then does the bookkeeping —
+// the outcome counters, the wall-time total, the cache disposition, and
+// onExecutionDone's histograms and job spans — and only then publishes the
+// terminal event, so a reader it wakes sees all of that already done. The
+// publish is deferred: a panic in the bookkeeping still ends the execution.
+// It runs with ex.mu released, keeping the s.mu-before-ex.mu lock order.
+func (s *Server) conclude(ex *execution, o outcome, wall time.Duration, cacheDisp string) bool {
+	if !ex.claim(o) {
+		return false
 	}
-	s.wallMSTotal.Add(uint64(simDur.Milliseconds()))
-	switch state {
+	defer ex.publish()
+	s.wallMSTotal.Add(uint64(wall.Milliseconds()))
+	switch o.state {
 	case api.StateDone:
 		s.jobsDone.Add(1)
 	case api.StateFailed:
@@ -79,9 +92,10 @@ func (s *Server) runExecution(ex *execution) {
 	}
 	ex.setTrace("", cacheDisp)
 	s.onExecutionDone(ex)
+	return true
 }
 
-// settleResult moves the execution's key out of pending before finish
+// settleResult moves the execution's key out of pending before conclude
 // publishes the terminal event: a client that resubmits the moment it sees
 // the outcome finds the key resident (a clean result) or absent (anything
 // else), never still pending on this dead execution. Only a clean,

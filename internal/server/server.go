@@ -492,14 +492,12 @@ func (s *Server) Cancel(id string) (api.JobInfo, bool) {
 	ex := j.exec
 	ex.cancel()
 	// A queued execution has no worker to notice the cancellation yet;
-	// resolve it here. (A running one is finished by its worker.) The key
-	// settles before finish publishes "cancelled", so a client resubmitting
-	// on that event starts a fresh execution instead of joining this one.
+	// resolve it here. (A running one is resolved by its worker unless this
+	// claim wins first.) The key settles before "cancelled" is published, so
+	// a client resubmitting on that event starts a fresh execution instead
+	// of joining this one.
 	s.cache.settle(ex.key, ex, nil, false)
-	if ex.finish(api.StateCancelled, context.Canceled.Error(), nil, 0, 0) {
-		s.jobsCancelled.Add(1)
-		s.onExecutionDone(ex)
-	}
+	s.conclude(ex, outcome{state: api.StateCancelled, errMsg: context.Canceled.Error()}, 0, "")
 	return j.info(), true
 }
 
@@ -516,10 +514,10 @@ func (s *Server) Subscribe(id string) (<-chan api.Event, func(), bool) {
 }
 
 // onExecutionDone retires the execution's attached jobs into the retention
-// window, closing each job's root span with its terminal state and emitting
-// one structured log line per job.
+// window, closing each job's root span with its claimed terminal state and
+// emitting one structured log line per job.
 func (s *Server) onExecutionDone(ex *execution) {
-	state, errMsg, _, _, _ := ex.snapshot()
+	o := ex.claimed()
 	stopReason, cacheDisp := ex.traceInfo()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -536,20 +534,20 @@ func (s *Server) onExecutionDone(ex *execution) {
 			dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
 			dsp.EndAt(j.submitted.Add(wait))
 		}
-		j.span.SetAttr("state", state)
+		j.span.SetAttr("state", o.state)
 		if stopReason != "" {
 			j.span.SetAttr("stop_reason", stopReason)
 		}
 		if cacheDisp != "" {
 			j.span.SetAttr("cache", cacheDisp)
 		}
-		if errMsg != "" {
-			j.span.SetError(errMsg)
+		if o.errMsg != "" {
+			j.span.SetError(o.errMsg)
 		}
 		j.span.EndAt(j.submitted.Add(wait))
 		s.logger.Debug("job finished",
 			"job_id", j.id, "trace_id", j.traceID, "key", j.key,
-			"state", state, "stop_reason", stopReason,
+			"state", o.state, "stop_reason", stopReason,
 			"deduped", j.deduped, "e2e_ms", ms(wait))
 	}
 }

@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"specmpk/internal/faults"
 	"specmpk/internal/otrace"
@@ -446,6 +449,74 @@ func TestTraceAcrossRetirementIsStable(t *testing.T) {
 	if jobSpans != len(ids) {
 		t.Fatalf("recorded %d job spans, want %d", jobSpans, len(ids))
 	}
+}
+
+// TestTerminalEventFollowsBookkeeping: a reader woken by a job's terminal
+// event must find the job already counted. Many lanes each submit unique
+// jobs and wait for the event stream to close; by then the done counter and
+// the e2e histogram must include every job any lane has seen finish, and the
+// job's own span must be ended with the published state.
+func TestTerminalEventFollowsBookkeeping(t *testing.T) {
+	const lanes, perLane = 8, 25
+	s := tracedTestServer(t, Options{Workers: 2, EventInterval: 1000, SpanBuffer: 4096})
+	var seen atomic.Uint64 // jobs whose stream some lane has seen close
+	var wg sync.WaitGroup
+	errs := make(chan error, lanes)
+	for lane := 0; lane < lanes; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for i := 0; i < perLane; i++ {
+				if err := submitAndCheck(s, uniqueSpec(lane*perLane+i, 2_000), &seen); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(lane)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// submitAndCheck runs one lane step of TestTerminalEventFollowsBookkeeping.
+func submitAndCheck(s *Server, spec api.JobSpec, seen *atomic.Uint64) error {
+	info, err := s.Submit(spec)
+	if err != nil {
+		return err
+	}
+	ch, cancel, ok := s.Subscribe(info.ID)
+	if !ok {
+		return fmt.Errorf("unknown job %s", info.ID)
+	}
+	defer cancel()
+	deadline := time.After(60 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-ch:
+		case <-deadline:
+			return fmt.Errorf("job %s did not finish", info.ID)
+		}
+	}
+	n := seen.Add(1)
+	if done := s.jobsDone.Load(); done < n {
+		return fmt.Errorf("job %s: stream closed with server.jobs.done = %d, want >= %d", info.ID, done, n)
+	}
+	if c := s.lat.e2e.Count(); c < n {
+		return fmt.Errorf("job %s: stream closed with e2e histogram count = %d, want >= %d", info.ID, c, n)
+	}
+	var ended []otrace.SpanData
+	for _, sd := range otrace.FilterSpans(s.SpanRecorder().Spans(), info.TraceID, "") {
+		if sd.Name == "job" {
+			ended = append(ended, sd)
+		}
+	}
+	if len(ended) != 1 || ended[0].Attrs["state"] != api.StateDone {
+		return fmt.Errorf("job %s: stream closed with ended job spans %+v, want one in state done", info.ID, ended)
+	}
+	return nil
 }
 
 func TestAccessLogAndJobLogCarryTraceID(t *testing.T) {

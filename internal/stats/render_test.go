@@ -106,8 +106,8 @@ func TestHistogramJSONRenderer(t *testing.T) {
 	if hv.Sum != 123.5 {
 		t.Fatalf("sum = %g, want 123.5", hv.Sum)
 	}
-	// The decoded value answers quantiles too — the path perfdiff and the
-	// service dashboards consume.
+	// The decoded value answers quantiles too — the path the service
+	// dashboards consume.
 	if got := hv.Quantile(0.5); got != 2 {
 		t.Fatalf("decoded Quantile(0.5) = %g", got)
 	}
