@@ -5,9 +5,9 @@
 //	specmpk-bench [-workloads a,b,c] [-j N] <experiment>...
 //	specmpk-bench -remote host:8351 stats fig9 ...
 //
-// Experiments: table1 table2 table3 fig3 fig4 fig9 fig10 fig11 fig13 hwcost
-// all. Each prints the same rows/series the paper reports, plus the paper's
-// quoted aggregate for comparison.
+// The experiments are experiments.Experiments (the usage text lists them),
+// plus all. Each prints the same rows/series the paper reports, plus the
+// paper's quoted aggregate for comparison, or with -json its rows.
 //
 // With -remote, pipeline simulations are batch-submitted as jobs to a
 // specmpkd daemon instead of running in-process; the daemon's
@@ -119,13 +119,7 @@ func realMain() int {
 		}
 	}
 	for _, name := range flag.Args() {
-		var err error
-		if *asJSON {
-			err = runJSON(r, name)
-		} else {
-			err = run(r, name)
-		}
-		if err != nil {
+		if err := run(r, name, *asJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "specmpk-bench: %s: %v\n", name, err)
 			return 1
 		}
@@ -133,163 +127,45 @@ func realMain() int {
 	return 0
 }
 
-func runJSON(r experiments.Runner, name string) error {
-	rows, err := experiments.RowsFor(r, name)
-	if err != nil {
-		return err
+// run runs one named experiment, or every one but diff for "all", printing
+// each as text or, with asJSON, as JSON rows.
+func run(r experiments.Runner, name string, asJSON bool) error {
+	var exps []experiments.Experiment
+	if name == "all" {
+		for _, e := range experiments.Experiments {
+			if e.Name != "diff" {
+				exps = append(exps, e)
+			}
+		}
+	} else if e, ok := experiments.Lookup(name); ok {
+		exps = []experiments.Experiment{e}
+	} else {
+		return fmt.Errorf("unknown experiment %q", name)
 	}
-	return experiments.WriteJSON(os.Stdout, name, rows)
+	for _, e := range exps {
+		rows, text, err := e.Run(r)
+		if err != nil {
+			return err
+		}
+		if asJSON {
+			if err := experiments.WriteJSON(os.Stdout, e.Name, rows); err != nil {
+				return err
+			}
+			continue
+		}
+		fmt.Print(text)
+		if name == "all" {
+			fmt.Println()
+		}
+	}
+	return nil
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: specmpk-bench [flags] <experiment>...
-
-experiments:
-  table1   isolation-technique property matrix (Table I)
-  table2   SpecMPK's additional source operands (Table II)
-  table3   simulated machine configuration (Table III)
-  fig3     speculative-WRPKRU speedup + rename-stall share (Figure 3)
-  fig4     compiler vs serialization overhead breakdown (Figure 4)
-  fig9     normalized IPC of SpecMPK and NonSecure (Figure 9)
-  fig10    WRPKRU per kilo-instruction (Figure 10)
-  fig11    ROB_pkru size sensitivity (Figure 11)
-  fig13    flush+reload attack latencies (Figure 13)
-  hwcost   added sequential state (Section VIII)
-  vdom     key-virtualization scaling sweep (extension; paper Section III-B)
-  window   instruction-window sweep on the densest workload (extension)
-  pkrusafe unsafe-library heap isolation overhead (extension; Section III-B)
-  rdpkru   pkey_set read-modify-write vs load-immediate updates (Section V-C6)
-  sampled  SimPoint sampled-vs-full CPI error and wall-clock speedup per
-           workload×policy (paper §VII methodology); with -remote the cells
-           run as sampled-fidelity jobs on the daemon (parallel intervals,
-           shared profile cache)
-  stats    unified metrics registry + CPI-stack per workload×mode, sweeping
-           every registered policy incl. delayupgrade/noforward (with -json:
-           every pipeline/cache/tlb/bpred metric per row; restrict via -modes)
-  profile  per-PC/per-block attribution of simulated time + pkey audit
-           ledger per workload×mode, plus the cross-policy differential of
-           each mode against the first (-modes a,b; default serialized,specmpk)
-  diff     only the cross-policy differential tables from profile
-  all      everything above
-
-flags:
-`)
-	flag.PrintDefaults()
-}
-
-func run(r experiments.Runner, name string) error {
-	switch name {
-	case "table1":
-		rows, err := experiments.Table1()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderTable1(rows))
-	case "table2":
-		fmt.Print(experiments.RenderTable2(experiments.Table2()))
-	case "table3":
-		fmt.Print(experiments.RenderTable3())
-	case "fig3":
-		rows, err := experiments.Fig3(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig3(rows))
-	case "fig4":
-		rows, err := experiments.Fig4(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig4(rows))
-	case "fig9":
-		rows, err := experiments.Fig9(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig9(rows))
-	case "fig10":
-		rows, err := experiments.Fig10(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig10(rows))
-	case "fig11":
-		rows, err := experiments.Fig11(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig11(rows))
-	case "fig13":
-		res, err := experiments.Fig13()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig13(res))
-	case "hwcost":
-		fmt.Print(experiments.RenderHWCost(experiments.HWCost()))
-	case "vdom":
-		rows, err := experiments.VDomSweep()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderVDom(rows))
-	case "window":
-		name := "520.omnetpp_r"
-		if len(r.Workloads) == 1 {
-			name = r.Workloads[0]
-		}
-		rows, err := experiments.WindowSweep(r, name)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderWindow(name, rows))
-	case "pkrusafe":
-		rows, err := experiments.PKRUSafe(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderPKRUSafe(rows))
-	case "rdpkru":
-		rows, err := experiments.Rdpkru(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderRdpkru(rows))
-	case "sampled":
-		rows, err := experiments.Sampled(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderSampled(rows))
-	case "stats":
-		rows, err := experiments.StatsRows(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderStats(rows))
-	case "profile":
-		res, err := experiments.ProfileRun(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderProfile(res, 10))
-	case "diff":
-		res, err := experiments.ProfileRun(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderDiff(res, 10))
-	case "all":
-		for _, e := range []string{"table1", "table2", "table3", "fig3", "fig4",
-			"fig9", "fig10", "fig11", "fig13", "hwcost", "vdom", "window",
-			"pkrusafe", "rdpkru", "sampled", "stats", "profile"} {
-			if err := run(r, e); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+	fmt.Fprintf(os.Stderr, "usage: specmpk-bench [flags] <experiment>...\n\nexperiments:\n")
+	for _, e := range experiments.Experiments {
+		fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.Name, e.Help)
 	}
-	return nil
+	fmt.Fprintf(os.Stderr, "  %-8s every experiment above but diff\n\nflags:\n", "all")
+	flag.PrintDefaults()
 }

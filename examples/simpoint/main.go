@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	mcfg := pipeline.DefaultConfig()
 	stats := make([]pipeline.Stats, len(plan.Points))
 	for i := range plan.Points {
-		if stats[i], err = plan.SimulatePoint(i, mcfg, prog); err != nil {
+		if stats[i], err = plan.SimulatePoint(context.Background(), i, mcfg, prog); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -10,8 +10,6 @@
 package attack
 
 import (
-	"fmt"
-
 	"specmpk/internal/asm"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
@@ -207,25 +205,5 @@ func RunMachine(mcfg pipeline.Config, mode pipeline.Mode, cfg Config) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	mcfg.Mode = mode
-	m, err := pipeline.New(mcfg, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Mode: mode, Cfg: cfg, Threshold: 120}
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr < array2Base || vaddr >= array2Base+ProbeEntries*ProbeStride {
-			return
-		}
-		if (vaddr-array2Base)%ProbeStride != 0 {
-			return
-		}
-		// The reload loads are the final accesses to each entry, so keeping
-		// the last observation per index yields the probe measurement.
-		res.Latency[(vaddr-array2Base)/ProbeStride] = lat
-	}
-	if err := m.Run(50_000_000); err != nil {
-		return Result{}, fmt.Errorf("attack: %v: %w", mode, err)
-	}
-	return res, nil
+	return runProbe(mcfg, prog, mode, cfg)
 }

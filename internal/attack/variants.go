@@ -126,12 +126,12 @@ func RunBTI(mode pipeline.Mode, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runProbe(prog, mode, cfg)
+	return runProbe(pipeline.DefaultConfig(), prog, mode, cfg)
 }
 
-// runProbe runs a gadget program and collects probe-array latencies.
-func runProbe(prog *asm.Program, mode pipeline.Mode, cfg Config) (Result, error) {
-	mcfg := pipeline.DefaultConfig()
+// runProbe runs a gadget program on the base machine mcfg under mode and
+// collects probe-array latencies.
+func runProbe(mcfg pipeline.Config, prog *asm.Program, mode pipeline.Mode, cfg Config) (Result, error) {
 	mcfg.Mode = mode
 	m, err := pipeline.New(mcfg, prog)
 	if err != nil {
@@ -145,6 +145,8 @@ func runProbe(prog *asm.Program, mode pipeline.Mode, cfg Config) (Result, error)
 		if (vaddr-array2Base)%ProbeStride != 0 {
 			return
 		}
+		// The reload loads are the final accesses to each entry, so keeping
+		// the last observation per index yields the probe measurement.
 		res.Latency[(vaddr-array2Base)/ProbeStride] = lat
 	}
 	if err := m.Run(50_000_000); err != nil {

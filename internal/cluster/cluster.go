@@ -549,7 +549,7 @@ func (c *Coordinator) healthyPeers() int {
 
 // AnyClient returns a client for some live peer (any peer when all are
 // down) — for callers that need a plain single-node client, like the bench's
-// metrics scrape.
+// sampled experiment, which submits its sampled-fidelity jobs directly.
 func (c *Coordinator) AnyClient() *client.Client {
 	for _, p := range c.peers {
 		if !p.isDown() {

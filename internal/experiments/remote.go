@@ -24,18 +24,35 @@ const remoteJobAttempts = 3
 // request becomes one daemon job. The daemon dedups identical in-flight
 // specs and serves repeats from its result cache, so a sweep whose
 // experiments share baselines costs each unique spec exactly once.
+func RemoteSim(c *client.Client) SimFunc { return remoteSim(c.Run) }
+
+// ClusterSim adapts a cluster coordinator into the SimFunc seam: each
+// simulation request is consistent-hash placed on the peer owning its
+// content-addressed key (whose result store answers any key it already
+// ran), with the coordinator's hedging and failover in front.
+func ClusterSim(co *cluster.Coordinator) SimFunc { return remoteSim(co.Run) }
+
+// remoteSim is the one body behind RemoteSim and ClusterSim, given the run
+// call of a client or a coordinator.
 //
 // Failure taxonomy: transient errors (daemon overloaded or restarting) are
 // retried per job; terminal job failures — bad specs, wall-clock deadline
 // exceeded, a panicking simulation — are not, because re-running the same
-// deterministic spec reproduces them.
-func RemoteSim(c *client.Client) SimFunc {
+// deterministic spec reproduces them. When every cluster peer is down the
+// coordinator reports cluster.ErrNoPeers and the job falls to the bottom
+// rung of the degradation ladder — in-process local simulation — so a sweep
+// survives a full cluster outage, just slower. A single-daemon client never
+// reports ErrNoPeers.
+func remoteSim[T any](run func(context.Context, api.JobSpec) (api.Result, T, error)) SimFunc {
 	return func(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error) {
 		spec := api.SpecFor(p.Name, v, cfg)
 		var lastErr error
 		for attempt := 0; attempt < remoteJobAttempts; attempt++ {
-			res, _, err := c.Run(context.Background(), spec)
+			res, _, err := run(context.Background(), spec)
 			if err != nil {
+				if errors.Is(err, cluster.ErrNoPeers) {
+					return LocalSim(p, v, cfg)
+				}
 				if client.IsTransient(err) {
 					lastErr = err
 					continue
@@ -44,41 +61,6 @@ func RemoteSim(c *client.Client) SimFunc {
 			}
 			// Local runs treat a budget-bounded (non-halting) workload as an
 			// error; mirror that so remote sweeps fail the same way.
-			if res.StopReason != string(pipeline.StopHalt) {
-				return SimResult{}, fmt.Errorf("%s/%v/%v: remote run stopped with %q",
-					p.Name, v, cfg.Mode, res.StopReason)
-			}
-			return SimResult{Stats: res.Stats, Metrics: res.Metrics}, nil
-		}
-		return SimResult{}, fmt.Errorf("%s/%v/%v: job kept failing transiently: %w",
-			p.Name, v, cfg.Mode, lastErr)
-	}
-}
-
-// ClusterSim adapts a cluster coordinator into the SimFunc seam: each
-// simulation request is consistent-hash placed on the peer owning its
-// content-addressed key (whose result store answers any key it already
-// ran), with the coordinator's hedging and failover in front. When every
-// peer is down the coordinator reports ErrNoPeers and the job falls to the
-// bottom rung of the degradation ladder — in-process local simulation — so
-// a sweep survives a full cluster outage, just slower.
-func ClusterSim(co *cluster.Coordinator) SimFunc {
-	local := LocalSim
-	return func(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error) {
-		spec := api.SpecFor(p.Name, v, cfg)
-		var lastErr error
-		for attempt := 0; attempt < remoteJobAttempts; attempt++ {
-			res, _, err := co.Run(context.Background(), spec)
-			if err != nil {
-				if errors.Is(err, cluster.ErrNoPeers) {
-					return local(p, v, cfg)
-				}
-				if client.IsTransient(err) {
-					lastErr = err
-					continue
-				}
-				return SimResult{}, fmt.Errorf("%s/%v/%v: %w", p.Name, v, cfg.Mode, err)
-			}
 			if res.StopReason != string(pipeline.StopHalt) {
 				return SimResult{}, fmt.Errorf("%s/%v/%v: remote run stopped with %q",
 					p.Name, v, cfg.Mode, res.StopReason)

@@ -72,7 +72,7 @@ func Sampled(r Runner) ([]SampledRow, error) {
 			st0 := time.Now()
 			stats := make([]pipeline.Stats, len(plan.Points))
 			for j := range plan.Points {
-				if stats[j], err = plan.SimulatePoint(j, cfg, prog); err != nil {
+				if stats[j], err = plan.SimulatePoint(context.Background(), j, cfg, prog); err != nil {
 					return fmt.Errorf("%s/%v point %d: %w", p.Name, mode, j, err)
 				}
 			}

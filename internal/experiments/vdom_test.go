@@ -91,31 +91,33 @@ func TestPKRUSafeShape(t *testing.T) {
 }
 
 func TestJSONRows(t *testing.T) {
-	var buf strings.Builder
-	rows, err := RowsFor(Runner{}, "hwcost")
+	e, ok := Lookup("hwcost")
+	if !ok {
+		t.Fatal("hwcost missing from the experiment table")
+	}
+	rows, _, err := e.Run(Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&buf, "hwcost", rows); err != nil {
+	var buf strings.Builder
+	if err := WriteJSON(&buf, e.Name, rows); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, `"experiment": "hwcost"`) || !strings.Contains(out, "ROB_pkru") {
 		t.Fatalf("json:\n%s", out)
 	}
-	if _, err := RowsFor(Runner{}, "table2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RowsFor(Runner{}, "bogus"); err == nil {
-		t.Fatal("unknown experiment must error")
+	if _, ok := Lookup("bogus"); ok {
+		t.Fatal("unknown experiment found")
 	}
 	// A simulation-backed one on a small subset.
-	rows, err = RowsFor(Runner{Workloads: []string{"557.xz_r"}}, "fig10")
+	e, _ = Lookup("fig10")
+	rows, _, err = e.Run(Runner{Workloads: []string{"557.xz_r"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteJSON(&buf, "fig10", rows); err != nil {
+	if err := WriteJSON(&buf, e.Name, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "WrpkruPerKilo") {
@@ -143,22 +145,28 @@ func TestRdpkruStudy(t *testing.T) {
 	}
 }
 
-// TestJSONRowsAllExperiments exercises every RowsFor branch on minimal
-// inputs (simulation-backed ones use a single small workload).
+// TestJSONRowsAllExperiments runs every entry of the experiment table on
+// one small workload: each yields JSON rows and text, and a -workloads
+// subset of one reaches the window sweep.
 func TestJSONRowsAllExperiments(t *testing.T) {
 	small := Runner{Workloads: []string{"557.xz_r"}}
-	for _, name := range []string{"table1", "table2", "fig3", "fig4", "fig9",
-		"fig10", "fig13", "vdom", "pkrusafe"} {
-		rows, err := RowsFor(small, name)
+	for _, e := range Experiments {
+		rows, text, err := e.Run(small)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if text == "" || e.Help == "" {
+			t.Fatalf("%s: empty text or help", e.Name)
 		}
 		var buf strings.Builder
-		if err := WriteJSON(&buf, name, rows); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err := WriteJSON(&buf, e.Name, rows); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if !strings.Contains(buf.String(), name) {
-			t.Fatalf("%s: envelope missing", name)
+		if !strings.Contains(buf.String(), `"experiment": "`+e.Name+`"`) || strings.Contains(buf.String(), `"rows": null`) {
+			t.Fatalf("%s: json:\n%s", e.Name, buf.String())
+		}
+		if e.Name == "window" && !strings.Contains(text, "557.xz_r") {
+			t.Fatalf("window swept another workload:\n%s", text)
 		}
 	}
 }

@@ -196,13 +196,14 @@ func (m *Machine) audit(e AuditEvent) {
 	}
 }
 
-// auditUpgradeOpen fires one AuditUpgradeOpen event per protection key that
-// the executing WRPKRU transiently upgrades relative to the committed ARF —
-// the speculative windows the SpecMPK attack surface is about. Only renamed
-// designs have such windows: a serialized WRPKRU updates the ARF directly at
-// execute, so its grants are architectural the moment they exist.
+// auditUpgradeOpen fires one AuditUpgradeOpen event (and one upgrade_open
+// trace event) per protection key that the executing WRPKRU transiently
+// upgrades relative to the committed ARF — the speculative windows the
+// SpecMPK attack surface is about. Only renamed designs have such windows: a
+// serialized WRPKRU updates the ARF directly at execute, so its grants are
+// architectural the moment they exist.
 func (m *Machine) auditUpgradeOpen(e *alEntry) {
-	if m.Audit == nil || !m.pol.renamesPKRU {
+	if (m.Audit == nil && m.Events == nil) || !m.pol.renamesPKRU {
 		return
 	}
 	nv := mpk.PKRU(e.storeData)
@@ -224,7 +225,7 @@ func (m *Machine) auditUpgradeOpen(e *alEntry) {
 // auditUpgradeClose closes every transient-upgrade window e opened, as a
 // commit (the window became architectural) or a squash (it never did).
 func (m *Machine) auditUpgradeClose(e *alEntry, committed bool) {
-	if m.Audit == nil || e.upgMask == 0 {
+	if e.upgMask == 0 {
 		return
 	}
 	kind, note := AuditUpgradeCommit, "commit"

@@ -228,7 +228,7 @@ const (
 	// StopCycleLimit: the cycle budget (Run's argument or Config.MaxCycles)
 	// expired first.
 	StopCycleLimit StopReason = "cycle_limit"
-	// StopInstLimit: RunInsts retired its target instruction count.
+	// StopInstLimit: RunInsts or RunContext retired its instruction target.
 	StopInstLimit StopReason = "inst_limit"
 	// StopCancelled: RunContext's context was cancelled mid-run.
 	StopCancelled StopReason = "cancelled"
@@ -415,7 +415,8 @@ type alEntry struct {
 
 	fault *mem.Fault // delivered at retirement
 
-	// Audit bookkeeping (only written when Machine.Audit is attached).
+	// Audit bookkeeping. The upgrade fields are written only when
+	// Machine.Audit or Machine.Events is attached.
 	stallCyc uint64 // cycle a stall/no-forward/defer window opened
 	upgCyc   uint64 // cycle this WRPKRU's transient-upgrade window opened
 	upgMask  uint16 // pkeys this WRPKRU transiently upgrades vs the ARF
@@ -743,7 +744,7 @@ func (m *Machine) fqPop() {
 func (m *Machine) fqClear() { m.fqHead, m.fqLen = 0, 0 }
 
 // RunInsts steps until n instructions have retired (or HALT/fault/cycle
-// budget). Used for fixed-length SimPoint interval simulation.
+// budget): RunContext without a context.
 func (m *Machine) RunInsts(n, maxCycles uint64) error {
 	return m.run(context.Background(), n, maxCycles)
 }
@@ -822,7 +823,7 @@ var ErrCycleLimit = fmt.Errorf("pipeline: cycle limit reached")
 // or the cycle budget (the smaller of maxCycles and Config.MaxCycles, when
 // set) elapses. Stats.Stop records which of those ended the run.
 func (m *Machine) Run(maxCycles uint64) error {
-	return m.RunContext(context.Background(), maxCycles)
+	return m.run(context.Background(), ^uint64(0), maxCycles)
 }
 
 // ctxCheckInterval is how often (in cycles) RunContext polls its context.
@@ -831,12 +832,15 @@ func (m *Machine) Run(maxCycles uint64) error {
 // free of per-cycle channel operations.
 const ctxCheckInterval = 1024
 
-// RunContext is Run with cooperative cancellation: the context is polled
-// every ctxCheckInterval cycles and a cancellation surfaces as ctx.Err()
-// with Stats.Stop = StopCancelled. This is the seam the simulation server
-// uses for DELETE /v1/jobs/{id} and shutdown deadlines.
-func (m *Machine) RunContext(ctx context.Context, maxCycles uint64) error {
-	return m.run(ctx, ^uint64(0), maxCycles)
+// RunContext steps until maxInsts instructions have retired (^uint64(0)
+// for no target), HALT retires, a fault terminates the program, or the
+// cycle budget elapses — with cooperative cancellation: the context is
+// polled every ctxCheckInterval cycles and its end surfaces as ctx.Err()
+// with Stats.Stop = StopCancelled (or StopDeadline). This is the seam the
+// simulation server uses for DELETE /v1/jobs/{id}, wall-clock deadlines and
+// shutdown, for whole-program runs and SimPoint intervals alike.
+func (m *Machine) RunContext(ctx context.Context, maxInsts, maxCycles uint64) error {
+	return m.run(ctx, maxInsts, maxCycles)
 }
 
 // run is the one step loop behind Run, RunContext and RunInsts: it steps

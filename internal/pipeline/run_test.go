@@ -93,7 +93,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = m.RunContext(ctx, 1<<62)
+	err = m.RunContext(ctx, ^uint64(0), 1<<62)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want context.Canceled", err)
 	}
@@ -117,7 +117,7 @@ func TestRunContextConcurrentCancel(t *testing.T) {
 		cancel()
 	}()
 	done := make(chan error, 1)
-	go func() { done <- m.RunContext(ctx, 1<<62) }()
+	go func() { done <- m.RunContext(ctx, ^uint64(0), 1<<62) }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {

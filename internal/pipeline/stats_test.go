@@ -161,3 +161,37 @@ func TestNilEventRingIsFree(t *testing.T) {
 			m.Stats.Cycles, mt.Stats.Cycles, m.Stats.Insts, mt.Stats.Insts)
 	}
 }
+
+// auditCounter is an AuditSink that counts events per kind.
+type auditCounter map[AuditKind]int
+
+func (c auditCounter) Audit(e AuditEvent) { c[e.Kind]++ }
+
+// TestUpgradeEventsWithoutAuditSink: the upgrade_open and upgrade_close
+// trace events do not depend on an audit sink — an event ring alone records
+// as many of them as a machine with both sinks attached.
+func TestUpgradeEventsWithoutAuditSink(t *testing.T) {
+	counts := func(audit bool) map[trace.Kind]uint64 {
+		m := newMachine(t, ModeSpecMPK, wrpkruLoop(t))
+		m.Events = trace.NewRing(1 << 16)
+		if audit {
+			m.Audit = auditCounter{}
+		}
+		if err := m.Run(2_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if m.Events.Dropped() != 0 {
+			t.Fatalf("ring dropped %d events", m.Events.Dropped())
+		}
+		return m.Events.CountByKind()
+	}
+	alone, both := counts(false), counts(true)
+	for _, k := range []trace.Kind{trace.KindUpgradeOpen, trace.KindUpgradeClose} {
+		if both[k] == 0 {
+			t.Fatalf("no %s events with both sinks attached", k)
+		}
+		if alone[k] != both[k] {
+			t.Errorf("%s: %d events with only the ring, %d with both sinks", k, alone[k], both[k])
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"specmpk/internal/asm"
 	"specmpk/internal/otrace"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/server/api"
@@ -139,9 +140,11 @@ func (s *Server) simulateContained(ex *execution) (state, errMsg string, result 
 }
 
 // simulate runs the job to completion, cancellation, or one of its budgets.
-// The machine runs in chunks of the event interval; each chunk boundary
-// publishes one progress event, so /v1/jobs/{id}/events streams at the same
-// cadence as specmpk-sim -stats-interval.
+// It is the one run contract for both fidelities: it builds the machine
+// config and program, arms the wall-clock deadline and fires the worker
+// fault point, and then the fidelity chooses only the run itself — runFull
+// or runSampled. Whatever the run returns is classified here, once, and a
+// clean result is encoded by marshal.
 //
 // Two budgets with opposite taxonomies bound every job:
 //
@@ -154,16 +157,14 @@ func (s *Server) simulateContained(ex *execution) (state, errMsg string, result 
 //     wall-clock window depends on the host, so the partial run is not
 //     deterministic and must never be cached.
 //
-// "failed" otherwise marks jobs that could not simulate at all (bad config,
+// Cancel and drain end the execution's own context: CANCELLED. "failed"
+// otherwise marks jobs that could not simulate at all (bad config,
 // unbuildable program, injected worker fault).
 func (s *Server) simulate(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64) {
 	if state, errMsg, result, cycle, insts, handled := s.forwardRemote(ex); handled {
 		return state, errMsg, result, cycle, insts
 	}
 	spec := ex.spec
-	if spec.Fidelity == api.FidelitySampled {
-		return s.runSampled(ex)
-	}
 	cfg, err := spec.MachineConfig()
 	if err != nil {
 		return api.StateFailed, err.Error(), nil, 0, 0
@@ -172,15 +173,11 @@ func (s *Server) simulate(ex *execution) (state, errMsg string, result []byte, c
 	if err != nil {
 		return api.StateFailed, err.Error(), nil, 0, 0
 	}
-	m, err := pipeline.New(cfg, prog)
-	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
 
 	// The wall-clock deadline wraps the execution's cancellation context so
-	// Cancel and drain still surface as "cancelled", while expiry surfaces
-	// as pipeline.StopDeadline. It is armed before the fault point so an
-	// injected latency burns real wall budget, exactly like a stuck run.
+	// Cancel and drain still surface as "cancelled" while expiry fails the
+	// job. It is armed before the fault point so an injected latency burns
+	// real wall budget, exactly like a stuck run.
 	ctx := ex.ctx
 	wallMS := spec.MaxWallMS
 	if wallMS == 0 {
@@ -197,51 +194,69 @@ func (s *Server) simulate(ex *execution) (state, errMsg string, result []byte, c
 		return api.StateFailed, ferr.Error(), nil, 0, 0
 	}
 
-	budget := spec.MaxCycles
+	run := s.runFull
+	if spec.Fidelity == api.FidelitySampled {
+		run = s.runSampled
+	}
+	res, cycle, insts, err := run(ctx, ex, cfg, prog)
+	switch {
+	case err == nil:
+		return s.marshal(ex, res, cycle, insts)
+	case ex.ctx.Err() != nil:
+		ex.setTrace(string(pipeline.StopCancelled), "")
+		return api.StateCancelled, ex.ctx.Err().Error(), nil, cycle, insts
+	case ctx.Err() != nil:
+		s.jobsDeadline.Add(1)
+		ex.setTrace(string(pipeline.StopDeadline), "")
+		ex.simSpan.Event("deadline_exceeded", "wall_ms", wallMS, "cycle", cycle)
+		return api.StateFailed,
+			fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded at cycle %d", wallMS, cycle),
+			nil, cycle, insts
+	default:
+		return api.StateFailed, err.Error(), nil, cycle, insts
+	}
+}
+
+// runFull simulates the whole program under ctx in chunks of the event
+// interval; each chunk boundary publishes one progress event, so
+// /v1/jobs/{id}/events streams at the same cadence as specmpk-sim
+// -stats-interval. Halt, fault and cycle-budget exhaustion are measured
+// outcomes and return the result; an error (the context ending) leaves
+// the classification to simulate. It returns the cycles and instructions
+// simulated either way.
+func (s *Server) runFull(ctx context.Context, ex *execution, cfg pipeline.Config, prog *asm.Program) (api.Result, uint64, uint64, error) {
+	m, err := pipeline.New(cfg, prog)
+	if err != nil {
+		return api.Result{}, 0, 0, err
+	}
+	budget := ex.spec.MaxCycles
 	if budget == 0 {
 		budget = s.opt.MaxCycles
 	}
 	var prevCycle, prevInsts uint64
 	for {
-		next := m.Cycle() + s.opt.EventInterval
-		if next > budget {
-			next = budget
-		}
-		runErr := m.RunContext(ctx, next)
+		runErr := m.RunContext(ctx, ^uint64(0), min(m.Cycle()+s.opt.EventInterval, budget))
 		st := m.Stats
+		// Config.MaxCycles may clamp the run below the next chunk boundary,
+		// so a chunk that made no progress means the budget, not the
+		// program, ended the run.
+		budgetSpent := st.Stop == pipeline.StopCycleLimit && (m.Cycle() >= budget || m.Cycle() == prevCycle)
 		switch {
-		case runErr == nil, st.Stop == pipeline.StopFault:
-			// Halt and fault are both terminal simulation outcomes; the
-			// result records which via stopReason.
-			return s.buildResult(ex, m)
-		case st.Stop == pipeline.StopCancelled:
-			ex.setTrace(string(st.Stop), "")
-			return api.StateCancelled, runErr.Error(), nil, st.Cycles, st.Insts
-		case st.Stop == pipeline.StopDeadline:
-			s.jobsDeadline.Add(1)
-			ex.setTrace(string(st.Stop), "")
-			ex.simSpan.Event("deadline_exceeded", "wall_ms", wallMS, "cycle", st.Cycles)
-			return api.StateFailed,
-				fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded at cycle %d", wallMS, st.Cycles),
-				nil, st.Cycles, st.Insts
-		case st.Stop == pipeline.StopCycleLimit:
-			if m.Cycle() >= budget || m.Cycle() == prevCycle {
-				// Budget exhausted — or Config.MaxCycles clamped the run
-				// below the next chunk boundary, so no further progress is
-				// possible. Either way the budget, not the program, ended
-				// the run.
-				return s.buildResult(ex, m)
-			}
-			dc, di := st.Cycles-prevCycle, st.Insts-prevInsts
-			ipc := 0.0
-			if dc > 0 {
-				ipc = float64(di) / float64(dc)
-			}
-			ex.progress(st.Cycles, st.Insts, ipc)
-			prevCycle, prevInsts = st.Cycles, st.Insts
-		default:
-			return api.StateFailed, runErr.Error(), nil, st.Cycles, st.Insts
+		case runErr == nil, st.Stop == pipeline.StopFault, budgetSpent:
+			return api.Result{
+				StopReason: string(st.Stop),
+				Stats:      st,
+				Metrics:    m.StatsRegistry().Snapshot().Flat(),
+			}, st.Cycles, st.Insts, nil
+		case st.Stop != pipeline.StopCycleLimit:
+			return api.Result{}, st.Cycles, st.Insts, runErr
 		}
+		ipc := 0.0
+		if dc := st.Cycles - prevCycle; dc > 0 {
+			ipc = float64(st.Insts-prevInsts) / float64(dc)
+		}
+		ex.progress(st.Cycles, st.Insts, ipc)
+		prevCycle, prevInsts = st.Cycles, st.Insts
 	}
 }
 
@@ -294,40 +309,31 @@ func (s *Server) forwardRemote(ex *execution) (state, errMsg string, result []by
 	}
 }
 
-// buildResult marshals the machine's final state into the canonical result
-// bytes under a marshal span (the last lifecycle stage). The encoding is
-// deterministic (fixed struct field order, sorted map keys), so identical
-// specs produce bit-identical result bytes — the property the
-// content-addressed cache returns verbatim.
-func (s *Server) buildResult(ex *execution, m *pipeline.Machine) (state, errMsg string, result []byte, cycle, insts uint64) {
-	st := m.Stats
-	ex.setTrace(string(st.Stop), "")
-	mt := time.Now()
-	msp := s.rec.StartSpanAt(ex.simSpan.Context(), "marshal", mt)
+// marshal encodes a run's result as the job's canonical result bytes under
+// a marshal span (the last lifecycle stage). The encoding is deterministic
+// (fixed struct field order, sorted map keys), so identical specs produce
+// bit-identical result bytes — the property the content-addressed cache
+// returns verbatim.
+func (s *Server) marshal(ex *execution, res api.Result, cycle, insts uint64) (state, errMsg string, result []byte, c, i uint64) {
+	ex.setTrace(res.StopReason, "")
+	msp := s.rec.StartSpanAt(ex.simSpan.Context(), "marshal", time.Now())
 	// An injected marshal fault (error or drop alike) fails the job: a
 	// result that cannot be encoded cannot be partially delivered.
 	if ferr := fpResultMarshal.Fire(); ferr != nil {
 		msp.Event("fault_injected", "point", fpResultMarshal.Name(), "error", ferr.Error())
 		msp.SetError(ferr.Error())
 		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", ferr), nil, st.Cycles, st.Insts
+		return api.StateFailed, fmt.Sprintf("marshal result: %v", ferr), nil, cycle, insts
 	}
-	res := api.Result{
-		Key:        ex.key,
-		Version:    api.Version,
-		Spec:       ex.spec,
-		StopReason: string(st.Stop),
-		Stats:      st,
-		Metrics:    m.StatsRegistry().Snapshot().Flat(),
-	}
+	res.Key, res.Version, res.Spec = ex.key, api.Version, ex.spec
 	b, err := json.Marshal(res)
 	if err != nil {
 		msp.SetError(err.Error())
 		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", err), nil, st.Cycles, st.Insts
+		return api.StateFailed, fmt.Sprintf("marshal result: %v", err), nil, cycle, insts
 	}
 	msp.SetAttr("bytes", len(b))
-	msp.SetAttr("stop_reason", string(st.Stop))
+	msp.SetAttr("stop_reason", res.StopReason)
 	msp.End()
-	return api.StateDone, "", b, st.Cycles, st.Insts
+	return api.StateDone, "", b, cycle, insts
 }

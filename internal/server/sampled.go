@@ -18,7 +18,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -85,43 +84,19 @@ type intervalTask struct {
 
 func (t *intervalTask) claim() bool { return t.claimed.CompareAndSwap(false, true) }
 
-// runSampled executes one sampled-fidelity job end to end on the owning
-// worker: resolve the plan (profile store), fan the intervals out,
-// recombine, and optionally audit against a full-fidelity run. It is the
-// sampled counterpart of (*Server).simulate and returns through the same
-// contract.
-func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64) {
+// runSampled is the run simulate picks for the sampled fidelity: resolve the
+// plan (profile store), fan the intervals out under the job's context,
+// recombine, and optionally audit the estimate against runFull. The result
+// it returns is a pure function of the spec — estimates, weights, interval
+// measurements — so sampled results are as byte-reproducible and cacheable
+// as full ones; whether the profile came from the store lives only in spans
+// and server metrics. It also returns the cycles and instructions it
+// simulated.
+func (s *Server) runSampled(ctx context.Context, ex *execution, cfg pipeline.Config, prog *asm.Program) (res api.Result, cycle, insts uint64, err error) {
 	spec := ex.spec
-	cfg, err := spec.MachineConfig()
-	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
-	prog, err := spec.Program()
-	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
 	pkey, err := spec.ProfileKey()
 	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
-
-	// Same wall-clock discipline as the full path: the deadline wraps the
-	// execution's cancellation context, so Cancel/drain surface as
-	// "cancelled" while expiry fails the job as "deadline".
-	ctx := ex.ctx
-	wallMS := spec.MaxWallMS
-	if wallMS == 0 {
-		wallMS = s.opt.MaxWallMS
-	}
-	if wallMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ex.ctx, time.Duration(wallMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	if ferr := fpWorkerSimulate.Fire(); ferr != nil {
-		ex.simSpan.Event("fault_injected", "point", fpWorkerSimulate.Name(), "error", ferr.Error())
-		return api.StateFailed, ferr.Error(), nil, 0, 0
+		return res, 0, 0, err
 	}
 
 	// Profile once per program. The plan depends only on the program and the
@@ -137,7 +112,7 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 	if err != nil {
 		psp.SetError(err.Error())
 		psp.EndAt(pt0.Add(pd))
-		return api.StateFailed, fmt.Sprintf("sampled profile: %v", err), nil, 0, 0
+		return res, 0, 0, fmt.Errorf("sampled profile: %w", err)
 	}
 	psp.SetAttr("cached", cached)
 	psp.SetAttr("points", len(plan.Points))
@@ -152,7 +127,6 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 	wg.Add(n)
 	tasks := make([]*intervalTask, n)
 	for i := range tasks {
-		i := i
 		tasks[i] = &intervalTask{run: func(stolen bool) {
 			defer wg.Done()
 			s.sampledIntervals.Add(1)
@@ -164,19 +138,17 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 			isp.SetAttr("index", plan.Points[i].Interval.Index)
 			isp.SetAttr("weight", plan.Points[i].Weight)
 			isp.SetAttr("stolen", stolen)
-			if cerr := ctx.Err(); cerr != nil {
-				ierrs[i] = cerr
-				isp.SetError(cerr.Error())
-				isp.EndAt(it0.Add(time.Since(it0)))
-				return
+			// A task still unclaimed when the job ends skips the checkpoint
+			// restore; a running one stops at its next context poll.
+			ierrs[i] = ctx.Err()
+			if ierrs[i] == nil {
+				istats[i], ierrs[i] = plan.SimulatePoint(ctx, i, cfg, prog)
 			}
-			st, serr := plan.SimulatePoint(i, cfg, prog)
-			istats[i], ierrs[i] = st, serr
 			d := time.Since(it0)
-			isp.SetAttr("cycles", st.Cycles)
-			isp.SetAttr("insts", st.Insts)
-			if serr != nil {
-				isp.SetError(serr.Error())
+			isp.SetAttr("cycles", istats[i].Cycles)
+			isp.SetAttr("insts", istats[i].Insts)
+			if ierrs[i] != nil {
+				isp.SetError(ierrs[i].Error())
 			}
 			isp.EndAt(it0.Add(d))
 		}}
@@ -199,129 +171,27 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 		insts += istats[i].Insts
 	}
 	for i, ierr := range ierrs {
-		if ierr == nil {
-			continue
+		if ierr != nil {
+			return res, cycle, insts, fmt.Errorf("sampled interval %d: %w", plan.Points[i].Interval.Index, ierr)
 		}
-		if ctx.Err() != nil {
-			return s.sampledInterrupted(ex, wallMS, cycle, insts)
-		}
-		return api.StateFailed,
-			fmt.Sprintf("sampled interval %d: %v", plan.Points[i].Interval.Index, ierr),
-			nil, cycle, insts
 	}
-
 	est, err := plan.Estimate(istats)
 	if err != nil {
-		return api.StateFailed, err.Error(), nil, cycle, insts
+		return res, cycle, insts, err
 	}
 
-	var audit *auditRun
-	if spec.Sampled.Audit {
-		audit, err = s.runAudit(ctx, ex, cfg, spec, prog)
-		if err != nil {
-			if ctx.Err() != nil {
-				return s.sampledInterrupted(ex, wallMS, cycle, insts)
-			}
-			return api.StateFailed, fmt.Sprintf("sampled audit: %v", err), nil, cycle, insts
-		}
-		cycle += audit.stats.Cycles
-		insts += audit.stats.Insts
-	}
-	ex.progress(cycle, insts, est.IPC)
-	return s.buildSampledResult(ex, plan, est, istats, pkey, audit, cycle, insts)
-}
-
-// sampledInterrupted resolves a sampled run cut short by its context:
-// cancellation (Cancel, drain) versus the wall-clock deadline, mirroring the
-// full path's taxonomy — neither outcome is ever cached.
-func (s *Server) sampledInterrupted(ex *execution, wallMS, cycle, insts uint64) (state, errMsg string, result []byte, c, i uint64) {
-	if ex.ctx.Err() != nil {
-		ex.setTrace(string(pipeline.StopCancelled), "")
-		return api.StateCancelled, context.Canceled.Error(), nil, cycle, insts
-	}
-	s.jobsDeadline.Add(1)
-	ex.setTrace(string(pipeline.StopDeadline), "")
-	ex.simSpan.Event("deadline_exceeded", "wall_ms", wallMS)
-	return api.StateFailed,
-		fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded during sampled run", wallMS),
-		nil, cycle, insts
-}
-
-// auditRun is the optional full-fidelity comparison run's outcome.
-type auditRun struct {
-	stats pipeline.Stats
-	cpi   float64
-}
-
-// runAudit runs the program at full fidelity under the same machine config —
-// the measured truth a sampled estimate is validated against. Halt, fault
-// and cycle-budget exhaustion are all measured outcomes (the same taxonomy
-// full jobs cache); cancellation and deadline expiry are errors for the
-// caller to map.
-func (s *Server) runAudit(ctx context.Context, ex *execution, cfg pipeline.Config, spec api.JobSpec, prog *asm.Program) (*auditRun, error) {
-	at0 := time.Now()
-	asp := s.rec.StartSpanAt(ex.simSpan.Context(), "sampled.audit", at0)
-	finish := func(err error) error {
-		if err != nil {
-			asp.SetError(err.Error())
-		}
-		asp.EndAt(at0.Add(time.Since(at0)))
-		return err
-	}
-	m, err := pipeline.New(cfg, prog)
-	if err != nil {
-		return nil, finish(err)
-	}
-	budget := spec.MaxCycles
-	if budget == 0 {
-		budget = s.opt.MaxCycles
-	}
-	runErr := m.RunContext(ctx, budget)
-	st := m.Stats
-	asp.SetAttr("cycles", st.Cycles)
-	asp.SetAttr("insts", st.Insts)
-	asp.SetAttr("stop_reason", string(st.Stop))
-	switch {
-	case runErr == nil, st.Stop == pipeline.StopFault, st.Stop == pipeline.StopCycleLimit:
-	default:
-		return nil, finish(runErr)
-	}
-	if st.Insts == 0 {
-		return nil, finish(fmt.Errorf("audit run retired no instructions"))
-	}
-	finish(nil)
-	return &auditRun{stats: st, cpi: float64(st.Cycles) / float64(st.Insts)}, nil
-}
-
-// buildSampledResult marshals the extrapolation into canonical result bytes.
-// Everything inside is a pure function of the spec — estimates, weights,
-// interval measurements — so sampled results are as byte-reproducible and
-// cacheable as full ones. Deliberately absent: whether the profile came from
-// the cache (that lives in spans and server metrics; result bytes must not
-// depend on cache temperature).
-func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simpoint.Estimate, istats []pipeline.Stats, pkey string, audit *auditRun, cycle, insts uint64) (state, errMsg string, result []byte, c, i uint64) {
-	s.sampledJobs.Add(1)
-	ex.setTrace(api.StopSampled, "")
-	mt := time.Now()
-	msp := s.rec.StartSpanAt(ex.simSpan.Context(), "marshal", mt)
-	if ferr := fpResultMarshal.Fire(); ferr != nil {
-		msp.Event("fault_injected", "point", fpResultMarshal.Name(), "error", ferr.Error())
-		msp.SetError(ferr.Error())
-		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", ferr), nil, cycle, insts
-	}
-	points := make([]api.SampledPoint, len(plan.Points))
-	for idx, pt := range plan.Points {
-		points[idx] = api.SampledPoint{
+	points := make([]api.SampledPoint, n)
+	for i, pt := range plan.Points {
+		points[i] = api.SampledPoint{
 			Index:  pt.Interval.Index,
 			Weight: pt.Weight,
-			Cycles: istats[idx].Cycles,
-			Insts:  istats[idx].Insts,
-			CPI:    float64(istats[idx].Cycles) / float64(istats[idx].Insts),
+			Cycles: istats[i].Cycles,
+			Insts:  istats[i].Insts,
+			CPI:    float64(istats[i].Cycles) / float64(istats[i].Insts),
 		}
 	}
 	sr := &api.SampledResult{
-		Params:          *ex.spec.Sampled,
+		Params:          *spec.Sampled,
 		ProfileKey:      pkey,
 		Intervals:       plan.Intervals,
 		TotalInsts:      plan.TotalInsts,
@@ -338,20 +208,40 @@ func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simp
 		"sampled.estimated_cycles": float64(est.Cycles),
 		"sampled.total_insts":      float64(plan.TotalInsts),
 		"sampled.intervals":        float64(plan.Intervals),
-		"sampled.points":           float64(len(plan.Points)),
-		"sampled.interval_len":     float64(ex.spec.Sampled.IntervalLen),
+		"sampled.points":           float64(n),
+		"sampled.interval_len":     float64(spec.Sampled.IntervalLen),
 	}
-	if audit != nil {
-		sr.AuditCPI = audit.cpi
-		sr.AuditErr = (est.CPI - audit.cpi) / audit.cpi
-		sr.AuditStopReason = string(audit.stats.Stop)
-		metrics["sampled.audit_cpi"] = audit.cpi
+
+	// The audit is a full run of the program under the same machine config:
+	// the measured truth the estimate is validated against.
+	if spec.Sampled.Audit {
+		at0 := time.Now()
+		asp := s.rec.StartSpanAt(ex.simSpan.Context(), "sampled.audit", at0)
+		full, c, i, aerr := s.runFull(ctx, ex, cfg, prog)
+		cycle, insts = cycle+c, insts+i
+		asp.SetAttr("cycles", c)
+		asp.SetAttr("insts", i)
+		asp.SetAttr("stop_reason", full.StopReason)
+		if aerr == nil && i == 0 {
+			aerr = errors.New("audit run retired no instructions")
+		}
+		if aerr != nil {
+			asp.SetError(aerr.Error())
+		}
+		asp.EndAt(at0.Add(time.Since(at0)))
+		if aerr != nil {
+			return res, cycle, insts, fmt.Errorf("sampled audit: %w", aerr)
+		}
+		cpi := float64(c) / float64(i)
+		sr.AuditCPI = cpi
+		sr.AuditErr = (est.CPI - cpi) / cpi
+		sr.AuditStopReason = full.StopReason
+		metrics["sampled.audit_cpi"] = cpi
 		metrics["sampled.audit_err"] = sr.AuditErr
 	}
-	res := api.Result{
-		Key:        ex.key,
-		Version:    api.Version,
-		Spec:       ex.spec,
+	ex.progress(cycle, insts, est.IPC)
+	s.sampledJobs.Add(1)
+	return api.Result{
 		StopReason: api.StopSampled,
 		// The extrapolated whole-program view: what a full run of the
 		// profiled execution is predicted to cost.
@@ -362,15 +252,5 @@ func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simp
 		},
 		Metrics: metrics,
 		Sampled: sr,
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		msp.SetError(err.Error())
-		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", err), nil, cycle, insts
-	}
-	msp.SetAttr("bytes", len(b))
-	msp.SetAttr("stop_reason", api.StopSampled)
-	msp.End()
-	return api.StateDone, "", b, cycle, insts
+	}, cycle, insts, nil
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"specmpk/internal/server/api"
+	"specmpk/internal/simpoint"
 )
 
 // sampledSpec is a laptop-scale sampled job on a catalogue workload: small
@@ -284,5 +287,171 @@ func TestSampledWallDeadline(t *testing.T) {
 			t.Fatal("follow-up job did not finish; worker wedged")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// twoPhaseAsm runs one loop for the first 2^22 instructions and another
+// loop after them, so the plan longIntervalSpec profiles over it picks two
+// simulation points. Each is one 2^22-instruction interval: hundreds of
+// milliseconds of detailed simulation, long enough for a Cancel or a
+// deadline to land inside it.
+const twoPhaseAsm = `
+main:
+    movi t1, 1398101
+first:
+    addi t0, t0, 1
+    addi t1, t1, -1
+    bne t1, zero, first
+second:
+    addi t2, t2, 1
+    jmp second
+`
+
+func longIntervalSpec() api.JobSpec {
+	return api.JobSpec{
+		Asm:      twoPhaseAsm,
+		Fidelity: api.FidelitySampled,
+		Sampled:  &api.SampledParams{IntervalLen: api.MaxSampledIntervalLen, MaxInsts: 1 << 23, K: 4, Seed: 1},
+	}
+}
+
+// longIntervalPlan is longIntervalSpec's plan, built once per test binary:
+// under -race the profiling pass takes seconds.
+var longIntervalPlan = sync.OnceValues(func() (*simpoint.Plan, error) {
+	spec, err := longIntervalSpec().Normalize()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := spec.Program()
+	if err != nil {
+		return nil, err
+	}
+	return simpoint.BuildPlan(prog, spec.Sampled.SimPointConfig())
+})
+
+// warmLongIntervalProfile puts longIntervalPlan into s's profile store, so
+// a longIntervalSpec job starts simulating intervals as soon as it runs.
+func warmLongIntervalProfile(t *testing.T, s *Server) {
+	t.Helper()
+	pkey, err := longIntervalSpec().ProfileKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := s.profile(pkey, longIntervalPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Points) != 2 {
+		t.Fatalf("plan has %d points, want 2", len(plan.Points))
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 30 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// freeWorkerBound is how soon after a Cancel or deadline a sampled job's
+// workers must be free again. An interval polls its context every 1,024
+// cycles, so it stops within milliseconds even under -race; one that ran to
+// its end would keep its worker for most of a second.
+const freeWorkerBound = 300 * time.Millisecond
+
+// TestDeadlineStopsSampledInterval: the wall-clock deadline reaches into the
+// running intervals, one of them stolen by the second worker, so the job
+// fails "deadline:" near its budget instead of finishing both and ending
+// done.
+func TestDeadlineStopsSampledInterval(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 2})
+	warmLongIntervalProfile(t, s)
+	spec := longIntervalSpec()
+	spec.MaxWallMS = 100
+	info, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitJob(t, s, info.ID)
+	if final.State != api.StateFailed || !strings.HasPrefix(final.Error, "deadline:") {
+		t.Fatalf("state=%s err=%q, want a deadline failure", final.State, final.Error)
+	}
+	if limit := float64(spec.MaxWallMS) + ms(freeWorkerBound); final.WallMS > limit {
+		t.Fatalf("the job ran %.0f ms under a %d ms deadline, want < %.0f ms", final.WallMS, spec.MaxWallMS, limit)
+	}
+	if got := s.jobsDeadline.Load(); got != 1 {
+		t.Fatalf("jobs_deadline = %d, want 1", got)
+	}
+}
+
+// TestSampledCancelFreesWorker: a Cancel stops the interval running on the
+// only worker, which then serves the next job at once.
+func TestSampledCancelFreesWorker(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	warmLongIntervalProfile(t, s)
+	info, err := s.Submit(longIntervalSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "an interval to start", func() bool { return s.sampledIntervals.Load() > 0 })
+	t0 := time.Now()
+	if _, ok := s.Cancel(info.ID); !ok {
+		t.Fatal("cancel: unknown job")
+	}
+	next, err := s.Submit(api.JobSpec{Asm: haltAsm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitJob(t, s, next.ID); got.State != api.StateDone {
+		t.Fatalf("post-cancel job state %s, want done", got.State)
+	}
+	if d := time.Since(t0); d > freeWorkerBound {
+		t.Fatalf("the worker took %v after the Cancel to run a trivial job, want < %v", d, freeWorkerBound)
+	}
+	if final := waitJob(t, s, info.ID); final.State != api.StateCancelled {
+		t.Fatalf("cancelled job state %s", final.State)
+	}
+}
+
+// TestSampledCancelFreesStealingWorker: when another worker stole one of
+// the cancelled job's intervals, both workers stop and take new jobs.
+func TestSampledCancelFreesStealingWorker(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 2})
+	warmLongIntervalProfile(t, s)
+	info, err := s.Submit(longIntervalSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a stolen interval", func() bool { return s.sampledStolen.Load() > 0 })
+	waitFor(t, "two running intervals", func() bool { return s.sampledIntervals.Load() >= 2 })
+	t0 := time.Now()
+	if _, ok := s.Cancel(info.ID); !ok {
+		t.Fatal("cancel: unknown job")
+	}
+	// Two jobs that never halt can both be running only on two free workers.
+	var ids []string
+	for i := 0; i < 2; i++ {
+		next, err := s.Submit(uniqueSpec(i, 1<<40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, next.ID)
+		t.Cleanup(func() { s.Cancel(next.ID) })
+	}
+	waitFor(t, "both workers to take a new job", func() bool {
+		for _, id := range ids {
+			if cur, _ := s.Job(id); cur.State != api.StateRunning {
+				return false
+			}
+		}
+		return true
+	})
+	if d := time.Since(t0); d > freeWorkerBound {
+		t.Fatalf("both workers were free %v after the Cancel, want < %v", d, freeWorkerBound)
 	}
 }

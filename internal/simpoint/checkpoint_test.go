@@ -1,6 +1,8 @@
 package simpoint
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,11 +149,11 @@ func TestSimulatePointDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	mcfg := pipeline.DefaultConfig()
-	a, err := plan.SimulatePoint(0, mcfg, prog)
+	a, err := plan.SimulatePoint(context.Background(), 0, mcfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := plan.SimulatePoint(0, mcfg, prog)
+	b, err := plan.SimulatePoint(context.Background(), 0, mcfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +162,34 @@ func TestSimulatePointDeterministic(t *testing.T) {
 	}
 	if a.Insts < testConfig().IntervalLen {
 		t.Fatalf("point retired %d insts, want >= %d", a.Insts, testConfig().IntervalLen)
+	}
+}
+
+// TestSimulatePointCancelled: an interval run under a cancelled context
+// stops at its first context poll, with the context's error and a
+// cancelled stop reason.
+func TestSimulatePointCancelled(t *testing.T) {
+	w, _ := workload.ByName("541.leela_r")
+	prog, err := w.Build(workload.VariantFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPlan(prog, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err := plan.SimulatePoint(ctx, 0, pipeline.DefaultConfig(), prog)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("SimulatePoint = %v, want context.Canceled", err)
+	}
+	if st.Stop != pipeline.StopCancelled {
+		t.Fatalf("stop reason %q, want %q", st.Stop, pipeline.StopCancelled)
+	}
+	// The run polls its context every 1,024 cycles.
+	if st.Cycles > 1024 {
+		t.Fatalf("cancelled interval ran %d cycles, want at most one poll interval", st.Cycles)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -69,10 +70,12 @@ func BuildPlan(prog *asm.Program, cfg Config) (*Plan, error) {
 }
 
 // SimulatePoint simulates point i in detail under mcfg: restore the
-// checkpoint into a fresh machine and run one interval. Safe to call
-// concurrently for different (or the same) i — every call builds its own
-// machine.
-func (p *Plan) SimulatePoint(i int, mcfg pipeline.Config, prog *asm.Program) (pipeline.Stats, error) {
+// checkpoint into a fresh machine and run one interval under ctx, which the
+// run polls every 1,024 cycles — a cancelled or expired ctx stops the
+// interval with its error and Stats.Stop = StopCancelled (or StopDeadline).
+// Safe to call concurrently for different (or the same) i — every call
+// builds its own machine.
+func (p *Plan) SimulatePoint(ctx context.Context, i int, mcfg pipeline.Config, prog *asm.Program) (pipeline.Stats, error) {
 	if i < 0 || i >= len(p.Checkpoints) {
 		return pipeline.Stats{}, fmt.Errorf("simpoint: point %d out of range (%d points)", i, len(p.Checkpoints))
 	}
@@ -83,10 +86,8 @@ func (p *Plan) SimulatePoint(i int, mcfg pipeline.Config, prog *asm.Program) (pi
 	// Generous cycle budget: even a CPI-800 interval completes, while a
 	// pathological machine still terminates deterministically.
 	budget := p.Cfg.IntervalLen*800 + 400_000
-	if err := m.RunInsts(p.Cfg.IntervalLen, budget); err != nil {
-		return m.Stats, err
-	}
-	return m.Stats, nil
+	err = m.RunContext(ctx, p.Cfg.IntervalLen, budget)
+	return m.Stats, err
 }
 
 // Estimate is a sampled whole-program prediction recombined from the

@@ -11,6 +11,7 @@
 package simpoint
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -256,7 +257,7 @@ func Evaluate(prog *asm.Program, mcfg pipeline.Config, cfg Config) (float64, []P
 	}
 	var ipcSum, wSum float64
 	for i, pt := range plan.Points {
-		st, err := plan.SimulatePoint(i, mcfg, prog)
+		st, err := plan.SimulatePoint(context.Background(), i, mcfg, prog)
 		if err != nil {
 			return 0, nil, err
 		}
