@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke profile-artifact check clean
+.PHONY: all build test vet lint size race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke profile-artifact check clean
 
 all: check
 
@@ -25,6 +25,13 @@ lint: vet
 		echo "staticcheck not installed; ran go vet only" \
 		     "(go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# Code size: non-test, non-comment, non-blank lines of tracked Go outside the
+# frozen benchmark module — the figure simplicity changes report. Nothing
+# gates on it.
+size:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | \
+		xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 race:
 	$(GO) test -race ./...

@@ -11,6 +11,7 @@ package specmpk
 // cmd/specmpk-bench prints the same experiments as full row-by-row tables.
 
 import (
+	"context"
 	"testing"
 
 	"specmpk/internal/attack"
@@ -163,7 +164,8 @@ func BenchmarkHWCost(b *testing.B) {
 }
 
 // BenchmarkSimPointMethodology exercises the §VII methodology end to end on
-// one workload: profile, cluster, functional warming, weighted IPC.
+// one workload: profile, cluster, checkpoint, warm-started detailed
+// intervals, and the cluster-weighted estimate.
 func BenchmarkSimPointMethodology(b *testing.B) {
 	p, _ := workload.ByName("541.leela_r")
 	prog, err := p.Build(workload.VariantFull)
@@ -173,11 +175,21 @@ func BenchmarkSimPointMethodology(b *testing.B) {
 	cfg := simpoint.Config{IntervalLen: 10_000, MaxInsts: 500_000, K: 5, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ipc, _, err := simpoint.Evaluate(prog, pipeline.DefaultConfig(), cfg)
+		plan, err := simpoint.BuildPlan(prog, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(ipc, "weighted-ipc")
+		stats := make([]pipeline.Stats, len(plan.Points))
+		for j := range plan.Points {
+			if stats[j], err = plan.SimulatePoint(context.Background(), j, pipeline.DefaultConfig(), prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+		est, err := plan.Estimate(stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(est.IPC, "estimated-ipc")
 	}
 }
 

@@ -15,9 +15,10 @@
 //	-stats-interval N     with -stats-out: JSONL of per-N-cycle snapshot
 //	                      deltas (interval IPC etc.), final cumulative last
 //	-prom-out FILE        the same registry in Prometheus text exposition
-//	-trace-out FILE       structured event trace (squash, wrpkru_retire,
-//	                      head_replay, no_forward, tlb_defer, upgrade_open,
-//	                      upgrade_close) as JSONL
+//	-trace-out FILE       the core's event stream as JSONL: squash,
+//	                      wrpkru_retire, upgrade_open/commit/squash,
+//	                      load_stall, load_replay, store_replay, no_forward,
+//	                      no_forward_commit, tlb_defer, tlb_fill
 //	-konata-out FILE      per-instruction stage timeline in the Kanata format
 //	                      (loadable by Konata / gem5-o3-pipeview viewers)
 //	-profile-out FILE     per-PC/per-block profile (retired + CPI-stack cycle
@@ -43,11 +44,9 @@ import (
 	"strings"
 
 	"specmpk/internal/asm"
-	"specmpk/internal/isa"
 	"specmpk/internal/otrace"
 	"specmpk/internal/perf"
 	"specmpk/internal/pipeline"
-	"specmpk/internal/pipeview"
 	"specmpk/internal/profile"
 	"specmpk/internal/stats"
 	"specmpk/internal/textplot"
@@ -179,33 +178,34 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *traceN > 0 {
-		count := uint64(0)
-		m.OnRetire = func(seq, pc uint64, in isa.Inst) {
-			if count < *traceN {
-				fmt.Printf("retire %6d  cyc %8d  0x%06x  %s\n", seq, m.Cycle(), pc, in)
-			}
-			count++
-		}
-	}
-	if out.trace != nil {
-		m.Events = trace.NewRing(*traceBuf)
-	}
-	// One stage-record capture feeds both the pipeview renderer and the
-	// Konata exporter; keep as many records as the larger consumer needs.
+	// One retire record feeds the -trace log as the run goes, and a capture
+	// of as many records as the larger stage renderer needs (-pipeview,
+	// -konata-out).
 	keepRecs := *pview
 	if *konataOut != "" && *konataN > keepRecs {
 		keepRecs = *konataN
 	}
-	var recs []pipeline.TraceRecord
-	if keepRecs > 0 {
-		m.OnTrace = func(r pipeline.TraceRecord) {
+	var recs []trace.Record
+	if *traceN > 0 || keepRecs > 0 {
+		retired := uint64(0)
+		m.OnTrace = func(r trace.Record) {
+			if retired < *traceN {
+				fmt.Printf("retire %6d  cyc %8d  0x%06x  %s\n", r.Seq, r.Retire, r.PC, r.Inst)
+			}
+			retired++
 			if uint64(len(recs)) < keepRecs {
 				recs = append(recs, r)
 			}
 		}
 	}
 
+	// The event stream feeds the -trace-out ring and the pkey audit ledger.
+	var sinks trace.Fanout
+	var ring *trace.Ring
+	if out.trace != nil {
+		ring = trace.NewRing(*traceBuf)
+		sinks = append(sinks, ring)
+	}
 	reg := m.StatsRegistry()
 	var prof *profile.Profiler
 	var ledger *profile.Ledger
@@ -213,8 +213,11 @@ func main() {
 		prof = profile.New(prog)
 		ledger = profile.NewLedger()
 		m.Prof = prof
-		m.Audit = ledger
+		sinks = append(sinks, ledger)
 		ledger.Register(reg)
+	}
+	if len(sinks) > 0 {
+		m.Events = sinks
 	}
 	var runErr error
 	switch {
@@ -242,7 +245,7 @@ func main() {
 		if uint64(len(n)) > *pview {
 			n = n[:*pview]
 		}
-		fmt.Print(pipeview.Render(n, 100))
+		fmt.Print(trace.Pipeview(n, 100))
 	}
 	if out.konata != nil {
 		if err := writeKonata(out.konata, recs, *konataN); err != nil {
@@ -272,11 +275,11 @@ func main() {
 			}{runTrace}); err != nil {
 				return err
 			}
-			return trace.WriteJSONL(f, m.Events.Events())
+			return trace.WriteJSONL(f, ring.Events())
 		}); err != nil {
 			fatal(err)
 		}
-		if d := m.Events.Dropped(); d > 0 {
+		if d := ring.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "specmpk-sim: event ring overflowed; oldest %d events dropped (raise -trace-buf)\n", d)
 		}
 	}
@@ -302,7 +305,7 @@ func main() {
 			fmt.Println()
 			rep.Table(os.Stdout, 10)
 			fmt.Println("\npkey audit ledger:")
-			ledger.Table(os.Stdout)
+			profile.LedgerTable(os.Stdout, ledger.Rows())
 			fmt.Println()
 		}
 	}
@@ -390,20 +393,12 @@ func buildProgram(wl, asmFile, variant string) (*asm.Program, error) {
 	return nil, fmt.Errorf("need -workload or -asm (or -list)")
 }
 
-func writeKonata(f *os.File, recs []pipeline.TraceRecord, n uint64) error {
+func writeKonata(f *os.File, recs []trace.Record, n uint64) error {
 	if uint64(len(recs)) > n {
 		recs = recs[:n]
 	}
-	srs := make([]trace.StageRecord, len(recs))
-	for i, r := range recs {
-		srs[i] = trace.StageRecord{
-			Seq: r.Seq, PC: r.PC, Disasm: r.Inst.String(),
-			Fetch: r.Fetch, Rename: r.Rename, Issue: r.Issue,
-			Complete: r.Complete, Retire: r.Retire,
-		}
-	}
 	return finishOut(f, func(f *os.File) error {
-		return trace.WriteKonata(f, srs)
+		return trace.WriteKonata(f, recs)
 	})
 }
 

@@ -53,7 +53,7 @@ func runProfiled(p workload.Profile, mode pipeline.Mode) (ProfileRow, *profile.R
 	prof := profile.New(prog)
 	ledger := profile.NewLedger()
 	m.Prof = prof
-	m.Audit = ledger
+	m.Events = ledger
 	ledger.Register(m.StatsRegistry())
 	if err := m.Run(500_000_000); err != nil {
 		return ProfileRow{}, nil, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
@@ -130,7 +130,7 @@ func RenderProfile(res *ProfileResult, topN int) string {
 			r.Report.BlockTable(&b, 5)
 		}
 		fmt.Fprintf(&b, "\npkey audit ledger (%s / %s):\n", r.Workload, r.Mode)
-		ledgerTable(&b, r.Ledger)
+		profile.LedgerTable(&b, r.Ledger)
 	}
 	if len(res.Diffs) > 0 {
 		b.WriteByte('\n')
@@ -150,16 +150,4 @@ func RenderDiff(res *ProfileResult, topN int) string {
 		b.WriteString(d.Diff.Histogram(10, 40))
 	}
 	return b.String()
-}
-
-func ledgerTable(b *strings.Builder, rows []profile.LedgerRow) {
-	fmt.Fprintf(b, "%-8s %9s %9s %10s %10s %9s %10s %9s %10s %9s %10s\n",
-		"pkey", "upg.open", "upg.commt", "upg.squash", "upg.cycles",
-		"ld.stall", "ld.cycles", "st.nofwd", "fwd.cycles", "tlb.defer", "tlb.cycles")
-	for _, r := range rows {
-		fmt.Fprintf(b, "%-8s %9d %9d %10d %10d %9d %10d %9d %10d %9d %10d\n",
-			r.Pkey, r.UpgradesOpened, r.UpgradesCommitted, r.UpgradesSquashed,
-			r.UpgradeWindowCycles, r.LoadsStalled, r.LoadStallCycles,
-			r.StoresNoForward, r.NoForwardCycles, r.TLBDefers, r.TLBDeferCycles)
-	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // WriteJSONL writes one JSON object per span per line — the same export
-// shape the event trace, profiler, and audit ledger share.
+// shape as the event trace.
 func WriteJSONL(w io.Writer, spans []SpanData) error {
 	return trace.WriteJSONLRows(w, spans)
 }

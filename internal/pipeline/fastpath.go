@@ -83,9 +83,9 @@ func (m *Machine) idleCycles(limit uint64) uint64 {
 // skipIdle batch-accounts n cycles identical to the one just simulated. The
 // increments mirror exactly what n repetitions of Step would have done: the
 // cycle counters, the rename-stall counters renameStage charges when it wants
-// to rename but cannot, and the CPI-stack bucket accountCycle chose. No trace,
-// audit or load-latency observation fires on an idle cycle, so none is
-// replayed here.
+// to rename but cannot, and the CPI-stack bucket accountCycle chose. No event,
+// retire record or load-latency observation fires on an idle cycle, so none
+// is replayed here.
 func (m *Machine) skipIdle(n uint64) {
 	m.cycle += n
 	m.Stats.Cycles += n

@@ -6,11 +6,12 @@ import (
 	"specmpk/internal/trace"
 )
 
-// This file is the observation seam the simulated-time profiler and the pkey
-// security audit ledger (internal/profile) plug into. Both hooks are pull-free
-// and allocation-free on the hot path: a nil sink disables the layer entirely,
-// and every call site passes only values the stage already holds. Neither hook
-// may influence timing — the golden-stats harness pins that.
+// This file is the observation seam the simulated-time profiler
+// (internal/profile) and the event stream (internal/trace: the ring and the
+// pkey audit ledger) plug into. Both hooks are pull-free and allocation-free
+// on the hot path: a nil sink disables the layer entirely, and every call
+// site passes only values the stage already holds. Neither hook may
+// influence timing — the golden-stats harness pins that.
 
 // CPIBucket indexes the CPIStack buckets so a per-cycle attribution can name
 // the bucket it lands in without string matching. The order mirrors CPIStack's
@@ -29,80 +30,54 @@ const (
 	NumCPIBuckets
 )
 
+// cpiBuckets names each bucket (CPIStack's JSON tag, and the stats registry's
+// pipeline.cpi.* suffix) and describes it, in bucket order.
+var cpiBuckets = [NumCPIBuckets]struct{ name, desc string }{
+	{"base", "cycles retiring work or stalled on execution latency"},
+	{"frontend", "empty-window cycles from fetch/decode starvation"},
+	{"serialize", "cycles lost to WRPKRU/RDPKRU serialization"},
+	{"rob_pkru_full", "cycles lost to ROB_pkru capacity"},
+	{"memory", "cycles the oldest instruction waited on memory"},
+	{"squash_recovery", "post-squash refill bubbles"},
+}
+
 // String returns the bucket's JSON name (matching CPIStack's tags).
 func (b CPIBucket) String() string {
+	if b < 0 || b >= NumCPIBuckets {
+		return "unknown"
+	}
+	return cpiBuckets[b].name
+}
+
+// field returns bucket b's counter in c: the one place a bucket maps to its
+// CPIStack field.
+func (c *CPIStack) field(b CPIBucket) *uint64 {
 	switch b {
 	case BucketBase:
-		return "base"
+		return &c.Base
 	case BucketFrontend:
-		return "frontend"
+		return &c.Frontend
 	case BucketSerialize:
-		return "serialize"
+		return &c.Serialize
 	case BucketPkruFull:
-		return "rob_pkru_full"
+		return &c.PkruFull
 	case BucketMemory:
-		return "memory"
+		return &c.Memory
 	case BucketSquashRecovery:
-		return "squash_recovery"
+		return &c.SquashRecovery
 	}
-	return "unknown"
+	panic("pipeline: bad CPI bucket")
 }
 
 // Add increments the bucket b of the stack.
-func (c *CPIStack) Add(b CPIBucket) {
-	switch b {
-	case BucketBase:
-		c.Base++
-	case BucketFrontend:
-		c.Frontend++
-	case BucketSerialize:
-		c.Serialize++
-	case BucketPkruFull:
-		c.PkruFull++
-	case BucketMemory:
-		c.Memory++
-	case BucketSquashRecovery:
-		c.SquashRecovery++
-	}
-}
+func (c *CPIStack) Add(b CPIBucket) { *c.field(b)++ }
 
 // AddN adds n cycles to bucket b — the idle fast-forward's batch equivalent
 // of n Add calls (see skipIdle).
-func (c *CPIStack) AddN(b CPIBucket, n uint64) {
-	switch b {
-	case BucketBase:
-		c.Base += n
-	case BucketFrontend:
-		c.Frontend += n
-	case BucketSerialize:
-		c.Serialize += n
-	case BucketPkruFull:
-		c.PkruFull += n
-	case BucketMemory:
-		c.Memory += n
-	case BucketSquashRecovery:
-		c.SquashRecovery += n
-	}
-}
+func (c *CPIStack) AddN(b CPIBucket, n uint64) { *c.field(b) += n }
 
 // Bucket returns the count in bucket b.
-func (c CPIStack) Bucket(b CPIBucket) uint64 {
-	switch b {
-	case BucketBase:
-		return c.Base
-	case BucketFrontend:
-		return c.Frontend
-	case BucketSerialize:
-		return c.Serialize
-	case BucketPkruFull:
-		return c.PkruFull
-	case BucketMemory:
-		return c.Memory
-	case BucketSquashRecovery:
-		return c.SquashRecovery
-	}
-	return 0
-}
+func (c CPIStack) Bucket(b CPIBucket) uint64 { return *c.field(b) }
 
 // ProfileSink receives the per-PC profiler feed: one CycleAttributed call per
 // simulated cycle (the same attribution accountCycle folds into Stats.CPI,
@@ -127,83 +102,23 @@ type ProfileSink interface {
 	Retired(pc uint64)
 }
 
-// AuditKind names a pkey security audit event.
-type AuditKind string
-
-// The audit event kinds. Open/stall/defer/suppress events fire when a
-// speculative window opens; the matching close/replay/commit events carry the
-// window's simulated-time Duration in cycles.
-const (
-	// AuditUpgradeOpen: an executed WRPKRU transiently grants pkey a
-	// permission the committed ARF_pkru denies (one event per upgraded key).
-	AuditUpgradeOpen AuditKind = "upgrade_open"
-	// AuditUpgradeCommit: the upgrading WRPKRU retired; the window is now
-	// architectural. Duration = execute→retire cycles.
-	AuditUpgradeCommit AuditKind = "upgrade_commit"
-	// AuditUpgradeSquash: the upgrading WRPKRU was squashed; the transient
-	// window closed without ever becoming architectural.
-	AuditUpgradeSquash AuditKind = "upgrade_squash"
-	// AuditLoadStall: a load deferred to the window head (PKRU Load Check
-	// failure, deferred TLB fill, or forwarding suppression); Reason
-	// distinguishes the cause.
-	AuditLoadStall AuditKind = "load_stall"
-	// AuditLoadReplay: a stalled load re-executed at the head;
-	// Duration = stall→replay cycles.
-	AuditLoadReplay AuditKind = "load_replay"
-	// AuditNoForward: a store's store-to-load forwarding was suppressed
-	// (failed PKRU Store Check or deferred translation).
-	AuditNoForward AuditKind = "no_forward"
-	// AuditNoForwardCommit: a no-forward store reached commit and passed
-	// its precise re-check; Duration = execute→commit cycles.
-	AuditNoForwardCommit AuditKind = "no_forward_commit"
-	// AuditTLBDefer: a TLB-missing access whose fill was deferred to
-	// retirement (§V-C5).
-	AuditTLBDefer AuditKind = "tlb_defer"
-	// AuditTLBFill: a deferred TLB fill finally performed at the head or at
-	// commit; Duration = defer→fill cycles.
-	AuditTLBFill AuditKind = "tlb_fill"
-)
-
-// PkeyUnknown marks audit events whose protection key is not yet known —
-// the access's translation was itself deferred.
-const PkeyUnknown = -1
-
-// AuditEvent is one pkey security occurrence delivered to the AuditSink.
-type AuditEvent struct {
-	Kind     AuditKind
-	Cycle    uint64
-	Pkey     int // protection key, or PkeyUnknown
-	PC       uint64
-	Seq      uint64
-	Duration uint64 // close/replay/commit events: cycles since the open
-	Store    bool
-	Reason   string // load_stall: load_check | tlb_defer | forward_blocked | partial_forward
-}
-
-// AuditSink receives pkey security audit events. The events fire at the
-// points where a policy verdict takes effect (load/store check results,
-// WRPKRU execute/retire/squash, deferred fills), so every row of the policy
-// table is audited without instrumentation of its own.
-type AuditSink interface {
-	Audit(AuditEvent)
-}
-
-// audit forwards an audit event to the attached sink, stamping the cycle.
-func (m *Machine) audit(e AuditEvent) {
-	if m.Audit != nil {
+// emit stamps an event with the current cycle and hands it to the attached
+// sink. Each occurrence is emitted once, at the point its verdict takes
+// effect.
+func (m *Machine) emit(e trace.Event) {
+	if m.Events != nil {
 		e.Cycle = m.cycle
-		m.Audit.Audit(e)
+		m.Events.Emit(e)
 	}
 }
 
-// auditUpgradeOpen fires one AuditUpgradeOpen event (and one upgrade_open
-// trace event) per protection key that the executing WRPKRU transiently
-// upgrades relative to the committed ARF — the speculative windows the
-// SpecMPK attack surface is about. Only renamed designs have such windows: a
-// serialized WRPKRU updates the ARF directly at execute, so its grants are
-// architectural the moment they exist.
-func (m *Machine) auditUpgradeOpen(e *alEntry) {
-	if (m.Audit == nil && m.Events == nil) || !m.pol.renamesPKRU {
+// openUpgrades emits one upgrade_open event per protection key that the
+// executing WRPKRU transiently upgrades relative to the committed ARF — the
+// speculative windows the SpecMPK attack surface is about. Only renamed
+// designs have such windows: a serialized WRPKRU updates the ARF directly at
+// execute, so its grants are architectural the moment they exist.
+func (m *Machine) openUpgrades(e *alEntry) {
+	if m.Events == nil || !m.pol.renamesPKRU {
 		return
 	}
 	nv := mpk.PKRU(e.storeData)
@@ -214,33 +129,51 @@ func (m *Machine) auditUpgradeOpen(e *alEntry) {
 		writeUp := nv.WriteAllowed(k) && !arf.WriteAllowed(k)
 		if readUp || writeUp {
 			mask |= 1 << k
-			m.audit(AuditEvent{Kind: AuditUpgradeOpen, Pkey: k, PC: e.pc, Seq: e.seq})
-			m.emit(trace.Event{Kind: trace.KindUpgradeOpen, Seq: e.seq, PC: e.pc, N: uint64(k)})
+			m.emit(trace.Event{Kind: trace.KindUpgradeOpen, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(k)})
 		}
 	}
 	e.upgMask = mask
 	e.upgCyc = m.cycle
 }
 
-// auditUpgradeClose closes every transient-upgrade window e opened, as a
-// commit (the window became architectural) or a squash (it never did).
-func (m *Machine) auditUpgradeClose(e *alEntry, committed bool) {
+// closeUpgrades closes every transient-upgrade window e opened, as a commit
+// (the window became architectural) or a squash (it never did).
+func (m *Machine) closeUpgrades(e *alEntry, committed bool) {
 	if e.upgMask == 0 {
 		return
 	}
-	kind, note := AuditUpgradeCommit, "commit"
-	if !committed {
-		kind, note = AuditUpgradeSquash, "squash"
+	kind := trace.KindUpgradeSquash
+	if committed {
+		kind = trace.KindUpgradeCommit
 	}
 	d := m.cycle - e.upgCyc
 	for k := 0; k < mpk.NumKeys; k++ {
-		if e.upgMask&(1<<k) == 0 {
-			continue
+		if e.upgMask&(1<<k) != 0 {
+			m.emit(trace.Event{Kind: kind, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(k), N: d})
 		}
-		m.audit(AuditEvent{Kind: kind, Pkey: k, PC: e.pc, Seq: e.seq, Duration: d})
-		m.emit(trace.Event{Kind: trace.KindUpgradeClose, Seq: e.seq, PC: e.pc, N: uint64(k), Note: note})
 	}
 	e.upgMask = 0
+}
+
+// holdToHead stalls a load until it is non-squashable: it re-executes at the
+// window head (reissueAtHead). why names the policy gate that held it, and
+// key its protection key when already known.
+func (m *Machine) holdToHead(e *alEntry, key trace.Key, why string) {
+	e.stallTillHead = true
+	e.stallCyc = m.cycle
+	m.Stats.LoadsStalledTillHead++
+	m.emit(trace.Event{Kind: trace.KindLoadStall, Seq: e.seq, PC: e.pc, Pkey: key, Note: why})
+}
+
+// closeHold emits kind as e's held window closes, at the head replay or at
+// commit, with N the cycles since it opened; then, when e's translation was
+// deferred, the tlb_fill just performed.
+func (m *Machine) closeHold(e *alEntry, kind trace.Kind) {
+	d := m.cycle - e.stallCyc
+	m.emit(trace.Event{Kind: kind, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(e.pkey), N: d})
+	if e.tlbDeferred {
+		m.emit(trace.Event{Kind: trace.KindTLBFill, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(e.pkey), N: d})
+	}
 }
 
 // serializeSitePC locates the WRPKRU site responsible for a serialize-bucket

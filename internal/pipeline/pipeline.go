@@ -349,14 +349,6 @@ const (
 
 const noReg = -1
 
-// TraceRecord carries one retired instruction's per-stage timestamps.
-type TraceRecord struct {
-	Seq                                    uint64
-	PC                                     uint64
-	Inst                                   isa.Inst
-	Fetch, Rename, Issue, Complete, Retire uint64
-}
-
 // alEntry is one in-flight instruction.
 type alEntry struct {
 	seq uint64
@@ -415,8 +407,8 @@ type alEntry struct {
 
 	fault *mem.Fault // delivered at retirement
 
-	// Audit bookkeeping. The upgrade fields are written only when
-	// Machine.Audit or Machine.Events is attached.
+	// Event bookkeeping. The upgrade fields are written only when
+	// Machine.Events is attached.
 	stallCyc uint64 // cycle a stall/no-forward/defer window opened
 	upgCyc   uint64 // cycle this WRPKRU's transient-upgrade window opened
 	upgMask  uint16 // pkeys this WRPKRU transiently upgrades vs the ARF
@@ -459,34 +451,29 @@ type Machine struct {
 	// ones) with its observed latency — the measurement hook the
 	// flush+reload harness uses (Fig. 13).
 	OnLoadLatency func(vaddr uint64, lat int)
-	// OnRetire observes every retired (architecturally committed)
-	// instruction in program order — tracing and debugging.
-	OnRetire func(seq uint64, pc uint64, in isa.Inst)
-	// OnTrace, when set, receives per-instruction stage timestamps at
-	// retirement (the pipeline-visualization hook; see cmd/specmpk-sim
-	// -pipeview).
-	OnTrace func(TraceRecord)
+	// OnTrace, when set, receives every retired (architecturally
+	// committed) instruction in program order with its per-stage
+	// timestamps — the one per-retire hook behind the retire log, the
+	// Konata export and the pipeline diagram (cmd/specmpk-sim -trace,
+	// -konata-out, -pipeview).
+	OnTrace func(trace.Record)
 	// FaultHandler is consulted when a fault reaches retirement.
 	FaultHandler func(f *mem.Fault, pkru *mpk.PKRU) FaultAction
 
-	// Events, when non-nil, receives structured microarchitectural events
-	// (squashes, WRPKRU retirements, head replays, forwarding suppression,
-	// TLB deferrals) into a bounded ring buffer for JSONL export
-	// (cmd/specmpk-sim -trace-out). Nil disables the layer entirely.
-	Events *trace.Ring
+	// Events, when non-nil, receives the core's one event stream: squashes,
+	// WRPKRU retirements, transient PKRU-upgrade windows, loads held to the
+	// window head and their replays, forwarding suppression, deferred TLB
+	// fills (see trace.Kind). A trace.Ring keeps it for JSONL export
+	// (cmd/specmpk-sim -trace-out); internal/profile's Ledger tallies it
+	// per protection key; trace.Fanout feeds both. Nil disables the layer
+	// entirely.
+	Events trace.Sink
 
 	// Prof, when non-nil, receives the per-PC profiler feed: every cycle's
 	// CPI-stack attribution together with the program location responsible,
 	// and every retired PC (see ProfileSink; internal/profile implements
 	// it). Nil disables the layer entirely.
 	Prof ProfileSink
-
-	// Audit, when non-nil, receives pkey security audit events — transient
-	// PKRU-upgrade windows opening and closing, loads stalled to the window
-	// head, forwarding suppression, deferred TLB fills — with simulated-time
-	// durations (see AuditSink; internal/profile's Ledger implements it).
-	// Nil disables the layer entirely.
-	Audit AuditSink
 
 	// Front end.
 	tage *bpred.TAGE
@@ -789,22 +776,10 @@ func (m *Machine) FreeRegCount() int { return len(m.freeList) }
 // pass (SimPoint) can train them before detailed simulation starts.
 func (m *Machine) Predictors() (*bpred.TAGE, *bpred.BTB) { return m.tage, m.btb }
 
-// SetArchState overwrites the committed architectural state. It is only
-// meaningful before the first Step (SimPoint installs the checkpoint after
-// functional warming has run against the shared address space).
-func (m *Machine) SetArchState(regs *[isa.NumRegs]uint64, pkru mpk.PKRU, pc uint64) {
-	for r := 0; r < isa.NumRegs; r++ {
-		m.prf[m.amt[r]] = regs[r]
-	}
-	m.prf[m.amt[isa.RegZero]] = 0
-	m.PKRUState.SetARF(pkru)
-	m.pc = pc
-}
-
 // WarmRAS seeds the return-address stack from a checkpointed call stack,
 // oldest frame first, and re-anchors the baseline RAS checkpoint so squashes
-// rewind to the warmed stack rather than an empty one. Like SetArchState it
-// is only meaningful before the first Step — it is the RAS half of a SimPoint
+// rewind to the warmed stack rather than an empty one. It is only
+// meaningful before the first Step — it is the RAS half of a SimPoint
 // checkpoint restore (the branch-history half replays through Predictors).
 func (m *Machine) WarmRAS(stack []uint64) {
 	for _, addr := range stack {
@@ -951,14 +926,6 @@ func (m *Machine) accountCycle() {
 	m.lastBucket = b
 	if m.Prof != nil {
 		m.Prof.CycleAttributed(b, pc)
-	}
-}
-
-// emit forwards a microarchitectural event to the trace ring, if attached.
-func (m *Machine) emit(e trace.Event) {
-	if m.Events != nil {
-		e.Cycle = m.cycle
-		m.Events.Emit(e)
 	}
 }
 

@@ -545,13 +545,9 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 		if m.pol.deferTLB && !m.Cfg.NoTLBDeferral {
 			// The pKey of an uncached page is unknown, so the access
 			// conservatively stalls and re-executes at the AL head.
-			e.stallTillHead = true
 			e.tlbDeferred = true
-			e.stallCyc = m.cycle
-			m.Stats.LoadsStalledTillHead++
 			m.emit(trace.Event{Kind: trace.KindTLBDefer, Seq: e.seq, PC: e.pc, Note: "load"})
-			m.audit(AuditEvent{Kind: AuditTLBDefer, Pkey: PkeyUnknown, PC: e.pc, Seq: e.seq})
-			m.audit(AuditEvent{Kind: AuditLoadStall, Pkey: PkeyUnknown, PC: e.pc, Seq: e.seq, Reason: "tlb_defer"})
+			m.holdToHead(e, trace.NoKey, "tlb_defer")
 			return
 		}
 		lat += m.DTLB.WalkLatency()
@@ -588,10 +584,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 	if stall {
 		// Stall until non-squashable, leaving no cache or TLB footprint;
 		// the head replay re-checks against the committed ARF.
-		e.stallTillHead = true
-		e.stallCyc = m.cycle
-		m.Stats.LoadsStalledTillHead++
-		m.audit(AuditEvent{Kind: AuditLoadStall, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Reason: "load_check"})
+		m.holdToHead(e, trace.KeyOf(e.pkey), "load_check")
 		return
 	}
 
@@ -612,11 +605,8 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 			if s.noForward {
 				// Forwarding suppressed; the load waits for the head
 				// (by which time the store has committed to memory).
-				e.stallTillHead = true
-				e.stallCyc = m.cycle
 				m.Stats.ForwardBlockedLoads++
-				m.Stats.LoadsStalledTillHead++
-				m.audit(AuditEvent{Kind: AuditLoadStall, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Reason: "forward_blocked"})
+				m.holdToHead(e, trace.KeyOf(e.pkey), "forward_blocked")
 				return
 			}
 			if s.vaddr == e.vaddr && s.memBytes == e.memBytes {
@@ -631,10 +621,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 				return
 			}
 			// Partial overlap: conservative.
-			e.stallTillHead = true
-			e.stallCyc = m.cycle
-			m.Stats.LoadsStalledTillHead++
-			m.audit(AuditEvent{Kind: AuditLoadStall, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Reason: "partial_forward"})
+			m.holdToHead(e, trace.KeyOf(e.pkey), "partial_forward")
 			return
 		}
 	}
@@ -736,8 +723,6 @@ func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
 		m.Stats.StoresNoForward++
 		m.emit(trace.Event{Kind: trace.KindTLBDefer, Seq: e.seq, PC: e.pc, Note: "store"})
 		m.emit(trace.Event{Kind: trace.KindNoForward, Seq: e.seq, PC: e.pc, Note: "tlb_miss"})
-		m.audit(AuditEvent{Kind: AuditTLBDefer, Pkey: PkeyUnknown, PC: e.pc, Seq: e.seq, Store: true})
-		m.audit(AuditEvent{Kind: AuditNoForward, Pkey: PkeyUnknown, PC: e.pc, Seq: e.seq, Store: true, Reason: "tlb_miss"})
 	} else {
 		e.pkey = int(pte.PKey)
 		e.paddr = pte.PPN<<mem.PageBits | e.vaddr&(mem.PageSize-1)
@@ -751,8 +736,7 @@ func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
 				e.noForward = true
 				e.stallCyc = m.cycle
 				m.Stats.StoresNoForward++
-				m.emit(trace.Event{Kind: trace.KindNoForward, Seq: e.seq, PC: e.pc, Note: "store_check"})
-				m.audit(AuditEvent{Kind: AuditNoForward, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Store: true, Reason: "store_check"})
+				m.emit(trace.Event{Kind: trace.KindNoForward, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(e.pkey), Note: "store_check"})
 			}
 		} else if !m.specPKRU(idx).Allows(e.pkey, true) {
 			e.fault = pkeyFault(e.vaddr, mem.Write, e.pkey)
@@ -811,10 +795,9 @@ func (m *Machine) completeStage() {
 				}
 				switch {
 				case e.in.Op == isa.OpWrpkru:
-					// Open the audit ledger's transient-upgrade windows
-					// against the still-committed ARF before the value is
-					// delivered.
-					m.auditUpgradeOpen(e)
+					// Open the transient-upgrade windows against the
+					// still-committed ARF before the value is delivered.
+					m.openUpgrades(e)
 					if m.pol.renamesPKRU {
 						m.PKRUState.Execute(e.pkruDst, mpk.PKRU(e.storeData))
 						m.wrpkruExecHighwater = max(m.wrpkruExecHighwater, e.seq)
@@ -910,7 +893,7 @@ func (m *Machine) squashAfter(idx int, why string) {
 		if e.pkruDst >= 0 {
 			m.PKRUState.SquashYoungest()
 		}
-		m.auditUpgradeClose(e, false)
+		m.closeUpgrades(e, false)
 		if e.isLoad {
 			m.lqCnt--
 		}
@@ -991,7 +974,7 @@ func (m *Machine) retireStage() {
 			} else {
 				m.serialWait = false
 			}
-			m.auditUpgradeClose(e, true)
+			m.closeUpgrades(e, true)
 			m.Stats.Wrpkru++
 			m.emit(trace.Event{Kind: trace.KindWrpkruRetire, Seq: e.seq, PC: e.pc, N: e.storeData})
 		case e.in.Op == isa.OpRdpkru:
@@ -1012,11 +995,8 @@ func (m *Machine) retireStage() {
 			m.amt[e.in.Rd] = e.newPhys
 			m.freeList = append(m.freeList, old)
 		}
-		if m.OnRetire != nil {
-			m.OnRetire(e.seq, e.pc, e.in)
-		}
 		if m.OnTrace != nil {
-			m.OnTrace(TraceRecord{
+			m.OnTrace(trace.Record{
 				Seq: e.seq, PC: e.pc, Inst: e.in,
 				Fetch: e.fetchCyc, Rename: e.renameCyc, Issue: e.issueCyc,
 				Complete: e.done, Retire: m.cycle,
@@ -1045,7 +1025,6 @@ func (m *Machine) reissueAtHead(e *alEntry) {
 	e.reissued = true
 	e.stallTillHead = false
 	e.issueCyc = m.cycle
-	m.emit(trace.Event{Kind: trace.KindHeadReplay, Seq: e.seq, PC: e.pc, Note: "load"})
 	lat := 1
 	vpn := e.vaddr >> mem.PageBits
 	paddr, pte, err := m.AS.Translate(e.vaddr, mem.Read)
@@ -1059,13 +1038,7 @@ func (m *Machine) reissueAtHead(e *alEntry) {
 	m.DTLB.Fill(vpn, pte) // deferred TLB update happens now
 	e.paddr = paddr
 	e.pkey = int(pte.PKey)
-	if m.Audit != nil {
-		d := m.cycle - e.stallCyc
-		m.audit(AuditEvent{Kind: AuditLoadReplay, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Duration: d})
-		if e.tlbDeferred {
-			m.audit(AuditEvent{Kind: AuditTLBFill, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Duration: d})
-		}
-	}
+	m.closeHold(e, trace.KindLoadReplay)
 	if !m.PKRUState.ARF().Allows(e.pkey, false) {
 		m.finishFaulted(e, pkeyFault(e.vaddr, mem.Read, e.pkey), lat)
 		return
@@ -1088,7 +1061,6 @@ func (m *Machine) reissueStoreAtHead(e *alEntry) {
 	// entry faults; both leave the disambiguation scan nothing to find.
 	m.sqUnresolved--
 	m.sqUnresolvedBits.clear(int(e.alIdx))
-	m.emit(trace.Event{Kind: trace.KindHeadReplay, Seq: e.seq, PC: e.pc, Note: "store"})
 	paddr, pte, err := m.AS.Translate(e.vaddr, mem.Write)
 	if err != nil {
 		m.finishFaulted(e, err.(*mem.Fault), 1)
@@ -1097,6 +1069,7 @@ func (m *Machine) reissueStoreAtHead(e *alEntry) {
 	m.DTLB.Fill(e.vaddr>>mem.PageBits, pte)
 	e.paddr = paddr
 	e.pkey = int(pte.PKey)
+	m.emit(trace.Event{Kind: trace.KindStoreReplay, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(e.pkey), N: m.cycle - e.stallCyc})
 	if !m.PKRUState.ARF().Allows(e.pkey, true) {
 		m.finishFaulted(e, pkeyFault(e.vaddr, mem.Write, e.pkey), 1)
 		return
@@ -1121,13 +1094,7 @@ func (m *Machine) commitStore(e *alEntry) bool {
 		m.DTLB.Fill(e.vaddr>>mem.PageBits, pte)
 		e.paddr = paddr
 		e.pkey = int(pte.PKey)
-		if m.Audit != nil {
-			d := m.cycle - e.stallCyc
-			m.audit(AuditEvent{Kind: AuditNoForwardCommit, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Store: true, Duration: d})
-			if e.tlbDeferred {
-				m.audit(AuditEvent{Kind: AuditTLBFill, Pkey: e.pkey, PC: e.pc, Seq: e.seq, Store: true, Duration: d})
-			}
-		}
+		m.closeHold(e, trace.KindNoForwardCommit)
 		if !m.PKRUState.ARF().Allows(e.pkey, true) {
 			e.fault = pkeyFault(e.vaddr, mem.Write, e.pkey)
 			m.deliverFault(e)

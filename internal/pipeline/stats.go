@@ -46,12 +46,9 @@ func (m *Machine) StatsRegistry() *stats.Registry {
 	r.Counter("pipeline.faults", "faults delivered at retirement", func() uint64 { return s.Faults })
 	r.Counter("pipeline.pkey_faults", "protection-key faults", func() uint64 { return s.PkeyFaults })
 
-	r.Counter("pipeline.cpi.base", "cycles retiring work or stalled on execution latency", func() uint64 { return s.CPI.Base })
-	r.Counter("pipeline.cpi.frontend", "empty-window cycles from fetch/decode starvation", func() uint64 { return s.CPI.Frontend })
-	r.Counter("pipeline.cpi.serialize", "cycles lost to WRPKRU/RDPKRU serialization", func() uint64 { return s.CPI.Serialize })
-	r.Counter("pipeline.cpi.rob_pkru_full", "cycles lost to ROB_pkru capacity", func() uint64 { return s.CPI.PkruFull })
-	r.Counter("pipeline.cpi.memory", "cycles the oldest instruction waited on memory", func() uint64 { return s.CPI.Memory })
-	r.Counter("pipeline.cpi.squash_recovery", "post-squash refill bubbles", func() uint64 { return s.CPI.SquashRecovery })
+	for b, cb := range cpiBuckets {
+		r.Counter("pipeline.cpi."+cb.name, cb.desc, func() uint64 { return s.CPI.Bucket(CPIBucket(b)) })
+	}
 
 	r.HistogramFunc("pipeline.load_latency", "observed load latency (cycles)", m.loadLatValue)
 

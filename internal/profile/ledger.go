@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"specmpk/internal/mpk"
-	"specmpk/internal/pipeline"
 	"specmpk/internal/stats"
 	"specmpk/internal/trace"
 )
@@ -13,8 +12,8 @@ import (
 // KeyAudit tallies the pkey security events charged to one protection key.
 // Counts accrue when a window opens (with whatever key is known at that
 // point — a deferred translation opens under the unknown key); duration
-// cycles accrue when the matching close/replay/commit event fires, by which
-// time the key is always resolved.
+// cycles accrue when the matching close/replay/commit/fill event fires, by
+// which time the key is always resolved.
 type KeyAudit struct {
 	UpgradesOpened      uint64 `json:"upgrades_opened"`
 	UpgradesCommitted   uint64 `json:"upgrades_committed"`
@@ -43,47 +42,46 @@ func (k *KeyAudit) add(o KeyAudit) {
 	k.TLBDeferCycles += o.TLBDeferCycles
 }
 
-// Ledger is the pkey security audit ledger: a pipeline.AuditSink that
-// aggregates the audit stream per protection key. Index mpk.NumKeys holds
+// Ledger is the pkey security audit ledger: a trace.Sink that aggregates
+// the core's event stream per protection key. Index mpk.NumKeys holds
 // events whose key was unknown when they fired (deferred translations).
 type Ledger struct {
 	Keys [mpk.NumKeys + 1]KeyAudit
 }
 
-// NewLedger builds an empty ledger. Attach with m.Audit = l.
+// NewLedger builds an empty ledger. Attach with m.Events = l, or through a
+// trace.Fanout beside a ring.
 func NewLedger() *Ledger { return &Ledger{} }
 
-func (l *Ledger) key(pkey int) *KeyAudit {
-	if pkey < 0 || pkey >= mpk.NumKeys {
-		return &l.Keys[mpk.NumKeys]
+// Emit implements trace.Sink. It tallies the pkey security kinds — upgrade
+// windows, held loads, suppressed forwarding, deferred fills — and ignores
+// the rest of the stream.
+func (l *Ledger) Emit(e trace.Event) {
+	k := &l.Keys[mpk.NumKeys]
+	if key, ok := e.Pkey.Value(); ok && key < mpk.NumKeys {
+		k = &l.Keys[key]
 	}
-	return &l.Keys[pkey]
-}
-
-// Audit implements pipeline.AuditSink.
-func (l *Ledger) Audit(e pipeline.AuditEvent) {
-	k := l.key(e.Pkey)
 	switch e.Kind {
-	case pipeline.AuditUpgradeOpen:
+	case trace.KindUpgradeOpen:
 		k.UpgradesOpened++
-	case pipeline.AuditUpgradeCommit:
+	case trace.KindUpgradeCommit:
 		k.UpgradesCommitted++
-		k.UpgradeWindowCycles += e.Duration
-	case pipeline.AuditUpgradeSquash:
+		k.UpgradeWindowCycles += e.N
+	case trace.KindUpgradeSquash:
 		k.UpgradesSquashed++
-		k.UpgradeWindowCycles += e.Duration
-	case pipeline.AuditLoadStall:
+		k.UpgradeWindowCycles += e.N
+	case trace.KindLoadStall:
 		k.LoadsStalled++
-	case pipeline.AuditLoadReplay:
-		k.LoadStallCycles += e.Duration
-	case pipeline.AuditNoForward:
+	case trace.KindLoadReplay:
+		k.LoadStallCycles += e.N
+	case trace.KindNoForward:
 		k.StoresNoForward++
-	case pipeline.AuditNoForwardCommit:
-		k.NoForwardCycles += e.Duration
-	case pipeline.AuditTLBDefer:
+	case trace.KindNoForwardCommit:
+		k.NoForwardCycles += e.N
+	case trace.KindTLBDefer:
 		k.TLBDefers++
-	case pipeline.AuditTLBFill:
-		k.TLBDeferCycles += e.Duration
+	case trace.KindTLBFill:
+		k.TLBDeferCycles += e.N
 	}
 }
 
@@ -124,7 +122,8 @@ func (l *Ledger) Register(reg *stats.Registry) {
 		func(t KeyAudit) uint64 { return t.TLBDeferCycles })
 }
 
-// LedgerRow is one pkey's ledger line in the JSONL export.
+// LedgerRow is one pkey's ledger line: a row of the -profile-out "audit"
+// array and of LedgerTable.
 type LedgerRow struct {
 	Pkey string `json:"pkey"` // "0".."15", "unknown", or "total"
 	KeyAudit
@@ -147,19 +146,13 @@ func (l *Ledger) Rows() []LedgerRow {
 	return rows
 }
 
-// WriteJSONL exports the ledger as JSON Lines, one row per active pkey
-// plus a trailing total row.
-func (l *Ledger) WriteJSONL(w io.Writer) error {
-	return trace.WriteJSONLRows(w, l.Rows())
-}
-
-// Table writes the per-pkey audit table.
-func (l *Ledger) Table(w io.Writer) {
-	fmt.Fprintf(w, "%-8s %9s %9s %9s %10s %9s %10s %9s %10s %9s %10s\n",
+// LedgerTable writes ledger rows as the per-pkey audit table.
+func LedgerTable(w io.Writer, rows []LedgerRow) {
+	fmt.Fprintf(w, "%-8s %9s %9s %10s %10s %9s %10s %9s %10s %9s %10s\n",
 		"pkey", "upg.open", "upg.commt", "upg.squash", "upg.cycles",
 		"ld.stall", "ld.cycles", "st.nofwd", "fwd.cycles", "tlb.defer", "tlb.cycles")
-	for _, r := range l.Rows() {
-		fmt.Fprintf(w, "%-8s %9d %9d %9d %10d %9d %10d %9d %10d %9d %10d\n",
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-8s %9d %9d %10d %10d %9d %10d %9d %10d %9d %10d\n",
 			r.Pkey, r.UpgradesOpened, r.UpgradesCommitted, r.UpgradesSquashed,
 			r.UpgradeWindowCycles, r.LoadsStalled, r.LoadStallCycles,
 			r.StoresNoForward, r.NoForwardCycles, r.TLBDefers, r.TLBDeferCycles)

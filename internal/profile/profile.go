@@ -8,9 +8,10 @@
 //   - DiffReport (diff.go): the cross-policy differential — the same
 //     workload profiled under two registered policies, ranked by per-PC
 //     cycle delta, with annotated disassembly and a gap histogram.
-//   - Ledger (ledger.go): the pkey security audit ledger, a
-//     pipeline.AuditSink tallying per-pkey transient-upgrade windows,
-//     load stalls, forwarding suppressions, and deferred TLB updates.
+//   - Ledger (ledger.go): the pkey security audit ledger, a trace.Sink
+//     on the core's event stream tallying per-pkey transient-upgrade
+//     windows, load stalls, forwarding suppressions, and deferred TLB
+//     updates.
 package profile
 
 import (
@@ -213,14 +214,10 @@ func (p *Profiler) blocks() []BlockRow {
 }
 
 func addStacks(a, b pipeline.CPIStack) pipeline.CPIStack {
-	return pipeline.CPIStack{
-		Base:           a.Base + b.Base,
-		Frontend:       a.Frontend + b.Frontend,
-		Serialize:      a.Serialize + b.Serialize,
-		PkruFull:       a.PkruFull + b.PkruFull,
-		Memory:         a.Memory + b.Memory,
-		SquashRecovery: a.SquashRecovery + b.SquashRecovery,
+	for k := pipeline.CPIBucket(0); k < pipeline.NumCPIBuckets; k++ {
+		a.AddN(k, b.Bucket(k))
 	}
+	return a
 }
 
 // Table writes the top-N PC table: rank, PC, symbol+disasm, retired count,

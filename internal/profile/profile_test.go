@@ -2,7 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -57,7 +56,7 @@ func runLitmus(t *testing.T, mode pipeline.Mode) (*asm.Program, pipeline.Stats, 
 	}
 	prof, ledger := New(prog), NewLedger()
 	m.Prof = prof
-	m.Audit = ledger
+	m.Events = ledger
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -225,22 +224,10 @@ func TestLedgerUpgradeWindows(t *testing.T) {
 			t.Errorf("key %d opened %d windows, litmus only toggles key 2", k, led.Keys[k].UpgradesOpened)
 		}
 	}
-	// JSONL export: well-formed, one row per active key plus a total.
-	var buf bytes.Buffer
-	if err := led.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	sawTotal := false
-	for _, ln := range lines {
-		var row LedgerRow
-		if err := json.Unmarshal([]byte(ln), &row); err != nil {
-			t.Fatalf("malformed ledger JSONL %q: %v", ln, err)
-		}
-		sawTotal = sawTotal || row.Pkey == "total"
-	}
-	if !sawTotal {
-		t.Error("ledger JSONL lacks total row")
+	// Rows: one row per active key, ending in the total.
+	rows := led.Rows()
+	if last := rows[len(rows)-1]; last.Pkey != "total" || last.KeyAudit != led.Totals() {
+		t.Errorf("ledger rows end in %+v, want the total %+v", last, led.Totals())
 	}
 }
 

@@ -54,20 +54,20 @@ func (s *Server) runExecution(ex *execution) {
 	s.lat.queueWait.Observe(ms(queueWait))
 	ex.queueSpan.EndAt(ex.queuedAt.Add(queueWait))
 	ex.simSpan = s.rec.StartSpanAt(ex.sc, "simulate", t0)
-	state, errMsg, result, cycle, insts := s.simulateContained(ex)
+	o := s.simulateContained(ex)
 	s.running.Add(-1)
 	simDur := time.Since(t0)
 	s.lat.simulate.Observe(ms(simDur))
-	ex.simSpan.SetAttr("state", state)
-	ex.simSpan.SetAttr("cycles", cycle)
-	ex.simSpan.SetAttr("insts", insts)
-	if errMsg != "" {
-		ex.simSpan.SetError(errMsg)
+	ex.simSpan.SetAttr("state", o.state)
+	ex.simSpan.SetAttr("cycles", o.cycle)
+	ex.simSpan.SetAttr("insts", o.insts)
+	if o.errMsg != "" {
+		ex.simSpan.SetError(o.errMsg)
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
-	cacheDisp := s.settleResult(ex, state, result)
+	cacheDisp := s.settleResult(ex, o.state, o.result)
 	// A lost claim means Cancel won the race; it does the bookkeeping.
-	s.conclude(ex, outcome{state, errMsg, result, cycle, insts}, simDur, cacheDisp)
+	s.conclude(ex, o, simDur, cacheDisp)
 }
 
 // conclude is the one way an execution ends. It claims the end for o (a
@@ -126,14 +126,12 @@ func (s *Server) settleResult(ex *execution, state string, result []byte) string
 // failed-job outcome with the panic value and stack in the error — and a
 // panic_recovered event on the simulate span, so a chaos run's contained
 // panics are reconstructable per request.
-func (s *Server) simulateContained(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64) {
+func (s *Server) simulateContained(ex *execution) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicsRecovered.Add(1)
 			ex.simSpan.Event("panic_recovered", "panic", fmt.Sprint(r))
-			state = api.StateFailed
-			errMsg = fmt.Sprintf("panic: %v\n%s", r, debug.Stack())
-			result = nil
+			o = outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())}
 		}
 	}()
 	return s.simulate(ex)
@@ -160,18 +158,18 @@ func (s *Server) simulateContained(ex *execution) (state, errMsg string, result 
 // Cancel and drain end the execution's own context: CANCELLED. "failed"
 // otherwise marks jobs that could not simulate at all (bad config,
 // unbuildable program, injected worker fault).
-func (s *Server) simulate(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64) {
-	if state, errMsg, result, cycle, insts, handled := s.forwardRemote(ex); handled {
-		return state, errMsg, result, cycle, insts
+func (s *Server) simulate(ex *execution) outcome {
+	if o, handled := s.forwardRemote(ex); handled {
+		return o
 	}
 	spec := ex.spec
 	cfg, err := spec.MachineConfig()
 	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
+		return outcome{state: api.StateFailed, errMsg: err.Error()}
 	}
 	prog, err := spec.Program()
 	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
+		return outcome{state: api.StateFailed, errMsg: err.Error()}
 	}
 
 	// The wall-clock deadline wraps the execution's cancellation context so
@@ -191,7 +189,7 @@ func (s *Server) simulate(ex *execution) (state, errMsg string, result []byte, c
 
 	if ferr := fpWorkerSimulate.Fire(); ferr != nil {
 		ex.simSpan.Event("fault_injected", "point", fpWorkerSimulate.Name(), "error", ferr.Error())
-		return api.StateFailed, ferr.Error(), nil, 0, 0
+		return outcome{state: api.StateFailed, errMsg: ferr.Error()}
 	}
 
 	run := s.runFull
@@ -199,22 +197,24 @@ func (s *Server) simulate(ex *execution) (state, errMsg string, result []byte, c
 		run = s.runSampled
 	}
 	res, cycle, insts, err := run(ctx, ex, cfg, prog)
+	var o outcome
 	switch {
 	case err == nil:
-		return s.marshal(ex, res, cycle, insts)
+		o = s.marshal(ex, res)
 	case ex.ctx.Err() != nil:
 		ex.setTrace(string(pipeline.StopCancelled), "")
-		return api.StateCancelled, ex.ctx.Err().Error(), nil, cycle, insts
+		o = outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error()}
 	case ctx.Err() != nil:
 		s.jobsDeadline.Add(1)
 		ex.setTrace(string(pipeline.StopDeadline), "")
 		ex.simSpan.Event("deadline_exceeded", "wall_ms", wallMS, "cycle", cycle)
-		return api.StateFailed,
-			fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded at cycle %d", wallMS, cycle),
-			nil, cycle, insts
+		msg := fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded at cycle %d", wallMS, cycle)
+		o = outcome{state: api.StateFailed, errMsg: msg}
 	default:
-		return api.StateFailed, err.Error(), nil, cycle, insts
+		o = outcome{state: api.StateFailed, errMsg: err.Error()}
 	}
+	o.cycle, o.insts = cycle, insts
+	return o
 }
 
 // runFull simulates the whole program under ctx in chunks of the event
@@ -272,9 +272,9 @@ func (s *Server) runFull(ctx context.Context, ex *execution, cfg pipeline.Config
 // Forwarding happens inside the execution rather than at the HTTP layer so
 // everything local stays local: the job id, its event stream, single-flight
 // dedup and the result cache all behave exactly as for a local run.
-func (s *Server) forwardRemote(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64, handled bool) {
+func (s *Server) forwardRemote(ex *execution) (o outcome, handled bool) {
 	if s.fwd == nil || ex.forwarded || !s.fwd.Remote(ex.key) {
-		return "", "", nil, 0, 0, false
+		return outcome{}, false
 	}
 	ctx := ex.ctx
 	if ex.sc.Valid() {
@@ -292,20 +292,20 @@ func (s *Server) forwardRemote(ex *execution) (state, errMsg string, result []by
 		if out.PeerCacheHit {
 			ex.simSpan.SetAttr("peer_cache_hit", true)
 		}
-		return api.StateDone, "", out.Result, out.Cycles, out.Insts, true
+		return outcome{state: api.StateDone, result: out.Result, cycle: out.Cycles, insts: out.Insts}, true
 	case errors.Is(err, ErrDegradeLocal):
 		s.forwardDegraded.Add(1)
 		ex.simSpan.Event("cluster_degraded_local", "error", err.Error())
 		s.logger.Warn("cluster degraded to local simulation",
 			"trace_id", ex.sc.Trace.String(), "key", ex.key, "err", err)
-		return "", "", nil, 0, 0, false
+		return outcome{}, false
 	case ex.ctx.Err() != nil:
-		return api.StateCancelled, ex.ctx.Err().Error(), nil, 0, 0, true
+		return outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error()}, true
 	default:
 		// A terminal remote outcome (failed/cancelled job on the owner). The
 		// spec is deterministic, so simulating locally would reproduce it —
 		// adopt the failure instead of paying for the rerun.
-		return api.StateFailed, err.Error(), nil, 0, 0, true
+		return outcome{state: api.StateFailed, errMsg: err.Error()}, true
 	}
 }
 
@@ -314,7 +314,7 @@ func (s *Server) forwardRemote(ex *execution) (state, errMsg string, result []by
 // (fixed struct field order, sorted map keys), so identical specs produce
 // bit-identical result bytes — the property the content-addressed cache
 // returns verbatim.
-func (s *Server) marshal(ex *execution, res api.Result, cycle, insts uint64) (state, errMsg string, result []byte, c, i uint64) {
+func (s *Server) marshal(ex *execution, res api.Result) outcome {
 	ex.setTrace(res.StopReason, "")
 	msp := s.rec.StartSpanAt(ex.simSpan.Context(), "marshal", time.Now())
 	// An injected marshal fault (error or drop alike) fails the job: a
@@ -323,17 +323,17 @@ func (s *Server) marshal(ex *execution, res api.Result, cycle, insts uint64) (st
 		msp.Event("fault_injected", "point", fpResultMarshal.Name(), "error", ferr.Error())
 		msp.SetError(ferr.Error())
 		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", ferr), nil, cycle, insts
+		return outcome{state: api.StateFailed, errMsg: fmt.Sprintf("marshal result: %v", ferr)}
 	}
 	res.Key, res.Version, res.Spec = ex.key, api.Version, ex.spec
 	b, err := json.Marshal(res)
 	if err != nil {
 		msp.SetError(err.Error())
 		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", err), nil, cycle, insts
+		return outcome{state: api.StateFailed, errMsg: fmt.Sprintf("marshal result: %v", err)}
 	}
 	msp.SetAttr("bytes", len(b))
 	msp.SetAttr("stop_reason", res.StopReason)
 	msp.End()
-	return api.StateDone, "", b, cycle, insts
+	return outcome{state: api.StateDone, result: b}
 }

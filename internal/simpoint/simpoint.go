@@ -2,7 +2,8 @@
 // used by the paper's evaluation, §VII): profile a program into fixed-length
 // instruction intervals described by basic-block vectors, cluster the
 // intervals with k-means, pick one representative interval per cluster, and
-// combine detailed simulations of the representatives into a weighted IPC.
+// combine detailed simulations of the representatives into a weighted CPI
+// (Plan.Estimate).
 //
 // The paper profiles the first 100 G instructions at 100 M-instruction
 // granularity and simulates the top five intervals; our workloads are
@@ -11,7 +12,6 @@
 package simpoint
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -20,7 +20,6 @@ import (
 	"specmpk/internal/asm"
 	"specmpk/internal/funcsim"
 	"specmpk/internal/isa"
-	"specmpk/internal/pipeline"
 )
 
 // Dims is the dimensionality BBVs are random-projected to before
@@ -243,31 +242,6 @@ func dist(a, b [Dims]float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Evaluate runs the full SimPoint pipeline for one machine configuration:
-// profile, cluster, capture a checkpoint at each representative interval,
-// warm-start a detailed machine from each checkpoint, simulate IntervalLen
-// instructions, and combine the per-point IPCs by cluster weight — exactly
-// the paper's final-IPC method, on the checkpointed service path.
-func Evaluate(prog *asm.Program, mcfg pipeline.Config, cfg Config) (float64, []Point, error) {
-	plan, err := BuildPlan(prog, cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	var ipcSum, wSum float64
-	for i, pt := range plan.Points {
-		st, err := plan.SimulatePoint(context.Background(), i, mcfg, prog)
-		if err != nil {
-			return 0, nil, err
-		}
-		ipcSum += pt.Weight * st.IPC()
-		wSum += pt.Weight
-	}
-	if wSum == 0 {
-		return 0, plan.Points, fmt.Errorf("simpoint: no weight")
-	}
-	return ipcSum / wSum, plan.Points, nil
 }
 
 func regOrZero(t *funcsim.Thread, r uint8) uint64 {

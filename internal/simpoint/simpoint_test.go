@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,11 +105,22 @@ func TestEvaluateTracksFullSimulation(t *testing.T) {
 	mcfg := pipeline.DefaultConfig()
 	mcfg.Mode = pipeline.ModeSpecMPK
 
-	spIPC, pts, err := Evaluate(prog, mcfg, testConfig())
+	plan, err := BuildPlan(prog, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) == 0 || spIPC <= 0 {
+	stats := make([]pipeline.Stats, len(plan.Points))
+	for i := range plan.Points {
+		if stats[i], err = plan.SimulatePoint(context.Background(), i, mcfg, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	est, err := plan.Estimate(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spIPC := est.IPC
+	if len(plan.Points) == 0 || spIPC <= 0 {
 		t.Fatal("empty evaluation")
 	}
 

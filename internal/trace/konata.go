@@ -7,17 +7,6 @@ import (
 	"sort"
 )
 
-// StageRecord is one retired instruction's per-stage timestamps, mirroring
-// the pipeline's trace record without importing it (the pipeline imports
-// this package for the event layer, so the dependency must point this way).
-type StageRecord struct {
-	Seq    uint64
-	PC     uint64
-	Disasm string
-
-	Fetch, Rename, Issue, Complete, Retire uint64
-}
-
 // Konata stage names, matching gem5's O3PipeViewer conventions so Konata's
 // default colour map applies: F fetch, Rn rename/dispatch, Ex execute,
 // Cm completion-to-commit wait.
@@ -37,7 +26,7 @@ const (
 //	I	<id> <seq> <thread> / L label / S+E stage / C <delta> / R retire
 //
 // Records must be in retirement order (the order Machine.OnTrace delivers).
-func WriteKonata(w io.Writer, recs []StageRecord) error {
+func WriteKonata(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "Kanata\t%s\n", konataVersion)
 	if len(recs) == 0 {
@@ -52,35 +41,18 @@ func WriteKonata(w io.Writer, recs []StageRecord) error {
 	var evs []ev
 	start := recs[0].Fetch
 	for id, r := range recs {
-		// Clamp to a monotone timeline (squash replays can reissue before
-		// the original rename timestamp), same policy as pipeview.
-		f, rn, is, cp, rt := r.Fetch, r.Rename, r.Issue, r.Complete, r.Retire
-		if f < start {
-			f = start
-		}
-		if rn < f {
-			rn = f
-		}
-		if is < rn {
-			is = rn
-		}
-		if cp < is {
-			cp = is
-		}
-		if rt < cp {
-			rt = cp
-		}
+		s := r.stamps(start)
 		add := func(c uint64, format string, args ...any) {
 			evs = append(evs, ev{cycle: c, order: id, line: fmt.Sprintf(format, args...)})
 		}
-		add(f, "I\t%d\t%d\t0", id, r.Seq)
-		add(f, "L\t%d\t0\t%x: %s", id, r.PC, r.Disasm)
-		add(f, "S\t%d\t0\t%s", id, stageFetch)
-		add(rn, "S\t%d\t0\t%s", id, stageRename)
-		add(is, "S\t%d\t0\t%s", id, stageExecute)
-		add(cp, "S\t%d\t0\t%s", id, stageCommit)
-		add(rt, "E\t%d\t0\t%s", id, stageCommit)
-		add(rt, "R\t%d\t%d\t0", id, r.Seq)
+		add(s[0], "I\t%d\t%d\t0", id, r.Seq)
+		add(s[0], "L\t%d\t0\t%x: %s", id, r.PC, r.Inst)
+		add(s[0], "S\t%d\t0\t%s", id, stageFetch)
+		add(s[1], "S\t%d\t0\t%s", id, stageRename)
+		add(s[2], "S\t%d\t0\t%s", id, stageExecute)
+		add(s[3], "S\t%d\t0\t%s", id, stageCommit)
+		add(s[4], "E\t%d\t0\t%s", id, stageCommit)
+		add(s[4], "R\t%d\t%d\t0", id, r.Seq)
 	}
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].cycle != evs[j].cycle {

@@ -1,4 +1,4 @@
-package pipeview
+package trace_test
 
 import (
 	"strings"
@@ -7,9 +7,10 @@ import (
 	"specmpk/internal/asm"
 	"specmpk/internal/isa"
 	"specmpk/internal/pipeline"
+	"specmpk/internal/trace"
 )
 
-func TestRenderFromRealTrace(t *testing.T) {
+func TestPipeviewFromRealTrace(t *testing.T) {
 	b := asm.NewBuilder(0x10000)
 	f := b.Func("main")
 	f.Movi(9, 5).Movi(10, 0)
@@ -26,8 +27,8 @@ func TestRenderFromRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []pipeline.TraceRecord
-	m.OnTrace = func(r pipeline.TraceRecord) { recs = append(recs, r) }
+	var recs []trace.Record
+	m.OnTrace = func(r trace.Record) { recs = append(recs, r) }
 	if err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRenderFromRealTrace(t *testing.T) {
 			t.Fatalf("retires out of order at %d", i)
 		}
 	}
-	out := Render(recs, 80)
+	out := trace.Pipeview(recs, 80)
 	if !strings.Contains(out, "F") || !strings.Contains(out, "W") {
 		t.Fatalf("markers missing:\n%s", out)
 	}
@@ -56,15 +57,15 @@ func TestRenderFromRealTrace(t *testing.T) {
 	}
 }
 
-func TestRenderEmptyAndScaling(t *testing.T) {
-	if !strings.Contains(Render(nil, 0), "no trace") {
+func TestPipeviewEmptyAndScaling(t *testing.T) {
+	if !strings.Contains(trace.Pipeview(nil, 0), "no trace") {
 		t.Fatal("empty render")
 	}
 	// A record far beyond the width must be scaled, not overflow.
-	recs := []pipeline.TraceRecord{{
+	recs := []trace.Record{{
 		Seq: 1, Fetch: 0, Rename: 10, Issue: 500, Complete: 900, Retire: 1000,
 	}}
-	out := Render(recs, 50)
+	out := trace.Pipeview(recs, 50)
 	for _, l := range strings.Split(out, "\n") {
 		if len(l) > 50+40 { // columns + prefix/suffix slack
 			t.Fatalf("line too long: %d", len(l))

@@ -7,8 +7,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"specmpk/internal/isa"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -47,6 +50,7 @@ func TestWriteJSONL(t *testing.T) {
 	events := []Event{
 		{Cycle: 10, Kind: KindSquash, N: 12, Note: "mispredict"},
 		{Cycle: 42, Kind: KindWrpkruRetire, Seq: 7, PC: 0x100, N: 0x5},
+		{Cycle: 43, Kind: KindUpgradeOpen, Seq: 8, PC: 0x110, Pkey: KeyOf(0)},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, events); err != nil {
@@ -61,7 +65,7 @@ func TestWriteJSONL(t *testing.T) {
 		}
 		back = append(back, e)
 	}
-	if len(back) != 2 || back[0] != events[0] || back[1] != events[1] {
+	if !slices.Equal(back, events) {
 		t.Fatalf("round trip = %+v, want %+v", back, events)
 	}
 	// Zero-valued optional fields must be omitted so traces stay compact.
@@ -71,6 +75,13 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if _, ok := raw["seq"]; ok {
 		t.Fatalf("zero seq not omitted: %v", raw)
+	}
+	// A keyless event carries no pkey; key 0 prints as 0.
+	if _, ok := raw["pkey"]; ok {
+		t.Fatalf("keyless event printed a pkey: %v", raw)
+	}
+	if line := firstLine(t, events[2:]); !strings.Contains(line, `"pkey":0`) {
+		t.Fatalf("key 0 line = %s", line)
 	}
 }
 
@@ -88,10 +99,10 @@ func TestWriteKonataGolden(t *testing.T) {
 	// A tiny hand-built retirement stream: i1 overlaps i0, and i2's rename
 	// timestamp precedes its (post-squash) fetch to exercise the monotone
 	// clamping.
-	recs := []StageRecord{
-		{Seq: 0, PC: 0x100, Disasm: "addi r1, r0, 1", Fetch: 5, Rename: 6, Issue: 7, Complete: 8, Retire: 9},
-		{Seq: 1, PC: 0x104, Disasm: "ld r2, 0(r1)", Fetch: 5, Rename: 6, Issue: 8, Complete: 12, Retire: 13},
-		{Seq: 2, PC: 0x108, Disasm: "wrpkru r2", Fetch: 11, Rename: 7, Issue: 14, Complete: 15, Retire: 16},
+	recs := []Record{
+		{Seq: 0, PC: 0x100, Inst: isa.Inst{Op: isa.OpAddi, Rd: 1, Imm: 1}, Fetch: 5, Rename: 6, Issue: 7, Complete: 8, Retire: 9},
+		{Seq: 1, PC: 0x104, Inst: isa.Inst{Op: isa.OpLd, Rd: 2, Rs1: 1}, Fetch: 5, Rename: 6, Issue: 8, Complete: 12, Retire: 13},
+		{Seq: 2, PC: 0x108, Inst: isa.Inst{Op: isa.OpWrpkru, Rs1: 2}, Fetch: 11, Rename: 7, Issue: 14, Complete: 15, Retire: 16},
 	}
 	var buf bytes.Buffer
 	if err := WriteKonata(&buf, recs); err != nil {

@@ -235,9 +235,6 @@ var pkruProtected = mpk.AllowAll.
 	WithKey(SafeKey, mpk.Perm{AD: true}).
 	WithKey(UnsafeHeapKey, mpk.Perm{AD: true})
 
-// PkruProtected exposes the steady-state PKRU for tests and tools.
-func PkruProtected() mpk.PKRU { return pkruProtected }
-
 // gen carries generator state.
 type gen struct {
 	p   Profile
