@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet lint size race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke profile-artifact check clean
+.PHONY: all build test vet lint size race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke same-answers profile-artifact check clean
 
 all: check
 
@@ -118,6 +118,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/asm
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run=^$$ ./internal/isa
 	$(GO) test -fuzz=FuzzJobSpecKey -fuzztime=10s -run=^$$ ./internal/server/api
+
+# Identity check for a change that must not move any answer: every catalogue
+# workload under every policy, built at BASE and in the working tree, with
+# stdout and all five output files compared byte for byte. Not in CI, since a
+# change that means to move an answer fails it.
+same-answers:
+	sh scripts/same_answers.sh $(BASE)
 
 # The tier-1 gate: what CI runs. Simulator speed is measured by perfbench
 # (bash perfbench/run.sh; make bench-smoke checks its answers).

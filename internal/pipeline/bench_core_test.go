@@ -44,7 +44,9 @@ func BenchmarkMachineStep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if m.Halted() || m.Fault() != nil {
 						b.StopTimer()
-						m, _ = pipeline.New(cfg, prog)
+						if m, err = pipeline.New(cfg, prog); err != nil {
+							b.Fatal(err)
+						}
 						b.StartTimer()
 					}
 					m.Step()
@@ -83,7 +85,7 @@ func BenchmarkMachineRun(b *testing.B) {
 
 // TestStepAllocsNothing pins the zero-allocation steady state under every
 // policy: after warming on 505.mcf_r, a cycle must not allocate. The
-// scheduler's wake lists, the fetch queue and the RAS-checkpoint pool are
+// scheduler's wake lists, the in-flight ring and the RAS-checkpoint pool are
 // all preallocated in New, so a per-cycle append or map write fails here.
 func TestStepAllocsNothing(t *testing.T) {
 	prog, err := benchProgram(t, "505.mcf_r").Build(workload.VariantFull)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"specmpk/internal/asm"
@@ -9,13 +10,14 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/stats"
+	"specmpk/internal/workload"
 )
 
 // This file pins the hot-path data structures the cycle-loop refactor
-// introduced: the active-list ring and its incremental occupancy counters,
-// the event-driven scheduler's bitmaps and wakeup registrations, the
-// preallocated free list, the fetch-queue ring, the RAS-checkpoint pool, and
-// the batched load-latency histogram. The golden
+// introduced: the in-flight ring (the window plus the fetch queue after it)
+// and its incremental occupancy counters, the event-driven scheduler's
+// bitmaps and wakeup registrations, the preallocated free list, the
+// RAS-checkpoint pool, and the batched load-latency histogram. The golden
 // harness pins end-to-end timing; these tests pin the internal invariants
 // per cycle, under squash/refill storms, so a future edit that lets a
 // counter drift fails here with a named invariant instead of as an opaque
@@ -28,7 +30,12 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 	t.Helper()
 	n := len(m.al)
 
-	// Ring geometry: head/tail/count agree.
+	// Ring geometry: the window and the fetch queue stay within the sizes
+	// they model, and head/tail/count agree.
+	if m.alCnt > m.Cfg.ALSize || m.fqLen > m.fqCap {
+		t.Fatalf("cycle %d: ring over capacity: alCnt %d (ALSize %d), fqLen %d (fqCap %d)",
+			m.cycle, m.alCnt, m.Cfg.ALSize, m.fqLen, m.fqCap)
+	}
 	wantTail := m.alHead + m.alCnt
 	if wantTail >= n {
 		wantTail -= n
@@ -143,12 +150,6 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			m.cycle, cap(m.freeList), m.Cfg.PRFSize)
 	}
 
-	// Fetch-queue ring stays within its preallocated storage.
-	if m.fqLen > len(m.fq) || m.fqHead >= len(m.fq) {
-		t.Fatalf("cycle %d: fq ring out of range (head %d len %d cap %d)",
-			m.cycle, m.fqHead, m.fqLen, len(m.fq))
-	}
-
 	// RAS-checkpoint pool: the cursor's entry always describes the live RAS,
 	// and every in-flight reference is a valid pool index.
 	if m.rasCkpts[m.rasCur] != m.ras.Checkpoint() {
@@ -159,13 +160,25 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			t.Fatalf("cycle %d: AL entry rasCkpt %d out of pool range", m.cycle, ck)
 		}
 	}
+
+	// Fetch queue: the fqLen slots after the window hold fetched, not yet
+	// renamed instructions. squashAfter empties it, so after a cycle that
+	// squashed it holds only what fetch, the last stage, brought in after
+	// the redirect.
+	squashed := m.recoverUntil == m.cycle+uint64(m.Cfg.FrontendDepth)+1
 	for i := 0; i < m.fqLen; i++ {
-		j := m.fqHead + i
-		if j >= len(m.fq) {
-			j -= len(m.fq)
+		e := m.alAt(m.alCnt + i)
+		switch {
+		case e.seq != 0:
+			t.Fatalf("cycle %d: fetch-queue slot %d already renamed (seq %d)", m.cycle, i, e.seq)
+		case e.readyAt != e.fetchCyc+uint64(m.Cfg.FrontendDepth):
+			t.Fatalf("cycle %d: fetch-queue slot %d ready at %d, fetched at %d (depth %d)",
+				m.cycle, i, e.readyAt, e.fetchCyc, m.Cfg.FrontendDepth)
+		case squashed && e.fetchCyc != m.cycle:
+			t.Fatalf("cycle %d: fetch-queue slot %d (fetched at %d) survived a squash", m.cycle, i, e.fetchCyc)
 		}
-		if ck := m.fq[j].rasCkpt; ck < 0 || ck >= len(m.rasCkpts) {
-			t.Fatalf("cycle %d: fq entry rasCkpt %d out of pool range", m.cycle, ck)
+		if ck := e.rasCkpt; ck < 0 || ck >= len(m.rasCkpts) {
+			t.Fatalf("cycle %d: fetch-queue entry rasCkpt %d out of pool range", m.cycle, ck)
 		}
 	}
 }
@@ -321,6 +334,84 @@ func TestHotPathInvariantsMemDepAblations(t *testing.T) {
 		if got != want {
 			t.Fatalf("stall=%v: diverged", stall)
 		}
+	}
+}
+
+// TestHotPathInvariantsOnCatalogue checks every invariant after each cycle of
+// 548.exchange2_r on the Table III machine. Unlike the storm, it reaches a
+// mispredicting branch that completes as the youngest entry in the window
+// while the fetch queue holds its wrong path (first near cycle 27,000): that
+// squash removes no window entry, and the queue must still be emptied.
+func TestHotPathInvariantsOnCatalogue(t *testing.T) {
+	wl, _ := workload.ByName("548.exchange2_r")
+	p, err := wl.Build(workload.VariantFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(DefaultConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queueOnlySquash := false
+	for m.cycle < 35_000 && !m.halted && m.fault == nil {
+		queued, squashed := m.fqLen, m.Stats.Squashed
+		m.Step()
+		checkHotInvariants(t, m)
+		if queued > 0 && m.Stats.Squashed == squashed && m.recoverUntil == m.cycle+uint64(m.Cfg.FrontendDepth)+1 {
+			queueOnlySquash = true
+		}
+	}
+	if !queueOnlySquash {
+		t.Fatal("no squash with an empty younger window and a non-empty fetch queue; the test lost its coverage")
+	}
+}
+
+// TestRingAtAdmissionMaxima builds the largest machine Config.Validate
+// admits, as a client may ask for it, and runs 505.mcf_r on it with every
+// invariant checked after each of 2,000 cycles. Its ring is 8,256 slots: a
+// 4,096-entry window plus a 64-wide, 65-deep fetch queue. The checked
+// stretch follows a cold-start warm-up and covers the ring's edges: the
+// fetch queue wrapping past the ring's end, and window and queue both full.
+// New must stay within 16 MiB at this shape.
+func TestRingAtAdmissionMaxima(t *testing.T) {
+	wl, _ := workload.ByName("505.mcf_r")
+	p, err := wl.Build(workload.VariantFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Width, cfg.IssueWidth, cfg.FrontendDepth = maxWidth, maxWidth, maxFrontendDepth
+	cfg.ALSize, cfg.IQSize, cfg.LQSize, cfg.SQSize = maxWindow, maxWindow, maxWindow, maxWindow
+	cfg.PRFSize, cfg.ROBPkruSize = maxWindow, maxWindow
+	cfg.BTBEntries = maxBTBEntries
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(cfg, p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("New at the admission maxima allocated %.1f MiB, want at most 16", float64(got)/(1<<20))
+	}
+	if want := maxWindow + maxWidth*(maxFrontendDepth+1); len(m.al) != want {
+		t.Fatalf("ring has %d slots, want %d", len(m.al), want)
+	}
+	for m.cycle < 10_000 && !m.halted && m.fault == nil {
+		m.Step()
+	}
+	var wrapped, full bool
+	for i := 0; i < 2000 && !m.halted && m.fault == nil; i++ {
+		m.Step()
+		checkHotInvariants(t, m)
+		wrapped = wrapped || m.alTail+m.fqLen > len(m.al)
+		full = full || m.alCnt == cfg.ALSize && m.fqLen == m.fqCap
+	}
+	if m.halted || m.fault != nil {
+		t.Fatalf("machine stopped at cycle %d (fault %v)", m.cycle, m.fault)
+	}
+	if !wrapped || !full {
+		t.Fatalf("checked cycles missed a ring edge: fetch queue wrapped %v, ring full %v", wrapped, full)
 	}
 }
 

@@ -349,61 +349,71 @@ const (
 
 const noReg = -1
 
-// alEntry is one in-flight instruction.
+// alEntry is one in-flight instruction: a slot of the machine's one ring
+// (Machine.al), which it keeps from fetch to retire. Fetch fills the front-end
+// fields, rename the rest, both in place. The fields the issue and completion
+// walks, the wakeups and retire read come first, so they share the entry's
+// first 64 bytes.
 type alEntry struct {
-	seq uint64
-	pc  uint64
-	in  isa.Inst
-	st  alState
-	// alIdx is the entry's own active-list slot (set once at rename), so
-	// code holding only the entry pointer can maintain the scheduler's
-	// bitmaps.
-	alIdx int32
-	done  uint64 // cycle the result becomes visible
-
-	fetchCyc  uint64
-	renameCyc uint64
-	issueCyc  uint64
-
-	// Renaming.
-	newPhys int // physical destination or noReg
-	physRs1 int
-	physRs2 int
-
-	// Control flow. rasCkpt indexes the machine's RAS-checkpoint pool
-	// (rasCkpts) rather than embedding the checkpoint: consecutive
-	// instructions share a checkpoint unless one of them pushed or popped
-	// the RAS, so pooling turns a 500+-byte copy per in-flight instruction
-	// into one copy per call/return.
-	predTaken  bool
-	predTarget uint64
-	hasDir     bool
-	dir        bpred.DirState
-	rasCkpt    int
-	actTaken   bool
-	actTarget  uint64
-
-	// PKRU.
-	pkruDst int // ROB_pkru entry written by this WRPKRU, else -1
+	done uint64 // cycle the result becomes visible
 	// pkruDepSeq is the sequence number of the youngest older WRPKRU this
 	// instruction must wait for (0 = none in flight at rename). Sequence
 	// numbers are used instead of ROB_pkru tags for the wakeup condition
 	// because a tag's slot can be recycled after retirement — the staleness
 	// hazard the paper's dedicated-register-file design addresses (§V-B1).
 	pkruDepSeq uint64
+	in         isa.Inst
 
-	// Memory.
+	// Renaming.
+	newPhys int // physical destination or noReg
+	physRs1 int
+	physRs2 int
+
+	st alState
+	// Memory flags.
 	isLoad, isStore bool
 	addrReady       bool
-	vaddr           uint64
-	paddr           uint64
-	memBytes        int
-	pkey            int
-	storeData       uint64
 	noForward       bool // SpecMPK: store-to-load forwarding suppressed
 	stallTillHead   bool // execute only at AL head
 	reissued        bool
 	tlbDeferred     bool // SpecMPK: TLB fill deferred to retirement
+
+	seq uint64
+	pc  uint64
+	// alIdx is the entry's own ring slot (set once at rename), so code
+	// holding only the entry pointer can maintain the scheduler's bitmaps.
+	alIdx int32
+
+	fetchCyc  uint64
+	readyAt   uint64 // cycle the entry leaves the decode pipe (rename may take it)
+	renameCyc uint64
+	issueCyc  uint64
+
+	// Control flow. rasCkpt indexes the machine's RAS-checkpoint pool
+	// (rasCkpts) rather than embedding the checkpoint: consecutive
+	// instructions share a checkpoint unless one of them pushed or popped
+	// the RAS, so pooling turns a 500+-byte copy per in-flight instruction
+	// into one copy per call/return.
+	predTaken bool
+	hasDir    bool
+	actTaken  bool
+	// badFetch marks a faulting fetch marker (pc off the text segment), so
+	// rename can recognize it without a second program lookup.
+	badFetch   bool
+	predTarget uint64
+	dir        bpred.DirState
+	rasCkpt    int
+	actTarget  uint64
+
+	// PKRU.
+	pkruDst int // ROB_pkru entry written by this WRPKRU, else -1
+
+	// Memory.
+	vaddr     uint64
+	paddr     uint64
+	memBytes  int
+	pkey      int
+	storeData uint64
 
 	fault *mem.Fault // delivered at retirement
 
@@ -494,12 +504,6 @@ type Machine struct {
 	fetchStopped bool // saw HALT (or unrecoverable fetch fault)
 	fetchStallTo uint64
 
-	// Fetch/decode queue: a fixed ring sized at New (fetch width times the
-	// decode depth plus one), so the steady-state fetch path never allocates.
-	fq     []fqEntry
-	fqHead int
-	fqLen  int
-
 	// Rename structures.
 	rmt      [isa.NumRegs]int
 	amt      [isa.NumRegs]int
@@ -507,20 +511,28 @@ type Machine struct {
 	prfReady []bool
 	freeList []int
 
-	// Active list (circular).
+	// The in-flight ring: one slot per instruction from fetch to retire,
+	// sized at New to ALSize + fqCap (fqCap is the fetch width times the
+	// decode depth plus one), so the steady state never allocates. The
+	// window, the modelled active list of at most Cfg.ALSize entries, is
+	// [alHead, alHead+alCnt); the fetch/decode queue is the fqLen <= fqCap
+	// slots after it, from alTail on. Rename admits the slot at alTail to
+	// the window where it lies.
 	al     []alEntry
 	alHead int
 	alTail int
 	alCnt  int
+	fqLen  int
+	fqCap  int
 
 	lqCnt, sqCnt int
 	// iqCnt counts active-list entries still waiting to issue (st ==
 	// stWaiting), maintained incrementally so the rename stage's issue-queue
 	// occupancy check is O(1) instead of a per-cycle window walk.
 	iqCnt int
-	// The event-driven scheduler's bitmaps, one bit per physical
-	// active-list slot (regWaiters: one row of such words per physical
-	// register). sched.go describes what sets and clears each.
+	// The event-driven scheduler's bitmaps, one bit per ring slot
+	// (regWaiters: one row of such words per physical register). sched.go
+	// describes what sets and clears each.
 	iqBits, readyBits, pkruWait, issuedBits, sqUnresolvedBits slotBits
 	regWaiters                                                []uint64
 	// sqUnresolved counts in-flight stores whose address is still unknown
@@ -583,22 +595,6 @@ type Machine struct {
 // noDone is nextDone's value when no issued entry awaits completion.
 const noDone = ^uint64(0)
 
-type fqEntry struct {
-	pc        uint64
-	in        isa.Inst
-	readyAt   uint64
-	fetchedAt uint64
-	// badFetch marks a faulting fetch marker (pc off the text segment), so
-	// rename can recognize it without a second program lookup.
-	badFetch bool
-
-	predTaken  bool
-	predTarget uint64
-	hasDir     bool
-	dir        bpred.DirState
-	rasCkpt    int // RAS-checkpoint pool index (see Machine.rasCkpts)
-}
-
 // New loads prog and builds a machine.
 func New(cfg Config, prog *asm.Program) (*Machine, error) {
 	as, err := prog.Load()
@@ -640,7 +636,8 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		return nil, err
 	}
 	fqCap := cfg.Width * (cfg.FrontendDepth + 1)
-	alWords := (cfg.ALSize + 63) / 64
+	ring := cfg.ALSize + fqCap
+	words := (ring + 63) / 64
 	m := &Machine{
 		Cfg:       cfg,
 		pol:       pol,
@@ -656,17 +653,17 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		pc:        pc,
 		prf:       make([]uint64, cfg.PRFSize),
 		prfReady:  make([]bool, cfg.PRFSize),
-		al:        make([]alEntry, cfg.ALSize),
-		fq:        make([]fqEntry, fqCap),
+		al:        make([]alEntry, ring),
+		fqCap:     fqCap,
 		rasCkpts:  make([]bpred.RASCheckpoint, cfg.ALSize+fqCap+2),
 		nextDone:  noDone,
 
-		iqBits:           make(slotBits, alWords),
-		readyBits:        make(slotBits, alWords),
-		pkruWait:         make(slotBits, alWords),
-		issuedBits:       make(slotBits, alWords),
-		sqUnresolvedBits: make(slotBits, alWords),
-		regWaiters:       make([]uint64, cfg.PRFSize*alWords),
+		iqBits:           make(slotBits, words),
+		readyBits:        make(slotBits, words),
+		pkruWait:         make(slotBits, words),
+		issuedBits:       make(slotBits, words),
+		sqUnresolvedBits: make(slotBits, words),
+		regWaiters:       make([]uint64, cfg.PRFSize*words),
 	}
 	m.rasCkpts[0] = m.ras.Checkpoint()
 	m.PKRUState.SetARF(pkru)
@@ -700,35 +697,23 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 }
 
 // ---------------------------------------------------------------------------
-// Fetch-queue ring
+// Fetch queue: the ring slots after the window
 
-// fqPush appends a slot at the tail and returns it; the caller overwrites it
-// entirely. Callers check fqFull first.
-func (m *Machine) fqPush() *fqEntry {
-	i := m.fqHead + m.fqLen
-	if i >= len(m.fq) {
-		i -= len(m.fq)
+// fqPush clears the slot after the queue's tail and returns it for fetch to
+// fill. Callers check fqLen < fqCap first.
+func (m *Machine) fqPush() *alEntry {
+	i := m.alTail + m.fqLen
+	if i >= len(m.al) {
+		i -= len(m.al)
 	}
 	m.fqLen++
-	return &m.fq[i]
+	e := &m.al[i]
+	*e = alEntry{}
+	return e
 }
 
-// fqFront returns the oldest queued entry. The pointer stays valid until the
-// next fqPush, which cannot happen before the fetch stage runs — rename (the
-// only consumer) finishes with the entry first.
-func (m *Machine) fqFront() *fqEntry { return &m.fq[m.fqHead] }
-
-// fqPop removes the oldest entry.
-func (m *Machine) fqPop() {
-	m.fqHead++
-	if m.fqHead == len(m.fq) {
-		m.fqHead = 0
-	}
-	m.fqLen--
-}
-
-// fqClear empties the queue (squash redirect).
-func (m *Machine) fqClear() { m.fqHead, m.fqLen = 0, 0 }
+// fqFront returns the oldest queued entry, the slot at alTail.
+func (m *Machine) fqFront() *alEntry { return &m.al[m.alTail] }
 
 // RunInsts steps until n instructions have retired (or HALT/fault/cycle
 // budget): RunContext without a context.

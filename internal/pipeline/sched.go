@@ -5,7 +5,7 @@ import "math/bits"
 // Event-driven scheduling.
 //
 // The issue and complete stages never poll the window. Every entry that can
-// move is on a bitmap indexed by its physical active-list slot, and the
+// move is on a bitmap indexed by its physical ring slot (Machine.al), and the
 // stages walk only set bits:
 //
 //   - iqBits: waiting and issuable (st == stWaiting && !stallTillHead).
@@ -32,7 +32,7 @@ import "math/bits"
 // change mid-walk is an older store resolving its address earlier in the
 // same walk, so the store check stays live.
 
-// slotBits is a bitmap over physical active-list slots.
+// slotBits is a bitmap over physical ring slots.
 type slotBits []uint64
 
 func (b slotBits) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }

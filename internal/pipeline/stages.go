@@ -21,7 +21,7 @@ func (m *Machine) fetchStage() {
 	if m.cycle < m.fetchStallTo {
 		return
 	}
-	for n := 0; n < m.Cfg.Width && m.fqLen < len(m.fq); n++ {
+	for n := 0; n < m.Cfg.Width && m.fqLen < m.fqCap; n++ {
 		// The body always mutates machine state (fetch-queue push, stall
 		// timer, or I-cache line bookkeeping), so this cycle cannot be
 		// fast-forwarded over.
@@ -38,25 +38,21 @@ func (m *Machine) fetchStage() {
 			}
 		}
 		in, ok := m.Prog.InstAt(m.pc)
+		fe := m.fqPush()
+		fe.pc = m.pc
+		fe.fetchCyc = m.cycle
+		fe.readyAt = m.cycle + uint64(m.Cfg.FrontendDepth)
 		if !ok {
 			// Fetch wandered off the text segment (usually wrong path).
-			// Enqueue a faulting marker and stop fetching; a squash or
-			// retirement will sort it out.
-			fe := m.fqPush()
-			*fe = fqEntry{
-				pc:        m.pc,
-				in:        isa.Inst{Op: isa.OpNop},
-				readyAt:   m.cycle + uint64(m.Cfg.FrontendDepth),
-				fetchedAt: m.cycle,
-				badFetch:  true,
-				rasCkpt:   m.rasCur,
-			}
+			// Enqueue a faulting marker (a NOP) and stop fetching; a squash
+			// or retirement will sort it out.
+			fe.badFetch = true
+			fe.rasCkpt = m.rasCur
 			m.fetchStopped = true
 			m.Stats.Fetched++
 			return
 		}
-		fe := m.fqPush()
-		*fe = fqEntry{pc: m.pc, in: in, readyAt: m.cycle + uint64(m.Cfg.FrontendDepth), fetchedAt: m.cycle}
+		fe.in = in
 		nextPC := m.pc + isa.InstBytes
 		taken := false
 		rasMut := false
@@ -163,17 +159,17 @@ func (m *Machine) renameStage() {
 	wanted := false
 	reason := stallNone
 	for renamed < m.Cfg.Width && m.fqLen > 0 {
-		fe := m.fqFront()
-		if fe.readyAt > m.cycle {
+		e := m.fqFront()
+		if e.readyAt > m.cycle {
 			break
 		}
 		wanted = true
-		// If this iteration breaks, fe is the instruction rename blocked on;
+		// If this iteration breaks, e is the instruction rename blocked on;
 		// accountCycle attributes serialize/rob_pkru_full cycles to it.
-		m.renameBlockPC = fe.pc
-		in := fe.in
+		m.renameBlockPC = e.pc
+		in := e.in
 		// Structural resources.
-		if m.alCnt == len(m.al) || m.iqCnt >= m.Cfg.IQSize {
+		if m.alCnt == m.Cfg.ALSize || m.iqCnt >= m.Cfg.IQSize {
 			reason = stallResource
 			break
 		}
@@ -209,42 +205,28 @@ func (m *Machine) renameStage() {
 			break
 		}
 
-		// Allocate the active-list entry. (fe remains readable after the
-		// pop: nothing pushes into the ring before the fetch stage, which
-		// runs after rename within the cycle.)
-		m.fqPop()
+		// Admit the queue's front slot to the window where it lies: fetch
+		// wrote its front-end fields, rename adds its own.
 		m.progressed = true
 		m.seq++
 		slot := m.alTail
-		e := &m.al[slot]
-		*e = alEntry{
-			seq:        m.seq,
-			pc:         fe.pc,
-			in:         in,
-			alIdx:      int32(slot),
-			fetchCyc:   fe.fetchedAt,
-			renameCyc:  m.cycle,
-			st:         stWaiting,
-			newPhys:    noReg,
-			physRs1:    noReg,
-			physRs2:    noReg,
-			pkruDst:    -1,
-			predTaken:  fe.predTaken,
-			predTarget: fe.predTarget,
-			hasDir:     fe.hasDir,
-			dir:        fe.dir,
-			rasCkpt:    fe.rasCkpt,
-		}
+		e.seq = m.seq
+		e.alIdx = int32(slot)
+		e.renameCyc = m.cycle
+		e.st = stWaiting
+		e.newPhys, e.physRs1, e.physRs2 = noReg, noReg, noReg
+		e.pkruDst = -1
 		m.iqBits.set(slot)
 		m.alTail++
 		if m.alTail == len(m.al) {
 			m.alTail = 0
 		}
 		m.alCnt++
+		m.fqLen--
 		m.iqCnt++
-		if fe.badFetch {
+		if e.badFetch {
 			// Fetch-fault marker: deliver an exec fault at retirement.
-			e.fault = &mem.Fault{Kind: mem.FaultPage, Addr: fe.pc, Access: mem.Exec}
+			e.fault = &mem.Fault{Kind: mem.FaultPage, Addr: e.pc, Access: mem.Exec}
 			e.st = stDone
 			e.done = m.cycle
 			m.iqCnt--
@@ -501,11 +483,7 @@ func (m *Machine) checkMemOrder(idx int) bool {
 		// keeps the squashed suffix's bits — predictor state is heuristic,
 		// not architectural.)
 		m.rasRestore(ras)
-		m.pc = pc
-		m.fqClear()
-		m.fetchStopped = false
-		m.fetchStallTo = 0
-		m.curICLine = 0
+		m.redirect(pc)
 		return true
 	}
 	return false
@@ -848,21 +826,18 @@ func (m *Machine) resolveControl(e *alEntry, idx int) bool {
 		m.tage.Recover(e.dir, e.actTaken)
 	}
 	m.rasRestore(e.rasCkpt)
+	next := e.pc + isa.InstBytes
 	if e.actTaken {
-		m.pc = e.actTarget
-	} else {
-		m.pc = e.pc + isa.InstBytes
+		next = e.actTarget
 	}
-	m.fqClear()
-	m.fetchStopped = false
-	m.fetchStallTo = 0
-	m.curICLine = 0
+	m.redirect(next)
 	return true
 }
 
 // squashAfter removes every AL entry younger than offset idx (pass -1 to
-// flush the whole window) and repairs the rename state. why names the cause
-// for the event trace (mispredict, memorder, fault).
+// flush the whole window) and everything in the fetch queue, which is younger
+// still, and repairs the rename state. why names the cause for the event
+// trace (mispredict, memorder, fault). The caller redirects fetch.
 func (m *Machine) squashAfter(idx int, why string) {
 	if n := m.alCnt - (idx + 1); n > 0 {
 		m.emit(trace.Event{Kind: trace.KindSquash, N: uint64(n), Note: why})
@@ -910,6 +885,7 @@ func (m *Machine) squashAfter(idx int, why string) {
 	if m.alTail >= len(m.al) {
 		m.alTail -= len(m.al)
 	}
+	m.fqLen = 0
 	// Squashes are rare: rather than tracking which issued entries died,
 	// reset the completion horizon; the next complete walk recomputes it.
 	m.nextDone = m.cycle
@@ -1135,10 +1111,14 @@ func (m *Machine) deliverFault(e *alEntry) {
 // flushAndRedirect empties the pipeline (fault recovery) and restarts fetch.
 func (m *Machine) flushAndRedirect(pc uint64) {
 	m.squashAfter(-1, "fault")
-	m.fqClear()
+	m.redirect(pc)
+	m.serialWait = false
+}
+
+// redirect restarts fetch at pc once a squash has emptied the fetch queue.
+func (m *Machine) redirect(pc uint64) {
 	m.pc = pc
 	m.fetchStopped = false
 	m.fetchStallTo = 0
 	m.curICLine = 0
-	m.serialWait = false
 }

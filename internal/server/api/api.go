@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"specmpk/internal/asm"
+	"specmpk/internal/mem"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/simpoint"
 	"specmpk/internal/workload"
@@ -126,6 +127,28 @@ const (
 	MaxSampledWarmInsts   = 1 << 18
 )
 
+// MaxAsmMappedBytes bounds what an asm job's program maps, its code pages
+// plus every .region, checked by Normalize. Program.Load builds one
+// page-table entry per 4 KiB page up front, so without the bound a request
+// of a few dozen bytes naming a 2^40-byte region would make a worker insert
+// 2^28 entries. 64 MiB is over 16× the largest catalogue program (2.3 MiB).
+const MaxAsmMappedBytes = 64 << 20
+
+// asmMappedBytes returns how much Program.Load maps for p: its code rounded
+// up to whole pages (at least one), plus every region. The sum saturates
+// just above MaxAsmMappedBytes per term, so it cannot wrap. A region whose
+// end wraps past the top of the address space is an error.
+func asmMappedBytes(p *asm.Program) (uint64, error) {
+	mapped := max((p.CodeSize()+mem.PageSize-1)&^(mem.PageSize-1), mem.PageSize)
+	for _, r := range p.Regions {
+		if r.Base+r.Size < r.Base {
+			return 0, fmt.Errorf("api: asm region %q: end overflows (base %#x, size %#x)", r.Name, r.Base, r.Size)
+		}
+		mapped += min(r.Size, MaxAsmMappedBytes+1)
+	}
+	return mapped, nil
+}
+
 // DefaultSampledParams mirrors simpoint.DefaultConfig with the warm-up depth
 // spelled out: 20 k-instruction intervals over the first 1 M instructions,
 // 5 clusters, seed 1.
@@ -174,8 +197,16 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 			return out, err
 		}
 	default: // Asm
-		if _, err := asm.Parse(s.Asm); err != nil {
+		prog, err := asm.Parse(s.Asm)
+		if err != nil {
 			return out, fmt.Errorf("api: asm program: %w", err)
+		}
+		mapped, err := asmMappedBytes(prog)
+		if err != nil {
+			return out, err
+		}
+		if mapped > MaxAsmMappedBytes {
+			return out, fmt.Errorf("api: asm program maps %d bytes of code and regions, above the bound %d", mapped, MaxAsmMappedBytes)
 		}
 		if s.Variant != "" || s.Seed != 0 {
 			return out, fmt.Errorf("api: variant/seed apply to catalogue workloads, not asm jobs")

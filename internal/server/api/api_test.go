@@ -2,9 +2,11 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"specmpk/internal/mem"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/workload"
 )
@@ -156,6 +158,58 @@ func TestAsmSpecProgramAndKey(t *testing.T) {
 	}
 	if k1 == k2 {
 		t.Fatal("different asm programs collide")
+	}
+}
+
+// hugeRegionAsm names a 2^40-byte region in a program of one instruction:
+// loading it would insert 2^28 page-table entries.
+const hugeRegionAsm = ".region big 0x10000000 0x10000000000 rw 0\nmain:\n    halt\n"
+
+// TestNormalizeBoundsAsmMapping: Normalize, and so admission, refuses an asm
+// program whose code and regions map more than MaxAsmMappedBytes, or whose
+// region ends past the top of the address space. Parsing alone allocates
+// nothing of that size, so the refusal costs nothing either way. A program
+// exactly at the bound passes.
+func TestNormalizeBoundsAsmMapping(t *testing.T) {
+	region := func(base, size uint64) string {
+		return fmt.Sprintf(".region r %#x %#x rw 0\nmain:\n    halt\n", base, size)
+	}
+	atCap := uint64(MaxAsmMappedBytes - mem.PageSize) // plus the one code page
+	for _, c := range []struct {
+		name, asm string
+		ok        bool
+	}{
+		{"2^40-byte region", hugeRegionAsm, false},
+		{"exactly at the bound", region(0x10000000, atCap), true},
+		{"one page past the bound", region(0x10000000, atCap+mem.PageSize), false},
+		{"two regions past the bound", region(0x10000000, atCap) +
+			".region s 0x20000000 0x1000 rw 0\n", false},
+		{"end overflows", region(0xfffffffffffff000, 0x2000), false},
+	} {
+		_, err := JobSpec{Asm: c.asm}.Normalize()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Normalize error %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestAsmMappingBoundCoversCatalogue: MaxAsmMappedBytes leaves at least 16×
+// headroom over every catalogue program's code and regions.
+func TestAsmMappingBoundCoversCatalogue(t *testing.T) {
+	var most uint64
+	for _, p := range append(workload.Catalog(), workload.ExtCatalog()...) {
+		prog, err := p.Build(workload.VariantFull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := asmMappedBytes(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		most = max(most, mapped)
+	}
+	if 16*most > MaxAsmMappedBytes {
+		t.Fatalf("largest catalogue program maps %d bytes; the bound %d is under 16× that", most, MaxAsmMappedBytes)
 	}
 }
 

@@ -7,13 +7,18 @@ import (
 	"testing"
 
 	"specmpk/internal/pipeline"
+	"specmpk/internal/simpoint"
 )
 
 // FuzzJobSpecKey decodes arbitrary JSON the way the daemon's submit handler
 // does and checks the content-addressing invariants the result store relies
 // on: Normalize and Key never panic, Normalize is idempotent (a cluster
 // owner re-normalizes the already-normalized spec a coordinator forwards),
-// and a spec keys exactly like its normal form.
+// and a spec keys exactly like its normal form. It then builds what a worker
+// builds from an admitted spec (the program, the machine, and for a sampled
+// job the SimPoint plan under a 2^14-instruction profile) and steps the
+// machine, so an admitted spec that would crash a worker or make it allocate
+// without bound fails here.
 func FuzzJobSpecKey(f *testing.F) {
 	cfg := pipeline.DefaultConfig()
 	cfg.ROBPkruSize = 4
@@ -23,6 +28,7 @@ func FuzzJobSpecKey(f *testing.F) {
 		{Workload: "557.xz_r", Config: &cfg, MaxWallMS: 10},
 		{Asm: "main:\n    movi t0, 3\n    halt\n", Mode: "specmpk"},
 		{Workload: "548.exchange2_r", Fidelity: FidelitySampled, Sampled: &SampledParams{IntervalLen: 2000, K: 2, Audit: true}},
+		{Asm: hugeRegionAsm},
 	} {
 		b, err := json.Marshal(spec)
 		if err != nil {
@@ -60,6 +66,27 @@ func FuzzJobSpecKey(f *testing.F) {
 		}
 		if k1 != k2 {
 			t.Fatalf("Key(spec) %s != Key(Normalize(spec)) %s\ninput: %s", k1, k2, data)
+		}
+
+		prog, err := norm.Program()
+		if err != nil {
+			t.Fatalf("admitted spec's program does not build: %v\ninput: %s", err, data)
+		}
+		cfg, err := norm.MachineConfig()
+		if err != nil {
+			t.Fatalf("admitted spec's config does not resolve: %v\ninput: %s", err, data)
+		}
+		// Loading may still refuse an admitted program (an unaligned
+		// region, say); a worker fails that job with the error.
+		if m, err := pipeline.New(cfg, prog); err == nil {
+			for i := 0; i < 1000 && !m.Halted() && m.Fault() == nil; i++ {
+				m.Step()
+			}
+		}
+		if norm.Sampled != nil {
+			sc := norm.Sampled.SimPointConfig()
+			sc.MaxInsts = min(sc.MaxInsts, 1<<14)
+			_, _ = simpoint.BuildPlan(prog, sc) // an error is the job's result
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"specmpk/internal/faults"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/server/api"
 )
@@ -600,6 +601,36 @@ func TestHTTPRejectsOversizedSampling(t *testing.T) {
 	}
 	if n := s.accepted.Load(); n != 0 {
 		t.Fatalf("%d oversized sampled jobs queued", n)
+	}
+}
+
+// TestHTTPRejectsHugeAsmRegion: an asm program naming a 2^40-byte region is
+// refused at admission with a 400. A server without the bound would queue it
+// and a worker's Program.Load would insert 2^28 page-table entries, so the
+// worker fault point is armed to fail any job before it builds a machine: a
+// regression fails the status check without allocating.
+func TestHTTPRejectsHugeAsmRegion(t *testing.T) {
+	armPlan(t, faults.Plan{Rules: []faults.Rule{
+		{Point: "server.worker.simulate", Message: "an oversized asm job reached a worker"},
+	}})
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	body, err := json.Marshal(api.JobSpec{Asm: ".region big 0x10000000 0x10000000000 rw 0\nmain:\n    halt\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("2^40-byte asm region: status %d, want 400", resp.StatusCode)
+	}
+	if n := s.accepted.Load(); n != 0 {
+		t.Fatalf("%d oversized asm jobs queued", n)
 	}
 }
 

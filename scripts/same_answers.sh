@@ -1,0 +1,61 @@
+#!/bin/sh
+# Identity check for changes that must not move any simulated answer:
+#
+#   make same-answers BASE=<ref>        (or: sh scripts/same_answers.sh <ref>)
+#
+# Builds specmpk-sim twice, from a clean export of <ref> and from the working
+# tree. Then it runs every catalogue workload (-list) under each of the five
+# policies with every output file on, and compares stdout and the five files
+# byte for byte. It prints each run that differs and exits non-zero if any
+# does. Everything lives under one temporary directory ($TMPDIR), removed on
+# exit, so nothing is written inside the checkout. CI does not run it: a
+# change that means to move an answer fails it by design.
+set -eu
+
+BASE=${1:?usage: same_answers.sh <base-ref>}
+ROOT=$(git rev-parse --show-toplevel)
+TP=00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01
+POLICIES="serialized nonsecure specmpk delayupgrade noforward"
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
+echo "== build specmpk-sim at $BASE and in the working tree"
+mkdir "$TMP/src"
+git -C "$ROOT" archive "$BASE" | tar -x -C "$TMP/src"
+(cd "$TMP/src" && go build -buildvcs=false -o "$TMP/base.sim" ./cmd/specmpk-sim)
+(cd "$ROOT" && go build -buildvcs=false -o "$TMP/work.sim" ./cmd/specmpk-sim)
+
+# run <side> <workload> <policy>: one run with every output, into
+# $TMP/<side>/<workload>.<policy>/.
+run() {
+	d=$TMP/$1/$2.$3
+	mkdir -p "$d"
+	status=0
+	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -trace 40 -pipeview 60 \
+		-stats-out "$d/stats.json" -prom-out "$d/stats.prom" -trace-out "$d/trace.jsonl" \
+		-konata-out "$d/konata.log" -konata-n 3000 -profile-out "$d/profile.json" \
+		-traceparent "$TP" >"$d/stdout" 2>/dev/null || status=$?
+	echo "$status" >"$d/status"
+}
+
+cells=0
+differ=0
+for wl in $("$TMP/work.sim" -list | awk '{print $1}'); do
+	for pol in $POLICIES; do
+		run base "$wl" "$pol"
+		run work "$wl" "$pol"
+		cells=$((cells + 1))
+		for f in status stdout stats.json stats.prom trace.jsonl konata.log profile.json; do
+			if ! cmp -s "$TMP/base/$wl.$pol/$f" "$TMP/work/$wl.$pol/$f"; then
+				echo "DIFFERS: $wl $pol $f"
+				differ=$((differ + 1))
+			fi
+		done
+		rm -rf "$TMP/base/$wl.$pol" "$TMP/work/$wl.$pol"
+	done
+done
+if [ "$differ" -ne 0 ]; then
+	echo "same-answers: $differ outputs differ from $BASE across $cells runs" >&2
+	exit 1
+fi
+echo "same-answers: $cells runs, stdout and five output files each, identical to $BASE"
