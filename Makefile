@@ -112,12 +112,15 @@ bench-smoke:
 # Short fuzz passes over the untrusted-input surfaces: the assembler's
 # parser, the instruction decoder, and the job-spec JSON that content-addresses
 # every daemon result (Normalize must be idempotent and key-stable, because a
-# cluster owner re-normalizes forwarded specs); CI runs them on every push.
+# cluster owner re-normalizes forwarded specs); plus physical memory's
+# page-wise bulk copies against a byte-wise model, since every program load
+# and checkpoint restore goes through them. CI runs them on every push.
 # `go test -fuzz` takes one target per run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/asm
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run=^$$ ./internal/isa
 	$(GO) test -fuzz=FuzzJobSpecKey -fuzztime=10s -run=^$$ ./internal/server/api
+	$(GO) test -fuzz=FuzzPhysMemBytes -fuzztime=10s -run=^$$ ./internal/mem
 
 # Identity check for a change that must not move any answer: every catalogue
 # workload under every policy, built at BASE and in the working tree, with

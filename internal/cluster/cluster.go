@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -515,19 +514,10 @@ func (c *Coordinator) runOn(ctx context.Context, p *peer, spec api.JobSpec) (Rem
 	if len(info.Result) == 0 {
 		return RemoteResult{}, fmt.Errorf("cluster: peer %s answered done with no result payload", p.name)
 	}
-	// Canonicalize to compact JSON: the daemon stores results compact, but
-	// the job-info endpoint re-indents embedded payloads, so the bytes a
-	// client.Run sees carry transport formatting. Compacting restores the
-	// stored form without touching a single value (numbers pass through
-	// verbatim), keeping forwarded results bit-identical to the origin
-	// node's result store — and to GET /v1/cache/{key}, which reads that
-	// store directly.
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, info.Result); err != nil {
-		return RemoteResult{}, fmt.Errorf("cluster: bad result payload from %s: %w", p.name, err)
-	}
+	// The job-info endpoint carries the peer's stored result bytes
+	// verbatim, so they enter this node's store bit-identical.
 	return RemoteResult{
-		Raw:          buf.Bytes(),
+		Raw:          info.Result,
 		StopReason:   res.StopReason,
 		Cycles:       res.Stats.Cycles,
 		Insts:        res.Stats.Insts,

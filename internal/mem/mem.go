@@ -195,16 +195,35 @@ func (m *PhysMem) Write64(paddr uint64, v uint64) {
 // ReadBytes copies n bytes starting at paddr into a fresh slice.
 func (m *PhysMem) ReadBytes(paddr uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Read8(paddr + uint64(i))
-	}
+	m.readInto(out, paddr)
 	return out
 }
 
-// WriteBytes stores b starting at paddr.
+// readInto fills dst from paddr onward with one frame lookup and one copy per
+// page touched. Absent frames read as zeros and stay absent, exactly as a
+// Read8 loop would leave them.
+func (m *PhysMem) readInto(dst []byte, paddr uint64) {
+	for len(dst) > 0 {
+		off := paddr & (PageSize - 1)
+		var n int
+		if f := m.frameFor(paddr, false); f != nil {
+			n = copy(dst, f[off:])
+		} else {
+			n = min(len(dst), PageSize-int(off))
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		paddr += uint64(n)
+	}
+}
+
+// WriteBytes stores b starting at paddr, one frame lookup and one copy per
+// page touched. Like a Write8 loop, it materializes every frame it touches.
 func (m *PhysMem) WriteBytes(paddr uint64, b []byte) {
-	for i, v := range b {
-		m.Write8(paddr+uint64(i), v)
+	for len(b) > 0 {
+		n := copy(m.frameFor(paddr, true)[paddr&(PageSize-1):], b)
+		b = b[n:]
+		paddr += uint64(n)
 	}
 }
 
@@ -389,17 +408,15 @@ func (as *AddressSpace) WriteVirtBytes(vaddr uint64, b []byte) error {
 
 // ReadVirtBytes translates page by page (read) and fetches n bytes.
 func (as *AddressSpace) ReadVirtBytes(vaddr uint64, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		paddr, _, err := as.Translate(vaddr+uint64(len(out)), Read)
+	out := make([]byte, n)
+	for i := 0; i < n; {
+		paddr, _, err := as.Translate(vaddr+uint64(i), Read)
 		if err != nil {
 			return nil, err
 		}
-		chunk := PageSize - int(paddr&(PageSize-1))
-		if chunk > n-len(out) {
-			chunk = n - len(out)
-		}
-		out = append(out, as.Phys.ReadBytes(paddr, chunk)...)
+		chunk := min(PageSize-int(paddr&(PageSize-1)), n-i)
+		as.Phys.readInto(out[i:i+chunk], paddr)
+		i += chunk
 	}
 	return out, nil
 }

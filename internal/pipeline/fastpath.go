@@ -29,12 +29,10 @@ package pipeline
 
 // stepFast advances at least one cycle, fast-forwarding across provably idle
 // stretches. limit is the absolute cycle bound of the enclosing run; the
-// machine never skips past it. A machine driven by external per-cycle
-// observation (an attached ProfileSink receives one CycleAttributed call per
-// cycle) disables the skip and degrades to plain Step.
+// machine never skips past it.
 func (m *Machine) stepFast(limit uint64) {
 	m.Step()
-	if m.progressed || m.Prof != nil || m.halted || m.fault != nil {
+	if m.progressed || m.halted || m.fault != nil {
 		return
 	}
 	if n := m.idleCycles(limit); n > 0 {
@@ -83,9 +81,10 @@ func (m *Machine) idleCycles(limit uint64) uint64 {
 // skipIdle batch-accounts n cycles identical to the one just simulated. The
 // increments mirror exactly what n repetitions of Step would have done: the
 // cycle counters, the rename-stall counters renameStage charges when it wants
-// to rename but cannot, and the CPI-stack bucket accountCycle chose. No event,
-// retire record or load-latency observation fires on an idle cycle, so none
-// is replayed here.
+// to rename but cannot, and the CPI-stack bucket accountCycle chose, which an
+// attached ProfileSink receives as one batch at the same PC. No event, retire
+// record or load-latency observation fires on an idle cycle, so none is
+// replayed here.
 func (m *Machine) skipIdle(n uint64) {
 	m.cycle += n
 	m.Stats.Cycles += n
@@ -99,6 +98,9 @@ func (m *Machine) skipIdle(n uint64) {
 		}
 	}
 	m.Stats.CPI.AddN(m.lastBucket, n)
+	if m.Prof != nil {
+		m.Prof.CycleAttributed(m.lastBucket, m.lastPC, n)
+	}
 }
 
 // rasCheckpoint returns the pool index describing the current RAS state,

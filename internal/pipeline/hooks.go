@@ -79,12 +79,15 @@ func (c *CPIStack) AddN(b CPIBucket, n uint64) { *c.field(b) += n }
 // Bucket returns the count in bucket b.
 func (c CPIStack) Bucket(b CPIBucket) uint64 { return *c.field(b) }
 
-// ProfileSink receives the per-PC profiler feed: one CycleAttributed call per
-// simulated cycle (the same attribution accountCycle folds into Stats.CPI,
-// plus the program location responsible) and one Retired call per retired
-// instruction. Because every cycle is reported exactly once, a sink that sums
-// its per-PC buckets reconstructs the global CPI stack exactly — the
-// invariant internal/profile's tests pin.
+// ProfileSink receives the per-PC profiler feed: CycleAttributed calls that
+// together cover every simulated cycle (the same attribution accountCycle
+// folds into Stats.CPI, plus the program location responsible) and one
+// Retired call per retired instruction. A simulated cycle reports n = 1; the
+// idle fast-forward reports its whole batch of identical cycles in one call,
+// with the bucket and PC of the cycle just simulated (a skipped cycle is a
+// fixed point, so they cannot differ). Because every cycle is reported
+// exactly once, a sink that sums its per-PC buckets reconstructs the global
+// CPI stack exactly — the invariant internal/profile's tests pin.
 //
 // The PC a cycle attributes to is the location that *caused* the bucket:
 //
@@ -98,7 +101,7 @@ func (c CPIStack) Bucket(b CPIBucket) uint64 { return *c.field(b) }
 //   - memory:          the stalled load/store at the window head
 //   - frontend/squash_recovery: the current fetch PC
 type ProfileSink interface {
-	CycleAttributed(b CPIBucket, pc uint64)
+	CycleAttributed(b CPIBucket, pc uint64, n uint64)
 	Retired(pc uint64)
 }
 

@@ -183,6 +183,13 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 	}
 }
 
+// StormProg and SmallCfg export the storm program and its small machine to
+// the external test package.
+var (
+	StormProg = stormProg
+	SmallCfg  = smallCfg
+)
+
 // stormProg builds the squash/refill storm: LCG-driven data-dependent
 // branches (constant mispredict pressure), call/return depth (RAS churn),
 // WRPKRU toggles crossing speculative windows, and loads/stores against two
@@ -418,8 +425,8 @@ func TestRingAtAdmissionMaxima(t *testing.T) {
 // TestIdleFastForwardEquivalence pins stepFast against per-cycle Step: two
 // machines on the same storm must produce identical statistics, cycle counts
 // and architectural state whether or not the idle fast-forward is allowed to
-// batch stall cycles. (Attaching a ProfileSink forces per-cycle stepping, but
-// here the comparison drives Step directly for full independence.)
+// batch stall cycles. (TestProfiledRunMatchesStepLoop pins the same
+// equivalence for an attached ProfileSink.)
 func TestIdleFastForwardEquivalence(t *testing.T) {
 	p := stormProg(t)
 	for _, mode := range allModes() {

@@ -575,10 +575,12 @@ type Machine struct {
 	// whether any stage changed machine state this Step (beyond the per-cycle
 	// counters), renameWanted whether rename had a ready instruction it could
 	// not rename, and lastBucket the CPI bucket accountCycle attributed the
-	// cycle to — exactly what a batch of identical stall cycles must repeat.
+	// cycle to — exactly what a batch of identical stall cycles must repeat —
+	// and, when a ProfileSink is attached, lastPC the PC it attributed.
 	progressed   bool
 	renameWanted bool
 	lastBucket   CPIBucket
+	lastPC       uint64
 
 	// Batched load-latency histogram: plain integer bucket counters bumped
 	// on the hot path, materialized into a stats HistValue only at snapshot
@@ -910,7 +912,8 @@ func (m *Machine) accountCycle() {
 	}
 	m.lastBucket = b
 	if m.Prof != nil {
-		m.Prof.CycleAttributed(b, pc)
+		m.lastPC = pc
+		m.Prof.CycleAttributed(b, pc, 1)
 	}
 }
 

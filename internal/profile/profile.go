@@ -61,11 +61,11 @@ func (p *Profiler) at(pc uint64) *PCCounts {
 }
 
 // CycleAttributed implements pipeline.ProfileSink.
-func (p *Profiler) CycleAttributed(b pipeline.CPIBucket, pc uint64) {
+func (p *Profiler) CycleAttributed(b pipeline.CPIBucket, pc uint64, n uint64) {
 	c := p.at(pc)
-	c.Cycles++
-	c.CPI.Add(b)
-	p.Total.Add(b)
+	c.Cycles += n
+	c.CPI.AddN(b, n)
+	p.Total.AddN(b, n)
 }
 
 // Retired implements pipeline.ProfileSink.

@@ -60,7 +60,8 @@ type backoff struct {
 	policy RetryPolicy
 
 	mu      sync.Mutex
-	jitter  func() float64
+	jitter  func() float64 // nil until the first default-jitter draw
+	seq     uint64         // instance number the default stream is seeded from
 	attempt int
 }
 
@@ -76,12 +77,15 @@ func defaultJitter(n uint64) func() float64 {
 	return rand.New(rand.NewSource(int64(n * 0x9E3779B97F4A7C15))).Float64
 }
 
+// newBackoff numbers the instance now but seeds its default stream only on
+// the first delay: most calls never retry, and a math/rand source is a
+// 4.9 KB allocation.
 func newBackoff(p RetryPolicy) *backoff {
-	jitter := p.Jitter
-	if jitter == nil {
-		jitter = defaultJitter(backoffSeq.Add(1))
+	b := &backoff{policy: p, jitter: p.Jitter}
+	if b.jitter == nil {
+		b.seq = backoffSeq.Add(1)
 	}
-	return &backoff{policy: p, jitter: jitter}
+	return b
 }
 
 // next returns the coming delay and advances the attempt counter.
@@ -96,6 +100,9 @@ func (b *backoff) next() time.Duration {
 		d = b.policy.max()
 	}
 	b.attempt++
+	if b.jitter == nil {
+		b.jitter = defaultJitter(b.seq)
+	}
 	// Jitter to [d/2, d].
 	return d/2 + time.Duration(b.jitter()*float64(d/2+1))
 }

@@ -91,6 +91,30 @@ func TestBackoffDefaultJitterIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestBackoffDefaultJitterIsLazy: a default-jitter backoff builds its
+// stream only on the first delay, from the instance number drawn at
+// construction, so its delays are exactly those of a backoff handed
+// defaultJitter of that number up front.
+func TestBackoffDefaultJitterIsLazy(t *testing.T) {
+	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
+	lazy := newBackoff(p)
+	if lazy.jitter != nil {
+		t.Fatal("newBackoff built its jitter stream before the first delay")
+	}
+	q := p
+	q.Jitter = defaultJitter(lazy.seq)
+	eager := newBackoff(q)
+	for i := 0; i < 20; i++ {
+		if i == 8 {
+			lazy.reset()
+			eager.reset()
+		}
+		if dl, de := lazy.next(), eager.next(); dl != de {
+			t.Fatalf("delay %d: lazy %v, eager %v", i, dl, de)
+		}
+	}
+}
+
 func TestBackoffDefaultsApply(t *testing.T) {
 	var p RetryPolicy
 	if p.attempts() != 6 || p.base() != 100*time.Millisecond || p.max() != 5*time.Second {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"specmpk/internal/server/api"
+	"specmpk/internal/server/client"
 )
 
 // The server side of the cluster seam: the healthz load figures operators
@@ -136,9 +137,12 @@ func TestChaosHealthzDuringDrain(t *testing.T) {
 	<-drained
 }
 
-// TestCacheEndpointServesCanonicalBytes: a peer probing /v1/cache/{key} gets
-// the stored result bytes verbatim on a hit and a clean 404 on a miss; the
-// probe shows up in the peer-lookup counters, not the submit-path hit/miss
+// TestCacheEndpointServesCanonicalBytes: every response that carries a
+// job's result carries the result store's bytes verbatim — the submit
+// answer of a cache hit, the status of a simulated and of a cache-hit job,
+// a result forwarded from a peer the way internal/cluster forwards, and a
+// peer's /v1/cache/{key} probe. A probe miss is a clean 404, and probes
+// show up in the peer-lookup counters, not the submit-path hit/miss
 // statistics.
 func TestCacheEndpointServesCanonicalBytes(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
@@ -155,35 +159,68 @@ func TestCacheEndpointServesCanonicalBytes(t *testing.T) {
 		t.Fatalf("miss status %d, want 404", miss.StatusCode)
 	}
 
-	info, err := s.Submit(api.JobSpec{Asm: haltAsm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitJob(t, s, info.ID)
-	if final.State != api.StateDone {
+	spec := api.JobSpec{Asm: haltAsm}
+	first := httpJob(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
+	if final := waitJob(t, s, first.ID); final.State != api.StateDone {
 		t.Fatalf("job state %s", final.State)
 	}
+	status := httpJob(t, http.MethodGet, ts.URL+"/v1/jobs/"+first.ID, nil)
+	hit := httpJob(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
+	if !hit.Cached {
+		t.Fatal("resubmission was not answered from the cache")
+	}
+	hitStatus := httpJob(t, http.MethodGet, ts.URL+"/v1/jobs/"+hit.ID, nil)
 
-	hit, err := http.Get(ts.URL + "/v1/cache/" + final.Key)
+	// A second node whose forwarder runs every job on the first through the
+	// typed client and keeps the result bytes as they arrive.
+	edge := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	peer := client.New(ts.URL)
+	edge.SetForwarder(funcForwarder{
+		remote: func(string) bool { return true },
+		run: func(ctx context.Context, _ string, spec api.JobSpec) (ForwardOutcome, error) {
+			res, info, err := peer.Run(ctx, spec)
+			if err != nil {
+				return ForwardOutcome{}, err
+			}
+			return ForwardOutcome{Result: info.Result, StopReason: res.StopReason,
+				Cycles: res.Stats.Cycles, Insts: res.Stats.Insts, Peer: "origin", PeerCacheHit: info.Cached}, nil
+		},
+	})
+	ets := httptest.NewServer(edge)
+	defer ets.Close()
+	fwd := httpJob(t, http.MethodPost, ets.URL+"/v1/jobs", spec)
+	if final := waitJob(t, edge, fwd.ID); final.State != api.StateDone {
+		t.Fatalf("forwarded job state %s (err %q)", final.State, final.Error)
+	}
+	forwarded := httpJob(t, http.MethodGet, ets.URL+"/v1/jobs/"+fwd.ID, nil)
+
+	probe, err := http.Get(ts.URL + "/v1/cache/" + status.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hit.Body.Close()
-	if hit.StatusCode != http.StatusOK {
-		t.Fatalf("hit status %d", hit.StatusCode)
+	defer probe.Body.Close()
+	if probe.StatusCode != http.StatusOK {
+		t.Fatalf("hit status %d", probe.StatusCode)
 	}
-	got, err := io.ReadAll(hit.Body)
+	stored, err := io.ReadAll(probe.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The endpoint serves the stored canonical form: final.Result arrived
-	// re-indented by the job-info encoder, so compare compacted.
-	var want bytes.Buffer
-	if err := json.Compact(&want, final.Result); err != nil {
-		t.Fatal(err)
+	if len(stored) == 0 {
+		t.Fatal("cache endpoint served an empty result")
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Error("cache endpoint bytes differ from the job's canonical result")
+	for _, c := range []struct {
+		name string
+		got  json.RawMessage
+	}{
+		{"job status", status.Result},
+		{"cache-hit submit", hit.Result},
+		{"cache-hit job status", hitStatus.Result},
+		{"forwarded job status", forwarded.Result},
+	} {
+		if !bytes.Equal(c.got, stored) {
+			t.Errorf("%s result differs from the stored bytes:\n got: %s\nwant: %s", c.name, c.got, stored)
+		}
 	}
 
 	metrics := scrapeMetrics(t, ts.URL)
@@ -192,6 +229,38 @@ func TestCacheEndpointServesCanonicalBytes(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// httpJob sends one job request (a submit when body is non-nil) and decodes
+// the answer; JobInfo.Result keeps the bytes exactly as they arrived.
+func httpJob(t *testing.T, method, url string, body any) api.JobInfo {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s %s: HTTP %d: %s", method, url, resp.StatusCode, b)
+	}
+	var info api.JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info
 }
 
 // TestResubmitMarkerCounts: a submit carrying the resubmit header is a

@@ -146,12 +146,12 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers compact JSON, so an embedded json.RawMessage such as
+// JobInfo.Result reaches the client as the result store's bytes verbatim.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

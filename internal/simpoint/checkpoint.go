@@ -182,9 +182,7 @@ func (c *capturer) snapshot(ff *funcsim.Machine, index uint64) *Checkpoint {
 		if !ok {
 			continue // unmapped after the write; nothing to restore
 		}
-		b := make([]byte, mem.PageSize)
-		copy(b, ff.AS.Phys.ReadBytes(pte.PPN<<mem.PageBits, mem.PageSize))
-		cp.Pages[vpn] = b
+		cp.Pages[vpn] = ff.AS.Phys.ReadBytes(pte.PPN<<mem.PageBits, mem.PageSize)
 	}
 	// Unroll the ring chronologically.
 	cp.Warm = make([]WarmRecord, 0, c.n)

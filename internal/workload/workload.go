@@ -166,9 +166,21 @@ type Profile struct {
 
 // Catalog returns the full workload list: the SPEC2017 subset compiled with
 // shadow-stack protection and the SPEC2006 subset compiled with CPI, named
-// as in Figs. 3/9/10/11.
-func Catalog() []Profile {
-	return []Profile{
+// as in Figs. 3/9/10/11. The slice is the caller's own copy.
+func Catalog() []Profile { return append([]Profile(nil), catalog...) }
+
+// ExtCatalog returns the extension workloads: PKRU-Safe-style programs
+// where a memory-unsafe library's heap is access-disabled except inside
+// library calls (the paper's §III-B third use case, not in its evaluation).
+// They are kept out of Catalog so the paper's figures stay on the paper's
+// workload set; the "pkrusafe" experiment runs these. The slice is the
+// caller's own copy.
+func ExtCatalog() []Profile { return append([]Profile(nil), extCatalog...) }
+
+// catalog and extCatalog are the tables Catalog and ExtCatalog copy out and
+// ByName scans in place.
+var (
+	catalog = []Profile{
 		// --- SPEC2017 + shadow stack ---
 		{Name: "500.perlbench_r", Suite: "SPEC2017", Scheme: SchemeSS, TargetWrpkruPerKilo: 12, CallDepth: 4, BodyInsts: 28, BranchMask: 7, FootprintPages: 64, MemEvery: 6, Iterations: 260},
 		{Name: "502.gcc_r", Suite: "SPEC2017", Scheme: SchemeSS, TargetWrpkruPerKilo: 10, CallDepth: 4, BodyInsts: 34, BranchMask: 7, FootprintPages: 96, MemEvery: 6, Iterations: 240},
@@ -190,25 +202,20 @@ func Catalog() []Profile {
 		{Name: "464.h264ref", Suite: "SPEC2006", Scheme: SchemeCPI, TargetWrpkruPerKilo: 1, CallDepth: 2, BodyInsts: 90, IndirectCalls: 1, BranchMask: 31, FootprintPages: 64, MemEvery: 5, Iterations: 90},
 		{Name: "471.omnetpp", Suite: "SPEC2006", Scheme: SchemeCPI, TargetWrpkruPerKilo: 15, CallDepth: 5, BodyInsts: 18, IndirectCalls: 4, BranchMask: 7, FootprintPages: 96, MemEvery: 7, Iterations: 260},
 	}
-}
-
-// ExtCatalog returns the extension workloads: PKRU-Safe-style programs
-// where a memory-unsafe library's heap is access-disabled except inside
-// library calls (the paper's §III-B third use case, not in its evaluation).
-// They are kept out of Catalog so the paper's figures stay on the paper's
-// workload set; the "pkrusafe" experiment runs these.
-func ExtCatalog() []Profile {
-	return []Profile{
+	extCatalog = []Profile{
 		{Name: "servo-like", Suite: "PKRU-Safe", Scheme: SchemeHeap, TargetWrpkruPerKilo: 10, CallDepth: 4, BodyInsts: 30, BranchMask: 7, FootprintPages: 96, MemEvery: 6, Iterations: 220},
 		{Name: "ffi-light", Suite: "PKRU-Safe", Scheme: SchemeHeap, TargetWrpkruPerKilo: 3, CallDepth: 3, BodyInsts: 50, BranchMask: 15, FootprintPages: 64, MemEvery: 6, Iterations: 150},
 	}
-}
+)
 
-// ByName finds a catalogue entry (extension workloads included).
+// ByName finds a catalogue entry (extension workloads included). It runs on
+// every job submission, so it scans the tables without copying them.
 func ByName(name string) (Profile, bool) {
-	for _, p := range append(Catalog(), ExtCatalog()...) {
-		if p.Name == name {
-			return p, true
+	for _, table := range [...][]Profile{catalog, extCatalog} {
+		for _, p := range table {
+			if p.Name == name {
+				return p, true
+			}
 		}
 	}
 	return Profile{}, false
@@ -216,9 +223,8 @@ func ByName(name string) (Profile, bool) {
 
 // Names lists the catalogue names in order.
 func Names() []string {
-	cat := Catalog()
-	out := make([]string, len(cat))
-	for i, p := range cat {
+	out := make([]string, len(catalog))
+	for i, p := range catalog {
 		out[i] = p.Name
 	}
 	return out

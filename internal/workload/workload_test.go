@@ -53,6 +53,25 @@ func TestCatalogShape(t *testing.T) {
 	}
 }
 
+// TestByNameAllocatesNothing: every job submission's Normalize looks its
+// workload up, so a lookup (hit in either table, or a miss) must not copy
+// the catalogues. A caller's Catalog copy must not alias the table either.
+func TestByNameAllocatesNothing(t *testing.T) {
+	for _, name := range []string{"505.mcf_r", "471.omnetpp", "ffi-light", "nonexistent"} {
+		if n := testing.AllocsPerRun(100, func() { ByName(name) }); n != 0 {
+			t.Errorf("ByName(%q) allocates %v times per call", name, n)
+		}
+	}
+	if p, ok := ByName("ffi-light"); !ok || p.Scheme != SchemeHeap {
+		t.Fatalf("ByName(ffi-light) = %+v, %v; want the extension workload", p, ok)
+	}
+	cat := Catalog()
+	cat[0].Name = "mutated"
+	if Catalog()[0].Name == "mutated" {
+		t.Fatal("Catalog returned the package table, not a copy")
+	}
+}
+
 func runFunc(t *testing.T, p Profile, v Variant) *funcsim.Machine {
 	t.Helper()
 	prog, err := p.Build(v)

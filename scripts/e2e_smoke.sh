@@ -67,21 +67,22 @@ done
 
 echo "== span flight recorder"
 SPANS=$(curl -fsS "http://$ADDR/v1/debug/spans")
-echo "$SPANS" | grep -q '"name": "job"' || {
+echo "$SPANS" | grep -q '"name":"job"' || {
     echo "FAIL: /v1/debug/spans holds no job spans after real traffic" >&2
     exit 1
 }
 # Stage agreement: one simulate span per simulate-histogram observation
 # (span EndAt and histogram Observe derive from the same measured duration,
-# so the counts must match exactly).
-SIM_SPANS=$(echo "$SPANS" | grep -c '"name": "simulate"' || true)
+# so the counts must match exactly). The dump is compact JSON on one line,
+# so count matches, not lines.
+SIM_SPANS=$(echo "$SPANS" | grep -o '"name":"simulate"' | wc -l)
 SIM_OBS=$(echo "$METRICS" | awk '$1 == "server_latency_simulate_ms_count" { print $2 }')
 if [ "${SIM_SPANS:-0}" -ne "${SIM_OBS:-0}" ]; then
     echo "FAIL: $SIM_SPANS simulate spans vs $SIM_OBS histogram observations" >&2
     exit 1
 fi
 # A recorded trace ID must resolve through the ?trace= filter.
-TRACE=$(echo "$SPANS" | grep -o '"traceID": "[0-9a-f]\{32\}"' | head -1 | cut -d'"' -f4)
+TRACE=$(echo "$SPANS" | grep -o '"traceID":"[0-9a-f]\{32\}"' | head -1 | cut -d'"' -f4)
 if [ -z "${TRACE:-}" ]; then
     echo "FAIL: no trace ID found in the span dump" >&2
     exit 1
