@@ -6,6 +6,7 @@ package asm
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
@@ -140,13 +141,13 @@ func (p *Program) Disassemble() string {
 	for name, addr := range p.Symbols {
 		rev[addr] = name
 	}
-	out := ""
+	var b strings.Builder
 	for i, in := range p.Insts {
 		addr := p.CodeBase + uint64(i)*isa.InstBytes
 		if name, ok := rev[addr]; ok {
-			out += fmt.Sprintf("%s:\n", name)
+			fmt.Fprintf(&b, "%s:\n", name)
 		}
-		out += fmt.Sprintf("  0x%06x  %s\n", addr, in)
+		fmt.Fprintf(&b, "  0x%06x  %s\n", addr, in)
 	}
-	return out
+	return b.String()
 }

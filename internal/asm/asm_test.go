@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -237,40 +238,46 @@ func TestParseText(t *testing.T) {
 }
 
 func TestParseRoundTripThroughString(t *testing.T) {
-	// Every instruction String() form must reparse to the same instruction
-	// (branch/jal targets are addresses, which the parser treats as labels —
-	// skip those).
-	insts := []isa.Inst{
-		{Op: isa.OpNop},
-		{Op: isa.OpHalt},
-		{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
-		{Op: isa.OpDiv, Rd: 4, Rs1: 5, Rs2: 6},
-		{Op: isa.OpAddi, Rd: 1, Rs1: 2, Imm: -8},
-		{Op: isa.OpMovi, Rd: 9, Imm: 1 << 40},
-		{Op: isa.OpLd, Rd: 9, Rs1: 2, Imm: 16},
-		{Op: isa.OpSt, Rs1: 2, Rs2: 9, Imm: -16},
-		{Op: isa.OpLb, Rd: 9, Rs1: 2, Imm: 0},
-		{Op: isa.OpSb, Rs1: 2, Rs2: 9, Imm: 1},
-		{Op: isa.OpJalr, Rd: 1, Rs1: 9, Imm: 0},
-		{Op: isa.OpWrpkru, Rs1: 5},
-		{Op: isa.OpRdpkru, Rd: 5},
-		{Op: isa.OpRdcycle, Rd: 5},
-		{Op: isa.OpClflush, Rs1: 4, Imm: 64},
-	}
+	// Every opcode's rendered form must reparse to the same instruction.
+	// Each round gives every row random values for the fields its form
+	// names (the rest stay zero) and spells a static target as a label.
+	r := rand.New(rand.NewSource(1))
+	reg := func() uint8 { return uint8(r.Intn(isa.NumRegs)) }
+	var want []isa.Inst
 	src := "main:\n"
-	for _, in := range insts {
-		src += "  " + in.String() + "\n"
+	for round := 0; round < 8; round++ {
+		for op := isa.Op(0); op.Valid(); op++ {
+			in := isa.Inst{Op: op}
+			for _, o := range op.Operands() {
+				switch o {
+				case isa.Rd:
+					in.Rd = reg()
+				case isa.Rs1:
+					in.Rs1 = reg()
+				case isa.Rs2:
+					in.Rs2 = reg()
+				case isa.Imm:
+					in.Imm = r.Int63() - r.Int63()
+				case isa.Mem:
+					in.Rs1, in.Imm = reg(), r.Int63n(1<<16)-1<<15
+				case isa.Target:
+					in.Imm = 0x10000 // main
+				}
+			}
+			want = append(want, in)
+			src += "  " + in.Render("main") + "\n"
+		}
 	}
 	p, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Insts) != len(insts) {
-		t.Fatalf("count %d want %d", len(p.Insts), len(insts))
+	if len(p.Insts) != len(want) {
+		t.Fatalf("count %d want %d", len(p.Insts), len(want))
 	}
-	for i := range insts {
-		if p.Insts[i] != insts[i] {
-			t.Fatalf("inst %d: %v != %v", i, p.Insts[i], insts[i])
+	for i := range want {
+		if p.Insts[i] != want[i] {
+			t.Fatalf("inst %d: %v != %v", i, p.Insts[i], want[i])
 		}
 	}
 }
@@ -282,6 +289,7 @@ func TestParseErrors(t *testing.T) {
 		"main:\n  add r1, r2, r99\n",     // bad register
 		"main:\n  ld r1, r2\n",           // bad memory operand
 		"main:\n  beq r1, r2, missing\n", // undefined label
+		"main:\n  beq r1, r2, \n",        // empty label
 		".region x 0x1000 0x1000 rq 0\n", // bad prot
 		".bogus 1\n",                     // unknown directive
 		".data 0x1000 zz\n",              // bad hex

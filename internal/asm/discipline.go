@@ -38,8 +38,8 @@ func CheckWrpkruDiscipline(p *Program) []Violation {
 	// Collect every branch/jump target so basic-block boundaries are known.
 	leaders := make(map[uint64]bool)
 	for _, in := range p.Insts {
-		if in.Op.IsCondBranch() || in.Op == isa.OpJal {
-			leaders[uint64(in.Imm)] = true
+		if t, ok := in.Target(); ok {
+			leaders[t] = true
 		}
 	}
 	for _, addr := range p.Symbols {

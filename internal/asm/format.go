@@ -26,8 +26,7 @@ func Format(p *Program) (string, error) {
 			(addr-p.CodeBase)%isa.InstBytes == 0
 	}
 	for i, in := range p.Insts {
-		if in.Op.IsCondBranch() || in.Op == isa.OpJal {
-			t := uint64(in.Imm)
+		if t, ok := in.Target(); ok {
 			if !inText(t) {
 				return "", fmt.Errorf("asm: instruction %d targets 0x%x outside the text segment", i, t)
 			}
@@ -71,24 +70,13 @@ func Format(p *Program) (string, error) {
 		if name, ok := labels[addr]; ok {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
-		fmt.Fprintf(&b, "    %s\n", renderInst(in, labels))
+		t, _ := in.Target()
+		fmt.Fprintf(&b, "    %s\n", in.Render(labels[t]))
 	}
 	if name, ok := labels[p.CodeBase+p.CodeSize()]; ok {
 		fmt.Fprintf(&b, "%s:\n", name)
 	}
 	return b.String(), nil
-}
-
-// renderInst is isa.Inst.String with control targets replaced by labels
-// (the parser's input form).
-func renderInst(in isa.Inst, labels map[uint64]string) string {
-	switch {
-	case in.Op.IsCondBranch():
-		return fmt.Sprintf("%s r%d, r%d, %s", in.Op.Name(), in.Rs1, in.Rs2, labels[uint64(in.Imm)])
-	case in.Op == isa.OpJal:
-		return fmt.Sprintf("%s r%d, %s", in.Op.Name(), in.Rd, labels[uint64(in.Imm)])
-	}
-	return in.String()
 }
 
 func protString(p mem.Prot) string {

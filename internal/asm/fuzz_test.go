@@ -1,6 +1,10 @@
 package asm
 
-import "testing"
+import (
+	"testing"
+
+	"specmpk/internal/isa"
+)
 
 // FuzzParse checks the text assembler never panics, and that anything it
 // accepts survives the Format/Parse round trip.
@@ -10,6 +14,11 @@ func FuzzParse(f *testing.F) {
 	f.Add(".code 0x10000\n.entry main\nmain: movi r1, -1\n  wrpkru r1\n  halt\n")
 	f.Add(".region x 0x1000 0x1000 rwx 3\nmain:\n  beq r1, r2, main\n")
 	f.Add(".data 0x1000 de ad be ef\n.word 0x2000 7\nmain:\n  ld r5, 8(r2)\n")
+	every := "main:\n" // one instruction of every opcode
+	for op := isa.Op(0); op.Valid(); op++ {
+		every += "  " + isa.Inst{Op: op, Rd: 5, Rs1: 6, Rs2: 7, Imm: -8}.Render("main") + "\n"
+	}
+	f.Add(every)
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)
 		if err != nil {

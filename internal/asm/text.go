@@ -20,6 +20,8 @@ import (
 //	.word addr v0 v1 ...                64-bit little-endian words at addr
 //	.initreg reg value                  seed a register
 //
+// An instruction's comma-separated operands follow its opcode's form
+// (isa.Op.Operands); a static target is written as a label.
 // Pseudo-instructions: call <label> (jal ra), jmp <label> (jal r0),
 // ret (jalr r0, 0(ra)).
 func Parse(src string) (*Program, error) {
@@ -260,13 +262,6 @@ func (p *parser) directive(s string) error {
 	return nil
 }
 
-func (p *parser) emit(in isa.Inst) { p.prog.Insts = append(p.prog.Insts, in) }
-
-func (p *parser) emitRef(in isa.Inst, label string) {
-	p.fixups = append(p.fixups, textFixup{inst: len(p.prog.Insts), label: label})
-	p.emit(in)
-}
-
 func (p *parser) instruction(s string) error {
 	var mnem, rest string
 	if i := strings.IndexAny(s, " \t"); i >= 0 {
@@ -280,185 +275,53 @@ func (p *parser) instruction(s string) error {
 			args = append(args, strings.TrimSpace(a))
 		}
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s needs %d operands, got %d", mnem, n, len(args))
-		}
-		return nil
-	}
 
+	var in isa.Inst
+	var form []isa.Operand
 	switch mnem {
 	case "call":
-		if err := need(1); err != nil {
-			return err
-		}
-		p.emitRef(isa.Inst{Op: isa.OpJal, Rd: isa.RegRA}, args[0])
-		return nil
+		in, form = isa.Inst{Op: isa.OpJal, Rd: isa.RegRA}, jumpForm
 	case "jmp":
-		if err := need(1); err != nil {
-			return err
-		}
-		p.emitRef(isa.Inst{Op: isa.OpJal, Rd: isa.RegZero}, args[0])
-		return nil
+		in, form = isa.Inst{Op: isa.OpJal, Rd: isa.RegZero}, jumpForm
 	case "ret":
-		if err := need(0); err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: isa.OpJalr, Rd: isa.RegZero, Rs1: isa.RegRA})
-		return nil
-	}
-
-	op, ok := isa.OpByName(mnem)
-	if !ok {
-		return fmt.Errorf("unknown mnemonic %q", mnem)
-	}
-	switch op {
-	case isa.OpNop, isa.OpHalt:
-		if err := need(0); err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op})
-	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpShl, isa.OpShr, isa.OpMul, isa.OpDiv:
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		rs2, err := parseReg(args[2])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpShli, isa.OpShri:
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		imm, err := parseInt(args[2])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
-	case isa.OpMovi:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		imm, err := parseInt(args[1])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rd: rd, Imm: imm})
-	case isa.OpLd, isa.OpLb:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, imm, err := parseMemOperand(args[1])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
-	case isa.OpSt, isa.OpSb:
-		if err := need(2); err != nil {
-			return err
-		}
-		rs2, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, imm, err := parseMemOperand(args[1])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: imm})
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		if err := need(3); err != nil {
-			return err
-		}
-		rs1, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs2, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		p.emitRef(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2}, args[2])
-	case isa.OpJal:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		p.emitRef(isa.Inst{Op: op, Rd: rd}, args[1])
-	case isa.OpJalr:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		rs1, imm, err := parseMemOperand(args[1])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
-	case isa.OpWrpkru:
-		if err := need(1); err != nil {
-			return err
-		}
-		rs1, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rs1: rs1})
-	case isa.OpRdpkru, isa.OpRdcycle:
-		if err := need(1); err != nil {
-			return err
-		}
-		rd, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rd: rd})
-	case isa.OpClflush:
-		if err := need(1); err != nil {
-			return err
-		}
-		rs1, imm, err := parseMemOperand(args[0])
-		if err != nil {
-			return err
-		}
-		p.emit(isa.Inst{Op: op, Rs1: rs1, Imm: imm})
+		in = isa.Inst{Op: isa.OpJalr, Rd: isa.RegZero, Rs1: isa.RegRA}
 	default:
-		return fmt.Errorf("unhandled opcode %v", op)
+		op, ok := isa.OpByName(mnem)
+		if !ok {
+			return fmt.Errorf("unknown mnemonic %q", mnem)
+		}
+		in, form = isa.Inst{Op: op}, op.Operands()
 	}
+	if len(args) != len(form) {
+		return fmt.Errorf("%s needs %d operands, got %d", mnem, len(form), len(args))
+	}
+	for k, o := range form {
+		var err error
+		switch o {
+		case isa.Rd:
+			in.Rd, err = parseReg(args[k])
+		case isa.Rs1:
+			in.Rs1, err = parseReg(args[k])
+		case isa.Rs2:
+			in.Rs2, err = parseReg(args[k])
+		case isa.Imm:
+			in.Imm, err = parseInt(args[k])
+		case isa.Mem:
+			in.Rs1, in.Imm, err = parseMemOperand(args[k])
+		case isa.Target:
+			// Resolved in finish; an empty label fails there as undefined.
+			p.fixups = append(p.fixups, textFixup{inst: len(p.prog.Insts), label: args[k]})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	p.prog.Insts = append(p.prog.Insts, in)
 	return nil
 }
+
+// jumpForm is the operand form of the call and jmp pseudo-instructions.
+var jumpForm = []isa.Operand{isa.Target}
 
 func (p *parser) finish() (*Program, error) {
 	for name, idx := range p.labels {

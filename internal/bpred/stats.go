@@ -18,10 +18,7 @@ func (t *TAGE) Register(r *stats.Registry, prefix string) {
 			fmt.Sprintf("predictions served by tagged table %d (hist %d)", i, histLens[i]),
 			func() uint64 { return t.TableProvides[i] })
 	}
-	r.Formula(prefix+".mispredict_rate", "mispredictions per lookup",
-		func(get func(string) float64) float64 {
-			return ratio(get(prefix+".mispredicts"), get(prefix+".lookups"))
-		})
+	r.Ratio(prefix+".mispredict_rate", "mispredictions per lookup", 1, prefix+".mispredicts", prefix+".lookups")
 }
 
 // Register publishes the BTB's counters under prefix ("bpred.btb").
@@ -29,10 +26,7 @@ func (b *BTB) Register(r *stats.Registry, prefix string) {
 	r.Counter(prefix+".lookups", "target lookups", func() uint64 { return b.Lookups })
 	r.Counter(prefix+".hits", "target lookup hits", func() uint64 { return b.Hits })
 	r.Counter(prefix+".mispredicts", "indirect-target mispredictions", func() uint64 { return b.Mispredicts })
-	r.Formula(prefix+".hit_rate", "hits per lookup",
-		func(get func(string) float64) float64 {
-			return ratio(get(prefix+".hits"), get(prefix+".lookups"))
-		})
+	r.Ratio(prefix+".hit_rate", "hits per lookup", 1, prefix+".hits", prefix+".lookups")
 }
 
 // Register publishes the RAS's counters under prefix ("bpred.ras").
@@ -41,11 +35,4 @@ func (s *RAS) Register(r *stats.Registry, prefix string) {
 	r.Counter(prefix+".pops", "speculative return pops", func() uint64 { return s.Pops })
 	r.Counter(prefix+".restores", "checkpoint restores on squash", func() uint64 { return s.Restores })
 	r.Counter(prefix+".mispredicts", "return-target mispredictions", func() uint64 { return s.Mispredicts })
-}
-
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

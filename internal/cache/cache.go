@@ -345,14 +345,7 @@ func (c *Cache) Register(r *stats.Registry, prefix string) {
 	r.Counter(prefix+".writebacks", "dirty victims written back", func() uint64 { return c.Stats.Writebacks })
 	r.Counter(prefix+".flushes", "lines removed by CLFLUSH", func() uint64 { return c.Stats.Flushes })
 	r.Counter(prefix+".prefetches", "lines installed by the prefetcher", func() uint64 { return c.Stats.Prefetches })
-	r.Formula(prefix+".miss_rate", "misses per demand access",
-		func(get func(string) float64) float64 {
-			acc := get(prefix+".hits") + get(prefix+".misses")
-			if acc == 0 {
-				return 0
-			}
-			return get(prefix+".misses") / acc
-		})
+	r.Ratio(prefix+".miss_rate", "misses per demand access", 1, prefix+".misses", prefix+".hits", prefix+".misses")
 }
 
 // Register publishes every level of the hierarchy plus the DRAM backend

@@ -145,7 +145,8 @@ func (m *Machine) Run(limit uint64, quantum int) error {
 	}
 }
 
-func (m *Machine) read(t *Thread, r uint8) uint64 {
+// Reg returns register r's architectural value; RegZero reads 0.
+func (t *Thread) Reg(r uint8) uint64 {
 	if r == isa.RegZero {
 		return 0
 	}
@@ -171,8 +172,8 @@ func (m *Machine) Step(t *Thread) error {
 	pc := t.PC
 	next := pc + isa.InstBytes
 
-	rs1 := m.read(t, in.Rs1)
-	rs2 := m.read(t, in.Rs2)
+	rs1 := t.Reg(in.Rs1)
+	rs2 := t.Reg(in.Rs2)
 
 	switch in.Op {
 	case isa.OpNop:
@@ -243,7 +244,7 @@ func (m *Machine) Step(t *Thread) error {
 		}
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 		m.Stats.Branches++
-		if evalBranch(in.Op, rs1, rs2) {
+		if BranchTaken(in.Op, rs1, rs2) {
 			m.Stats.Taken++
 			next = uint64(in.Imm)
 		}
@@ -290,7 +291,9 @@ func (m *Machine) Step(t *Thread) error {
 	return nil
 }
 
-func evalBranch(op isa.Op, a, b uint64) bool {
+// BranchTaken reports whether conditional branch op is taken on source
+// values a (rs1) and b (rs2).
+func BranchTaken(op isa.Op, a, b uint64) bool {
 	switch op {
 	case isa.OpBeq:
 		return a == b

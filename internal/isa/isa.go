@@ -9,7 +9,10 @@
 // simulator honest (PKRU is still an implicit destination).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op enumerates every opcode in the ISA.
 type Op uint8
@@ -118,31 +121,109 @@ type Inst struct {
 	Imm int64
 }
 
-var opNames = [NumOps]string{
-	OpNop: "nop", OpHalt: "halt",
-	OpAdd: "add", OpSub: "sub", OpAnd: "and", OpOr: "or", OpXor: "xor",
-	OpShl: "shl", OpShr: "shr", OpMul: "mul", OpDiv: "div",
-	OpAddi: "addi", OpAndi: "andi", OpOri: "ori", OpXori: "xori",
-	OpShli: "shli", OpShri: "shri", OpMovi: "movi",
-	OpLd: "ld", OpSt: "st", OpLb: "lb", OpSb: "sb",
-	OpBeq: "beq", OpBne: "bne", OpBlt: "blt", OpBge: "bge",
-	OpJal: "jal", OpJalr: "jalr",
-	OpWrpkru: "wrpkru", OpRdpkru: "rdpkru",
-	OpClflush: "clflush", OpRdcycle: "rdcycle",
+// Operand is one operand of an instruction's assembly form.
+type Operand uint8
+
+// Operand kinds. Rd, Rs1 and Rs2 are written rN and Imm as a signed
+// integer. Mem is written imm(rs1) and reads Rs1. Target is the absolute
+// code address in Imm: a label in assembler source, 0x<hex> in Inst.String.
+const (
+	Rd Operand = iota
+	Rs1
+	Rs2
+	Imm
+	Mem
+	Target
+)
+
+// Operand forms shared by several opcodes, named by their operands.
+var (
+	rdRs1Rs2     = []Operand{Rd, Rs1, Rs2}
+	rdRs1Imm     = []Operand{Rd, Rs1, Imm}
+	rdMem        = []Operand{Rd, Mem}
+	rs2Mem       = []Operand{Rs2, Mem}
+	rs1Rs2Target = []Operand{Rs1, Rs2, Target}
+	rdOnly       = []Operand{Rd}
+	// allFields renders an undefined opcode: every field, nothing implied.
+	allFields = []Operand{Rd, Rs1, Rs2, Imm}
+)
+
+// opTable is the one opcode table: each opcode's mnemonic and the operands
+// of its assembly form, in written order. The disassembler (Inst.String),
+// the text assembler, asm.Format, the operand-use predicates and
+// Inst.Target all read it; what an opcode does lives in funcsim and in the
+// pipeline.
+var opTable = [NumOps]struct {
+	name string
+	form []Operand
+}{
+	OpNop:     {"nop", nil},
+	OpHalt:    {"halt", nil},
+	OpAdd:     {"add", rdRs1Rs2},
+	OpSub:     {"sub", rdRs1Rs2},
+	OpAnd:     {"and", rdRs1Rs2},
+	OpOr:      {"or", rdRs1Rs2},
+	OpXor:     {"xor", rdRs1Rs2},
+	OpShl:     {"shl", rdRs1Rs2},
+	OpShr:     {"shr", rdRs1Rs2},
+	OpMul:     {"mul", rdRs1Rs2},
+	OpDiv:     {"div", rdRs1Rs2},
+	OpAddi:    {"addi", rdRs1Imm},
+	OpAndi:    {"andi", rdRs1Imm},
+	OpOri:     {"ori", rdRs1Imm},
+	OpXori:    {"xori", rdRs1Imm},
+	OpShli:    {"shli", rdRs1Imm},
+	OpShri:    {"shri", rdRs1Imm},
+	OpMovi:    {"movi", []Operand{Rd, Imm}},
+	OpLd:      {"ld", rdMem},
+	OpSt:      {"st", rs2Mem},
+	OpLb:      {"lb", rdMem},
+	OpSb:      {"sb", rs2Mem},
+	OpBeq:     {"beq", rs1Rs2Target},
+	OpBne:     {"bne", rs1Rs2Target},
+	OpBlt:     {"blt", rs1Rs2Target},
+	OpBge:     {"bge", rs1Rs2Target},
+	OpJal:     {"jal", []Operand{Rd, Target}},
+	OpJalr:    {"jalr", rdMem},
+	OpWrpkru:  {"wrpkru", []Operand{Rs1}},
+	OpRdpkru:  {"rdpkru", rdOnly},
+	OpClflush: {"clflush", []Operand{Mem}},
+	OpRdcycle: {"rdcycle", rdOnly},
 }
+
+// operandSet holds, per opcode value, bit 1<<k for each operand kind k in
+// its form, computed once from opTable. An undefined opcode reads 0 and
+// every query is one indexed load (rename asks for each instruction).
+var operandSet = func() (set [256]uint8) {
+	for op, row := range opTable {
+		for _, o := range row.form {
+			set[op] |= 1 << o
+		}
+	}
+	return set
+}()
 
 // Name returns the mnemonic for op, or "op<N>" for undefined values.
 func (o Op) Name() string {
-	if int(o) < NumOps && opNames[o] != "" {
-		return opNames[o]
+	if o.Valid() {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op%d", uint8(o))
 }
 
+// Operands returns op's assembly form: its operand kinds in written order
+// (nil for undefined opcodes). The slice is shared; do not modify it.
+func (o Op) Operands() []Operand {
+	if !o.Valid() {
+		return nil
+	}
+	return opTable[o].form
+}
+
 // OpByName maps a mnemonic back to its opcode. ok is false for unknown names.
 func OpByName(name string) (Op, bool) {
-	for i := 0; i < NumOps; i++ {
-		if opNames[i] == name {
+	for i, row := range opTable {
+		if row.name == name {
 			return Op(i), true
 		}
 	}
@@ -193,45 +274,27 @@ func (o Op) IsALU() bool {
 	return false
 }
 
-// WritesReg reports whether the instruction architecturally writes Rd.
-// Writes to RegZero are discarded but still allocate a rename in the
-// pipeline for simplicity; callers that care use this predicate on the
-// instruction, not just the opcode.
+// WritesReg reports whether the instruction architecturally writes Rd: its
+// form has an Rd and Rd is not RegZero (writes to RegZero are discarded).
 func (i Inst) WritesReg() bool {
-	if i.Rd == RegZero {
-		return false
-	}
-	switch {
-	case i.Op.IsALU(), i.Op.IsLoad():
-		return true
-	case i.Op == OpJal, i.Op == OpJalr, i.Op == OpRdpkru:
-		return true
-	}
-	return false
+	return i.Rd != RegZero && operandSet[i.Op]&(1<<Rd) != 0
 }
 
-// ReadsRs1 reports whether the instruction reads Rs1.
-func (i Inst) ReadsRs1() bool {
-	switch i.Op {
-	case OpNop, OpHalt, OpMovi, OpJal, OpRdpkru, OpRdcycle:
-		return false
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv,
-		OpAddi, OpAndi, OpOri, OpXori, OpShli, OpShri,
-		OpLd, OpSt, OpLb, OpSb, OpBeq, OpBne, OpBlt, OpBge,
-		OpJalr, OpWrpkru, OpClflush:
-		return true
-	}
-	return false
-}
+// ReadsRs1 reports whether the instruction reads Rs1 (as a register or as
+// a memory operand's base).
+func (i Inst) ReadsRs1() bool { return operandSet[i.Op]&(1<<Rs1|1<<Mem) != 0 }
 
 // ReadsRs2 reports whether the instruction reads Rs2.
-func (i Inst) ReadsRs2() bool {
-	switch i.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv,
-		OpSt, OpSb, OpBeq, OpBne, OpBlt, OpBge:
-		return true
+func (i Inst) ReadsRs2() bool { return operandSet[i.Op]&(1<<Rs2) != 0 }
+
+// Target returns the static control target of a conditional branch or jal
+// (the absolute address in Imm); ok is false for every other opcode,
+// indirect jumps included.
+func (i Inst) Target() (addr uint64, ok bool) {
+	if operandSet[i.Op]&(1<<Target) == 0 {
+		return 0, false
 	}
-	return false
+	return uint64(i.Imm), true
 }
 
 // IsCall reports whether the instruction is a call (a jump that links).
@@ -245,34 +308,50 @@ func (i Inst) IsReturn() bool {
 	return i.Op == OpJalr && i.Rd == RegZero && i.Rs1 == RegRA
 }
 
-// String renders the instruction in assembly syntax.
+// String renders the instruction in assembly syntax, with a static target
+// as its hex address.
 func (i Inst) String() string {
-	n := i.Op.Name()
-	switch i.Op {
-	case OpNop, OpHalt:
-		return n
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv:
-		return fmt.Sprintf("%s r%d, r%d, r%d", n, i.Rd, i.Rs1, i.Rs2)
-	case OpAddi, OpAndi, OpOri, OpXori, OpShli, OpShri:
-		return fmt.Sprintf("%s r%d, r%d, %d", n, i.Rd, i.Rs1, i.Imm)
-	case OpMovi:
-		return fmt.Sprintf("%s r%d, %d", n, i.Rd, i.Imm)
-	case OpLd, OpLb:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, i.Rd, i.Imm, i.Rs1)
-	case OpSt, OpSb:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, i.Rs2, i.Imm, i.Rs1)
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return fmt.Sprintf("%s r%d, r%d, 0x%x", n, i.Rs1, i.Rs2, uint64(i.Imm))
-	case OpJal:
-		return fmt.Sprintf("%s r%d, 0x%x", n, i.Rd, uint64(i.Imm))
-	case OpJalr:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, i.Rd, i.Imm, i.Rs1)
-	case OpWrpkru:
-		return fmt.Sprintf("%s r%d", n, i.Rs1)
-	case OpRdpkru, OpRdcycle:
-		return fmt.Sprintf("%s r%d", n, i.Rd)
-	case OpClflush:
-		return fmt.Sprintf("%s %d(r%d)", n, i.Imm, i.Rs1)
+	target := ""
+	if t, ok := i.Target(); ok {
+		target = "0x" + strconv.FormatUint(t, 16)
 	}
-	return fmt.Sprintf("%s r%d, r%d, r%d, %d", n, i.Rd, i.Rs1, i.Rs2, i.Imm)
+	return i.Render(target)
+}
+
+// Render renders the instruction in assembly syntax from its opTable row,
+// spelling a Target operand as target. An undefined opcode shows every
+// field.
+func (i Inst) Render(target string) string {
+	form := allFields
+	if i.Op.Valid() {
+		form = opTable[i.Op].form
+	}
+	b := append(make([]byte, 0, 32), i.Op.Name()...)
+	for k, o := range form {
+		if k == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch o {
+		case Rd:
+			b = appendReg(b, i.Rd)
+		case Rs1:
+			b = appendReg(b, i.Rs1)
+		case Rs2:
+			b = appendReg(b, i.Rs2)
+		case Imm:
+			b = strconv.AppendInt(b, i.Imm, 10)
+		case Mem:
+			b = appendReg(append(strconv.AppendInt(b, i.Imm, 10), '('), i.Rs1)
+			b = append(b, ')')
+		case Target:
+			b = append(b, target...)
+		}
+	}
+	return string(b)
+}
+
+func appendReg(b []byte, r uint8) []byte {
+	return strconv.AppendUint(append(b, 'r'), uint64(r), 10)
 }

@@ -8,14 +8,23 @@ import (
 )
 
 func TestOpNamesRoundTrip(t *testing.T) {
+	seen := map[string]Op{}
 	for i := 0; i < NumOps; i++ {
 		op := Op(i)
-		got, ok := OpByName(op.Name())
+		name := op.Name()
+		if name == "" {
+			t.Fatalf("opcode %d has an empty mnemonic", i)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("opcodes %d and %d share mnemonic %q", prev, op, name)
+		}
+		seen[name] = op
+		got, ok := OpByName(name)
 		if !ok {
-			t.Fatalf("OpByName(%q) not found", op.Name())
+			t.Fatalf("OpByName(%q) not found", name)
 		}
 		if got != op {
-			t.Fatalf("OpByName(%q) = %v, want %v", op.Name(), got, op)
+			t.Fatalf("OpByName(%q) = %v, want %v", name, got, op)
 		}
 	}
 }
@@ -82,48 +91,94 @@ func TestMemBytes(t *testing.T) {
 	}
 }
 
+// operandUse is every opcode's register use and static target, written
+// from the opcode comments in isa.go rather than read from the opcode table.
+var operandUse = []struct {
+	op                               Op
+	writesRd, rs1, rs2, staticTarget bool
+}{
+	{OpNop, false, false, false, false},
+	{OpHalt, false, false, false, false},
+	// rd = rs1 <op> rs2
+	{OpAdd, true, true, true, false},
+	{OpSub, true, true, true, false},
+	{OpAnd, true, true, true, false},
+	{OpOr, true, true, true, false},
+	{OpXor, true, true, true, false},
+	{OpShl, true, true, true, false},
+	{OpShr, true, true, true, false},
+	{OpMul, true, true, true, false},
+	{OpDiv, true, true, true, false},
+	// rd = rs1 <op> imm
+	{OpAddi, true, true, false, false},
+	{OpAndi, true, true, false, false},
+	{OpOri, true, true, false, false},
+	{OpXori, true, true, false, false},
+	{OpShli, true, true, false, false},
+	{OpShri, true, true, false, false},
+	// rd = imm
+	{OpMovi, true, false, false, false},
+	// rd = mem[rs1+imm]; mem[rs1+imm] = rs2
+	{OpLd, true, true, false, false},
+	{OpSt, false, true, true, false},
+	{OpLb, true, true, false, false},
+	{OpSb, false, true, true, false},
+	// compare rs1 with rs2, branch to the address in Imm
+	{OpBeq, false, true, true, true},
+	{OpBne, false, true, true, true},
+	{OpBlt, false, true, true, true},
+	{OpBge, false, true, true, true},
+	// jal: link into rd, jump to Imm; jalr: link into rd, jump to rs1+imm
+	{OpJal, true, false, false, true},
+	{OpJalr, true, true, false, false},
+	{OpWrpkru, false, true, false, false},  // PKRU = rs1
+	{OpRdpkru, true, false, false, false},  // rd = PKRU
+	{OpClflush, false, true, false, false}, // flush the line at rs1+imm
+	{OpRdcycle, true, false, false, false}, // rd = cycle counter
+}
+
 func TestWritesReg(t *testing.T) {
-	if !(Inst{Op: OpAdd, Rd: 5}).WritesReg() {
-		t.Fatal("add writes rd")
+	if len(operandUse) != NumOps {
+		t.Fatalf("operandUse has %d rows, the ISA %d opcodes", len(operandUse), NumOps)
 	}
-	if (Inst{Op: OpAdd, Rd: RegZero}).WritesReg() {
-		t.Fatal("write to r0 is discarded")
+	for i, c := range operandUse {
+		if c.op != Op(i) {
+			t.Fatalf("operandUse row %d is %v, want opcode %d", i, c.op, i)
+		}
+		if got := (Inst{Op: c.op, Rd: 5}).WritesReg(); got != c.writesRd {
+			t.Errorf("%s with rd=r5: WritesReg = %v, want %v", c.op.Name(), got, c.writesRd)
+		}
+		if (Inst{Op: c.op, Rd: RegZero}).WritesReg() {
+			t.Errorf("%s with rd=r0: a write to r0 is discarded", c.op.Name())
+		}
 	}
-	if (Inst{Op: OpSt, Rd: 5}).WritesReg() {
-		t.Fatal("store writes no register")
-	}
-	if !(Inst{Op: OpRdpkru, Rd: 5}).WritesReg() {
-		t.Fatal("rdpkru writes rd")
-	}
-	if !(Inst{Op: OpJal, Rd: RegRA}).WritesReg() {
-		t.Fatal("call writes link register")
-	}
-	if (Inst{Op: OpBeq, Rd: 7}).WritesReg() {
-		t.Fatal("branch writes no register")
+	for op := NumOps; op < 256; op++ {
+		if (Inst{Op: Op(op), Rd: 5}).WritesReg() {
+			t.Fatalf("undefined opcode %d writes a register", op)
+		}
 	}
 }
 
 func TestReadsOperands(t *testing.T) {
-	if !(Inst{Op: OpWrpkru, Rs1: 4}).ReadsRs1() {
-		t.Fatal("wrpkru reads rs1")
+	for _, c := range operandUse {
+		in := Inst{Op: c.op, Rd: 1, Rs1: 2, Rs2: 3, Imm: 0x10000}
+		if in.ReadsRs1() != c.rs1 || in.ReadsRs2() != c.rs2 {
+			t.Errorf("%s: ReadsRs1, ReadsRs2 = %v, %v; want %v, %v",
+				c.op.Name(), in.ReadsRs1(), in.ReadsRs2(), c.rs1, c.rs2)
+		}
+		target, ok := in.Target()
+		if ok != c.staticTarget || (ok && target != 0x10000) {
+			t.Errorf("%s: Target = %#x, %v; want static target %v", c.op.Name(), target, ok, c.staticTarget)
+		}
 	}
-	if (Inst{Op: OpWrpkru}).ReadsRs2() {
-		t.Fatal("wrpkru does not read rs2")
-	}
-	if (Inst{Op: OpMovi}).ReadsRs1() {
-		t.Fatal("movi reads no sources")
-	}
-	if !(Inst{Op: OpSt}).ReadsRs2() {
-		t.Fatal("store reads data from rs2")
-	}
-	if !(Inst{Op: OpBeq}).ReadsRs1() || !(Inst{Op: OpBeq}).ReadsRs2() {
-		t.Fatal("branch reads both sources")
-	}
-	if (Inst{Op: OpJal}).ReadsRs1() {
-		t.Fatal("jal reads no register source")
-	}
-	if !(Inst{Op: OpJalr}).ReadsRs1() {
-		t.Fatal("jalr reads rs1")
+	for op := NumOps; op < 256; op++ {
+		in := Inst{Op: Op(op), Rs1: 2, Rs2: 3}
+		if in.ReadsRs1() || in.ReadsRs2() {
+			t.Fatalf("undefined opcode %d reads a register", op)
+		}
+		if _, ok := in.Target(); ok {
+			t.Fatalf("undefined opcode %d has a static target", op)
+		}
 	}
 }
 
@@ -162,6 +217,10 @@ func TestStringForms(t *testing.T) {
 		{Inst{Op: OpBeq, Rs1: 1, Rs2: 2, Imm: 0x100}, "beq r1, r2, 0x100"},
 		{Inst{Op: OpJal, Rd: 1, Imm: 0x200}, "jal r1, 0x200"},
 		{Inst{Op: OpClflush, Rs1: 4, Imm: 64}, "clflush 64(r4)"},
+		{Inst{Op: OpSb, Rs1: 2, Rs2: 9, Imm: -1}, "sb r9, -1(r2)"},
+		{Inst{Op: OpJalr, Rd: 0, Rs1: 1, Imm: 0}, "jalr r0, 0(r1)"},
+		{Inst{Op: OpRdcycle, Rd: 7}, "rdcycle r7"},
+		{Inst{Op: Op(200), Rd: 1, Rs1: 2, Rs2: 3, Imm: -4}, "op200 r1, r2, r3, -4"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

@@ -495,6 +495,7 @@ func (m *Machine) writeDest(e *alEntry, val uint64) {
 	}
 }
 
+// evalBranch keeps its own copy: funcsim.BranchTaken is the reference it is checked against.
 func evalBranch(op isa.Op, a, b uint64) bool {
 	switch op {
 	case isa.OpBeq:

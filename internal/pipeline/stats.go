@@ -55,18 +55,11 @@ func (m *Machine) StatsRegistry() *stats.Registry {
 	r.Gauge("pipeline.inflight", "occupied active-list entries", func() float64 { return float64(m.alCnt) })
 	r.Gauge("pipeline.free_regs", "free physical registers", func() float64 { return float64(len(m.freeList)) })
 
-	r.Formula("pipeline.ipc", "retired instructions per cycle",
-		func(get func(string) float64) float64 {
-			return ratio(get("pipeline.insts"), get("pipeline.cycles"))
-		})
-	r.Formula("pipeline.mispredict_rate", "mispredictions per retired branch",
-		func(get func(string) float64) float64 {
-			return ratio(get("pipeline.retire.mispredicts"), get("pipeline.retire.branches"))
-		})
-	r.Formula("pipeline.wrpkru_per_kinst", "retired WRPKRU per 1000 retired instructions",
-		func(get func(string) float64) float64 {
-			return 1000 * ratio(get("pipeline.retire.wrpkru"), get("pipeline.insts"))
-		})
+	r.Ratio("pipeline.ipc", "retired instructions per cycle", 1, "pipeline.insts", "pipeline.cycles")
+	r.Ratio("pipeline.mispredict_rate", "mispredictions per retired branch",
+		1, "pipeline.retire.mispredicts", "pipeline.retire.branches")
+	r.Ratio("pipeline.wrpkru_per_kinst", "retired WRPKRU per 1000 retired instructions",
+		1000, "pipeline.retire.wrpkru", "pipeline.insts")
 
 	m.Hier.Register(r, "cache")
 	m.DTLB.Register(r, "tlb.dtlb")
@@ -77,11 +70,4 @@ func (m *Machine) StatsRegistry() *stats.Registry {
 
 	m.reg = r
 	return r
-}
-
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

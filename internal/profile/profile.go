@@ -151,9 +151,9 @@ func blockLeaders(prog *asm.Program) []uint64 {
 		pc := prog.CodeBase + uint64(i)*isa.InstBytes
 		if in.Op.IsControl() {
 			set[pc+isa.InstBytes] = true
-			if in.Op != isa.OpJalr { // jalr targets are indirect
-				set[uint64(in.Imm)] = true
-			}
+		}
+		if t, ok := in.Target(); ok {
+			set[t] = true
 		}
 	}
 	for _, addr := range prog.Symbols {

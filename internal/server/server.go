@@ -662,14 +662,8 @@ func (s *Server) Registry() *stats.Registry {
 		r.Counter("faults.panics", "injected panics", faults.Panics)
 		r.Counter("faults.latency_injected", "injected latency events", faults.Latencies)
 		r.Counter("faults.drops", "injected drops", faults.Drops)
-		r.Formula("server.jobs.wall_avg_ms", "mean execution wall time (ms)",
-			func(get func(string) float64) float64 {
-				n := get("server.jobs.done") + get("server.jobs.failed") + get("server.jobs.cancelled")
-				if n == 0 {
-					return 0
-				}
-				return get("server.jobs.wall_ms_total") / n
-			})
+		r.Ratio("server.jobs.wall_avg_ms", "mean execution wall time (ms)", 1,
+			"server.jobs.wall_ms_total", "server.jobs.done", "server.jobs.failed", "server.jobs.cancelled")
 		s.reg = r
 	})
 	return s.reg

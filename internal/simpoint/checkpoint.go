@@ -120,7 +120,7 @@ func (c *capturer) onInst(t *funcsim.Thread, pc uint64, in isa.Inst) {
 	switch {
 	case in.Op.IsCondBranch():
 		rec.Kind = warmBranch
-		rec.Taken = evalBranch(in.Op, regOrZero(t, in.Rs1), regOrZero(t, in.Rs2))
+		rec.Taken = funcsim.BranchTaken(in.Op, t.Reg(in.Rs1), t.Reg(in.Rs2))
 	case in.Op == isa.OpJal:
 		if in.Rd != isa.RegZero {
 			c.push(pc + isa.InstBytes)
@@ -137,15 +137,15 @@ func (c *capturer) onInst(t *funcsim.Thread, pc uint64, in isa.Inst) {
 		default:
 			if in.Rd != in.Rs1 {
 				rec.Kind = warmIndirect
-				rec.Addr = regOrZero(t, in.Rs1) + uint64(in.Imm)
+				rec.Addr = t.Reg(in.Rs1) + uint64(in.Imm)
 			}
 		}
 	case in.Op.IsStore():
 		rec.Kind = warmStore
-		rec.Addr = regOrZero(t, in.Rs1) + uint64(in.Imm)
+		rec.Addr = t.Reg(in.Rs1) + uint64(in.Imm)
 	case in.Op.IsLoad() && in.Rd != in.Rs1:
 		rec.Kind = warmLoad
-		rec.Addr = regOrZero(t, in.Rs1) + uint64(in.Imm)
+		rec.Addr = t.Reg(in.Rs1) + uint64(in.Imm)
 	}
 	c.ring[c.pos] = rec
 	c.pos++

@@ -243,24 +243,3 @@ func dist(a, b [Dims]float64) float64 {
 	}
 	return s
 }
-
-func regOrZero(t *funcsim.Thread, r uint8) uint64 {
-	if r == isa.RegZero {
-		return 0
-	}
-	return t.Regs[r]
-}
-
-func evalBranch(op isa.Op, a, b uint64) bool {
-	switch op {
-	case isa.OpBeq:
-		return a == b
-	case isa.OpBne:
-		return a != b
-	case isa.OpBlt:
-		return int64(a) < int64(b)
-	case isa.OpBge:
-		return int64(a) >= int64(b)
-	}
-	return false
-}

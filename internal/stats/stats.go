@@ -8,8 +8,9 @@
 //   - Gauge: an instantaneous float64 (occupancy, free-list depth).
 //   - Histogram: bucketed observations (load latency).
 //   - Formula: a float64 derived from other metrics at snapshot time (IPC,
-//     miss rates). Formulas are re-evaluated over *deltas* too, so an
-//     interval snapshot reports interval IPC, not cumulative IPC.
+//     miss rates), registered with Ratio. Formulas are re-evaluated over
+//     *deltas* too, so an interval snapshot reports interval IPC, not
+//     cumulative IPC.
 //
 // A Registry is cheap to snapshot; Snapshot/DeltaSince give cumulative and
 // interval views, and three renderers serialize a snapshot: an aligned text
@@ -134,11 +135,27 @@ func (r *Registry) AttachSyncHistogram(name, desc string, h *SyncHistogram) {
 	r.add(&entry{name: name, desc: desc, kind: KindHistogram, hist: h})
 }
 
-// Formula registers a derived value. fn receives a lookup over the snapshot
+// formula registers a derived value. fn receives a lookup over the snapshot
 // being built (counters and histogram totals as float64, earlier formulas
 // included); unknown names read as 0.
-func (r *Registry) Formula(name, desc string, fn func(get func(string) float64) float64) {
+func (r *Registry) formula(name, desc string, fn func(get func(string) float64) float64) {
 	r.add(&entry{name: name, desc: desc, kind: KindFormula, formula: fn})
+}
+
+// Ratio registers the derived value scale × num / (den[0] + den[1] + ...),
+// read over the snapshot being built (earlier formulas included, unknown
+// names as 0). It reads 0 while the denominator is 0.
+func (r *Registry) Ratio(name, desc string, scale float64, num string, den ...string) {
+	r.formula(name, desc, func(get func(string) float64) float64 {
+		var d float64
+		for _, n := range den {
+			d += get(n)
+		}
+		if d == 0 {
+			return 0
+		}
+		return scale * (get(num) / d)
+	})
 }
 
 // Len returns the number of registered metrics.

@@ -16,7 +16,7 @@ func TestSnapshotKindsAndOrder(t *testing.T) {
 	r.Gauge("a.gauge", "a gauge", func() float64 { return g })
 	h := NewHistogram([]float64{1, 10})
 	r.AttachHistogram("c.hist", "a histogram", h)
-	r.Formula("d.double", "count*2", func(get func(string) float64) float64 {
+	r.formula("d.double", "count*2", func(get func(string) float64) float64 {
 		return 2 * get("b.count")
 	})
 
@@ -47,6 +47,26 @@ func TestSnapshotKindsAndOrder(t *testing.T) {
 	}
 }
 
+func TestRatio(t *testing.T) {
+	r := NewRegistry()
+	hits, misses := uint64(0), uint64(0)
+	r.Counter("hits", "", func() uint64 { return hits })
+	r.Counter("misses", "", func() uint64 { return misses })
+	r.Ratio("miss_rate", "", 1, "misses", "hits", "misses")
+	r.Ratio("misses_per_kaccess", "", 1000, "misses", "hits", "misses")
+	if v, _ := r.Snapshot().Get("miss_rate"); v.Float != 0 {
+		t.Fatalf("ratio over a zero denominator = %v, want 0", v.Float)
+	}
+	hits, misses = 3, 1
+	s := r.Snapshot()
+	if v, _ := s.Get("miss_rate"); v.Float != 0.25 {
+		t.Fatalf("miss_rate = %v, want 0.25", v.Float)
+	}
+	if v, _ := s.Get("misses_per_kaccess"); v.Float != 250 {
+		t.Fatalf("misses_per_kaccess = %v, want 250", v.Float)
+	}
+}
+
 func TestDeltaSince(t *testing.T) {
 	r := NewRegistry()
 	c := uint64(10)
@@ -54,12 +74,7 @@ func TestDeltaSince(t *testing.T) {
 	r.Gauge("occ", "", func() float64 { return float64(c) })
 	h := NewHistogram([]float64{5})
 	r.AttachHistogram("h", "", h)
-	r.Formula("rate", "n per h-count", func(get func(string) float64) float64 {
-		if get("h") == 0 {
-			return 0
-		}
-		return get("n") / get("h")
-	})
+	r.Ratio("rate", "n per h-count", 1, "n", "h")
 	h.Observe(1)
 
 	prev := r.Snapshot()
@@ -110,7 +125,7 @@ func TestDuplicateAndInvalidNamesPanic(t *testing.T) {
 func TestTextRenderer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pipeline.cycles", "simulated cycles", func() uint64 { return 42 })
-	r.Formula("pipeline.ipc", "ipc", func(get func(string) float64) float64 { return 1.5 })
+	r.formula("pipeline.ipc", "ipc", func(get func(string) float64) float64 { return 1.5 })
 	txt := r.Snapshot().Text()
 	for _, want := range []string{"pipeline.cycles", "42", "# simulated cycles", "pipeline.ipc", "1.5"} {
 		if !strings.Contains(txt, want) {
@@ -125,7 +140,7 @@ func TestJSONRenderer(t *testing.T) {
 	h := NewHistogram([]float64{1})
 	h.Observe(0.5)
 	r.AttachHistogram("a.h", "", h)
-	r.Formula("a.nan", "", func(get func(string) float64) float64 { return math.NaN() })
+	r.formula("a.nan", "", func(get func(string) float64) float64 { return math.NaN() })
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {

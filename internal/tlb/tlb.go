@@ -172,14 +172,7 @@ func (t *TLB) Register(r *stats.Registry, prefix string) {
 	r.Counter(prefix+".misses", "translation misses", func() uint64 { return t.Stats.Misses })
 	r.Counter(prefix+".fills", "translations installed", func() uint64 { return t.Stats.Fills })
 	r.Counter(prefix+".flushes", "full invalidations", func() uint64 { return t.Stats.Flushes })
-	r.Formula(prefix+".miss_rate", "misses per lookup",
-		func(get func(string) float64) float64 {
-			acc := get(prefix+".hits") + get(prefix+".misses")
-			if acc == 0 {
-				return 0
-			}
-			return get(prefix+".misses") / acc
-		})
+	r.Ratio(prefix+".miss_rate", "misses per lookup", 1, prefix+".misses", prefix+".hits", prefix+".misses")
 	r.Gauge(prefix+".occupancy", "valid entries", func() float64 { return float64(t.Occupancy()) })
 }
 

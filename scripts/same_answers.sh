@@ -5,8 +5,9 @@
 #
 # Builds specmpk-sim twice, from a clean export of <ref> and from the working
 # tree. Then it runs every catalogue workload (-list) under each of the five
-# policies with every output file on, and compares stdout and the five files
-# byte for byte. It prints each run that differs and exits non-zero if any
+# policies with every output file on, plus the program listing (-disasm) and
+# the annotated disassembly (-annotate) on stdout, and compares stdout and the
+# five files byte for byte. It prints each run that differs and exits non-zero if any
 # does. Everything lives under one temporary directory ($TMPDIR), removed on
 # exit, so nothing is written inside the checkout. CI does not run it: a
 # change that means to move an answer fails it by design.
@@ -31,7 +32,7 @@ run() {
 	d=$TMP/$1/$2.$3
 	mkdir -p "$d"
 	status=0
-	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -trace 40 -pipeview 60 \
+	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -trace 40 -pipeview 60 -disasm -annotate \
 		-stats-out "$d/stats.json" -prom-out "$d/stats.prom" -trace-out "$d/trace.jsonl" \
 		-konata-out "$d/konata.log" -konata-n 3000 -profile-out "$d/profile.json" \
 		-traceparent "$TP" >"$d/stdout" 2>/dev/null || status=$?
