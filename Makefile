@@ -114,13 +114,16 @@ bench-smoke:
 # every daemon result (Normalize must be idempotent and key-stable, because a
 # cluster owner re-normalizes forwarded specs); plus physical memory's
 # page-wise bulk copies against a byte-wise model, since every program load
-# and checkpoint restore goes through them. CI runs them on every push.
-# `go test -fuzz` takes one target per run.
+# and checkpoint restore goes through them; and the two checkpoint encodings
+# (the warm-up log and the page delta), which must round-trip exactly. CI
+# runs them on every push. `go test -fuzz` takes one target per run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/asm
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run=^$$ ./internal/isa
 	$(GO) test -fuzz=FuzzJobSpecKey -fuzztime=10s -run=^$$ ./internal/server/api
 	$(GO) test -fuzz=FuzzPhysMemBytes -fuzztime=10s -run=^$$ ./internal/mem
+	$(GO) test -fuzz=FuzzWarmLog -fuzztime=10s -run=^$$ ./internal/simpoint
+	$(GO) test -fuzz=FuzzPageDelta -fuzztime=10s -run=^$$ ./internal/simpoint
 
 # Identity check for a change that must not move any answer: every catalogue
 # workload under every policy, built at BASE and in the working tree, with

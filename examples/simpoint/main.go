@@ -39,8 +39,9 @@ func main() {
 		plan.Intervals, spCfg.IntervalLen, len(plan.Points))
 	for i, pt := range plan.Points {
 		cp := plan.Checkpoints[i]
-		fmt.Printf("  interval %3d  weight %.2f  checkpoint: %d dirty pages, %d warm records\n",
-			pt.Interval.Index, pt.Weight, len(cp.Pages), len(cp.Warm))
+		pageB, warmB := cp.EncodedBytes()
+		fmt.Printf("  interval %3d  weight %.2f  checkpoint: %d dirty pages (%d B), %d warm records (%d B)\n",
+			pt.Interval.Index, pt.Weight, cp.DirtyPages(), pageB, cp.WarmRecords(), warmB)
 	}
 
 	// Detailed simulation of just the representatives: each point restores

@@ -135,16 +135,28 @@ func (p *Program) Load() (*mem.AddressSpace, error) {
 	return as, nil
 }
 
+// SymbolsByAddr inverts Symbols: every address that has a name maps to all
+// of its names, sorted, so that output naming an address does not depend on
+// map order when two labels share it. Listings print them all in this
+// order; where one name must stand for the address, it is the first.
+func (p *Program) SymbolsByAddr() map[uint64][]string {
+	out := make(map[uint64][]string, len(p.Symbols))
+	for name, addr := range p.Symbols {
+		out[addr] = append(out[addr], name)
+	}
+	for _, names := range out {
+		sort.Strings(names)
+	}
+	return out
+}
+
 // Disassemble renders the program listing with addresses and symbols.
 func (p *Program) Disassemble() string {
-	rev := make(map[uint64]string, len(p.Symbols))
-	for name, addr := range p.Symbols {
-		rev[addr] = name
-	}
+	names := p.SymbolsByAddr()
 	var b strings.Builder
 	for i, in := range p.Insts {
 		addr := p.CodeBase + uint64(i)*isa.InstBytes
-		if name, ok := rev[addr]; ok {
+		for _, name := range names[addr] {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
 		fmt.Fprintf(&b, "  0x%06x  %s\n", addr, in)

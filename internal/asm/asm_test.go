@@ -298,6 +298,8 @@ func TestParseErrors(t *testing.T) {
 		".initreg r99 5\nmain:\n  nop\n", // bad register
 		".entry other\nmain:\n  nop\n",   // entry not defined
 		"bad label: nop\n",               // label with space
+		"main: .x: nop\n",                // label starting with a dot
+		"main: a,b: nop\n",               // label with a comma
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

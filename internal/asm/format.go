@@ -12,13 +12,11 @@ import (
 // Format renders a linked program back into the text-assembler syntax, so
 // that Parse(Format(p)) reproduces the program exactly (the round-trip
 // property the tests check). Control-flow targets become labels: the
-// program's own symbols where available, synthetic local labels otherwise.
+// program's own symbols where available (every name an address has, and the
+// first of them where one is referenced), synthetic local labels otherwise.
 func Format(p *Program) (string, error) {
 	// Reverse the symbol table and invent labels for anonymous targets.
-	labels := make(map[uint64]string)
-	for name, addr := range p.Symbols {
-		labels[addr] = name
-	}
+	labels := p.SymbolsByAddr()
 	// Labels may sit one slot past the last instruction (a fall-off-end
 	// target the parser accepts), hence <= rather than <.
 	inText := func(addr uint64) bool {
@@ -31,7 +29,7 @@ func Format(p *Program) (string, error) {
 				return "", fmt.Errorf("asm: instruction %d targets 0x%x outside the text segment", i, t)
 			}
 			if _, ok := labels[t]; !ok {
-				labels[t] = fmt.Sprintf("L_%x", t)
+				labels[t] = []string{fmt.Sprintf("L_%x", t)}
 			}
 		}
 	}
@@ -39,12 +37,12 @@ func Format(p *Program) (string, error) {
 		if !inText(p.Entry) {
 			return "", fmt.Errorf("asm: entry 0x%x outside the text segment", p.Entry)
 		}
-		labels[p.Entry] = "entry"
+		labels[p.Entry] = []string{"entry"}
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, ".code 0x%x\n", p.CodeBase)
-	fmt.Fprintf(&b, ".entry %s\n", labels[p.Entry])
+	fmt.Fprintf(&b, ".entry %s\n", labels[p.Entry][0])
 	for _, r := range p.Regions {
 		fmt.Fprintf(&b, ".region %s 0x%x 0x%x %s %d\n",
 			sanitizeName(r.Name), r.Base, r.Size, protString(r.Prot), r.PKey)
@@ -67,13 +65,16 @@ func Format(p *Program) (string, error) {
 	b.WriteByte('\n')
 	for i, in := range p.Insts {
 		addr := p.CodeBase + uint64(i)*isa.InstBytes
-		if name, ok := labels[addr]; ok {
+		for _, name := range labels[addr] {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
-		t, _ := in.Target()
-		fmt.Fprintf(&b, "    %s\n", in.Render(labels[t]))
+		target := ""
+		if t, ok := in.Target(); ok {
+			target = labels[t][0]
+		}
+		fmt.Fprintf(&b, "    %s\n", in.Render(target))
 	}
-	if name, ok := labels[p.CodeBase+p.CodeSize()]; ok {
+	for _, name := range labels[p.CodeBase+p.CodeSize()] {
 		fmt.Fprintf(&b, "%s:\n", name)
 	}
 	return b.String(), nil

@@ -2,6 +2,8 @@ package asm
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"specmpk/internal/isa"
@@ -145,4 +147,41 @@ func TestFormatOnGeneratedCatalogueProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, p)
+}
+
+// TestAliasedLabelsRenderDeterministically: two labels on one address render
+// the same way every time — both names, in sorted order, in the listing and
+// in Format, with the first standing for the address as a jump target — and
+// Format keeps both, so Parse(Format(p)) has p's symbol table.
+func TestAliasedLabelsRenderDeterministically(t *testing.T) {
+	p, err := Parse("main:\nalias:\n  nop\n  jmp alias\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		src, err := Format(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outputs[p.Disassemble()+"\n---\n"+src] = true
+	}
+	if len(outputs) != 1 {
+		t.Fatalf("200 renders gave %d distinct outputs", len(outputs))
+	}
+	src, _ := Format(p)
+	if !strings.Contains(src, ".entry alias\n") || !strings.Contains(src, "\nalias:\nmain:\n") ||
+		!strings.Contains(src, "jal r0, alias") {
+		t.Errorf("Format does not list both names in order with the first as the target:\n%s", src)
+	}
+	if dis := p.Disassemble(); !strings.HasPrefix(dis, "alias:\nmain:\n") {
+		t.Errorf("Disassemble does not list both names in order:\n%s", dis)
+	}
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(q.Symbols, p.Symbols) {
+		t.Fatalf("Parse(Format(p)).Symbols = %v, want %v", q.Symbols, p.Symbols)
+	}
 }

@@ -11,7 +11,9 @@ import (
 
 // Parse assembles a text program. The syntax is one instruction or
 // directive per line; "#" and ";" start comments. Labels ("name:") are
-// global. Directives:
+// global. A name may not begin with ".", which starts a directive, or hold
+// a ",", which separates operands, so that every label can stand at the
+// start of a line and as a jump target. Directives:
 //
 //	.code 0x10000                       text base (default 0x10000)
 //	.entry main                         entry label (default "main")
@@ -151,7 +153,7 @@ func (p *parser) line(raw string) error {
 			break
 		}
 		name := strings.TrimSpace(s[:colon])
-		if name == "" || strings.ContainsAny(name, " \t") {
+		if name == "" || strings.ContainsAny(name, " \t,") || strings.HasPrefix(name, ".") {
 			return fmt.Errorf("bad label %q", name)
 		}
 		if _, dup := p.labels[name]; dup {

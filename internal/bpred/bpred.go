@@ -5,7 +5,11 @@
 // address stack with checkpoint-based recovery.
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+
+	"specmpk/internal/recycle"
+)
 
 // ---------------------------------------------------------------------------
 // TAGE direction predictor
@@ -234,12 +238,23 @@ type btbEntry struct {
 	valid  bool
 }
 
+// btbPool recycles the entry arrays of released BTBs (BTB.Release).
+var btbPool recycle.Pool[btbEntry]
+
 // NewBTB builds a direct-mapped BTB with n entries (power of two).
 func NewBTB(n int) (*BTB, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("bpred: BTB size %d not a positive power of two", n)
 	}
-	return &BTB{entries: make([]btbEntry, n), mask: uint64(n - 1)}, nil
+	return &BTB{entries: btbPool.Get(n), mask: uint64(n - 1)}, nil
+}
+
+// Release hands the BTB's entry array back for a later NewBTB to reuse. The
+// BTB is unusable afterwards: a lookup or update panics. Its counters stay
+// readable.
+func (b *BTB) Release() {
+	btbPool.Put(b.entries)
+	b.entries = nil
 }
 
 // Lookup returns the predicted target for pc, if any.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"specmpk/internal/recycle"
 	"specmpk/internal/stats"
 )
 
@@ -95,6 +96,9 @@ type Config struct {
 	NextLinePrefetch bool
 }
 
+// linePool recycles the tag arrays of released levels (Cache.Release).
+var linePool recycle.Pool[line]
+
 // New builds a cache level in front of next. The line size and the set
 // count must be positive powers of two.
 func New(cfg Config, next Level) (*Cache, error) {
@@ -118,10 +122,18 @@ func New(cfg Config, next Level) (*Cache, error) {
 		ways:     cfg.Ways,
 		lineBits: lb,
 		latency:  cfg.Latency,
-		lines:    make([]line, sets*cfg.Ways),
+		lines:    linePool.Get(sets * cfg.Ways),
 		next:     next,
 		prefetch: cfg.NextLinePrefetch,
 	}, nil
+}
+
+// Release hands the level's tag array back for a later New to reuse. The
+// level is unusable afterwards: an access or probe panics. Its Stats stay
+// readable.
+func (c *Cache) Release() {
+	linePool.Put(c.lines)
+	c.lines = nil
 }
 
 // Name returns the level's configured name.
@@ -335,6 +347,13 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		return nil, err
 	}
 	return h, nil
+}
+
+// Release releases every level's tag array (Cache.Release).
+func (h *Hierarchy) Release() {
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2, h.L3} {
+		c.Release()
+	}
 }
 
 // Register publishes one level's counters under prefix ("cache.l2").

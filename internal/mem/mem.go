@@ -195,14 +195,14 @@ func (m *PhysMem) Write64(paddr uint64, v uint64) {
 // ReadBytes copies n bytes starting at paddr into a fresh slice.
 func (m *PhysMem) ReadBytes(paddr uint64, n int) []byte {
 	out := make([]byte, n)
-	m.readInto(out, paddr)
+	m.ReadInto(out, paddr)
 	return out
 }
 
-// readInto fills dst from paddr onward with one frame lookup and one copy per
-// page touched. Absent frames read as zeros and stay absent, exactly as a
-// Read8 loop would leave them.
-func (m *PhysMem) readInto(dst []byte, paddr uint64) {
+// ReadInto fills dst from paddr onward with one frame lookup and one copy per
+// page touched: ReadBytes into a caller's buffer. Absent frames read as zeros
+// and stay absent, exactly as a Read8 loop would leave them.
+func (m *PhysMem) ReadInto(dst []byte, paddr uint64) {
 	for len(dst) > 0 {
 		off := paddr & (PageSize - 1)
 		var n int
@@ -415,7 +415,7 @@ func (as *AddressSpace) ReadVirtBytes(vaddr uint64, n int) ([]byte, error) {
 			return nil, err
 		}
 		chunk := min(PageSize-int(paddr&(PageSize-1)), n-i)
-		as.Phys.readInto(out[i:i+chunk], paddr)
+		as.Phys.ReadInto(out[i:i+chunk], paddr)
 		i += chunk
 	}
 	return out, nil

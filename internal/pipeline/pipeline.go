@@ -35,6 +35,7 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
+	"specmpk/internal/recycle"
 	"specmpk/internal/stats"
 	"specmpk/internal/tlb"
 	"specmpk/internal/trace"
@@ -597,6 +598,13 @@ type Machine struct {
 // noDone is nextDone's value when no issued entry awaits completion.
 const noDone = ^uint64(0)
 
+// The in-flight rings and RAS-checkpoint pools of released machines
+// (Machine.Release), recycled by length.
+var (
+	alPool      recycle.Pool[alEntry]
+	rasCkptPool recycle.Pool[bpred.RASCheckpoint]
+)
+
 // New loads prog and builds a machine.
 func New(cfg Config, prog *asm.Program) (*Machine, error) {
 	as, err := prog.Load()
@@ -655,9 +663,9 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		pc:        pc,
 		prf:       make([]uint64, cfg.PRFSize),
 		prfReady:  make([]bool, cfg.PRFSize),
-		al:        make([]alEntry, ring),
+		al:        alPool.Get(ring),
 		fqCap:     fqCap,
-		rasCkpts:  make([]bpred.RASCheckpoint, cfg.ALSize+fqCap+2),
+		rasCkpts:  rasCkptPool.Get(cfg.ALSize + fqCap + 2),
 		nextDone:  noDone,
 
 		iqBits:           make(slotBits, words),
@@ -696,6 +704,24 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		m.freeList = append(m.freeList, p)
 	}
 	return m, nil
+}
+
+// Release hands the machine's large arrays back for the next New to reuse:
+// the cache tag arrays, both TLBs, the BTB, the in-flight ring and the
+// RAS-checkpoint pool. The machine is unusable afterwards — stepping it
+// panics — so read what is wanted first: Stats, and the StatsRegistry, whose
+// TLB occupancy gauges read the released arrays. A sampled interval
+// (simpoint's Plan.SimulatePoint) releases its machine, so a sweep's next
+// interval reuses the storage instead of allocating a megabyte of fresh
+// heap; a whole-program run keeps its machine to the end and need not.
+func (m *Machine) Release() {
+	m.Hier.Release()
+	m.DTLB.Release()
+	m.ITLB.Release()
+	m.btb.Release()
+	alPool.Put(m.al)
+	rasCkptPool.Put(m.rasCkpts)
+	m.al, m.rasCkpts = nil, nil
 }
 
 // ---------------------------------------------------------------------------

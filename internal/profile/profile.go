@@ -131,11 +131,12 @@ func (p *Profiler) Report() *Report {
 }
 
 // funcName maps pc to the name of the enclosing symbol (greatest symbol
-// address <= pc), or "" when no symbol covers it.
+// address <= pc; of several names there, the first in sorted order, as
+// asm.Program.SymbolsByAddr lists them), or "" when no symbol covers it.
 func funcName(prog *asm.Program, pc uint64) string {
 	best, name := uint64(0), ""
 	for s, addr := range prog.Symbols {
-		if addr <= pc && (name == "" || addr > best) {
+		if addr <= pc && (name == "" || addr > best || addr == best && s < name) {
 			best, name = addr, s
 		}
 	}
@@ -297,18 +298,16 @@ func Annotate(w io.Writer, prog *asm.Program, r *Report) {
 	for _, l := range blockLeaders(prog) {
 		leaders[l] = true
 	}
-	names := map[uint64]string{}
-	for s, addr := range prog.Symbols {
-		names[addr] = s
-	}
+	names := prog.SymbolsByAddr()
 	total := r.Total.Sum()
 	fmt.Fprintf(w, "%-10s %8s %10s %6s  %-26s %s\n",
 		"pc", "retired", "cycles", "cyc%", "disasm", "buckets")
 	for i, in := range prog.Insts {
 		pc := prog.CodeBase + uint64(i)*isa.InstBytes
-		if s, ok := names[pc]; ok {
+		for _, s := range names[pc] {
 			fmt.Fprintf(w, "%s:\n", s)
-		} else if leaders[pc] && i > 0 {
+		}
+		if len(names[pc]) == 0 && leaders[pc] && i > 0 {
 			fmt.Fprintf(w, ".L%x:\n", pc)
 		}
 		row := byPC[pc]

@@ -247,3 +247,23 @@ func TestAnnotate(t *testing.T) {
 		t.Errorf("annotation has %d lines for %d instructions", lines, len(prog.Insts))
 	}
 }
+
+// TestAliasedLabelsAnnotateDeterministically: with two labels on one
+// address, Annotate prints both in sorted order and a PC under them is
+// attributed to the first, the same way every time.
+func TestAliasedLabelsAnnotateDeterministically(t *testing.T) {
+	prog, err := asm.Parse("main:\nalias:\n  nop\n  halt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		var buf bytes.Buffer
+		Annotate(&buf, prog, &Report{})
+		if out := buf.String(); !strings.Contains(out, "\nalias:\nmain:\n") {
+			t.Fatalf("Annotate does not list both names in order:\n%s", out)
+		}
+		if got := funcName(prog, prog.Entry+16); got != "alias" {
+			t.Fatalf("funcName = %q, want the first name, alias", got)
+		}
+	}
+}

@@ -117,9 +117,10 @@ type SampledParams struct {
 // oversized request gets a 400 before it is queued. Each is at least 16× its
 // default and above every value a job spec in this repo uses. They bound
 // what a sampled job's profiling pass allocates: each of the up to
-// MaxSampledK checkpoints copies up to MaxSampledWarmInsts 24-byte warm
-// records (80 × 2^18 × 24 B = 480 MiB at worst), and the profile keeps one
-// 264-byte vector per interval (at most 2^26 / 1000 intervals, ≈ 17 MiB).
+// MaxSampledK checkpoints encodes up to MaxSampledWarmInsts warm records of
+// at most 21 bytes each (80 × 2^18 × 21 B = 420 MiB at worst; catalogue
+// records average 1.3 B), and the profile keeps one 264-byte vector per
+// interval (at most 2^26 / 1000 intervals, ≈ 17 MiB).
 const (
 	MaxSampledIntervalLen = 1 << 22
 	MaxSampledMaxInsts    = 1 << 26

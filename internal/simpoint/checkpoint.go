@@ -8,12 +8,12 @@
 //   - A touched-memory delta: every page the program wrote before the
 //     boundary, so a pristine program load plus the delta reproduces the
 //     exact memory image (pages the program only read are already correct
-//     in a fresh load).
+//     in a fresh load). Each page is held as its runs of nonzero words.
 //   - Microarchitectural warm-up state: the call stack for the RAS plus a
 //     bounded log of the last WarmInsts retired instructions' footprint
 //     (fetch addresses, branch outcomes, indirect targets, memory
-//     accesses), replayed into a fresh machine's caches, TLBs and
-//     predictors before detailed simulation starts.
+//     accesses), delta-encoded, and replayed into a fresh machine's
+//     caches, TLBs and predictors before detailed simulation starts.
 //
 // This replaces the previous live-warming flow (which interleaved the
 // functional fast-forward with training one specific detailed machine): a
@@ -23,7 +23,9 @@
 package simpoint
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"specmpk/internal/asm"
@@ -54,13 +56,14 @@ const (
 	warmStore                 // data write at Addr: DTLB + L1D
 )
 
-// WarmRecord is one retired instruction's microarchitectural footprint in a
-// checkpoint's warm-up log.
-type WarmRecord struct {
-	PC    uint64
-	Addr  uint64 // branch/jump target or memory virtual address
-	Kind  uint8
-	Taken bool
+// warmRecord is one retired instruction's microarchitectural footprint, the
+// unit of a checkpoint's warm-up log. Only indirect, load and store records
+// carry an address (carriesAddr).
+type warmRecord struct {
+	pc    uint64
+	addr  uint64 // indirect-jump target or memory virtual address
+	kind  uint8
+	taken bool
 }
 
 // Checkpoint is a restorable snapshot of a program at an interval boundary.
@@ -76,23 +79,50 @@ type Checkpoint struct {
 	Regs [isa.NumRegs]uint64
 	PKRU mpk.PKRU
 
-	// Pages is the touched-memory delta: virtual page number -> page bytes
-	// at the boundary, for every page written since program load.
-	Pages map[uint64][]byte
+	// The touched-memory delta: every page written since program load, in
+	// virtual page order. pageData holds each page's encodePage runs back
+	// to back; pages[i] names page i and where its runs end.
+	pages    []pageRef
+	pageData []byte
 
-	// Warm is the warm-up log, oldest record first.
-	Warm []WarmRecord
+	// warm is the warm-up log, oldest record first, as warmEncoder wrote
+	// it; warmN is its record count.
+	warm  []byte
+	warmN int
 	// RAS is the live call stack (return addresses), oldest frame first.
 	RAS []uint64
 }
 
+// pageRef is one page of a checkpoint's touched-memory delta: its virtual
+// page number and the end of its runs in pageData (they start where the
+// previous page's end).
+type pageRef struct {
+	vpn uint64
+	end int
+}
+
+// DirtyPages returns how many pages the touched-memory delta restores.
+func (c *Checkpoint) DirtyPages() int { return len(c.pages) }
+
+// WarmRecords returns how many retired instructions the warm-up log replays.
+func (c *Checkpoint) WarmRecords() int { return c.warmN }
+
+// EncodedBytes returns the sizes of the encoded touched-memory delta and
+// warm-up log.
+func (c *Checkpoint) EncodedBytes() (pages, warm int) { return len(c.pageData), len(c.warm) }
+
 // capturer accumulates checkpoint inputs while the functional machine runs.
 type capturer struct {
 	dirty map[uint64]struct{} // written virtual page numbers, cumulative
-	ring  []WarmRecord        // warm-up log ring
+	ring  []warmRecord        // warm-up log ring
 	pos   int                 // next write position
 	n     int                 // records written (saturates at len(ring))
 	ras   []uint64            // shadow call stack
+
+	// Scratch reused across snapshots: one page frame, and the encoders'
+	// output before it is copied out at its exact size.
+	frame [mem.PageSize]byte
+	buf   []byte
 }
 
 func newCapturer(warmInsts uint64) *capturer {
@@ -101,7 +131,7 @@ func newCapturer(warmInsts uint64) *capturer {
 	}
 	return &capturer{
 		dirty: make(map[uint64]struct{}),
-		ring:  make([]WarmRecord, warmInsts),
+		ring:  make([]warmRecord, warmInsts),
 	}
 }
 
@@ -116,11 +146,11 @@ func (c *capturer) onStore(_ *funcsim.Thread, vaddr uint64) {
 // recomputable; the cases where an output clobbers an input (a load or an
 // indirect jump with Rd == Rs1) degrade to a fetch-only record.
 func (c *capturer) onInst(t *funcsim.Thread, pc uint64, in isa.Inst) {
-	rec := WarmRecord{PC: pc, Kind: warmPlain}
+	rec := warmRecord{pc: pc, kind: warmPlain}
 	switch {
 	case in.Op.IsCondBranch():
-		rec.Kind = warmBranch
-		rec.Taken = funcsim.BranchTaken(in.Op, t.Reg(in.Rs1), t.Reg(in.Rs2))
+		rec.kind = warmBranch
+		rec.taken = funcsim.BranchTaken(in.Op, t.Reg(in.Rs1), t.Reg(in.Rs2))
 	case in.Op == isa.OpJal:
 		if in.Rd != isa.RegZero {
 			c.push(pc + isa.InstBytes)
@@ -136,16 +166,16 @@ func (c *capturer) onInst(t *funcsim.Thread, pc uint64, in isa.Inst) {
 			fallthrough
 		default:
 			if in.Rd != in.Rs1 {
-				rec.Kind = warmIndirect
-				rec.Addr = t.Reg(in.Rs1) + uint64(in.Imm)
+				rec.kind = warmIndirect
+				rec.addr = t.Reg(in.Rs1) + uint64(in.Imm)
 			}
 		}
 	case in.Op.IsStore():
-		rec.Kind = warmStore
-		rec.Addr = t.Reg(in.Rs1) + uint64(in.Imm)
+		rec.kind = warmStore
+		rec.addr = t.Reg(in.Rs1) + uint64(in.Imm)
 	case in.Op.IsLoad() && in.Rd != in.Rs1:
-		rec.Kind = warmLoad
-		rec.Addr = t.Reg(in.Rs1) + uint64(in.Imm)
+		rec.kind = warmLoad
+		rec.addr = t.Reg(in.Rs1) + uint64(in.Imm)
 	}
 	c.ring[c.pos] = rec
 	c.pos++
@@ -175,24 +205,35 @@ func (c *capturer) snapshot(ff *funcsim.Machine, index uint64) *Checkpoint {
 		PC:    th.PC,
 		Regs:  th.Regs,
 		PKRU:  th.PKRU,
-		Pages: make(map[uint64][]byte, len(c.dirty)),
 	}
+	vpns := make([]uint64, 0, len(c.dirty))
 	for vpn := range c.dirty {
+		vpns = append(vpns, vpn)
+	}
+	slices.Sort(vpns)
+	cp.pages = make([]pageRef, 0, len(vpns))
+	buf := c.buf[:0]
+	for _, vpn := range vpns {
 		pte, ok := ff.AS.Lookup(vpn << mem.PageBits)
 		if !ok {
 			continue // unmapped after the write; nothing to restore
 		}
-		cp.Pages[vpn] = ff.AS.Phys.ReadBytes(pte.PPN<<mem.PageBits, mem.PageSize)
+		ff.AS.Phys.ReadInto(c.frame[:], pte.PPN<<mem.PageBits)
+		buf = encodePage(buf, c.frame[:])
+		cp.pages = append(cp.pages, pageRef{vpn: vpn, end: len(buf)})
 	}
-	// Unroll the ring chronologically.
-	cp.Warm = make([]WarmRecord, 0, c.n)
+	cp.pageData = bytes.Clone(buf)
+	// Encode the ring chronologically.
+	enc := warmEncoder{buf: buf[:0]}
 	start := c.pos - c.n
 	if start < 0 {
 		start += len(c.ring)
 	}
 	for i := 0; i < c.n; i++ {
-		cp.Warm = append(cp.Warm, c.ring[(start+i)%len(c.ring)])
+		enc.add(c.ring[(start+i)%len(c.ring)])
 	}
+	cp.warm, cp.warmN = bytes.Clone(enc.buf), enc.n
+	c.buf = enc.buf
 	ras := c.ras
 	if len(ras) > rasShadowMax {
 		ras = ras[len(ras)-rasShadowMax:]
@@ -266,50 +307,95 @@ func (c *Checkpoint) NewMachine(mcfg pipeline.Config, prog *asm.Program) (*pipel
 }
 
 // patchPages applies the touched-memory delta onto a freshly loaded address
-// space, reproducing the exact memory image at the boundary. It writes
-// through the physical backing (page tables are static at runtime — the ISA
-// has no mapping operations — so a fresh load maps the same pages).
+// space, reproducing the exact memory image at the boundary. It rebuilds
+// each page in one buffer and writes it whole through the physical backing
+// (page tables are static at runtime — the ISA has no mapping operations —
+// so a fresh load maps the same pages), so a word the program re-zeroed
+// overwrites the fresh load's data too.
 func (c *Checkpoint) patchPages(as *mem.AddressSpace) error {
-	for vpn, b := range c.Pages {
-		pte, ok := as.Lookup(vpn << mem.PageBits)
+	var page [mem.PageSize]byte
+	start := 0
+	for _, p := range c.pages {
+		pte, ok := as.Lookup(p.vpn << mem.PageBits)
 		if !ok {
-			return fmt.Errorf("simpoint: checkpoint page 0x%x not mapped in a fresh load", vpn<<mem.PageBits)
+			return fmt.Errorf("simpoint: checkpoint page 0x%x not mapped in a fresh load", p.vpn<<mem.PageBits)
 		}
-		as.Phys.WriteBytes(pte.PPN<<mem.PageBits, b)
+		if err := decodePage(page[:], c.pageData[start:p.end]); err != nil {
+			return err
+		}
+		start = p.end
+		as.Phys.WriteBytes(pte.PPN<<mem.PageBits, page[:])
 	}
 	return nil
 }
 
 // replayWarm trains the machine's I-side (ITLB, L1I), D-side (DTLB, L1D)
 // and branch predictors from the warm-up log — the same footprint the old
-// live warmer applied, now decoupled from the fast-forward pass.
+// live warmer applied, now decoupled from the fast-forward pass. Each side
+// walks the page table only when its page changes (pageMemo); every TLB
+// lookup and fill, cache access and predictor update still happens per
+// record.
 func (c *Checkpoint) replayWarm(m *pipeline.Machine, as *mem.AddressSpace) {
 	tage, btb := m.Predictors()
-	for _, rec := range c.Warm {
-		if ipaddr, ipte, err := as.Translate(rec.PC, mem.Exec); err == nil {
-			if _, hit := m.ITLB.Lookup(rec.PC >> mem.PageBits); !hit {
-				m.ITLB.Fill(rec.PC>>mem.PageBits, ipte)
+	ipage, dpage := pageMemo{vpn: noPage}, pageMemo{vpn: noPage}
+	d := warmDecoder{buf: c.warm}
+	for {
+		rec, ok := d.next()
+		if !ok {
+			return
+		}
+		if ipaddr, ipte, ok := ipage.translate(as, rec.pc, mem.Exec); ok {
+			if _, hit := m.ITLB.Lookup(rec.pc >> mem.PageBits); !hit {
+				m.ITLB.Fill(rec.pc>>mem.PageBits, ipte)
 			}
 			m.Hier.FetchLatency(ipaddr)
 		}
-		switch rec.Kind {
+		switch rec.kind {
 		case warmBranch:
-			_, st := tage.Predict(rec.PC)
-			tage.SpeculativeUpdate(rec.Taken)
-			tage.Update(rec.PC, st, rec.Taken)
+			_, st := tage.Predict(rec.pc)
+			tage.SpeculativeUpdate(rec.taken)
+			tage.Update(rec.pc, st, rec.taken)
 		case warmIndirect:
-			btb.Update(rec.PC, rec.Addr)
+			btb.Update(rec.pc, rec.addr)
 		case warmLoad, warmStore:
 			acc := mem.Read
-			if rec.Kind == warmStore {
+			if rec.kind == warmStore {
 				acc = mem.Write
 			}
-			if paddr, pte, err := as.Translate(rec.Addr, acc); err == nil {
-				if _, hit := m.DTLB.Lookup(rec.Addr >> mem.PageBits); !hit {
-					m.DTLB.Fill(rec.Addr>>mem.PageBits, pte)
+			if paddr, pte, ok := dpage.translate(as, rec.addr, acc); ok {
+				if _, hit := m.DTLB.Lookup(rec.addr >> mem.PageBits); !hit {
+					m.DTLB.Fill(rec.addr>>mem.PageBits, pte)
 				}
-				m.Hier.L1D.Access(paddr, rec.Kind == warmStore)
+				m.Hier.L1D.Access(paddr, rec.kind == warmStore)
 			}
 		}
 	}
+}
+
+// noPage is a virtual page number no address has (addresses shift down by
+// mem.PageBits), so a pageMemo holding it remembers nothing.
+const noPage = ^uint64(0)
+
+// pageMemo remembers the last page-table lookup, so a run of warm records on
+// one page walks the table once. Page tables are static at runtime (see
+// patchPages), so the remembered entry never goes stale.
+type pageMemo struct {
+	vpn   uint64
+	pte   mem.PTE
+	valid bool // mapped and valid
+}
+
+// translate is AddressSpace.Translate without the fault value: the
+// physical address and entry of vaddr, and whether the page is mapped,
+// valid and allows access a.
+func (p *pageMemo) translate(as *mem.AddressSpace, vaddr uint64, a mem.AccessKind) (uint64, mem.PTE, bool) {
+	if vpn := vaddr >> mem.PageBits; vpn != p.vpn {
+		p.vpn = vpn
+		p.pte, p.valid = as.Lookup(vaddr)
+		p.valid = p.valid && p.pte.Valid
+	}
+	if !p.valid || !p.pte.AllowsProt(a) {
+		return 0, p.pte, false
+	}
+	return p.pte.PPN<<mem.PageBits | vaddr&(mem.PageSize-1), p.pte, true
 }

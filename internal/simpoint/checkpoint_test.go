@@ -4,13 +4,42 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"specmpk/internal/asm"
 	"specmpk/internal/funcsim"
+	"specmpk/internal/mem"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/workload"
 )
+
+// cataloguePlan is one catalogue program and its plan at DefaultConfig.
+type cataloguePlan struct {
+	name string
+	prog *asm.Program
+	plan *Plan
+}
+
+// cataloguePlans builds every catalogue program's DefaultConfig plan once per
+// test binary.
+var cataloguePlans = sync.OnceValues(func() ([]cataloguePlan, error) {
+	var out []cataloguePlan
+	for _, w := range workload.Catalog() {
+		prog, err := w.Build(workload.VariantFull)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := BuildPlan(prog, DefaultConfig())
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, cataloguePlan{w.Name, prog, plan})
+	}
+	return out, nil
+})
 
 func TestChooseDeterministicForSeed(t *testing.T) {
 	w, _ := workload.ByName("541.leela_r")
@@ -41,7 +70,8 @@ func TestChooseDeterministicForSeed(t *testing.T) {
 // TestCheckpointMemoryDeltaExact: a pristine load patched with a
 // checkpoint's touched-page delta reproduces the exact architectural state
 // (registers + every program region) of a machine that actually executed to
-// the boundary.
+// the boundary — for one leela checkpoint, and at every point of the mcf,
+// omnetpp and gcc plans.
 func TestCheckpointMemoryDeltaExact(t *testing.T) {
 	w, _ := workload.ByName("541.leela_r")
 	prog, err := w.Build(workload.VariantFull)
@@ -54,25 +84,42 @@ func TestCheckpointMemoryDeltaExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := cps[0]
-	if cp.Insts != idx*cfg.IntervalLen {
-		t.Fatalf("checkpoint at %d insts, want %d", cp.Insts, idx*cfg.IntervalLen)
+	if cps[0].Insts != idx*cfg.IntervalLen {
+		t.Fatalf("checkpoint at %d insts, want %d", cps[0].Insts, idx*cfg.IntervalLen)
 	}
+	checkDeltaExact(t, "541.leela_r", prog, cps[0])
 
-	// Ground truth: an independent functional run to the same boundary.
+	plans, err := cataloguePlans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range plans {
+		for _, name := range goldenSampledWorkloads {
+			if cp.name == name {
+				for _, ck := range cp.plan.Checkpoints {
+					checkDeltaExact(t, name, cp.prog, ck)
+				}
+			}
+		}
+	}
+}
+
+// checkDeltaExact compares a pristine load patched with cp's page delta,
+// under cp's registers, against an independent functional run to cp's
+// boundary.
+func checkDeltaExact(t *testing.T, name string, prog *asm.Program, cp *Checkpoint) {
+	t.Helper()
 	live, err := funcsim.New(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Run(idx*cfg.IntervalLen, 1); err != nil && err != funcsim.ErrLimit {
+	if err := live.Run(cp.Insts, 1); err != nil && err != funcsim.ErrLimit {
 		t.Fatal(err)
 	}
 	want, err := live.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reconstruction: pristine load + page delta + checkpointed registers.
 	as, err := prog.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +132,185 @@ func TestCheckpointMemoryDeltaExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("restored state digest %#x, live digest %#x", got, want)
+		t.Fatalf("%s interval %d: restored state digest %#x, live digest %#x", name, cp.Index, got, want)
 	}
 	if cp.PC != live.Threads[0].PC {
-		t.Fatalf("restored PC %#x, live PC %#x", cp.PC, live.Threads[0].PC)
+		t.Fatalf("%s interval %d: restored PC %#x, live PC %#x", name, cp.Index, cp.PC, live.Threads[0].PC)
 	}
+}
+
+// TestRestoreMatchesReferenceReplay: at every point of every catalogue
+// program's DefaultConfig plan, NewMachine (page-table memo, pages rebuilt
+// in one buffer) builds exactly the machine a reference restore builds —
+// each decoded page written whole onto a pristine load, and the decoded
+// log replayed with one page-table walk per record — down to every cache
+// line, TLB entry, predictor entry, RAS slot and memory frame.
+func TestRestoreMatchesReferenceReplay(t *testing.T) {
+	plans, err := cataloguePlans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := pipeline.DefaultConfig()
+	for _, cp := range plans {
+		for _, ck := range cp.plan.Checkpoints {
+			got, err := ck.NewMachine(mcfg, cp.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceRestore(t, ck, mcfg, cp.prog)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s interval %d: restored machine differs from the reference replay", cp.name, ck.Index)
+			}
+			got.Release()
+			want.Release()
+		}
+	}
+}
+
+// referenceRestore is NewMachine the plain way: every decoded page written
+// whole onto a fresh load, then every decoded record replayed with its own
+// AddressSpace.Translate.
+func referenceRestore(t *testing.T, cp *Checkpoint, mcfg pipeline.Config, prog *asm.Program) *pipeline.Machine {
+	t.Helper()
+	as, err := prog.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := 0
+	for _, p := range cp.pages {
+		page := make([]byte, mem.PageSize)
+		if err := decodePage(page, cp.pageData[start:p.end]); err != nil {
+			t.Fatal(err)
+		}
+		start = p.end
+		pte, ok := as.Lookup(p.vpn << mem.PageBits)
+		if !ok {
+			t.Fatalf("page %#x not mapped", p.vpn)
+		}
+		as.Phys.WriteBytes(pte.PPN<<mem.PageBits, page)
+	}
+	regs := cp.Regs
+	m, err := pipeline.NewWithState(mcfg, prog, as, &regs, cp.PKRU, cp.PC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmRAS(cp.RAS)
+	tage, btb := m.Predictors()
+	d := warmDecoder{buf: cp.warm}
+	for rec, ok := d.next(); ok; rec, ok = d.next() {
+		if ipaddr, ipte, err := as.Translate(rec.pc, mem.Exec); err == nil {
+			if _, hit := m.ITLB.Lookup(rec.pc >> mem.PageBits); !hit {
+				m.ITLB.Fill(rec.pc>>mem.PageBits, ipte)
+			}
+			m.Hier.FetchLatency(ipaddr)
+		}
+		switch rec.kind {
+		case warmBranch:
+			_, st := tage.Predict(rec.pc)
+			tage.SpeculativeUpdate(rec.taken)
+			tage.Update(rec.pc, st, rec.taken)
+		case warmIndirect:
+			btb.Update(rec.pc, rec.addr)
+		case warmLoad, warmStore:
+			acc := mem.Read
+			if rec.kind == warmStore {
+				acc = mem.Write
+			}
+			if paddr, pte, err := as.Translate(rec.addr, acc); err == nil {
+				if _, hit := m.DTLB.Lookup(rec.addr >> mem.PageBits); !hit {
+					m.DTLB.Fill(rec.addr>>mem.PageBits, pte)
+				}
+				m.Hier.L1D.Access(paddr, rec.kind == warmStore)
+			}
+		}
+	}
+	return m
+}
+
+// TestPageMemoMatchesTranslate: the replay's remembered page-table lookup
+// answers every access as AddressSpace.Translate does, including a
+// different access kind on the page it remembers (a store after a load on a
+// read-only page, a fetch from a data page) and unmapped pages.
+func TestPageMemoMatchesTranslate(t *testing.T) {
+	as := mem.NewAddressSpace()
+	as.Map(0x1000, mem.PageSize, mem.ProtRW)
+	as.Map(0x2000, mem.PageSize, mem.ProtRX)
+	as.Map(0x3000, mem.PageSize, mem.ProtRead)
+	memo := pageMemo{vpn: noPage}
+	for _, addr := range []uint64{0x1008, 0x1010, 0x2000, 0x2ff8, 0x3010, 0x3018, 0x4000, 0x4008, 0x3000, 0x1000} {
+		for _, a := range []mem.AccessKind{mem.Read, mem.Write, mem.Exec, mem.Read} {
+			wantPA, wantPTE, err := as.Translate(addr, a)
+			gotPA, gotPTE, ok := memo.translate(as, addr, a)
+			if ok != (err == nil) || ok && (gotPA != wantPA || gotPTE != wantPTE) {
+				t.Fatalf("%v at %#x: memo says (%#x, %+v, %v), Translate (%#x, %+v, %v)",
+					a, addr, gotPA, gotPTE, ok, wantPA, wantPTE, err)
+			}
+		}
+	}
+}
+
+// TestCataloguePlansAreCompact bounds what a plan holds: every catalogue
+// program's DefaultConfig plan stays under 0.3 MB of checkpoint storage.
+func TestCataloguePlansAreCompact(t *testing.T) {
+	plans, err := cataloguePlans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxPlanBytes = 300_000
+	var total int
+	for _, cp := range plans {
+		n := 0
+		for _, ck := range cp.plan.Checkpoints {
+			pageB, warmB := ck.EncodedBytes()
+			n += pageB + warmB + 16*ck.DirtyPages() + 8*len(ck.RAS) + int(reflect.TypeOf(*ck).Size())
+		}
+		total += n
+		if n > maxPlanBytes {
+			t.Errorf("%s: plan holds %d bytes of checkpoints, want at most %d", cp.name, n, maxPlanBytes)
+		}
+	}
+	t.Logf("%d plans hold %d bytes of checkpoints, %.0f per plan", len(plans), total, float64(total)/float64(len(plans)))
+}
+
+// TestSimulatePointAllocBound: once a plan's first interval has run, the
+// next one builds its machine on the storage the first released, so it
+// allocates well under the megabyte a fresh machine costs. One processor
+// keeps every release and reuse on one sync.Pool shard; the best of three
+// calls rides out a garbage collection emptying the pools in between.
+func TestSimulatePointAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what it is given")
+	}
+	w, _ := workload.ByName("505.mcf_r")
+	prog, err := w.Build(workload.VariantFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPlan(prog, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mcfg := pipeline.DefaultConfig()
+	if _, err := plan.SimulatePoint(context.Background(), 0, mcfg, prog); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 1 << 20
+	best := uint64(1 << 62)
+	var ms runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := plan.SimulatePoint(context.Background(), 0, mcfg, prog); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
+	}
+	if best >= bound {
+		t.Fatalf("a repeated SimulatePoint allocates %d bytes, want under %d", best, bound)
+	}
+	t.Logf("a repeated SimulatePoint allocates %d bytes", best)
 }
 
 func TestCaptureCheckpointsAlignedAndDeduped(t *testing.T) {
@@ -117,7 +338,7 @@ func TestCaptureCheckpointsAlignedAndDeduped(t *testing.T) {
 		t.Fatal("duplicate indices did not share one capture")
 	}
 	// Warm-up history must deepen with execution (later checkpoint saw more).
-	if len(cps[1].Warm) == 0 {
+	if cps[1].WarmRecords() == 0 {
 		t.Fatal("checkpoint 2 has no warm-up log")
 	}
 }

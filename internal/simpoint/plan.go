@@ -74,7 +74,8 @@ func BuildPlan(prog *asm.Program, cfg Config) (*Plan, error) {
 // run polls every 1,024 cycles — a cancelled or expired ctx stops the
 // interval with its error and Stats.Stop = StopCancelled (or StopDeadline).
 // Safe to call concurrently for different (or the same) i — every call
-// builds its own machine.
+// builds its own machine, and releases its large arrays for the next
+// interval's machine once the stats are copied (pipeline.Machine.Release).
 func (p *Plan) SimulatePoint(ctx context.Context, i int, mcfg pipeline.Config, prog *asm.Program) (pipeline.Stats, error) {
 	if i < 0 || i >= len(p.Checkpoints) {
 		return pipeline.Stats{}, fmt.Errorf("simpoint: point %d out of range (%d points)", i, len(p.Checkpoints))
@@ -87,7 +88,9 @@ func (p *Plan) SimulatePoint(ctx context.Context, i int, mcfg pipeline.Config, p
 	// pathological machine still terminates deterministically.
 	budget := p.Cfg.IntervalLen*800 + 400_000
 	err = m.RunContext(ctx, p.Cfg.IntervalLen, budget)
-	return m.Stats, err
+	st := m.Stats
+	m.Release()
+	return st, err
 }
 
 // Estimate is a sampled whole-program prediction recombined from the

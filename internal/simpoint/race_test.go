@@ -1,0 +1,5 @@
+//go:build race
+
+package simpoint
+
+const raceEnabled = true

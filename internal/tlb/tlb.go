@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"specmpk/internal/mem"
+	"specmpk/internal/recycle"
 	"specmpk/internal/stats"
 )
 
@@ -71,6 +72,9 @@ type TLB struct {
 	Stats   Stats
 }
 
+// entryPool recycles the entry arrays of released TLBs (TLB.Release).
+var entryPool recycle.Pool[Entry]
+
 // New builds a TLB from cfg. The set count must be a positive power of two.
 func New(cfg Config) (*TLB, error) {
 	if cfg.Ways <= 0 {
@@ -84,8 +88,16 @@ func New(cfg Config) (*TLB, error) {
 		sets:    sets,
 		ways:    cfg.Ways,
 		walkLat: cfg.WalkLatency,
-		entries: make([]Entry, cfg.Entries),
+		entries: entryPool.Get(cfg.Entries),
 	}, nil
+}
+
+// Release hands the TLB's entry array back for a later New to reuse. The TLB
+// is unusable afterwards: a lookup, probe or fill panics. Its Stats stay
+// readable; Occupancy reads 0.
+func (t *TLB) Release() {
+	entryPool.Put(t.entries)
+	t.entries = nil
 }
 
 // WalkLatency returns the configured page-walk cost.
