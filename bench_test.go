@@ -17,9 +17,23 @@ import (
 	"specmpk/internal/attack"
 	"specmpk/internal/experiments"
 	"specmpk/internal/pipeline"
+	"specmpk/internal/server"
 	"specmpk/internal/simpoint"
 	"specmpk/internal/workload"
 )
+
+// onOwnServer runs one iteration of a job-based experiment on a server of
+// its own, so no iteration is answered from results an earlier one stored.
+func onOwnServer[T any](b *testing.B, run func(experiments.Runner) (T, error)) T {
+	b.Helper()
+	srv := server.New(server.Options{})
+	defer func() { _ = srv.Shutdown(context.Background()) }()
+	v, err := run(experiments.Runner{Jobs: srv.Run})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
 
 // BenchmarkTable1Properties evaluates the executable isolation-technique
 // models (Table I) and reports the measured MPK domain-switch cost.
@@ -44,10 +58,7 @@ func BenchmarkTable1Properties(b *testing.B) {
 // WRPKRU execution and the rename-stall share under serialization.
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig3(experiments.Runner{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := onOwnServer(b, experiments.Fig3)
 		var sum, max, stall float64
 		for _, r := range rows {
 			sum += r.Speedup
@@ -67,10 +78,7 @@ func BenchmarkFig3(b *testing.B) {
 // serialization overhead on the serialized machine.
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig4(experiments.Runner{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := onOwnServer(b, experiments.Fig4)
 		var comp, ser float64
 		for _, r := range rows {
 			comp += r.CompilerOverheadPct
@@ -87,10 +95,7 @@ func BenchmarkFig4(b *testing.B) {
 // Paper: 12.21% average, 48.42% max.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(experiments.Runner{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := onOwnServer(b, experiments.Fig9)
 		s := experiments.Summarize(rows)
 		b.ReportMetric(s.AvgSpecMPKSpeedupPct, "avg-speedup-%")
 		b.ReportMetric(s.MaxSpecMPKSpeedupPct, "max-speedup-%")
@@ -121,10 +126,7 @@ func BenchmarkFig10(b *testing.B) {
 // the 2-entry to the 16-entry configuration.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11(experiments.Runner{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := onOwnServer(b, experiments.Fig11)
 		for _, r := range rows {
 			if r.Workload == "520.omnetpp_r (SS)" {
 				b.ReportMetric(r.Norm[2], "omnetpp-2-entry-x")

@@ -9,19 +9,22 @@
 // plus all. Each prints the same rows/series the paper reports, plus the
 // paper's quoted aggregate for comparison, or with -json its rows.
 //
-// With -remote, pipeline simulations are batch-submitted as jobs to a
-// specmpkd daemon instead of running in-process; the daemon's
-// content-addressed cache answers repeated specs (e.g. the serialized
-// baseline shared by fig3/fig9/fig11) without re-simulating. Experiments
-// that need more than a detailed pipeline run — fig10 (functional
-// simulation), fig13 (attack PoC), profile/diff — always run locally.
+// Every pipeline simulation runs as a job. By default the jobs go to an
+// in-process specmpkd server whose pool has GOMAXPROCS workers; -j bounds
+// how many are in flight. Its content-addressed store answers a spec that
+// an earlier experiment of the same invocation already ran (e.g. the
+// serialized baseline shared by fig3/fig9/fig11). With -remote the same
+// jobs go to a specmpkd daemon instead, and the output is byte-identical.
+// Experiments that need more than a job result — fig10 (functional
+// simulation), fig13 (attack PoC), profile/diff — always run in-process.
 //
 // A comma-separated -remote list enables cluster mode: the bench becomes a
 // coordinator (internal/cluster) that consistent-hashes each spec onto the
 // daemon owning it (whose result store answers any spec it already ran),
 // hedges placements slower than -hedge-after, fails over dead peers via
 // content-addressed resubmission, and — when every peer is down — degrades
-// cells to in-process simulation. A one-line cluster summary (forwards,
+// jobs to the in-process server. The sampled experiment's jobs get the same
+// placement, hedging and failover. A one-line cluster summary (forwards,
 // cache hits, hedges, failovers) lands on stderr after the run.
 package main
 
@@ -47,8 +50,8 @@ func main() { os.Exit(realMain()) }
 func realMain() int {
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: all)")
 	modes := flag.String("modes", "", "comma-separated policy subset for mode sweeps (default: all registered: "+strings.Join(pipeline.PolicyNames(), ",")+")")
-	jobs := flag.Int("j", 0, fmt.Sprintf("concurrent simulations (default: GOMAXPROCS, %d here)", runtime.GOMAXPROCS(0)))
-	remote := flag.String("remote", "", "run pipeline simulations on specmpkd daemon(s) at these comma-separated addresses instead of in-process; more than one enables consistent-hash cluster placement")
+	jobs := flag.Int("j", 0, fmt.Sprintf("simulation jobs in flight (default: GOMAXPROCS, %d here; the in-process server runs GOMAXPROCS at once)", runtime.GOMAXPROCS(0)))
+	remote := flag.String("remote", "", "run the simulation jobs on specmpkd daemon(s) at these comma-separated addresses instead of in-process; more than one enables consistent-hash cluster placement")
 	hedgeAfter := flag.Duration("hedge-after", 500*time.Millisecond, "cluster mode: latency budget before a lagging peer is hedged to the next replica (<0 disables)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON rows instead of tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this run to `file`")
@@ -85,15 +88,13 @@ func realMain() int {
 			fmt.Fprintln(os.Stderr, "specmpk-bench: -remote: no addresses")
 			return 2
 		case 1:
-			c := client.New(addrs[0])
-			r.Sim = experiments.RemoteSim(c)
-			r.Client = c
+			r.Jobs = client.New(addrs[0]).Run
 		default:
 			// Cluster mode: the bench process itself is the coordinator
 			// (Self is empty — every key is remote), placing each spec on
 			// the peer owning it, with hedging and failover; a full-cluster
-			// outage degrades cells to in-process simulation via
-			// ClusterSim.
+			// outage degrades jobs to the in-process server via
+			// ClusterJobs.
 			co, err := cluster.New(cluster.Options{Peers: addrs, HedgeAfter: *hedgeAfter})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "specmpk-bench: -remote: %v\n", err)
@@ -104,8 +105,7 @@ func realMain() int {
 				co.Close()
 				fmt.Fprintf(os.Stderr, "specmpk-bench: cluster: %s\n", co.Summary())
 			}()
-			r.Sim = experiments.ClusterSim(co)
-			r.Client = co.AnyClient()
+			r.Jobs = experiments.ClusterJobs(co)
 		}
 	}
 	if *modes != "" {

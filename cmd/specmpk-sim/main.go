@@ -4,9 +4,13 @@
 // Usage:
 //
 //	specmpk-sim -workload 520.omnetpp_r [-mode specmpk] [-variant full]
-//	specmpk-sim -asm prog.s [-mode serialized]
+//	specmpk-sim -asm prog.s [-mode serialized] [-cycles N]
 //	specmpk-sim -workload 520.omnetpp_r -stats-out s.json -trace-out t.jsonl
 //	specmpk-sim -list
+//
+// -cycles N is the run's one cycle budget: a run that exhausts it stops
+// with stop reason cycle_limit at exactly cycle N, also under the chunked
+// -stats-interval and -timeline loops.
 //
 // Observability outputs:
 //
@@ -61,8 +65,7 @@ func main() {
 		mode     = flag.String("mode", "specmpk", "microarchitecture: "+strings.Join(pipeline.PolicyNames(), " | "))
 		variant  = flag.String("variant", "full", "instrumentation: full | nop | none | rdpkru")
 		robPkru  = flag.Int("robpkru", 8, "ROB_pkru entries")
-		maxCyc   = flag.Uint64("cycles", 500_000_000, "cycle budget")
-		cfgCyc   = flag.Uint64("max-cycles", 0, "Config.MaxCycles: the machine's own hard cycle budget (0 = none); a run that exhausts it stops with stopReason cycle_limit")
+		budget   = flag.Uint64("cycles", 500_000_000, "cycle budget; a run that exhausts it stops with stop reason cycle_limit")
 		list     = flag.Bool("list", false, "list catalogue workloads and exit")
 		showDisq = flag.Bool("disasm", false, "print the program disassembly before running")
 		traceN   = flag.Uint64("trace", 0, "print the first N retired instructions")
@@ -160,18 +163,9 @@ func main() {
 
 	cfg := pipeline.DefaultConfig()
 	cfg.ROBPkruSize = *robPkru
-	cfg.MaxCycles = *cfgCyc
 	cfg.Mode, err = pipeline.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
-	}
-	// Config.MaxCycles caps the machine from inside; fold it into the driver
-	// budget too so the interval/timeline loops (which re-run the machine in
-	// chunks) terminate at the same point instead of spinning on a machine
-	// that can no longer advance.
-	budget := *maxCyc
-	if cfg.MaxCycles > 0 && cfg.MaxCycles < budget {
-		budget = cfg.MaxCycles
 	}
 
 	m, err := pipeline.New(cfg, prog)
@@ -222,13 +216,13 @@ func main() {
 	var runErr error
 	switch {
 	case *statsInterval > 0 && out.stats != nil:
-		runErr = runWithIntervals(m, reg, out.stats, *statsInterval, budget)
+		runErr = runWithIntervals(m, reg, out.stats, *statsInterval, *budget)
 	case *timeline:
 		const sample = 1000
 		var ipcs []float64
 		lastI := uint64(0)
-		for m.Cycle() < budget && !m.Halted() && m.Fault() == nil && runErr == nil {
-			runErr = m.RunInsts(^uint64(0), m.Cycle()+sample)
+		for m.Cycle() < *budget && !m.Halted() && m.Fault() == nil && runErr == nil {
+			runErr = m.RunInsts(^uint64(0), min(m.Cycle()+sample, *budget))
 			if runErr == pipeline.ErrCycleLimit {
 				runErr = nil // just the sampling boundary
 			}
@@ -237,7 +231,7 @@ func main() {
 		}
 		fmt.Print(textplot.Timeline("IPC over time (1k-cycle samples)", ipcs, 100))
 	default:
-		runErr = m.Run(budget)
+		runErr = m.Run(*budget)
 	}
 
 	if *pview > 0 {

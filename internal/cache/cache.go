@@ -162,49 +162,24 @@ func (c *Cache) Access(paddr uint64, write bool) int {
 func (c *Cache) access(paddr uint64, write bool) int {
 	c.tick++
 	set, tag := c.set(paddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
-			c.Stats.Hits++
-			l.lru = c.tick
-			if write {
-				l.dirty = true
-			}
-			if l.pfTag {
-				// Tagged prefetching: the first demand hit on a
-				// prefetched line keeps the stream running.
-				l.pfTag = false
-				c.prefetchLine((tag + 1) << c.lineBits)
-			}
-			return c.latency
+	if l := c.find(set, tag); l != nil {
+		c.Stats.Hits++
+		l.lru = c.tick
+		if write {
+			l.dirty = true
 		}
+		if l.pfTag {
+			// Tagged prefetching: the first demand hit on a
+			// prefetched line keeps the stream running.
+			l.pfTag = false
+			c.prefetchLine((tag + 1) << c.lineBits)
+		}
+		return c.latency
 	}
-	// Miss: fetch from below, then install with LRU victim selection.
+	// Miss: fetch from below, then install.
 	c.Stats.Misses++
 	lat := c.latency + c.next.access(paddr, false)
-	victim := base
-	for w := 1; w < c.ways; w++ {
-		if !c.lines[base+w].valid {
-			victim = base + w
-			break
-		}
-		if c.lines[base+w].lru < c.lines[victim].lru {
-			victim = base + w
-		}
-	}
-	v := &c.lines[victim]
-	if v.valid {
-		c.Stats.Evictions++
-		if v.dirty {
-			// Write-back the victim; charged to the lower level's counters
-			// but not to this access's latency (handled off the critical
-			// path by a write buffer).
-			c.Stats.Writebacks++
-			c.next.access(victimAddr(v.tag, c.lineBits), true)
-		}
-	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	c.install(set, line{tag: tag, valid: true, dirty: write, lru: c.tick})
 	if c.prefetch {
 		c.prefetchLine((tag + 1) << c.lineBits)
 	}
@@ -215,25 +190,43 @@ func (c *Cache) access(paddr uint64, write bool) int {
 // demand hit/miss statistics.
 func (c *Cache) prefetchLine(paddr uint64) {
 	set, tag := c.set(paddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == tag {
-			return // already resident
-		}
+	if c.find(set, tag) != nil {
+		return // already resident
 	}
 	c.Stats.Prefetches++
 	c.next.access(paddr, false)
-	victim := base
-	for w := 1; w < c.ways; w++ {
-		if !c.lines[base+w].valid {
-			victim = base + w
-			break
-		}
-		if c.lines[base+w].lru < c.lines[victim].lru {
-			victim = base + w
+	// Install with the lowest recency so useless prefetches evict first.
+	c.install(set, line{tag: tag, valid: true, pfTag: true})
+}
+
+// find returns the valid line holding tag in the set, or nil.
+func (c *Cache) find(set int, tag uint64) *line {
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	for w := range ways {
+		if l := &ways[w]; l.valid && l.tag == tag {
+			return l
 		}
 	}
-	v := &c.lines[victim]
+	return nil
+}
+
+// install puts l into the set in place of its victim: the first invalid
+// way from way 1 up, else the way with the lowest recency, way 0 included.
+// A valid victim counts as an eviction, and a dirty one is written back to
+// the next level — charged to its counters, not to the access's latency (a
+// write buffer takes it off the critical path).
+func (c *Cache) install(set int, l line) {
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	v := &ways[0]
+	for w := 1; w < len(ways); w++ {
+		if !ways[w].valid {
+			v = &ways[w]
+			break
+		}
+		if ways[w].lru < v.lru {
+			v = &ways[w]
+		}
+	}
 	if v.valid {
 		c.Stats.Evictions++
 		if v.dirty {
@@ -241,8 +234,7 @@ func (c *Cache) prefetchLine(paddr uint64) {
 			c.next.access(victimAddr(v.tag, c.lineBits), true)
 		}
 	}
-	// Install with the lowest recency so useless prefetches evict first.
-	*v = line{tag: tag, valid: true, pfTag: true}
+	*v = l
 }
 
 func victimAddr(tag uint64, lineBits uint) uint64 { return tag << lineBits }
@@ -251,15 +243,7 @@ func victimAddr(tag uint64, lineBits uint) uint64 { return tag << lineBits }
 // without perturbing LRU or stats. The attack harness uses the simulator's
 // timed loads instead; Probe exists for tests.
 func (c *Cache) Probe(paddr uint64) bool {
-	set, tag := c.set(paddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := c.lines[base+w]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.set(paddr)) != nil
 }
 
 // FlushLine implements CLFLUSH: evict (without write-back timing) the line
@@ -267,14 +251,9 @@ func (c *Cache) Probe(paddr uint64) bool {
 func (c *Cache) FlushLine(paddr uint64) { c.flushLine(paddr) }
 
 func (c *Cache) flushLine(paddr uint64) {
-	set, tag := c.set(paddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			c.Stats.Flushes++
-		}
+	if l := c.find(c.set(paddr)); l != nil {
+		l.valid = false
+		c.Stats.Flushes++
 	}
 	c.next.flushLine(paddr)
 }

@@ -351,6 +351,9 @@ type RemoteResult struct {
 	Peer         string
 	PeerCacheHit bool
 	Hedged       bool
+	// WallMS is the peer's execution wall time (its JobInfo.WallMS; 0 for
+	// an answer from its result store).
+	WallMS float64
 }
 
 // RunRemote places spec (whose content-addressed key is key) on the cluster
@@ -378,7 +381,7 @@ func (c *Coordinator) RunRemote(ctx context.Context, key string, spec api.JobSpe
 }
 
 // Run is RunRemote plus key derivation and result decoding — the one-call
-// path specmpk-bench's cluster mode uses.
+// path specmpk-bench's cluster mode uses (experiments.ClusterJobs).
 func (c *Coordinator) Run(ctx context.Context, spec api.JobSpec) (api.Result, RemoteResult, error) {
 	key, err := spec.Key()
 	if err != nil {
@@ -523,6 +526,7 @@ func (c *Coordinator) runOn(ctx context.Context, p *peer, spec api.JobSpec) (Rem
 		Insts:        res.Stats.Insts,
 		Peer:         p.name,
 		PeerCacheHit: info.Cached,
+		WallMS:       info.WallMS,
 	}, nil
 }
 
@@ -535,18 +539,6 @@ func (c *Coordinator) healthyPeers() int {
 		}
 	}
 	return n
-}
-
-// AnyClient returns a client for some live peer (any peer when all are
-// down) — for callers that need a plain single-node client, like the bench's
-// sampled experiment, which submits its sampled-fidelity jobs directly.
-func (c *Coordinator) AnyClient() *client.Client {
-	for _, p := range c.peers {
-		if !p.isDown() {
-			return p.c
-		}
-	}
-	return c.peers[0].c
 }
 
 // RegisterMetrics exports the coordinator's cluster.* metrics into reg —

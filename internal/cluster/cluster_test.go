@@ -438,7 +438,7 @@ func TestClusterChaosSeededFaultsBitIdentical(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		// Injected forward faults can exhaust every candidate for one job —
 		// exactly when production degrades and retries — so the sweep retries
-		// ErrNoPeers like ClusterSim's caller would, never a wrong result.
+		// ErrNoPeers, never accepting a wrong result.
 		var res api.Result
 		var rr RemoteResult
 		var err error

@@ -3,9 +3,16 @@
 // consumed by cmd/specmpk-bench, the repository's benchmark suite, and
 // EXPERIMENTS.md — plus a text renderer that prints the same series the
 // paper plots.
+//
+// Every pipeline simulation an experiment needs is a job (an api.JobSpec)
+// run through one seam, Runner.Jobs: an in-process specmpkd server by
+// default, a daemon or a cluster under specmpk-bench -remote. Local and
+// remote sweeps therefore run one code path and print the same bytes, and
+// the sampled experiment runs the daemon's own sampled path.
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -18,42 +25,29 @@ import (
 	"specmpk/internal/hwcost"
 	"specmpk/internal/isolation"
 	"specmpk/internal/pipeline"
-	"specmpk/internal/server/client"
+	"specmpk/internal/server/api"
 	"specmpk/internal/textplot"
 	"specmpk/internal/workload"
 )
 
-// SimResult is what one simulation contributes to an experiment: the
-// pipeline's summary statistics plus the full unified-registry snapshot.
-type SimResult struct {
-	Stats   pipeline.Stats
-	Metrics map[string]any
-}
-
-// SimFunc executes one simulation request. The default (in-process) SimFunc
-// builds the workload and runs a machine locally; `specmpk-bench -remote`
-// installs one backed by a specmpkd daemon instead, which batches the same
-// requests through the daemon's queue and content-addressed result cache.
-type SimFunc func(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error)
-
 // Runner carries experiment-wide options.
 type Runner struct {
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
+	// Parallelism bounds the jobs in flight (0 = GOMAXPROCS).
 	Parallelism int
 	// Workloads restricts the catalogue (nil = all).
 	Workloads []string
 	// Modes restricts the microarchitecture sweep for mode-iterating
 	// experiments such as stats (nil = every registered policy).
 	Modes []pipeline.Mode
-	// Sim overrides how simulations execute (nil = in-process). Experiments
-	// that need more than a detailed pipeline run — the functional-simulator
-	// density counts (fig10), the attack PoC (fig13), the per-PC profiler —
-	// always run locally regardless.
-	Sim SimFunc
-	// Client, when set, lets experiments that speak the job API directly
-	// (the sampled-fidelity comparison) submit whole jobs to a daemon
-	// instead of adapting through the SimFunc seam.
-	Client *client.Client
+	// Jobs runs one simulation job to its outcome, with client.Client.Run's
+	// shape: `specmpk-bench -remote` installs a daemon client's Run, or
+	// ClusterJobs for a cluster. nil runs every job on one in-process
+	// server.Server, started on first use, whose pool has GOMAXPROCS
+	// workers. Experiments that need more than a job result — the
+	// functional-simulator density counts (fig10), the attack PoC (fig13),
+	// the per-PC profiler (profile, diff) — always run in-process without
+	// it.
+	Jobs func(context.Context, api.JobSpec) (api.Result, api.JobInfo, error)
 }
 
 func (r Runner) workers() int {
@@ -108,13 +102,11 @@ func label(p workload.Profile) string {
 	return fmt.Sprintf("%s (%s)", p.Name, p.Scheme)
 }
 
-// sim executes one simulation request through the runner's SimFunc — locally
-// by default, or against a daemon when Runner.Sim is installed.
-func (r Runner) sim(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error) {
-	if r.Sim != nil {
-		return r.Sim(p, v, cfg)
-	}
-	return LocalSim(p, v, cfg)
+// sim runs one full-fidelity simulation of the workload at the variant on
+// the config as a job (see Runner.Jobs).
+func (r Runner) sim(p workload.Profile, v workload.Variant, cfg pipeline.Config) (api.Result, error) {
+	res, _, err := r.run(api.SpecFor(p.Name, v, cfg))
+	return res, err
 }
 
 // runStats is sim for the (common) experiments that only need the summary
@@ -122,23 +114,6 @@ func (r Runner) sim(p workload.Profile, v workload.Variant, cfg pipeline.Config)
 func (r Runner) runStats(p workload.Profile, v workload.Variant, cfg pipeline.Config) (pipeline.Stats, error) {
 	res, err := r.sim(p, v, cfg)
 	return res.Stats, err
-}
-
-// LocalSim is the in-process SimFunc: build the workload at the variant, run
-// it on a fresh machine, snapshot the unified registry.
-func LocalSim(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error) {
-	prog, err := p.Build(v)
-	if err != nil {
-		return SimResult{}, err
-	}
-	m, err := pipeline.New(cfg, prog)
-	if err != nil {
-		return SimResult{}, err
-	}
-	if err := m.Run(500_000_000); err != nil {
-		return SimResult{}, fmt.Errorf("%s/%v/%v: %w", p.Name, v, cfg.Mode, err)
-	}
-	return SimResult{Stats: m.Stats, Metrics: m.StatsRegistry().Snapshot().Flat()}, nil
 }
 
 func modeConfig(mode pipeline.Mode) pipeline.Config {

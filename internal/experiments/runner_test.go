@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"specmpk/internal/pipeline"
-	"specmpk/internal/workload"
+	"specmpk/internal/server/api"
 )
 
 // TestForEachCollectsAllErrors: a sweep failing on several items must report
@@ -36,23 +37,24 @@ func TestForEachCollectsAllErrors(t *testing.T) {
 	}
 }
 
-// TestSimSeam: a Runner with Sim installed must route every pipeline
+// TestSimSeam: a Runner with Jobs installed must route every pipeline
 // simulation through it and use the returned statistics.
 func TestSimSeam(t *testing.T) {
 	var calls atomic.Uint64
-	stub := func(p workload.Profile, v workload.Variant, cfg pipeline.Config) (SimResult, error) {
+	stub := func(_ context.Context, spec api.JobSpec) (api.Result, api.JobInfo, error) {
 		calls.Add(1)
 		st := pipeline.Stats{Cycles: 1000, Insts: 2000}
 		st.CPI.Base = st.Cycles // keep the CPI-stack invariant intact
-		switch cfg.Mode {
-		case pipeline.ModeNonSecure:
+		switch spec.Mode {
+		case pipeline.ModeNonSecure.String():
 			st.Insts = 3000
-		case pipeline.ModeSpecMPK:
+		case pipeline.ModeSpecMPK.String():
 			st.Insts = 2900
 		}
-		return SimResult{Stats: st, Metrics: map[string]any{"stub": true}}, nil
+		return api.Result{StopReason: string(pipeline.StopHalt), Stats: st,
+			Metrics: map[string]any{"stub": true}}, api.JobInfo{}, nil
 	}
-	r := Runner{Workloads: []string{"557.xz_r"}, Sim: stub}
+	r := Runner{Workloads: []string{"557.xz_r"}, Jobs: stub}
 	rows, err := Fig9(r)
 	if err != nil {
 		t.Fatal(err)

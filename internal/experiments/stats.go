@@ -34,7 +34,7 @@ func StatsRows(r Runner) ([]StatsRow, error) {
 		mode := modes[i%len(modes)]
 		res, err := r.sim(p, workload.VariantFull, modeConfig(mode))
 		if err != nil {
-			return fmt.Errorf("%s/%v: %w", p.Name, mode, err)
+			return err
 		}
 		s := res.Stats
 		if s.CPI.Sum() != s.Cycles {

@@ -89,7 +89,7 @@ var Experiments = []Experiment{
 		}},
 	experiment("pkrusafe", "unsafe-library heap isolation overhead (extension; Section III-B)", PKRUSafe, RenderPKRUSafe, nil),
 	experiment("rdpkru", "pkey_set read-modify-write vs load-immediate updates (Section V-C6)", Rdpkru, RenderRdpkru, nil),
-	experiment("sampled", "SimPoint sampled-vs-full CPI error and speedup per workload×policy (§VII; -remote: daemon jobs)",
+	experiment("sampled", "SimPoint sampled-vs-full CPI error and job wall-clock speedup per workload×policy (§VII)",
 		Sampled, RenderSampled, nil),
 	experiment("stats", "metrics registry + CPI stack per workload×policy (-json: every metric; -modes restricts)",
 		StatsRows, RenderStats, nil),

@@ -228,24 +228,28 @@ func WithResubmit(ctx context.Context) context.Context {
 	return context.WithValue(ctx, ctxResubmit, true)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// request is the client's one way to send a request. It marshals body as
+// JSON (nil sends none), sets the cross-cutting headers — the caller's
+// trace context as a W3C traceparent, so the daemon joins the trace, and
+// the cluster-coordination markers — and returns the response when its
+// status is 2xx, for the caller to read and close. Any other status is
+// read into the typed *APIError.
+func (c *Client) request(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Propagate the caller's trace context as a W3C traceparent header; the
-	// daemon joins the trace (and echoes the trace ID back in JobInfo).
 	if sc := otrace.FromContext(ctx); sc.Valid() {
 		req.Header.Set("traceparent", sc.Traceparent())
 	}
@@ -257,12 +261,23 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
+		return nil, decodeErr(resp)
+	}
+	return resp, nil
+}
+
+// do sends one request and decodes its JSON answer into out (nil
+// discards it).
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.request(ctx, method, path, body)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeErr(resp)
-	}
 	if out == nil {
 		_, err = io.Copy(io.Discard, resp.Body)
 		return err
@@ -425,18 +440,11 @@ func (e *callbackError) Error() string { return e.err.Error() }
 // *lastSeq. It returns nil when the stream ended cleanly (final event or
 // EOF) and reports whether any new event arrived on this connection.
 func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, fn func(api.Event) error) (progressed bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.request(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return false, decodeErr(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), maxEventLine)
 	for sc.Scan() {
@@ -549,18 +557,11 @@ func (c *Client) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.Job
 
 // Metrics fetches the Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.request(ctx, http.MethodGet, "/v1/metrics", nil)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return "", decodeErr(resp)
-	}
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
 }
@@ -587,25 +588,15 @@ func (c *Client) HealthzInfo(ctx context.Context) (api.Healthz, error) {
 // failed probe just means the caller simulates, so retrying it would only
 // add latency to the miss path.
 func (c *Client) CachedResult(ctx context.Context, key string) (json.RawMessage, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, false, err
+	resp, err := c.request(ctx, http.MethodGet, "/v1/cache/"+key, nil)
+	var apiErr *APIError
+	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+		return nil, false, nil
 	}
-	if sc := otrace.FromContext(ctx); sc.Valid() {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
-	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, false, nil
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, false, decodeErr(resp)
-	}
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, false, err

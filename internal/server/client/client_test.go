@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -11,9 +11,10 @@ import (
 
 	"specmpk/internal/server"
 	"specmpk/internal/server/api"
+	"specmpk/internal/server/client"
 )
 
-func testDaemon(t *testing.T, opt server.Options) *Client {
+func testDaemon(t *testing.T, opt server.Options) *client.Client {
 	t.Helper()
 	s := server.New(opt)
 	ts := httptest.NewServer(s)
@@ -23,7 +24,7 @@ func testDaemon(t *testing.T, opt server.Options) *Client {
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	return New(ts.URL)
+	return client.New(ts.URL)
 }
 
 const haltAsm = "main:\n movi t0, 2\n halt\n"
@@ -121,7 +122,7 @@ func TestErrorsAreTyped(t *testing.T) {
 	if _, err := c.Job(ctx, "nope"); err == nil {
 		t.Fatal("unknown job id succeeded")
 	} else {
-		var apiErr *APIError
+		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != 404 {
 			t.Fatalf("error %v, want 404 APIError", err)
 		}
@@ -129,7 +130,7 @@ func TestErrorsAreTyped(t *testing.T) {
 	if _, err := c.Submit(ctx, api.JobSpec{Workload: "no-such"}); err == nil {
 		t.Fatal("bad spec accepted")
 	} else {
-		var apiErr *APIError
+		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Unavailable() {
 			t.Fatalf("error %v, want 400 APIError", err)
 		}

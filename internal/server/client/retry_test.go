@@ -14,6 +14,9 @@ import (
 	"specmpk/internal/server/api"
 )
 
+// haltAsm is the smallest halting program.
+const haltAsm = "main:\n movi t0, 2\n halt\n"
+
 // fastRetry keeps test retries in the millisecond range.
 var fastRetry = RetryPolicy{MaxAttempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond}
 

@@ -40,6 +40,27 @@ func TestSubmitSendsTraceparent(t *testing.T) {
 	}
 }
 
+// TestEventsSendsTraceparent: the event stream, like every request the
+// client sends, carries the caller's trace context.
+func TestEventsSendsTraceparent(t *testing.T) {
+	var got string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = r.Header.Get("traceparent")
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = w.Write([]byte(`{"seq":1,"state":"done","final":true}` + "\n"))
+	}))
+	defer ts.Close()
+
+	sc := otrace.NewRoot()
+	ctx := otrace.ContextWith(context.Background(), sc)
+	if err := New(ts.URL).Events(ctx, "j-000001", func(api.Event) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got != sc.Traceparent() {
+		t.Fatalf("events request sent traceparent %q, want %q", got, sc.Traceparent())
+	}
+}
+
 func TestJobErrorSurfacesTraceID(t *testing.T) {
 	withTrace := &JobError{Info: api.JobInfo{
 		ID: "j-000007", State: api.StateFailed, Error: "boom",

@@ -181,18 +181,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Resubmit:  r.Header.Get(api.HeaderResubmit) != "",
 	}, spec)
 	if err != nil {
-		var unavail ErrUnavailable
-		if errors.As(err, &unavail) {
+		status := submitStatus(err)
+		if status == http.StatusServiceUnavailable {
 			// Both overload (queue full) and drain are transient from the
 			// client's point of view; tell it when to come back.
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, info)
+}
+
+// submitStatus is the HTTP status a refused submit answers: 503 while the
+// server is unavailable (queue full or draining), 400 for a spec it
+// rejects.
+func submitStatus(err error) int {
+	if errors.As(err, new(ErrUnavailable)) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

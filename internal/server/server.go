@@ -28,6 +28,7 @@ import (
 	"specmpk/internal/faults"
 	"specmpk/internal/otrace"
 	"specmpk/internal/server/api"
+	"specmpk/internal/server/client"
 	"specmpk/internal/simpoint"
 	"specmpk/internal/stats"
 )
@@ -511,6 +512,43 @@ func (s *Server) Subscribe(id string) (<-chan api.Event, func(), bool) {
 	}
 	ch, cancel := j.exec.subscribe()
 	return ch, cancel, true
+}
+
+// Run submits spec and waits for its outcome: the in-process twin of
+// client.Client.Run, with the same returns. A done job's stored result is
+// decoded; a failed or cancelled job is a *client.JobError; a refused
+// submit is the *client.APIError the HTTP API would answer (400 for a bad
+// spec, 503 while the server is unavailable). If ctx ends first, Run
+// cancels the job and returns ctx's error.
+func (s *Server) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.JobInfo, error) {
+	info, err := s.SubmitWith(SubmitOpts{Parent: otrace.FromContext(ctx)}, spec)
+	if err != nil {
+		return api.Result{}, api.JobInfo{}, &client.APIError{Status: submitStatus(err), Msg: err.Error()}
+	}
+	id := info.ID
+	if ch, unsubscribe, ok := s.Subscribe(id); ok {
+		defer unsubscribe()
+		for open := true; open; {
+			select {
+			case _, open = <-ch:
+			case <-ctx.Done():
+				s.Cancel(id)
+				return api.Result{}, info, ctx.Err()
+			}
+		}
+	}
+	info, ok := s.Job(id)
+	if !ok {
+		return api.Result{}, api.JobInfo{}, fmt.Errorf("server: job %s left the retention window before it was read", id)
+	}
+	if info.State != api.StateDone {
+		return api.Result{}, info, &client.JobError{Info: info}
+	}
+	var res api.Result
+	if err := json.Unmarshal(info.Result, &res); err != nil {
+		return api.Result{}, info, fmt.Errorf("server: bad stored result: %w", err)
+	}
+	return res, info, nil
 }
 
 // onExecutionDone retires the execution's attached jobs into the retention

@@ -5,11 +5,13 @@
 #   2. start the daemon on a loopback port
 #   3. run a small experiment through `specmpk-bench -remote` twice
 #   4. assert the second pass was answered from the result cache
-#   5. run the sampled-fidelity experiment across two policies and assert
+#   5. require the in-process run's -json rows to equal -remote's byte for
+#      byte: both run the experiment as jobs, through one code path
+#   6. run the sampled-fidelity experiment across two policies and assert
 #      they shared one profiling pass through the profile cache
-#   6. SIGKILL the daemon while a client is mid-job, restart it, and require
+#   7. SIGKILL the daemon while a client is mid-job, restart it, and require
 #      the client to recover by resubmitting its content-addressed spec
-#   7. SIGTERM the daemon and require a clean drain
+#   8. SIGTERM the daemon and require a clean drain
 #
 # Exercises the full stack (client -> HTTP -> queue -> workers -> pipeline ->
 # cache) the way a user would, not the way a unit test would — including the
@@ -47,6 +49,15 @@ echo "== remote experiment (cold)"
 
 echo "== remote experiment (resubmit: must hit the cache)"
 "$BIN/specmpk-bench" -remote "$ADDR" -workloads "$WORKLOAD" -modes specmpk stats
+
+echo "== local equals remote: byte-identical -json rows"
+"$BIN/specmpk-bench" -json -workloads "$WORKLOAD" -modes specmpk stats >"$BIN/local.json"
+"$BIN/specmpk-bench" -remote "$ADDR" -json -workloads "$WORKLOAD" -modes specmpk stats >"$BIN/remote.json"
+if ! cmp -s "$BIN/local.json" "$BIN/remote.json"; then
+    diff "$BIN/local.json" "$BIN/remote.json" | head -20 >&2 || true
+    echo "FAIL: in-process and -remote stats -json rows differ" >&2
+    exit 1
+fi
 
 echo "== metrics"
 METRICS=$(curl -fsS "http://$ADDR/v1/metrics")
@@ -170,4 +181,4 @@ if kill -0 "$PID" 2>/dev/null; then
 fi
 wait "$PID" || { echo "FAIL: specmpkd exited non-zero" >&2; exit 1; }
 
-echo "PASS: e2e smoke (cold run, cache hit, sampled profile reuse, spans, SIGKILL recovery, clean drain)"
+echo "PASS: e2e smoke (cold run, cache hit, local equals remote, sampled profile reuse, spans, SIGKILL recovery, clean drain)"
