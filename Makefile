@@ -39,10 +39,11 @@ race:
 # The observability core under the race detector: the stats registry,
 # trace ring, the pipeline (profiler/audit hooks included), and the sampled
 # path's foundations — immutable simpoint plans/checkpoints are shared across
-# concurrent restores, so funcsim + simpoint belong under -race too.
+# concurrent restores, so funcsim + simpoint belong under -race too, and so
+# does the recycler every worker's machines are built from.
 race-core:
 	$(GO) test -race ./internal/stats ./internal/trace ./internal/pipeline \
-		./internal/funcsim ./internal/simpoint
+		./internal/funcsim ./internal/simpoint ./internal/recycle
 
 # The service layer under the race detector: queue, worker pool, the
 # content-addressed store (results, dedup, profiles), the HTTP/streaming

@@ -46,13 +46,31 @@ type TAGE struct {
 	TableProvides [numTagged]uint64
 }
 
+// The tables of released predictors (TAGE.Release), recycled by length.
+var (
+	basePool   recycle.Pool[int8]
+	taggedPool recycle.Pool[taggedEntry]
+)
+
 // NewTAGE returns a zeroed predictor.
 func NewTAGE() *TAGE {
-	t := &TAGE{base: make([]int8, 1<<baseBits)}
+	t := &TAGE{base: basePool.Get(1 << baseBits)}
 	for i := range t.tables {
-		t.tables[i] = make([]taggedEntry, 1<<taggedBits)
+		t.tables[i] = taggedPool.Get(1 << taggedBits)
 	}
 	return t
+}
+
+// Release hands the predictor's tables back for a later NewTAGE to reuse.
+// The predictor is unusable afterwards: a prediction or update panics. Its
+// counters stay readable.
+func (t *TAGE) Release() {
+	basePool.Put(t.base)
+	t.base = nil
+	for i := range t.tables {
+		taggedPool.Put(t.tables[i])
+		t.tables[i] = nil
+	}
 }
 
 // DirState is the snapshot a branch carries for update and squash recovery.

@@ -707,17 +707,21 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 }
 
 // Release hands the machine's large arrays back for the next New to reuse:
-// the cache tag arrays, both TLBs, the BTB, the in-flight ring and the
-// RAS-checkpoint pool. The machine is unusable afterwards — stepping it
-// panics — so read what is wanted first: Stats, and the StatsRegistry, whose
-// TLB occupancy gauges read the released arrays. A sampled interval
-// (simpoint's Plan.SimulatePoint) releases its machine, so a sweep's next
-// interval reuses the storage instead of allocating a megabyte of fresh
-// heap; a whole-program run keeps its machine to the end and need not.
+// the cache tag arrays, both TLBs, the TAGE tables, the BTB, the in-flight
+// ring and the RAS-checkpoint pool. The machine is unusable afterwards —
+// stepping it panics — so read what is wanted first: Stats, and the
+// StatsRegistry, whose TLB occupancy gauges read the released arrays. Every
+// daemon job releases its machines once its result is built (a sampled
+// interval in simpoint's Plan.SimulatePoint, a full job or audit in the
+// server's runFull), so the next job builds on the storage instead of
+// allocating a megabyte of fresh heap. The storage is held only until the
+// next garbage collection (internal/recycle), so releasing never grows the
+// live heap.
 func (m *Machine) Release() {
 	m.Hier.Release()
 	m.DTLB.Release()
 	m.ITLB.Release()
+	m.tage.Release()
 	m.btb.Release()
 	alPool.Put(m.al)
 	rasCkptPool.Put(m.rasCkpts)

@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"specmpk/internal/pipeline"
@@ -12,7 +13,9 @@ import (
 // released is indistinguishable from one built on fresh storage, under every
 // policy — equal under reflect.DeepEqual when built, and equal in every
 // statistic after 50k cycles. The released machine itself panics when
-// stepped rather than running on arrays another machine now owns.
+// stepped rather than running on arrays another machine now owns. The
+// collector is off from the release to the rebuild, so it cannot empty the
+// pools in between and hand the "recycled" machine fresh storage.
 func TestReleasedStorageIsFresh(t *testing.T) {
 	prog, err := benchProgram(t, "505.mcf_r").Build(workload.VariantFull)
 	if err != nil {
@@ -28,8 +31,10 @@ func TestReleasedStorageIsFresh(t *testing.T) {
 		for i := 0; i < 20_000; i++ {
 			old.Step()
 		}
+		gc := debug.SetGCPercent(-1)
 		old.Release()
 		recycled, err := pipeline.New(cfg, prog)
+		debug.SetGCPercent(gc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package recycle
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -57,4 +59,36 @@ func TestConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestHeldOnlyUntilCollected: with the collector off, a slice put back is
+// what the next Get of its length returns, with no fresh allocation; after
+// a collection it is gone, and the heap falls by its size.
+func TestHeldOnlyUntilCollected(t *testing.T) {
+	const n = 8 << 20
+	var p Pool[byte]
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	allocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	p.Put(make([]byte, n))
+	before := allocs()
+	p.Put(p.Get(n))
+	if got := allocs() - before; got >= n/2 {
+		t.Fatalf("a Get with the collector off allocated %d bytes, want the slice put back", got)
+	}
+	runtime.ReadMemStats(&ms)
+	held := ms.HeapAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc > held-n {
+		t.Fatalf("a collection took the heap from %d to %d bytes, want a fall of at least %d", held, ms.HeapAlloc, n)
+	}
+	before = allocs()
+	p.Get(n)
+	if got := allocs() - before; got < n {
+		t.Fatalf("a Get after a collection allocated %d bytes, want a fresh slice of %d", got, n)
+	}
 }

@@ -364,9 +364,11 @@ func (c *Client) Cancel(ctx context.Context, id string) (api.JobInfo, error) {
 	return info, err
 }
 
-// maxEventLine caps one NDJSON event line. Events are small, but the cap is
-// deliberately generous so a future fatter payload degrades to memory use,
-// not a silently truncated stream (bufio.Scanner errors past its cap).
+// maxEventLine caps one NDJSON event line. Events are about 100 bytes, so a
+// stream's scanner starts at bufio's default size and grows only for a
+// longer line; the cap is deliberately generous so a future fatter payload
+// degrades to memory use, not a silently truncated stream (bufio.Scanner
+// errors past its cap).
 const maxEventLine = 8 << 20
 
 // Events streams the job's NDJSON progress events, calling fn for each until
@@ -446,7 +448,7 @@ func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, f
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxEventLine)
+	sc.Buffer(nil, maxEventLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

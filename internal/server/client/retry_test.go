@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -353,6 +354,32 @@ func TestEventsReconnectsAndDedups(t *testing.T) {
 	}
 	if got := conns.Load(); got != 2 {
 		t.Fatalf("server saw %d stream connections, want 2", got)
+	}
+}
+
+// TestEventsDeliversLongLines: an event line longer than 64 KiB still
+// arrives whole, since the scanner grows past its starting size up to
+// maxEventLine, and the stream goes on.
+func TestEventsDeliversLongLines(t *testing.T) {
+	pad := strings.Repeat("x", 100<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "{\"seq\":1,\"cycle\":1000,\"pad\":%q}\n", pad)
+		json.NewEncoder(w).Encode(api.Event{Seq: 2, State: api.StateDone, Final: true})
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.Retry = fastRetry
+	var seen []api.Event
+	err := c.Events(context.Background(), "j-1", func(ev api.Event) error {
+		seen = append(seen, ev)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0].Cycle != 1000 || !seen[1].Final {
+		t.Fatalf("delivered %+v, want the long event and then the final one", seen)
 	}
 }
 

@@ -83,6 +83,13 @@ type outcome struct {
 // is published last).
 const maxBufferedEvents = 1024
 
+// subscriberSlack is how many live events a subscriber's channel holds
+// beyond its replay. Over 10-second perfbench runs of all three workloads,
+// in-process and HTTP subscribers alike, none was ever more than one live
+// event behind; a subscriber that falls further behind loses progress
+// events, never the final one (publishLocked).
+const subscriberSlack = 16
+
 func newExecution(parent context.Context, key string, spec api.JobSpec) *execution {
 	ctx, cancel := context.WithCancel(parent)
 	return &execution{
@@ -182,9 +189,11 @@ func (ex *execution) publish() {
 }
 
 // publishLocked appends to the replay buffer and fans out to subscribers.
-// A subscriber that cannot keep up loses intermediate progress events (its
-// channel send would block) — the final state always arrives because publish
-// closes the channel after the terminal event is buffered.
+// A subscriber that cannot keep up loses intermediate progress events, but
+// the last slot of its channel is kept for the final event, so every
+// subscriber still attached receives it before publish closes the channel.
+// Only publishers, holding ex.mu, send, so a channel with room stays so
+// until the send.
 func (ex *execution) publishLocked(ev api.Event) {
 	ex.seq++
 	ev.Seq = ex.seq
@@ -193,9 +202,8 @@ func (ex *execution) publishLocked(ev api.Event) {
 		ex.events = ex.events[len(ex.events)-maxBufferedEvents:]
 	}
 	for ch := range ex.subs {
-		select {
-		case ch <- ev:
-		default:
+		if ev.Final || len(ch) < cap(ch)-1 {
+			ch <- ev
 		}
 	}
 }
@@ -207,7 +215,7 @@ func (ex *execution) publishLocked(ev api.Event) {
 func (ex *execution) subscribe() (<-chan api.Event, func()) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	ch := make(chan api.Event, len(ex.events)+maxBufferedEvents)
+	ch := make(chan api.Event, len(ex.events)+subscriberSlack)
 	for _, ev := range ex.events {
 		ch <- ev
 	}

@@ -81,3 +81,58 @@ func TestRunCancelsJobWhenContextEnds(t *testing.T) {
 		t.Fatalf("job state %s after its caller left, want cancelled", final.State)
 	}
 }
+
+// TestLaggingSubscriberSeesTheEnd: a subscriber that stops reading falls
+// behind by more than the slack. It loses progress events but still gets
+// the final one, its channel still closes, and Job and Run (which joins the
+// same execution) report the terminal state. The job waits in the queue
+// behind a blocker until the subscriber is attached, so none of its events
+// can reach the subscriber as replay.
+func TestLaggingSubscriberSeesTheEnd(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	blocker, err := s.Submit(uniqueSpec(0, 1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := spinSpec(200_000)
+	info, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, unsubscribe, ok := s.Subscribe(info.ID)
+	if !ok {
+		t.Fatalf("job %s unknown", info.ID)
+	}
+	defer unsubscribe()
+	s.Cancel(blocker.ID)
+	res, runInfo, err := s.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runInfo.State != api.StateDone || res.StopReason != "cycle_limit" || res.Stats.Cycles != 200_000 {
+		t.Fatalf("Run: state %s, stop %q at cycle %d; want done at the 200000-cycle budget",
+			runInfo.State, res.StopReason, res.Stats.Cycles)
+	}
+	if final, _ := s.Job(info.ID); final.State != api.StateDone {
+		t.Fatalf("Job reports state %s, want done", final.State)
+	}
+	var got []api.Event
+	deadline := time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case ev, ok := <-ch:
+			if open = ok; ok {
+				got = append(got, ev)
+			}
+		case <-deadline:
+			t.Fatalf("the lagging subscriber's channel never closed (%d events read)", len(got))
+		}
+	}
+	last := got[len(got)-1]
+	if !last.Final || last.State != api.StateDone {
+		t.Fatalf("last event %+v, want the final done event", last)
+	}
+	if last.Seq <= uint64(len(got))+subscriberSlack {
+		t.Fatalf("the subscriber read %d of %d events: it never fell behind by more than the slack", len(got), last.Seq)
+	}
+}

@@ -223,12 +223,15 @@ func (s *Server) simulate(ex *execution) outcome {
 // -stats-interval. Halt, fault and cycle-budget exhaustion are measured
 // outcomes and return the result; an error (the context ending) leaves
 // the classification to simulate. It returns the cycles and instructions
-// simulated either way.
+// simulated either way. The machine is released on every exit, after the
+// result (and its registry snapshot) is built, so the next job builds on
+// its storage.
 func (s *Server) runFull(ctx context.Context, ex *execution, cfg pipeline.Config, prog *asm.Program) (api.Result, uint64, uint64, error) {
 	m, err := pipeline.New(cfg, prog)
 	if err != nil {
 		return api.Result{}, 0, 0, err
 	}
+	defer m.Release()
 	budget := ex.spec.MaxCycles
 	if budget == 0 {
 		budget = s.opt.MaxCycles
