@@ -17,7 +17,8 @@
 //	-stats-out FILE       unified metrics registry as JSON (all pipeline,
 //	                      cache, TLB and branch-predictor metrics)
 //	-stats-interval N     with -stats-out: JSONL of per-N-cycle snapshot
-//	                      deltas (interval IPC etc.), final cumulative last
+//	                      deltas (interval IPC etc.), final cumulative last;
+//	                      a usage error without -stats-out or with -timeline
 //	-prom-out FILE        the same registry in Prometheus text exposition
 //	-trace-out FILE       the core's event stream as JSONL: squash,
 //	                      wrpkru_retire, upgrade_open/commit/squash,
@@ -112,6 +113,10 @@ func main() {
 		return
 	}
 
+	if err := usageError(*statsOut, *statsInterval, *timeline, *traceOut, *traceBuf); err != nil {
+		fatal(err)
+	}
+
 	// Open every output file before simulating, so a bad path fails
 	// immediately instead of after minutes of simulated execution.
 	var out struct {
@@ -133,9 +138,6 @@ func main() {
 			fatal(err)
 		}
 		*o.dst = f
-	}
-	if out.trace != nil && *traceBuf <= 0 {
-		fatal(fmt.Errorf("-trace-buf must be positive (got %d)", *traceBuf))
 	}
 
 	// Profile the simulator process itself (self-profiling, distinct from the
@@ -208,14 +210,14 @@ func main() {
 		ledger = profile.NewLedger()
 		m.Prof = prof
 		sinks = append(sinks, ledger)
-		ledger.Register(reg)
+		reg.Add(ledger.WriteMetrics)
 	}
 	if len(sinks) > 0 {
 		m.Events = sinks
 	}
 	var runErr error
 	switch {
-	case *statsInterval > 0 && out.stats != nil:
+	case *statsInterval > 0:
 		runErr = runWithIntervals(m, reg, out.stats, *statsInterval, *budget)
 	case *timeline:
 		const sample = 1000
@@ -308,6 +310,20 @@ func main() {
 		fatal(runErr)
 	}
 	flushProfiles()
+}
+
+// usageError reports the flag combinations specmpk-sim refuses instead of
+// ignoring one of the flags.
+func usageError(statsOut string, statsInterval uint64, timeline bool, traceOut string, traceBuf int) error {
+	switch {
+	case traceOut != "" && traceBuf <= 0:
+		return fmt.Errorf("-trace-buf must be positive (got %d)", traceBuf)
+	case statsInterval > 0 && statsOut == "":
+		return fmt.Errorf("-stats-interval needs -stats-out")
+	case statsInterval > 0 && timeline:
+		return fmt.Errorf("-timeline cannot be combined with -stats-interval")
+	}
+	return nil
 }
 
 // stopProfiles finalizes -cpuprofile/-memprofile capture. Set once profiling

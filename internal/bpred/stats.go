@@ -6,33 +6,31 @@ import (
 	"specmpk/internal/stats"
 )
 
-// Register publishes the direction predictor's counters under prefix
+// WriteMetrics writes the direction predictor's counters under prefix
 // (conventionally "bpred.tage").
-func (t *TAGE) Register(r *stats.Registry, prefix string) {
-	r.Counter(prefix+".lookups", "direction predictions made", func() uint64 { return t.Lookups })
-	r.Counter(prefix+".mispredicts", "resolved direction mispredictions", func() uint64 { return t.Mispredicts })
-	r.Counter(prefix+".base_provides", "predictions served by the bimodal base", func() uint64 { return t.BaseProvides })
-	for i := range t.TableProvides {
-		i := i
-		r.Counter(fmt.Sprintf("%s.t%d_provides", prefix, i),
-			fmt.Sprintf("predictions served by tagged table %d (hist %d)", i, histLens[i]),
-			func() uint64 { return t.TableProvides[i] })
+func (t *TAGE) WriteMetrics(w *stats.Writer, prefix string) {
+	w.Counter(prefix+".lookups", "direction predictions made", t.Lookups)
+	w.Counter(prefix+".mispredicts", "resolved direction mispredictions", t.Mispredicts)
+	w.Counter(prefix+".base_provides", "predictions served by the bimodal base", t.BaseProvides)
+	for i, n := range t.TableProvides {
+		w.Counter(fmt.Sprintf("%s.t%d_provides", prefix, i),
+			fmt.Sprintf("predictions served by tagged table %d (hist %d)", i, histLens[i]), n)
 	}
-	r.Ratio(prefix+".mispredict_rate", "mispredictions per lookup", 1, prefix+".mispredicts", prefix+".lookups")
+	w.Ratio(prefix+".mispredict_rate", "mispredictions per lookup", 1, prefix+".mispredicts", prefix+".lookups")
 }
 
-// Register publishes the BTB's counters under prefix ("bpred.btb").
-func (b *BTB) Register(r *stats.Registry, prefix string) {
-	r.Counter(prefix+".lookups", "target lookups", func() uint64 { return b.Lookups })
-	r.Counter(prefix+".hits", "target lookup hits", func() uint64 { return b.Hits })
-	r.Counter(prefix+".mispredicts", "indirect-target mispredictions", func() uint64 { return b.Mispredicts })
-	r.Ratio(prefix+".hit_rate", "hits per lookup", 1, prefix+".hits", prefix+".lookups")
+// WriteMetrics writes the BTB's counters under prefix ("bpred.btb").
+func (b *BTB) WriteMetrics(w *stats.Writer, prefix string) {
+	w.Counter(prefix+".lookups", "target lookups", b.Lookups)
+	w.Counter(prefix+".hits", "target lookup hits", b.Hits)
+	w.Counter(prefix+".mispredicts", "indirect-target mispredictions", b.Mispredicts)
+	w.Ratio(prefix+".hit_rate", "hits per lookup", 1, prefix+".hits", prefix+".lookups")
 }
 
-// Register publishes the RAS's counters under prefix ("bpred.ras").
-func (s *RAS) Register(r *stats.Registry, prefix string) {
-	r.Counter(prefix+".pushes", "speculative call pushes", func() uint64 { return s.Pushes })
-	r.Counter(prefix+".pops", "speculative return pops", func() uint64 { return s.Pops })
-	r.Counter(prefix+".restores", "checkpoint restores on squash", func() uint64 { return s.Restores })
-	r.Counter(prefix+".mispredicts", "return-target mispredictions", func() uint64 { return s.Mispredicts })
+// WriteMetrics writes the RAS's counters under prefix ("bpred.ras").
+func (s *RAS) WriteMetrics(w *stats.Writer, prefix string) {
+	w.Counter(prefix+".pushes", "speculative call pushes", s.Pushes)
+	w.Counter(prefix+".pops", "speculative return pops", s.Pops)
+	w.Counter(prefix+".restores", "checkpoint restores on squash", s.Restores)
+	w.Counter(prefix+".mispredicts", "return-target mispredictions", s.Mispredicts)
 }

@@ -60,9 +60,11 @@ func TestRegisterExposesAllComponents(t *testing.T) {
 	b := mustBTB(t, 64)
 	s := NewRAS(8)
 	reg := stats.NewRegistry()
-	p.Register(reg, "bpred.tage")
-	b.Register(reg, "bpred.btb")
-	s.Register(reg, "bpred.ras")
+	reg.Add(func(w *stats.Writer) {
+		p.WriteMetrics(w, "bpred.tage")
+		b.WriteMetrics(w, "bpred.btb")
+		s.WriteMetrics(w, "bpred.ras")
+	})
 
 	p.Predict(0x1000)
 	b.Lookup(0x1000)

@@ -335,25 +335,25 @@ func (h *Hierarchy) Release() {
 	}
 }
 
-// Register publishes one level's counters under prefix ("cache.l2").
-func (c *Cache) Register(r *stats.Registry, prefix string) {
-	r.Counter(prefix+".hits", "demand hits", func() uint64 { return c.Stats.Hits })
-	r.Counter(prefix+".misses", "demand misses", func() uint64 { return c.Stats.Misses })
-	r.Counter(prefix+".evictions", "lines evicted", func() uint64 { return c.Stats.Evictions })
-	r.Counter(prefix+".writebacks", "dirty victims written back", func() uint64 { return c.Stats.Writebacks })
-	r.Counter(prefix+".flushes", "lines removed by CLFLUSH", func() uint64 { return c.Stats.Flushes })
-	r.Counter(prefix+".prefetches", "lines installed by the prefetcher", func() uint64 { return c.Stats.Prefetches })
-	r.Ratio(prefix+".miss_rate", "misses per demand access", 1, prefix+".misses", prefix+".hits", prefix+".misses")
+// WriteMetrics writes one level's counters under prefix ("cache.l2").
+func (c *Cache) WriteMetrics(w *stats.Writer, prefix string) {
+	w.Counter(prefix+".hits", "demand hits", c.Stats.Hits)
+	w.Counter(prefix+".misses", "demand misses", c.Stats.Misses)
+	w.Counter(prefix+".evictions", "lines evicted", c.Stats.Evictions)
+	w.Counter(prefix+".writebacks", "dirty victims written back", c.Stats.Writebacks)
+	w.Counter(prefix+".flushes", "lines removed by CLFLUSH", c.Stats.Flushes)
+	w.Counter(prefix+".prefetches", "lines installed by the prefetcher", c.Stats.Prefetches)
+	w.Ratio(prefix+".miss_rate", "misses per demand access", 1, prefix+".misses", prefix+".hits", prefix+".misses")
 }
 
-// Register publishes every level of the hierarchy plus the DRAM backend
+// WriteMetrics writes every level of the hierarchy plus the DRAM backend
 // under prefix ("cache"), using the levels' configured names lowercased
 // ("cache.l1d.misses", "cache.dram.accesses").
-func (h *Hierarchy) Register(r *stats.Registry, prefix string) {
+func (h *Hierarchy) WriteMetrics(w *stats.Writer, prefix string) {
 	for _, c := range []*Cache{h.L1I, h.L1D, h.L2, h.L3} {
-		c.Register(r, prefix+"."+strings.ToLower(c.name))
+		c.WriteMetrics(w, prefix+"."+strings.ToLower(c.name))
 	}
-	r.Counter(prefix+".dram.accesses", "DRAM accesses", func() uint64 { return h.Mem.Accesses })
+	w.Counter(prefix+".dram.accesses", "DRAM accesses", h.Mem.Accesses)
 }
 
 // LoadLatency times a data load at paddr.

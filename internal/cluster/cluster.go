@@ -541,23 +541,25 @@ func (c *Coordinator) healthyPeers() int {
 	return n
 }
 
-// RegisterMetrics exports the coordinator's cluster.* metrics into reg —
-// the daemon merges them into its /v1/metrics registry.
-func (c *Coordinator) RegisterMetrics(r *stats.Registry) {
-	r.Counter("cluster.jobs.forwarded", "runs launched on cluster peers (hedges and failovers included)", c.forwards.Load)
-	r.Counter("cluster.peer_cache.lookups", "jobs placed on a peer (each consults the owner's result store)", c.placements.Load)
-	r.Counter("cluster.peer_cache.hits", "placed jobs the peer answered from its content-addressed result store", c.peerHits.Load)
-	r.Counter("cluster.hedges.fired", "duplicate requests launched after the hedge latency budget", c.hedgesFired.Load)
-	r.Counter("cluster.hedges.won", "hedged requests that answered first", c.hedgesWon.Load)
-	r.Counter("cluster.failovers", "placements that failed and fell to the next replica", c.failovers.Load)
-	r.Counter("cluster.resubmits", "content-addressed resubmissions after a placement died", c.resubmits.Load)
-	r.Counter("cluster.degraded_local", "jobs with no healthy placement (degraded to local simulation)", c.degraded.Load)
-	r.Counter("cluster.health.probes", "health probes completed", c.probes.Load)
-	r.Counter("cluster.health.probe_failures", "health probes failed", c.probeFailures.Load)
-	r.Counter("cluster.peers.transitions_down", "peer up->down health transitions", c.transitionsDown.Load)
-	r.Counter("cluster.peers.transitions_up", "peer down->up health transitions", c.transitionsUp.Load)
-	r.Gauge("cluster.peers.total", "configured peers (self excluded)", func() float64 { return float64(len(c.peers)) })
-	r.Gauge("cluster.peers.healthy", "peers not known down", func() float64 { return float64(c.healthyPeers()) })
+// RegisterMetrics adds the coordinator's cluster.* metrics to r as one
+// source — the daemon merges them into its /v1/metrics registry.
+func (c *Coordinator) RegisterMetrics(r *stats.Registry) { r.Add(c.writeMetrics) }
+
+func (c *Coordinator) writeMetrics(w *stats.Writer) {
+	w.Counter("cluster.jobs.forwarded", "runs launched on cluster peers (hedges and failovers included)", c.forwards.Load())
+	w.Counter("cluster.peer_cache.lookups", "jobs placed on a peer (each consults the owner's result store)", c.placements.Load())
+	w.Counter("cluster.peer_cache.hits", "placed jobs the peer answered from its content-addressed result store", c.peerHits.Load())
+	w.Counter("cluster.hedges.fired", "duplicate requests launched after the hedge latency budget", c.hedgesFired.Load())
+	w.Counter("cluster.hedges.won", "hedged requests that answered first", c.hedgesWon.Load())
+	w.Counter("cluster.failovers", "placements that failed and fell to the next replica", c.failovers.Load())
+	w.Counter("cluster.resubmits", "content-addressed resubmissions after a placement died", c.resubmits.Load())
+	w.Counter("cluster.degraded_local", "jobs with no healthy placement (degraded to local simulation)", c.degraded.Load())
+	w.Counter("cluster.health.probes", "health probes completed", c.probes.Load())
+	w.Counter("cluster.health.probe_failures", "health probes failed", c.probeFailures.Load())
+	w.Counter("cluster.peers.transitions_down", "peer up->down health transitions", c.transitionsDown.Load())
+	w.Counter("cluster.peers.transitions_up", "peer down->up health transitions", c.transitionsUp.Load())
+	w.Gauge("cluster.peers.total", "configured peers (self excluded)", float64(len(c.peers)))
+	w.Gauge("cluster.peers.healthy", "peers not known down", float64(c.healthyPeers()))
 }
 
 // Summary renders the coordinator's counters as one line — what

@@ -54,7 +54,7 @@ func runProfiled(p workload.Profile, mode pipeline.Mode) (ProfileRow, *profile.R
 	ledger := profile.NewLedger()
 	m.Prof = prof
 	m.Events = ledger
-	ledger.Register(m.StatsRegistry())
+	m.StatsRegistry().Add(ledger.WriteMetrics)
 	if err := m.Run(500_000_000); err != nil {
 		return ProfileRow{}, nil, fmt.Errorf("%s/%v: %w", p.Name, mode, err)
 	}

@@ -300,7 +300,7 @@ func (p *Point) FiredCount() uint64 {
 	return st.fired.Load()
 }
 
-// Global counter accessors, shaped for stats.Registry.Counter.
+// Global counter accessors, read by the server's metrics source.
 
 // Fired counts every fault fired since process start, across plans.
 func Fired() uint64 { return cFired.Load() }

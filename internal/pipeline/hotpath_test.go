@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"specmpk/internal/asm"
@@ -474,9 +475,9 @@ func TestLoadLatBucketMatchesObserve(t *testing.T) {
 }
 
 // TestLoadLatValueMatchesHistogram runs real loads and cross-checks the
-// machine's batched counters against an independent stats.Histogram fed from
-// the OnLoadLatency hook — same observations, so the snapshots must agree
-// exactly.
+// machine's batched counters, as its registry's snapshot reports them in
+// pipeline.load_latency, against an independent stats.Histogram fed from the
+// OnLoadLatency hook — same observations, so the two must agree exactly.
 func TestLoadLatValueMatchesHistogram(t *testing.T) {
 	p := stormProg(t)
 	m, err := New(smallCfg(ModeSpecMPK), p)
@@ -488,25 +489,24 @@ func TestLoadLatValueMatchesHistogram(t *testing.T) {
 	if err := m.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	reg := stats.NewRegistry()
-	reg.AttachHistogram("ref", "", ref)
-	reg.HistogramFunc("batched", "", m.loadLatValue)
-	snap := reg.Snapshot()
-	rv, _ := snap.Get("ref")
-	bv, _ := snap.Get("batched")
-	if rv.Hist == nil || bv.Hist == nil {
-		t.Fatal("missing histogram snapshots")
+	rv := ref.Value()
+	bv, ok := m.StatsRegistry().Snapshot().Get("pipeline.load_latency")
+	if !ok || bv.Hist == nil {
+		t.Fatal("snapshot has no pipeline.load_latency histogram")
 	}
-	if rv.Hist.Count == 0 {
+	if rv.Count == 0 {
 		t.Fatal("storm ran no loads")
 	}
-	if rv.Hist.Count != bv.Hist.Count || rv.Hist.Sum != bv.Hist.Sum {
+	if rv.Count != bv.Hist.Count || rv.Sum != bv.Hist.Sum {
 		t.Fatalf("count/sum diverge: ref %d/%.0f batched %d/%.0f",
-			rv.Hist.Count, rv.Hist.Sum, bv.Hist.Count, bv.Hist.Sum)
+			rv.Count, rv.Sum, bv.Hist.Count, bv.Hist.Sum)
 	}
-	for i := range rv.Hist.Counts {
-		if rv.Hist.Counts[i] != bv.Hist.Counts[i] {
-			t.Fatalf("bucket %d diverges: ref %d batched %d", i, rv.Hist.Counts[i], bv.Hist.Counts[i])
+	if !slices.Equal(rv.Bounds, bv.Hist.Bounds) || len(rv.Counts) != len(bv.Hist.Counts) {
+		t.Fatalf("bucket layouts diverge: ref %v batched %v", rv.Bounds, bv.Hist.Bounds)
+	}
+	for i := range rv.Counts {
+		if rv.Counts[i] != bv.Hist.Counts[i] {
+			t.Fatalf("bucket %d diverges: ref %d batched %d", i, rv.Counts[i], bv.Hist.Counts[i])
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"specmpk/internal/asm"
@@ -166,8 +167,10 @@ const (
 )
 
 // Validate reports whether New can build c: a Mode with a policy, structure
-// sizes between their lower bounds and the fixed upper bounds above. Set and
-// line geometry is checked by the cache, TLB and BTB constructors.
+// sizes between their lower bounds and the fixed upper bounds above, and
+// cache level names that lowercase to distinct valid metric name parts
+// ("cache.l1d.hits"). Set and line geometry is checked by the cache, TLB and
+// BTB constructors.
 func (c Config) Validate() error {
 	if !c.Mode.valid() {
 		return fmt.Errorf("pipeline: mode %d has no policy (valid: %s)",
@@ -202,7 +205,15 @@ func (c Config) Validate() error {
 	if c.Caches.LineB == 0 {
 		return nil // cache.NewHierarchy builds the Table III hierarchy
 	}
-	for _, l := range [...]cache.Config{c.Caches.L1I, c.Caches.L1D, c.Caches.L2, c.Caches.L3} {
+	var names [4]string
+	for i, l := range [...]cache.Config{c.Caches.L1I, c.Caches.L1D, c.Caches.L2, c.Caches.L3} {
+		names[i] = strings.ToLower(l.Name)
+		if err := stats.CheckName(names[i]); err != nil {
+			return fmt.Errorf("pipeline: cache level %q: %w", l.Name, err)
+		}
+		if slices.Contains(names[:i], names[i]) {
+			return fmt.Errorf("pipeline: two cache levels named %q (names are compared lowercased)", l.Name)
+		}
 		line := l.LineB
 		if line == 0 {
 			line = c.Caches.LineB
@@ -585,7 +596,7 @@ type Machine struct {
 
 	// Batched load-latency histogram: plain integer bucket counters bumped
 	// on the hot path, materialized into a stats HistValue only at snapshot
-	// time (StatsRegistry registers them via HistogramFunc).
+	// time (writeMetrics).
 	loadLatCounts [len(loadLatBounds) + 1]uint64
 	loadLatSum    uint64
 	loadLatN      uint64

@@ -663,6 +663,8 @@ func TestConfigValidation(t *testing.T) {
 		"ITLB ways":  func(c *Config) { c.ITLB.Ways = 0 },
 		"BTB pow2":   func(c *Config) { c.BTBEntries = 1000 },
 		"mode range": func(c *Config) { c.Mode = Mode(len(policies)) },
+		"level name": func(c *Config) { c.Caches.L1D.Name = "a b" },
+		"same level": func(c *Config) { c.Caches.L1D.Name = "l2" },
 	} {
 		cfg := DefaultConfig()
 		set(&cfg)

@@ -7,7 +7,6 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
-	"specmpk/internal/stats"
 	"specmpk/internal/trace"
 )
 
@@ -636,18 +635,6 @@ func (m *Machine) loadHook(e *alEntry, lat int) {
 	m.loadLatN++
 	if m.OnLoadLatency != nil {
 		m.OnLoadLatency(e.vaddr, lat)
-	}
-}
-
-// loadLatValue materializes the batched load-latency counters into the shape
-// a stats.Histogram snapshot produces; the registry's snapshot/delta
-// semantics apply unchanged (registered via Registry.HistogramFunc).
-func (m *Machine) loadLatValue() stats.HistValue {
-	return stats.HistValue{
-		Bounds: append([]float64(nil), loadLatBounds[:]...),
-		Counts: append([]uint64(nil), m.loadLatCounts[:]...),
-		Sum:    float64(m.loadLatSum),
-		Count:  m.loadLatN,
 	}
 }
 

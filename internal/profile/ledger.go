@@ -94,32 +94,20 @@ func (l *Ledger) Totals() KeyAudit {
 	return t
 }
 
-// Register publishes the ledger's aggregate counters into the stats
-// registry under audit.*, next to the pipeline's own counters.
-func (l *Ledger) Register(reg *stats.Registry) {
-	c := func(name, desc string, fn func(t KeyAudit) uint64) {
-		reg.Counter("audit."+name, desc, func() uint64 { return fn(l.Totals()) })
-	}
-	c("upgrades_opened", "transient pkey-upgrade windows opened by executed WRPKRUs",
-		func(t KeyAudit) uint64 { return t.UpgradesOpened })
-	c("upgrades_committed", "transient-upgrade windows that became architectural at retire",
-		func(t KeyAudit) uint64 { return t.UpgradesCommitted })
-	c("upgrades_squashed", "transient-upgrade windows closed by a squash",
-		func(t KeyAudit) uint64 { return t.UpgradesSquashed })
-	c("upgrade_window_cycles", "total simulated cycles transient-upgrade windows were open",
-		func(t KeyAudit) uint64 { return t.UpgradeWindowCycles })
-	c("loads_stalled", "loads deferred to the window head by a policy gate",
-		func(t KeyAudit) uint64 { return t.LoadsStalled })
-	c("load_stall_cycles", "total cycles stalled loads waited before replaying",
-		func(t KeyAudit) uint64 { return t.LoadStallCycles })
-	c("stores_no_forward", "stores whose store-to-load forwarding was suppressed",
-		func(t KeyAudit) uint64 { return t.StoresNoForward })
-	c("no_forward_cycles", "total cycles no-forward stores waited for their precise re-check",
-		func(t KeyAudit) uint64 { return t.NoForwardCycles })
-	c("tlb_defers", "TLB fills deferred to retirement (SpecMPK §V-C5)",
-		func(t KeyAudit) uint64 { return t.TLBDefers })
-	c("tlb_defer_cycles", "total cycles deferred TLB fills waited",
-		func(t KeyAudit) uint64 { return t.TLBDeferCycles })
+// WriteMetrics is the ledger's metrics source: its aggregate counters under
+// audit.*, next to the pipeline's own counters in the machine's registry.
+func (l *Ledger) WriteMetrics(w *stats.Writer) {
+	t := l.Totals()
+	w.Counter("audit.upgrades_opened", "transient pkey-upgrade windows opened by executed WRPKRUs", t.UpgradesOpened)
+	w.Counter("audit.upgrades_committed", "transient-upgrade windows that became architectural at retire", t.UpgradesCommitted)
+	w.Counter("audit.upgrades_squashed", "transient-upgrade windows closed by a squash", t.UpgradesSquashed)
+	w.Counter("audit.upgrade_window_cycles", "total simulated cycles transient-upgrade windows were open", t.UpgradeWindowCycles)
+	w.Counter("audit.loads_stalled", "loads deferred to the window head by a policy gate", t.LoadsStalled)
+	w.Counter("audit.load_stall_cycles", "total cycles stalled loads waited before replaying", t.LoadStallCycles)
+	w.Counter("audit.stores_no_forward", "stores whose store-to-load forwarding was suppressed", t.StoresNoForward)
+	w.Counter("audit.no_forward_cycles", "total cycles no-forward stores waited for their precise re-check", t.NoForwardCycles)
+	w.Counter("audit.tlb_defers", "TLB fills deferred to retirement (SpecMPK §V-C5)", t.TLBDefers)
+	w.Counter("audit.tlb_defer_cycles", "total cycles deferred TLB fills waited", t.TLBDeferCycles)
 }
 
 // LedgerRow is one pkey's ledger line: a row of the -profile-out "audit"

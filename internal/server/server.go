@@ -656,53 +656,57 @@ func (s *Server) SpanRecorder() *otrace.Recorder { return s.rec }
 
 // Registry returns the server's metrics registry ("server.*" namespace),
 // building it on first use. Safe to snapshot concurrently with running
-// workers: every metric reads through an atomic.
+// workers: the server's source reads atomics, lock-guarded lengths and
+// SyncHistograms.
 func (s *Server) Registry() *stats.Registry {
 	s.registerMetricsOnce.Do(func() {
-		r := stats.NewRegistry()
-		r.Counter("server.jobs.accepted", "jobs accepted (incl. cache hits and deduped attaches)", s.accepted.Load)
-		r.Counter("server.jobs.rejected", "submits rejected (queue full or draining)", s.rejected.Load)
-		r.Counter("server.jobs.deduped", "jobs attached to an identical in-flight execution", s.deduped.Load)
-		r.Counter("server.jobs.done", "executions completed successfully", s.jobsDone.Load)
-		r.Counter("server.jobs.failed", "executions failed", s.jobsFailed.Load)
-		r.Counter("server.jobs.cancelled", "executions cancelled", s.jobsCancelled.Load)
-		r.Counter("server.jobs.deadline", "executions failed by their wall-clock deadline", s.jobsDeadline.Load)
-		r.Counter("server.jobs.resubmitted", "jobs re-placed via content-addressed resubmission after a node/daemon death", s.jobsResubmitted.Load)
-		r.Counter("server.jobs.forwarded", "executions answered by a cluster peer instead of simulating locally", s.jobsForwarded.Load)
-		r.Counter("server.jobs.forward_degraded", "executions simulated locally because no healthy peer could take them", s.forwardDegraded.Load)
-		r.Counter("server.panics_recovered", "worker/HTTP panics contained without killing the process", s.panicsRecovered.Load)
-		r.Counter("server.jobs.wall_ms_total", "total execution wall time (ms)", s.wallMSTotal.Load)
-		r.Counter("server.cache.hits", "result-cache hits", s.cache.hits.Load)
-		r.Counter("server.cache.misses", "result-cache misses (dedups onto a pending execution included)", s.cache.misses.Load)
-		r.Counter("server.cache.evictions", "result-cache LRU evictions", s.cache.evictions.Load)
-		r.Gauge("server.cache.entries", "result-cache resident entries", func() float64 { return float64(s.cache.len()) })
-		r.Counter("server.cache.peer_lookups", "cache probes from cluster peers (GET /v1/cache/{key})", s.cache.peeks.Load)
-		r.Counter("server.cache.peer_hits", "peer cache probes answered from the local cache", s.cache.peekHits.Load)
-		r.Counter("server.sampled.jobs", "sampled-fidelity executions completed", s.sampledJobs.Load)
-		r.Counter("server.sampled.intervals", "representative intervals simulated in detail", s.sampledIntervals.Load)
-		r.Counter("server.sampled.intervals_stolen", "intervals run by idle pool workers instead of the owning worker", s.sampledStolen.Load)
-		r.Counter("server.sampled.profile_cache_hits", "sampled jobs served an existing profile plan", s.profileHits.Load)
-		r.Counter("server.sampled.profile_cache_misses", "sampled jobs that had to build a profile plan", s.profileMisses.Load)
-		r.Gauge("server.sampled.profile_cache_entries", "profile-cache resident plans", func() float64 { return float64(s.profiles.len()) })
-		r.Gauge("server.jobs.running", "executions currently on a worker", func() float64 { return float64(s.running.Load()) })
-		r.Gauge("server.queue.depth", "executions waiting for a worker", func() float64 { return float64(len(s.queue)) })
-		r.Gauge("server.queue.capacity", "bounded queue capacity", func() float64 { return float64(s.opt.QueueSize) })
-		r.Gauge("server.workers", "worker-pool size", func() float64 { return float64(s.opt.Workers) })
-		r.Gauge("server.spans.resident", "spans resident in the flight recorder", func() float64 { return float64(s.rec.Len()) })
-		r.Gauge("server.spans.dropped", "spans overwritten in the flight-recorder ring", func() float64 { return float64(s.rec.Dropped()) })
-		r.AttachSyncHistogram("server.latency.queue_wait_ms", "queued -> picked up by a worker (ms)", s.lat.queueWait)
-		r.AttachSyncHistogram("server.latency.dedup_wait_ms", "deduped job submit -> primary execution finished (ms)", s.lat.dedupWait)
-		r.AttachSyncHistogram("server.latency.simulate_ms", "simulation wall time on the worker (ms)", s.lat.simulate)
-		r.AttachSyncHistogram("server.latency.cache_lookup_ms", "content-addressed cache probe on submit (ms)", s.lat.cacheLookup)
-		r.AttachSyncHistogram("server.latency.e2e_ms", "submit -> terminal state, cache hits included (ms)", s.lat.e2e)
-		r.Counter("faults.fired", "fault-point activations (all actions)", faults.Fired)
-		r.Counter("faults.errors", "injected errors", faults.Errors)
-		r.Counter("faults.panics", "injected panics", faults.Panics)
-		r.Counter("faults.latency_injected", "injected latency events", faults.Latencies)
-		r.Counter("faults.drops", "injected drops", faults.Drops)
-		r.Ratio("server.jobs.wall_avg_ms", "mean execution wall time (ms)", 1,
-			"server.jobs.wall_ms_total", "server.jobs.done", "server.jobs.failed", "server.jobs.cancelled")
-		s.reg = r
+		s.reg = stats.NewRegistry()
+		s.reg.Add(s.writeMetrics)
 	})
 	return s.reg
+}
+
+func (s *Server) writeMetrics(w *stats.Writer) {
+	w.Counter("server.jobs.accepted", "jobs accepted (incl. cache hits and deduped attaches)", s.accepted.Load())
+	w.Counter("server.jobs.rejected", "submits rejected (queue full or draining)", s.rejected.Load())
+	w.Counter("server.jobs.deduped", "jobs attached to an identical in-flight execution", s.deduped.Load())
+	w.Counter("server.jobs.done", "executions completed successfully", s.jobsDone.Load())
+	w.Counter("server.jobs.failed", "executions failed", s.jobsFailed.Load())
+	w.Counter("server.jobs.cancelled", "executions cancelled", s.jobsCancelled.Load())
+	w.Counter("server.jobs.deadline", "executions failed by their wall-clock deadline", s.jobsDeadline.Load())
+	w.Counter("server.jobs.resubmitted", "jobs re-placed via content-addressed resubmission after a node/daemon death", s.jobsResubmitted.Load())
+	w.Counter("server.jobs.forwarded", "executions answered by a cluster peer instead of simulating locally", s.jobsForwarded.Load())
+	w.Counter("server.jobs.forward_degraded", "executions simulated locally because no healthy peer could take them", s.forwardDegraded.Load())
+	w.Counter("server.panics_recovered", "worker/HTTP panics contained without killing the process", s.panicsRecovered.Load())
+	w.Counter("server.jobs.wall_ms_total", "total execution wall time (ms)", s.wallMSTotal.Load())
+	w.Counter("server.cache.hits", "result-cache hits", s.cache.hits.Load())
+	w.Counter("server.cache.misses", "result-cache misses (dedups onto a pending execution included)", s.cache.misses.Load())
+	w.Counter("server.cache.evictions", "result-cache LRU evictions", s.cache.evictions.Load())
+	w.Gauge("server.cache.entries", "result-cache resident entries", float64(s.cache.len()))
+	w.Counter("server.cache.peer_lookups", "cache probes from cluster peers (GET /v1/cache/{key})", s.cache.peeks.Load())
+	w.Counter("server.cache.peer_hits", "peer cache probes answered from the local cache", s.cache.peekHits.Load())
+	w.Counter("server.sampled.jobs", "sampled-fidelity executions completed", s.sampledJobs.Load())
+	w.Counter("server.sampled.intervals", "representative intervals simulated in detail", s.sampledIntervals.Load())
+	w.Counter("server.sampled.intervals_stolen", "intervals run by idle pool workers instead of the owning worker", s.sampledStolen.Load())
+	w.Counter("server.sampled.profile_cache_hits", "sampled jobs served an existing profile plan", s.profileHits.Load())
+	w.Counter("server.sampled.profile_cache_misses", "sampled jobs that had to build a profile plan", s.profileMisses.Load())
+	w.Gauge("server.sampled.profile_cache_entries", "profile-cache resident plans", float64(s.profiles.len()))
+	w.Gauge("server.jobs.running", "executions currently on a worker", float64(s.running.Load()))
+	w.Gauge("server.queue.depth", "executions waiting for a worker", float64(len(s.queue)))
+	w.Gauge("server.queue.capacity", "bounded queue capacity", float64(s.opt.QueueSize))
+	w.Gauge("server.workers", "worker-pool size", float64(s.opt.Workers))
+	w.Gauge("server.spans.resident", "spans resident in the flight recorder", float64(s.rec.Len()))
+	w.Gauge("server.spans.dropped", "spans overwritten in the flight-recorder ring", float64(s.rec.Dropped()))
+	w.Histogram("server.latency.queue_wait_ms", "queued -> picked up by a worker (ms)", s.lat.queueWait.Value())
+	w.Histogram("server.latency.dedup_wait_ms", "deduped job submit -> primary execution finished (ms)", s.lat.dedupWait.Value())
+	w.Histogram("server.latency.simulate_ms", "simulation wall time on the worker (ms)", s.lat.simulate.Value())
+	w.Histogram("server.latency.cache_lookup_ms", "content-addressed cache probe on submit (ms)", s.lat.cacheLookup.Value())
+	w.Histogram("server.latency.e2e_ms", "submit -> terminal state, cache hits included (ms)", s.lat.e2e.Value())
+	w.Counter("faults.fired", "fault-point activations (all actions)", faults.Fired())
+	w.Counter("faults.errors", "injected errors", faults.Errors())
+	w.Counter("faults.panics", "injected panics", faults.Panics())
+	w.Counter("faults.latency_injected", "injected latency events", faults.Latencies())
+	w.Counter("faults.drops", "injected drops", faults.Drops())
+	w.Ratio("server.jobs.wall_avg_ms", "mean execution wall time (ms)", 1,
+		"server.jobs.wall_ms_total", "server.jobs.done", "server.jobs.failed", "server.jobs.cancelled")
 }

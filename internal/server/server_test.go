@@ -543,16 +543,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 // TestHTTPRejectsOversizedConfig: a machine config beyond the pipeline's
 // size bounds is refused at admission with a 400, before any worker could
-// allocate it.
+// allocate it. So is a cache level name that would collide with another
+// level's metrics or break the metric name rule: the registry checks names
+// only when the finished job's snapshot is taken.
 func TestHTTPRejectsOversizedConfig(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, set := range []func(*pipeline.Config){
+	for i, set := range []func(*pipeline.Config){
 		func(c *pipeline.Config) { c.ALSize = 1 << 40 },
 		func(c *pipeline.Config) { c.PRFSize = 1 << 40 },
 		func(c *pipeline.Config) { c.Caches.L3.SizeB = 1 << 40 },
+		func(c *pipeline.Config) { c.Caches.L1D.Name = "L2" },
+		func(c *pipeline.Config) { c.Caches.L1D.Name = "a b" },
 	} {
 		cfg := pipeline.DefaultConfig()
 		set(&cfg)
@@ -566,7 +570,7 @@ func TestHTTPRejectsOversizedConfig(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("oversized config: status %d, want 400", resp.StatusCode)
+			t.Fatalf("config %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
 	if n := s.accepted.Load(); n != 0 {

@@ -20,7 +20,7 @@ func sampleHist() *Histogram {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	hv := sampleHist().value()
+	hv := sampleHist().Value()
 	// Buckets: le1:2, le2:3, le4:2, le8:2, inf:1 (count 10).
 	cases := []struct {
 		q    float64
@@ -45,7 +45,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := hv.Quantile(0.4); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Quantile(0.4) = %g, want %g", got, want)
 	}
-	empty := NewHistogram([]float64{1}).value()
+	empty := NewHistogram([]float64{1}).Value()
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %g, want 0", got)
 	}
@@ -54,8 +54,8 @@ func TestHistogramQuantiles(t *testing.T) {
 // TestHistogramTextRenderer pins the text dump's histogram summary: count,
 // mean, the p50/p90/p99 quantile lines, and the non-empty bucket rows.
 func TestHistogramTextRenderer(t *testing.T) {
-	r := NewRegistry()
-	r.AttachHistogram("lat.ms", "latency", sampleHist())
+	h := sampleHist()
+	r := registry(func(w *Writer) { w.Histogram("lat.ms", "latency", h.Value()) })
 	txt := r.Snapshot().Text()
 	for _, line := range [][2]string{
 		{"lat.ms", "10"},
@@ -84,8 +84,8 @@ func TestHistogramTextRenderer(t *testing.T) {
 // TestHistogramJSONRenderer checks a histogram round-trips through the flat
 // JSON shape with buckets, sum, and count intact.
 func TestHistogramJSONRenderer(t *testing.T) {
-	r := NewRegistry()
-	r.AttachHistogram("lat.ms", "latency", sampleHist())
+	h := sampleHist()
+	r := registry(func(w *Writer) { w.Histogram("lat.ms", "latency", h.Value()) })
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -116,8 +116,8 @@ func TestHistogramJSONRenderer(t *testing.T) {
 // TestHistogramPrometheusRenderer pins the full exposition of one histogram:
 // HELP/TYPE, cumulative le buckets (including +Inf), _sum and _count.
 func TestHistogramPrometheusRenderer(t *testing.T) {
-	r := NewRegistry()
-	r.AttachHistogram("server.latency.e2e_ms", "end-to-end latency", sampleHist())
+	h := sampleHist()
+	r := registry(func(w *Writer) { w.Histogram("server.latency.e2e_ms", "end-to-end latency", h.Value()) })
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -145,8 +145,7 @@ func TestHistogramPrometheusRenderer(t *testing.T) {
 // the server's latency histograms rely on.
 func TestSyncHistogramConcurrentObserve(t *testing.T) {
 	h := NewSyncHistogram([]float64{1, 10, 100})
-	r := NewRegistry()
-	r.AttachSyncHistogram("lat.ms", "latency", h)
+	r := registry(func(w *Writer) { w.Histogram("lat.ms", "latency", h.Value()) })
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -2,34 +2,45 @@
 // carry dotted names ("pipeline.rename.serialize_stalls", "cache.l2.misses")
 // and one of four kinds:
 //
-//   - Counter: a monotonically increasing uint64 read through a closure, so
-//     existing hot-path `x++` counters register without changing their
-//     representation.
+//   - Counter: a monotonically increasing uint64, so existing hot-path `x++`
+//     counters are published without changing their representation.
 //   - Gauge: an instantaneous float64 (occupancy, free-list depth).
 //   - Histogram: bucketed observations (load latency).
 //   - Formula: a float64 derived from other metrics at snapshot time (IPC,
-//     miss rates), registered with Ratio. Formulas are re-evaluated over
+//     miss rates), written with Writer.Ratio. Formulas are re-evaluated over
 //     *deltas* too, so an interval snapshot reports interval IPC, not
 //     cumulative IPC.
 //
-// A Registry is cheap to snapshot; Snapshot/DeltaSince give cumulative and
-// interval views, and three renderers serialize a snapshot: an aligned text
-// dump (Text), a flat JSON object (WriteJSON), and Prometheus text
-// exposition (WritePrometheus).
+// A Registry is a list of sources. A source is one function that writes
+// every metric it owns, with its current value, each time a snapshot is
+// taken (Writer.Counter, Gauge, Histogram and Ratio); nothing is read
+// through a per-metric closure, so publishing a component's counters costs
+// nothing until a snapshot asks for them. Once every source has written, the
+// snapshot sorts the metrics by name, checks the names (CheckName, and no
+// name twice: either panics, since names come from code or from a validated
+// configuration), then evaluates the ratios in write order. A ratio reads
+// every counter, gauge and histogram in the snapshot, whichever source wrote
+// it, and the value of a ratio written before it; any other name reads as 0.
 //
-// The registry is not synchronized: a simulated machine and its registry
-// belong to one goroutine, matching how the experiment runner parallelizes
-// across machines rather than within one.
+// Snapshot/DeltaSince give cumulative and interval views, and three
+// renderers serialize a snapshot: an aligned text dump (Text), a flat JSON
+// object (WriteJSON), and Prometheus text exposition (WritePrometheus).
+//
+// Add is not synchronized: add every source before the first snapshot.
+// Snapshots only read the source list, so they may run concurrently when
+// the sources allow it: the server's source reads only atomics, lock-guarded
+// state and SyncHistograms, while a simulated machine's source belongs to
+// the machine's goroutine.
 package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// Kind classifies a registered metric.
+// Kind classifies a metric.
 type Kind uint8
 
 // The metric kinds.
@@ -54,112 +65,85 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind%d", int(k))
 }
 
-type entry struct {
-	name    string
-	desc    string
-	kind    Kind
-	counter func() uint64
-	gauge   func() float64
-	hist    histSource
-	formula func(get func(string) float64) float64
+// CheckName reports whether name is a valid metric name: non-empty and free
+// of whitespace. A snapshot panics on an invalid name, so a name built from
+// input (a cache level's configured name) is checked when the input arrives.
+func CheckName(name string) error {
+	if name == "" || strings.ContainsAny(name, " \t\n") {
+		return fmt.Errorf("stats: invalid metric name %q", name)
+	}
+	return nil
 }
 
-// histSource is what a registered histogram must provide at snapshot time.
-// It is satisfied by Histogram (single-goroutine, zero-overhead Observe) and
-// SyncHistogram (mutex-guarded, for histograms observed concurrently with
-// snapshots — the server's latency metrics).
-type histSource interface {
-	value() *HistValue
-}
+// Source writes every metric it owns, with its current value, into w. A
+// registry calls each of its sources once per snapshot.
+type Source func(w *Writer)
 
-// Registry holds the registered metrics of one machine.
+// Registry is the ordered list of sources one snapshot reads.
 type Registry struct {
-	entries []*entry
-	byName  map[string]*entry
+	sources []Source
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*entry)}
+func NewRegistry() *Registry { return &Registry{} }
+
+// Add appends a source.
+func (r *Registry) Add(src Source) { r.sources = append(r.sources, src) }
+
+// Writer collects the metrics of one snapshot from the registry's sources.
+type Writer struct {
+	prev   *Snapshot // DeltaSince's base; nil for a cumulative snapshot
+	vals   []Value
+	ratios []ratio
 }
 
-func (r *Registry) add(e *entry) {
-	if e.name == "" || strings.ContainsAny(e.name, " \t\n") {
-		panic(fmt.Sprintf("stats: invalid metric name %q", e.name))
+// ratio is a Writer.Ratio call, evaluated once every source has written.
+type ratio struct {
+	name, num string
+	scale     float64
+	den       []string
+}
+
+// base returns name's value in the delta base, if there is one.
+func (w *Writer) base(name string) (Value, bool) {
+	if w.prev == nil {
+		return Value{}, false
 	}
-	if _, dup := r.byName[e.name]; dup {
-		panic(fmt.Sprintf("stats: duplicate metric %q", e.name))
+	return w.prev.Get(name)
+}
+
+// Counter writes a monotonically increasing value; a delta snapshot
+// subtracts the base's value.
+func (w *Writer) Counter(name, desc string, v uint64) {
+	if pv, ok := w.base(name); ok {
+		v -= pv.Uint
 	}
-	r.entries = append(r.entries, e)
-	r.byName[e.name] = e
+	w.vals = append(w.vals, Value{Name: name, Desc: desc, Kind: KindCounter, Uint: v})
 }
 
-// Counter registers a monotonically increasing value read through fn.
-func (r *Registry) Counter(name, desc string, fn func() uint64) {
-	r.add(&entry{name: name, desc: desc, kind: KindCounter, counter: fn})
+// Gauge writes an instantaneous value, which deltas leave as it is.
+func (w *Writer) Gauge(name, desc string, v float64) {
+	w.vals = append(w.vals, Value{Name: name, Desc: desc, Kind: KindGauge, Float: v})
 }
 
-// Gauge registers an instantaneous value read through fn.
-func (r *Registry) Gauge(name, desc string, fn func() float64) {
-	r.add(&entry{name: name, desc: desc, kind: KindGauge, gauge: fn})
+// Histogram writes a histogram's state, which the snapshot keeps: hv must
+// be a copy the caller no longer writes (Histogram.Value), with
+// len(Counts) == len(Bounds)+1, the last being the overflow bucket. A delta
+// snapshot subtracts the base's buckets.
+func (w *Writer) Histogram(name, desc string, hv *HistValue) {
+	if pv, ok := w.base(name); ok && pv.Hist != nil {
+		hv = hv.sub(pv.Hist)
+	}
+	w.vals = append(w.vals, Value{Name: name, Desc: desc, Kind: KindHistogram, Hist: hv})
 }
 
-// AttachHistogram registers an existing histogram (so the observing hot path
-// can hold the histogram directly, without a registry lookup).
-func (r *Registry) AttachHistogram(name, desc string, h *Histogram) {
-	r.add(&entry{name: name, desc: desc, kind: KindHistogram, hist: h})
+// Ratio writes the derived value scale × num / (den[0] + den[1] + ...),
+// evaluated over the snapshot once every source has written (the package
+// doc says which names it reads). It reads 0 while the denominator is 0.
+func (w *Writer) Ratio(name, desc string, scale float64, num string, den ...string) {
+	w.vals = append(w.vals, Value{Name: name, Desc: desc, Kind: KindFormula})
+	w.ratios = append(w.ratios, ratio{name: name, num: num, scale: scale, den: den})
 }
-
-// histFunc adapts a snapshot-time builder to histSource, for histograms whose
-// observing hot path keeps plain integer counters and only materializes a
-// HistValue when a snapshot asks for one (the pipeline's batched load-latency
-// counters).
-type histFunc func() HistValue
-
-func (f histFunc) value() *HistValue {
-	v := f()
-	return &v
-}
-
-// HistogramFunc registers a histogram materialized on demand by fn. fn must
-// return a HistValue with len(Counts) == len(Bounds)+1 (the last bucket is
-// the overflow bucket), exactly as a Histogram snapshot would.
-func (r *Registry) HistogramFunc(name, desc string, fn func() HistValue) {
-	r.add(&entry{name: name, desc: desc, kind: KindHistogram, hist: histFunc(fn)})
-}
-
-// AttachSyncHistogram registers a concurrency-safe histogram. Use it when
-// the observing goroutines are not the snapshotting goroutine (e.g. the
-// server's worker pool observed from a concurrent /v1/metrics scrape).
-func (r *Registry) AttachSyncHistogram(name, desc string, h *SyncHistogram) {
-	r.add(&entry{name: name, desc: desc, kind: KindHistogram, hist: h})
-}
-
-// formula registers a derived value. fn receives a lookup over the snapshot
-// being built (counters and histogram totals as float64, earlier formulas
-// included); unknown names read as 0.
-func (r *Registry) formula(name, desc string, fn func(get func(string) float64) float64) {
-	r.add(&entry{name: name, desc: desc, kind: KindFormula, formula: fn})
-}
-
-// Ratio registers the derived value scale × num / (den[0] + den[1] + ...),
-// read over the snapshot being built (earlier formulas included, unknown
-// names as 0). It reads 0 while the denominator is 0.
-func (r *Registry) Ratio(name, desc string, scale float64, num string, den ...string) {
-	r.formula(name, desc, func(get func(string) float64) float64 {
-		var d float64
-		for _, n := range den {
-			d += get(n)
-		}
-		if d == 0 {
-			return 0
-		}
-		return scale * (get(num) / d)
-	})
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.entries) }
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -240,10 +224,11 @@ func (s *SyncHistogram) Sum() float64 {
 	return s.h.Sum()
 }
 
-func (s *SyncHistogram) value() *HistValue {
+// Value returns a copy of the histogram's current state.
+func (s *SyncHistogram) Value() *HistValue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.h.value()
+	return s.h.Value()
 }
 
 // HistValue is a histogram's state captured in a snapshot.
@@ -301,7 +286,8 @@ func (hv *HistValue) Quantile(q float64) float64 {
 	return hv.Bounds[len(hv.Bounds)-1]
 }
 
-func (h *Histogram) value() *HistValue {
+// Value returns a copy of the histogram's current state.
+func (h *Histogram) Value() *HistValue {
 	return &HistValue{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: append([]uint64(nil), h.counts...),
@@ -354,15 +340,21 @@ func (v Value) Number() float64 {
 }
 
 // Snapshot is a point-in-time (or interval, via DeltaSince) capture of every
-// registered metric, sorted by name.
+// metric the registry's sources write, sorted by name.
 type Snapshot struct {
 	Values []Value
-	index  map[string]int
+}
+
+// find binary-searches the sorted values for name.
+func (s *Snapshot) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.Values, name, func(v Value, name string) int {
+		return strings.Compare(v.Name, name)
+	})
 }
 
 // Get looks a metric up by name.
 func (s *Snapshot) Get(name string) (Value, bool) {
-	i, ok := s.index[name]
+	i, ok := s.find(name)
 	if !ok {
 		return Value{}, false
 	}
@@ -387,43 +379,31 @@ func (r *Registry) Snapshot() *Snapshot { return r.snapshot(nil) }
 func (r *Registry) DeltaSince(prev *Snapshot) *Snapshot { return r.snapshot(prev) }
 
 func (r *Registry) snapshot(prev *Snapshot) *Snapshot {
-	s := &Snapshot{index: make(map[string]int, len(r.entries))}
-	get := func(name string) float64 {
-		if i, ok := s.index[name]; ok {
-			return s.Values[i].Number()
-		}
-		return 0
+	w := Writer{prev: prev}
+	for _, src := range r.sources {
+		src(&w)
 	}
-	// Formulas read metrics registered before them, so evaluate in
-	// registration order, then sort for presentation.
-	for _, e := range r.entries {
-		v := Value{Name: e.name, Desc: e.desc, Kind: e.kind}
-		switch e.kind {
-		case KindCounter:
-			v.Uint = e.counter()
-			if prev != nil {
-				if pv, ok := prev.Get(e.name); ok {
-					v.Uint -= pv.Uint
-				}
-			}
-		case KindGauge:
-			v.Float = e.gauge()
-		case KindHistogram:
-			v.Hist = e.hist.value()
-			if prev != nil {
-				if pv, ok := prev.Get(e.name); ok && pv.Hist != nil {
-					v.Hist = v.Hist.sub(pv.Hist)
-				}
-			}
-		case KindFormula:
-			v.Float = e.formula(get)
-		}
-		s.index[e.name] = len(s.Values)
-		s.Values = append(s.Values, v)
-	}
-	sort.Slice(s.Values, func(i, j int) bool { return s.Values[i].Name < s.Values[j].Name })
+	s := &Snapshot{Values: w.vals}
+	slices.SortFunc(s.Values, func(a, b Value) int { return strings.Compare(a.Name, b.Name) })
 	for i, v := range s.Values {
-		s.index[v.Name] = i
+		if err := CheckName(v.Name); err != nil {
+			panic(err.Error())
+		}
+		if i > 0 && s.Values[i-1].Name == v.Name {
+			panic(fmt.Sprintf("stats: duplicate metric %q", v.Name))
+		}
+	}
+	for _, f := range w.ratios {
+		var d float64
+		for _, n := range f.den {
+			d += s.Number(n)
+		}
+		v := 0.0
+		if d != 0 {
+			v = f.scale * (s.Number(f.num) / d)
+		}
+		i, _ := s.find(f.name)
+		s.Values[i].Float = v
 	}
 	return s
 }

@@ -8,16 +8,22 @@ import (
 	"testing"
 )
 
-func TestSnapshotKindsAndOrder(t *testing.T) {
+// registry returns a registry whose one source is src.
+func registry(src Source) *Registry {
 	r := NewRegistry()
+	r.Add(src)
+	return r
+}
+
+func TestSnapshotKindsAndOrder(t *testing.T) {
 	c := uint64(0)
-	g := 2.5
-	r.Counter("b.count", "a counter", func() uint64 { return c })
-	r.Gauge("a.gauge", "a gauge", func() float64 { return g })
 	h := NewHistogram([]float64{1, 10})
-	r.AttachHistogram("c.hist", "a histogram", h)
-	r.formula("d.double", "count*2", func(get func(string) float64) float64 {
-		return 2 * get("b.count")
+	r := registry(func(w *Writer) {
+		w.Counter("b.count", "a counter", c)
+		w.Gauge("a.gauge", "a gauge", 2.5)
+		w.Histogram("c.hist", "a histogram", h.Value())
+		w.Ratio("d.double", "count*2", 2, "b.count", "one")
+		w.Counter("one", "", 1)
 	})
 
 	c = 7
@@ -26,7 +32,11 @@ func TestSnapshotKindsAndOrder(t *testing.T) {
 	h.Observe(100)
 	s := r.Snapshot()
 
-	if got := []string{s.Values[0].Name, s.Values[1].Name, s.Values[2].Name, s.Values[3].Name}; got[0] != "a.gauge" || got[1] != "b.count" || got[2] != "c.hist" || got[3] != "d.double" {
+	var got []string
+	for _, v := range s.Values {
+		got = append(got, v.Name)
+	}
+	if strings.Join(got, " ") != "a.gauge b.count c.hist d.double one" {
 		t.Fatalf("snapshot not sorted by name: %v", got)
 	}
 	if v, _ := s.Get("b.count"); v.Uint != 7 {
@@ -35,6 +45,7 @@ func TestSnapshotKindsAndOrder(t *testing.T) {
 	if v, _ := s.Get("a.gauge"); v.Float != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", v.Float)
 	}
+	// The ratio reads a counter written after it.
 	if v, _ := s.Get("d.double"); v.Float != 14 {
 		t.Fatalf("formula = %v, want 14", v.Float)
 	}
@@ -45,15 +56,19 @@ func TestSnapshotKindsAndOrder(t *testing.T) {
 	if got := v.Hist.Mean(); math.Abs(got-105.5/3) > 1e-9 {
 		t.Fatalf("histogram mean = %v", got)
 	}
+	if _, ok := s.Get("missing"); ok {
+		t.Fatal("Get found a metric no source wrote")
+	}
 }
 
 func TestRatio(t *testing.T) {
-	r := NewRegistry()
 	hits, misses := uint64(0), uint64(0)
-	r.Counter("hits", "", func() uint64 { return hits })
-	r.Counter("misses", "", func() uint64 { return misses })
-	r.Ratio("miss_rate", "", 1, "misses", "hits", "misses")
-	r.Ratio("misses_per_kaccess", "", 1000, "misses", "hits", "misses")
+	r := registry(func(w *Writer) {
+		w.Counter("hits", "", hits)
+		w.Counter("misses", "", misses)
+		w.Ratio("miss_rate", "", 1, "misses", "hits", "misses")
+		w.Ratio("misses_per_kaccess", "", 1000, "misses", "hits", "misses")
+	})
 	if v, _ := r.Snapshot().Get("miss_rate"); v.Float != 0 {
 		t.Fatalf("ratio over a zero denominator = %v, want 0", v.Float)
 	}
@@ -67,14 +82,40 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestDeltaSince(t *testing.T) {
+// TestRatiosEvaluateInWriteOrder pins the formula rule: every ratio reads
+// the counters of every source, and another ratio's value only when that
+// ratio was written first.
+func TestRatiosEvaluateInWriteOrder(t *testing.T) {
 	r := NewRegistry()
+	r.Add(func(w *Writer) {
+		w.Ratio("z.half", "", 1, "a.n", "b.two")
+		w.Ratio("y.quarter", "", 1, "z.half", "b.two")
+		w.Ratio("x.early", "", 1, "w.late", "b.two")
+		w.Ratio("w.late", "", 1, "a.n", "b.two")
+	})
+	r.Add(func(w *Writer) {
+		w.Counter("a.n", "", 1)
+		w.Counter("b.two", "", 2)
+	})
+	s := r.Snapshot()
+	for name, want := range map[string]float64{
+		"z.half": 0.5, "y.quarter": 0.25, "w.late": 0.5, "x.early": 0,
+	} {
+		if got := s.Number(name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+func TestDeltaSince(t *testing.T) {
 	c := uint64(10)
-	r.Counter("n", "", func() uint64 { return c })
-	r.Gauge("occ", "", func() float64 { return float64(c) })
 	h := NewHistogram([]float64{5})
-	r.AttachHistogram("h", "", h)
-	r.Ratio("rate", "n per h-count", 1, "n", "h")
+	r := registry(func(w *Writer) {
+		w.Counter("n", "", c)
+		w.Gauge("occ", "", float64(c))
+		w.Histogram("h", "", h.Value())
+		w.Ratio("rate", "n per h-count", 1, "n", "h")
+	})
 	h.Observe(1)
 
 	prev := r.Snapshot()
@@ -105,27 +146,42 @@ func TestDeltaSince(t *testing.T) {
 }
 
 func TestDuplicateAndInvalidNamesPanic(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x", "", func() uint64 { return 0 })
-	for _, fn := range []func(){
-		func() { r.Counter("x", "", func() uint64 { return 0 }) },
-		func() { r.Gauge("", "", func() float64 { return 0 }) },
+	for name, src := range map[string]Source{
+		"duplicate": func(w *Writer) {
+			w.Counter("x", "", 0)
+			w.Gauge("x", "", 0)
+		},
+		"empty":      func(w *Writer) { w.Gauge("", "", 0) },
+		"whitespace": func(w *Writer) { w.Counter("cache.a b.hits", "", 0) },
+		"tab":        func(w *Writer) { w.Counter("cache.a\tb.hits", "", 0) },
 	} {
+		r := registry(src)
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("expected panic")
+					t.Errorf("%s: Snapshot did not panic", name)
 				}
 			}()
-			fn()
+			r.Snapshot()
 		}()
 	}
+	// A duplicate across two sources is caught the same way.
+	r := registry(func(w *Writer) { w.Counter("x", "", 0) })
+	r.Add(func(w *Writer) { w.Counter("x", "", 0) })
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate across sources: Snapshot did not panic")
+		}
+	}()
+	r.Snapshot()
 }
 
 func TestTextRenderer(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("pipeline.cycles", "simulated cycles", func() uint64 { return 42 })
-	r.formula("pipeline.ipc", "ipc", func(get func(string) float64) float64 { return 1.5 })
+	r := registry(func(w *Writer) {
+		w.Counter("pipeline.cycles", "simulated cycles", 42)
+		w.Counter("pipeline.insts", "", 63)
+		w.Ratio("pipeline.ipc", "ipc", 1, "pipeline.insts", "pipeline.cycles")
+	})
 	txt := r.Snapshot().Text()
 	for _, want := range []string{"pipeline.cycles", "42", "# simulated cycles", "pipeline.ipc", "1.5"} {
 		if !strings.Contains(txt, want) {
@@ -135,12 +191,13 @@ func TestTextRenderer(t *testing.T) {
 }
 
 func TestJSONRenderer(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.n", "", func() uint64 { return 3 })
 	h := NewHistogram([]float64{1})
 	h.Observe(0.5)
-	r.AttachHistogram("a.h", "", h)
-	r.formula("a.nan", "", func(get func(string) float64) float64 { return math.NaN() })
+	r := registry(func(w *Writer) {
+		w.Counter("a.n", "", 3)
+		w.Histogram("a.h", "", h.Value())
+		w.Gauge("a.nan", "", math.NaN())
+	})
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -166,13 +223,14 @@ func TestJSONRenderer(t *testing.T) {
 }
 
 func TestPrometheusRenderer(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("cache.l2.misses", "demand misses", func() uint64 { return 9 })
 	h := NewHistogram([]float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(9)
-	r.AttachHistogram("pipeline.load_latency", "load latency", h)
+	r := registry(func(w *Writer) {
+		w.Counter("cache.l2.misses", "demand misses", 9)
+		w.Histogram("pipeline.load_latency", "load latency", h.Value())
+	})
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {

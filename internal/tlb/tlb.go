@@ -178,14 +178,14 @@ func (t *TLB) FlushAll() {
 	}
 }
 
-// Register publishes the TLB's counters under prefix ("tlb.dtlb").
-func (t *TLB) Register(r *stats.Registry, prefix string) {
-	r.Counter(prefix+".hits", "translation hits", func() uint64 { return t.Stats.Hits })
-	r.Counter(prefix+".misses", "translation misses", func() uint64 { return t.Stats.Misses })
-	r.Counter(prefix+".fills", "translations installed", func() uint64 { return t.Stats.Fills })
-	r.Counter(prefix+".flushes", "full invalidations", func() uint64 { return t.Stats.Flushes })
-	r.Ratio(prefix+".miss_rate", "misses per lookup", 1, prefix+".misses", prefix+".hits", prefix+".misses")
-	r.Gauge(prefix+".occupancy", "valid entries", func() float64 { return float64(t.Occupancy()) })
+// WriteMetrics writes the TLB's counters under prefix ("tlb.dtlb").
+func (t *TLB) WriteMetrics(w *stats.Writer, prefix string) {
+	w.Counter(prefix+".hits", "translation hits", t.Stats.Hits)
+	w.Counter(prefix+".misses", "translation misses", t.Stats.Misses)
+	w.Counter(prefix+".fills", "translations installed", t.Stats.Fills)
+	w.Counter(prefix+".flushes", "full invalidations", t.Stats.Flushes)
+	w.Ratio(prefix+".miss_rate", "misses per lookup", 1, prefix+".misses", prefix+".hits", prefix+".misses")
+	w.Gauge(prefix+".occupancy", "valid entries", float64(t.Occupancy()))
 }
 
 // Occupancy returns the number of valid entries (test/diagnostic helper).

@@ -7,8 +7,9 @@
 # tree. Then it runs every catalogue workload (-list) under each of the five
 # policies with every output file on, plus the program listing (-disasm) and
 # the annotated disassembly (-annotate) on stdout, and compares stdout and the
-# five files byte for byte. It prints each run that differs and exits non-zero if any
-# does. Everything lives under one temporary directory ($TMPDIR), removed on
+# five files byte for byte. A second run per cell writes -stats-interval
+# deltas as JSONL, compared byte for byte too. It prints each run that
+# differs and exits non-zero if any does. Everything lives under one temporary directory ($TMPDIR), removed on
 # exit, so nothing is written inside the checkout. CI does not run it: a
 # change that means to move an answer fails it by design.
 set -eu
@@ -26,17 +27,19 @@ git -C "$ROOT" archive "$BASE" | tar -x -C "$TMP/src"
 (cd "$TMP/src" && go build -buildvcs=false -o "$TMP/base.sim" ./cmd/specmpk-sim)
 (cd "$ROOT" && go build -buildvcs=false -o "$TMP/work.sim" ./cmd/specmpk-sim)
 
-# run <side> <workload> <policy>: one run with every output, into
-# $TMP/<side>/<workload>.<policy>/.
+# run <side> <workload> <policy>: one run with every output and one interval
+# run, into $TMP/<side>/<workload>.<policy>/; status holds their exit codes.
 run() {
 	d=$TMP/$1/$2.$3
 	mkdir -p "$d"
-	status=0
+	status=0 istatus=0
 	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -trace 40 -pipeview 60 -disasm -annotate \
 		-stats-out "$d/stats.json" -prom-out "$d/stats.prom" -trace-out "$d/trace.jsonl" \
 		-konata-out "$d/konata.log" -konata-n 3000 -profile-out "$d/profile.json" \
 		-traceparent "$TP" >"$d/stdout" 2>/dev/null || status=$?
-	echo "$status" >"$d/status"
+	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -stats-interval 50000 \
+		-stats-out "$d/intervals.jsonl" >/dev/null 2>&1 || istatus=$?
+	echo "$status $istatus" >"$d/status"
 }
 
 cells=0
@@ -46,7 +49,7 @@ for wl in $("$TMP/work.sim" -list | awk '{print $1}'); do
 		run base "$wl" "$pol"
 		run work "$wl" "$pol"
 		cells=$((cells + 1))
-		for f in status stdout stats.json stats.prom trace.jsonl konata.log profile.json; do
+		for f in status stdout stats.json stats.prom trace.jsonl konata.log profile.json intervals.jsonl; do
 			if ! cmp -s "$TMP/base/$wl.$pol/$f" "$TMP/work/$wl.$pol/$f"; then
 				echo "DIFFERS: $wl $pol $f"
 				differ=$((differ + 1))
@@ -59,4 +62,4 @@ if [ "$differ" -ne 0 ]; then
 	echo "same-answers: $differ outputs differ from $BASE across $cells runs" >&2
 	exit 1
 fi
-echo "same-answers: $cells runs, stdout and five output files each, identical to $BASE"
+echo "same-answers: $cells runs, stdout, five output files and an interval run each, identical to $BASE"
