@@ -250,9 +250,12 @@ func (c *Cache) Probe(paddr uint64) bool {
 // containing paddr from this level and everything below.
 func (c *Cache) FlushLine(paddr uint64) { c.flushLine(paddr) }
 
+// A flushed way is cleared whole, recency included: install reads an empty
+// way 0 as the lowest recency, so a kept stamp would let a valid line lose
+// to it.
 func (c *Cache) flushLine(paddr uint64) {
 	if l := c.find(c.set(paddr)); l != nil {
-		l.valid = false
+		*l = line{}
 		c.Stats.Flushes++
 	}
 	c.next.flushLine(paddr)

@@ -73,6 +73,29 @@ func TestFlushLine(t *testing.T) {
 	}
 }
 
+// TestFlushedWayIsRefilledFirst: a miss after a CLFLUSH fills the way the
+// flush emptied, even way 0 holding the set's most recent line, instead of
+// evicting a valid line.
+func TestFlushedWayIsRefilledFirst(t *testing.T) {
+	// One set of four ways: every line maps to it.
+	c := mustNew(t, Config{Name: "t", SizeB: 256, Ways: 4, LineB: 64, Latency: 3}, &Memory{Latency: 100})
+	a, b, cc, d, e := uint64(0), uint64(64), uint64(128), uint64(192), uint64(256)
+	for _, addr := range []uint64{a, b, cc, d} { // A-C fill ways 1-3, D way 0
+		c.Access(addr, false)
+	}
+	c.Access(d, false) // D becomes the set's most recent line
+	c.FlushLine(d)
+	c.Access(e, false)
+	if c.Stats.Evictions != 0 {
+		t.Fatalf("evictions = %d, want 0: the flushed way was free", c.Stats.Evictions)
+	}
+	for _, addr := range []uint64{a, b, cc, e} {
+		if !c.Probe(addr) {
+			t.Fatalf("line %#x not resident", addr)
+		}
+	}
+}
+
 func TestInvalidateAll(t *testing.T) {
 	c := smallCache(t)
 	for i := 0; i < 8; i++ {

@@ -8,7 +8,10 @@
 // run through one seam, Runner.Jobs: an in-process specmpkd server by
 // default, a daemon or a cluster under specmpk-bench -remote. Local and
 // remote sweeps therefore run one code path and print the same bytes, and
-// the sampled experiment runs the daemon's own sampled path.
+// the sampled experiment runs the daemon's own sampled path. A job-driven
+// experiment lists its jobs as rows and hands them to Runner.sweep, the one
+// place that schedules jobs and reports their failures; it then derives its
+// rows from the results.
 package experiments
 
 import (
@@ -78,21 +81,21 @@ func (r Runner) catalog() []workload.Profile {
 	return out
 }
 
-// forEach runs f over the items with bounded parallelism. Every worker's
-// error is kept (joined with errors.Join), not just whichever reached a
-// channel first, so a sweep that fails on three workloads reports all three.
-func forEach[T any](workers int, items []T, f func(T) error) error {
+// forEach runs f over [0, n) with bounded parallelism. Every worker's error
+// is kept (joined with errors.Join), not just whichever reached a channel
+// first, so a sweep that fails on three workloads reports all three.
+func forEach(workers, n int, f func(i int) error) error {
 	sem := make(chan struct{}, workers)
-	errs := make([]error, len(items))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, it := range items {
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, it T) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = f(it)
-		}(i, it)
+			errs[i] = f(i)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -102,24 +105,20 @@ func label(p workload.Profile) string {
 	return fmt.Sprintf("%s (%s)", p.Name, p.Scheme)
 }
 
-// sim runs one full-fidelity simulation of the workload at the variant on
-// the config as a job (see Runner.Jobs).
-func (r Runner) sim(p workload.Profile, v workload.Variant, cfg pipeline.Config) (api.Result, error) {
-	res, _, err := r.run(api.SpecFor(p.Name, v, cfg))
-	return res, err
-}
-
-// runStats is sim for the (common) experiments that only need the summary
-// statistics.
-func (r Runner) runStats(p workload.Profile, v workload.Variant, cfg pipeline.Config) (pipeline.Stats, error) {
-	res, err := r.sim(p, v, cfg)
-	return res.Stats, err
-}
-
 func modeConfig(mode pipeline.Mode) pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	cfg.Mode = mode
 	return cfg
+}
+
+// modeSpecs lists the jobs that run workload p's variant v on the default
+// machine under each mode, in order.
+func modeSpecs(p workload.Profile, v workload.Variant, modes ...pipeline.Mode) []api.JobSpec {
+	specs := make([]api.JobSpec, len(modes))
+	for i, mode := range modes {
+		specs[i] = api.SpecFor(p.Name, v, modeConfig(mode))
+	}
+	return specs
 }
 
 // ---------------------------------------------------------------------------
@@ -137,25 +136,22 @@ type Fig3Row struct {
 // Fig3 regenerates Figure 3 over the catalogue.
 func Fig3(r Runner) ([]Fig3Row, error) {
 	cat := r.catalog()
+	runs, err := r.sweep(len(cat), func(i int) []api.JobSpec {
+		return modeSpecs(cat[i], workload.VariantFull, pipeline.ModeSerialized, pipeline.ModeNonSecure)
+	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig3Row, len(cat))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
-		p := cat[i]
-		ser, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeSerialized))
-		if err != nil {
-			return err
-		}
-		ns, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeNonSecure))
-		if err != nil {
-			return err
-		}
+	for i, run := range runs {
+		ser, ns := run[0].Stats, run[1].Stats
 		rows[i] = Fig3Row{
-			Workload:       label(p),
+			Workload:       label(cat[i]),
 			Speedup:        ns.IPC() / ser.IPC(),
 			RenameStallPct: 100 * float64(ser.SerializeStallCycles) / float64(ser.Cycles),
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderFig3 prints the figure as a table plus the paper-style summary.
@@ -192,31 +188,28 @@ type Fig4Row struct {
 // Fig4 regenerates Figure 4.
 func Fig4(r Runner) ([]Fig4Row, error) {
 	cat := r.catalog()
+	cfg := modeConfig(pipeline.ModeSerialized)
+	runs, err := r.sweep(len(cat), func(i int) []api.JobSpec {
+		return []api.JobSpec{
+			api.SpecFor(cat[i].Name, workload.VariantNone, cfg),
+			api.SpecFor(cat[i].Name, workload.VariantNop, cfg),
+			api.SpecFor(cat[i].Name, workload.VariantFull, cfg),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig4Row, len(cat))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
-		p := cat[i]
-		cfg := modeConfig(pipeline.ModeSerialized)
-		base, err := r.runStats(p, workload.VariantNone, cfg)
-		if err != nil {
-			return err
-		}
-		nop, err := r.runStats(p, workload.VariantNop, cfg)
-		if err != nil {
-			return err
-		}
-		full, err := r.runStats(p, workload.VariantFull, cfg)
-		if err != nil {
-			return err
-		}
+	for i, run := range runs {
+		base, nop, full := run[0].Stats, run[1].Stats, run[2].Stats
 		rows[i] = Fig4Row{
-			Workload:            label(p),
+			Workload:            label(cat[i]),
 			CompilerOverheadPct: 100 * (float64(nop.Cycles)/float64(base.Cycles) - 1),
 			SerializeOverhead:   100 * (float64(full.Cycles)/float64(nop.Cycles) - 1),
 			TotalOverheadPct:    100 * (float64(full.Cycles)/float64(base.Cycles) - 1),
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderFig4 prints the overhead breakdown.
@@ -252,30 +245,24 @@ type Fig9Row struct {
 // Fig9 regenerates the headline result.
 func Fig9(r Runner) ([]Fig9Row, error) {
 	cat := r.catalog()
+	runs, err := r.sweep(len(cat), func(i int) []api.JobSpec {
+		return modeSpecs(cat[i], workload.VariantFull,
+			pipeline.ModeSerialized, pipeline.ModeNonSecure, pipeline.ModeSpecMPK)
+	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig9Row, len(cat))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
-		p := cat[i]
-		ser, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeSerialized))
-		if err != nil {
-			return err
-		}
-		ns, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeNonSecure))
-		if err != nil {
-			return err
-		}
-		sp, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeSpecMPK))
-		if err != nil {
-			return err
-		}
+	for i, run := range runs {
+		ser, ns, sp := run[0].Stats, run[1].Stats, run[2].Stats
 		rows[i] = Fig9Row{
-			Workload:      label(p),
+			Workload:      label(cat[i]),
 			SerializedIPC: ser.IPC(),
 			NonSecureNorm: ns.IPC() / ser.IPC(),
 			SpecMPKNorm:   sp.IPC() / ser.IPC(),
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // Fig9Summary aggregates the figure the way the paper quotes it.
@@ -345,7 +332,7 @@ type Fig10Row struct {
 func Fig10(r Runner) ([]Fig10Row, error) {
 	cat := r.catalog()
 	rows := make([]Fig10Row, len(cat))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
+	err := forEach(r.workers(), len(cat), func(i int) error {
 		p := cat[i]
 		prog, err := p.Build(workload.VariantFull)
 		if err != nil {
@@ -413,35 +400,31 @@ func Fig11(r Runner) ([]Fig11Row, error) {
 		r.Workloads = Fig11Workloads
 	}
 	cat := r.catalog()
-	rows := make([]Fig11Row, len(cat))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
-		p := cat[i]
-		ser, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeSerialized))
-		if err != nil {
-			return err
-		}
-		ns, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeNonSecure))
-		if err != nil {
-			return err
-		}
-		row := Fig11Row{
-			Workload:      label(p),
-			Norm:          make(map[int]float64, len(Fig11Sizes)),
-			NonSecureNorm: ns.IPC() / ser.IPC(),
-		}
+	runs, err := r.sweep(len(cat), func(i int) []api.JobSpec {
+		specs := modeSpecs(cat[i], workload.VariantFull, pipeline.ModeSerialized, pipeline.ModeNonSecure)
 		for _, size := range Fig11Sizes {
 			cfg := modeConfig(pipeline.ModeSpecMPK)
 			cfg.ROBPkruSize = size
-			sp, err := r.runStats(p, workload.VariantFull, cfg)
-			if err != nil {
-				return err
-			}
-			row.Norm[size] = sp.IPC() / ser.IPC()
+			specs = append(specs, api.SpecFor(cat[i].Name, workload.VariantFull, cfg))
 		}
-		rows[i] = row
-		return nil
+		return specs
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig11Row, len(cat))
+	for i, run := range runs {
+		ser, ns := run[0].Stats, run[1].Stats
+		rows[i] = Fig11Row{
+			Workload:      label(cat[i]),
+			Norm:          make(map[int]float64, len(Fig11Sizes)),
+			NonSecureNorm: ns.IPC() / ser.IPC(),
+		}
+		for j, size := range Fig11Sizes {
+			rows[i].Norm[size] = run[2+j].Stats.IPC() / ser.IPC()
+		}
+	}
+	return rows, nil
 }
 
 // RenderFig11 prints the sweep.
@@ -591,12 +574,4 @@ func RenderHWCost(b hwcost.Breakdown) string {
 	cfg := pipeline.DefaultConfig()
 	return fmt.Sprintf("Hardware overhead (paper §VIII)\n%stotal %.1f B = %.2f%% of the %dKB L1D (paper: 93 B, 0.19%%)\n",
 		b, b.TotalBytes(), b.PercentOfL1D(cfg.Caches.L1D.SizeB), cfg.Caches.L1D.SizeB>>10)
-}
-
-func indices[T any](s []T) []int {
-	out := make([]int, len(s))
-	for i := range s {
-		out[i] = i
-	}
-	return out
 }

@@ -17,8 +17,8 @@ import (
 // failing transiently. A daemon client's Run already carries its own
 // backoff/retry budget (and its daemon-restart resubmission), so this outer
 // loop only matters for prolonged outages; a sweep then loses exactly the
-// jobs that outlived every layer of retries, reported per job by forEach's
-// joined error, instead of aborting wholesale on the first wobble.
+// rows whose jobs outlived every layer of retries, reported per row by
+// sweep's joined error, instead of aborting wholesale on the first wobble.
 const jobAttempts = 3
 
 // localServer is the in-process server that runs the jobs of a Runner
@@ -70,4 +70,35 @@ func (r Runner) run(spec api.JobSpec) (api.Result, api.JobInfo, error) {
 			return api.Result{}, info, fmt.Errorf("%s: job kept failing transiently: %w", name, err)
 		}
 	}
+}
+
+// ran is one job of a sweep after it ran: its result and the job's info.
+type ran struct {
+	api.Result
+	info api.JobInfo
+}
+
+// sweep runs an experiment's jobs, and is the one place that schedules
+// them: row(i) lists row i's jobs, for i in [0, n). Rows run in parallel, at
+// most Parallelism at a time, and a row's jobs run in order, so Parallelism
+// bounds the jobs in flight and a row's later jobs find what its earlier
+// ones left in the server's stores (a sampled plan). A row stops at its
+// first failed job, and the error joins every failed row's. On success
+// out[i][j] is row i's job j.
+func (r Runner) sweep(n int, row func(i int) []api.JobSpec) ([][]ran, error) {
+	out := make([][]ran, n)
+	err := forEach(r.workers(), n, func(i int) error {
+		for _, spec := range row(i) {
+			res, info, err := r.run(spec)
+			if err != nil {
+				return err
+			}
+			out[i] = append(out[i], ran{res, info})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -45,7 +45,7 @@ func TestJobsRetriesTransientFailures(t *testing.T) {
 	c := client.New(ts.URL)
 	c.Retry = client.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	r := Runner{Jobs: c.Run}
-	res, err := r.sim(workload.Profile{Name: "w"}, workload.VariantFull, pipeline.DefaultConfig())
+	res, _, err := r.run(api.SpecFor("w", workload.VariantFull, pipeline.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestJobsDoesNotRetryTerminalFailures(t *testing.T) {
 	c := client.New(ts.URL)
 	c.Retry = client.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	r := Runner{Jobs: c.Run}
-	if _, err := r.sim(workload.Profile{Name: "w"}, workload.VariantFull, pipeline.DefaultConfig()); err == nil {
+	if _, _, err := r.run(api.SpecFor("w", workload.VariantFull, pipeline.DefaultConfig())); err == nil {
 		t.Fatal("terminal failure succeeded")
 	}
 	if got := calls.Load(); got != 1 {
@@ -138,7 +138,7 @@ func TestClusterJobsDegradesToLocal(t *testing.T) {
 		t.Fatal("workload 520.omnetpp_r missing")
 	}
 	cfg := pipeline.DefaultConfig()
-	res, err := Runner{Jobs: ClusterJobs(co)}.sim(p, workload.VariantFull, cfg)
+	res, _, err := Runner{Jobs: ClusterJobs(co)}.run(api.SpecFor(p.Name, workload.VariantFull, cfg))
 	if err != nil {
 		t.Fatalf("degraded cell failed: %v", err)
 	}

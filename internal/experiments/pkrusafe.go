@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"specmpk/internal/pipeline"
+	"specmpk/internal/server/api"
 	"specmpk/internal/workload"
 )
 
@@ -24,41 +25,28 @@ type PKRUSafeRow struct {
 // workers regardless of the machine).
 func PKRUSafe(r Runner) ([]PKRUSafeRow, error) {
 	ext := workload.ExtCatalog()
+	modes := []pipeline.Mode{pipeline.ModeSerialized, pipeline.ModeNonSecure, pipeline.ModeSpecMPK}
+	runs, err := r.sweep(len(ext), func(i int) []api.JobSpec {
+		return append(modeSpecs(ext[i], workload.VariantNone, modes...),
+			modeSpecs(ext[i], workload.VariantFull, modes...)...)
+	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]PKRUSafeRow, len(ext))
-	err := forEach(r.workers(), indices(ext), func(i int) error {
-		p := ext[i]
-		overhead := func(mode pipeline.Mode) (float64, error) {
-			base, err := r.runStats(p, workload.VariantNone, modeConfig(mode))
-			if err != nil {
-				return 0, err
-			}
-			full, err := r.runStats(p, workload.VariantFull, modeConfig(mode))
-			if err != nil {
-				return 0, err
-			}
-			return 100 * (float64(full.Cycles)/float64(base.Cycles) - 1), nil
-		}
-		ser, err := overhead(pipeline.ModeSerialized)
-		if err != nil {
-			return err
-		}
-		ns, err := overhead(pipeline.ModeNonSecure)
-		if err != nil {
-			return err
-		}
-		sp, err := overhead(pipeline.ModeSpecMPK)
-		if err != nil {
-			return err
+	for i, run := range runs {
+		// overhead is mode k's cycles(protected) / cycles(unprotected) - 1.
+		overhead := func(k int) float64 {
+			return 100 * (float64(run[len(modes)+k].Stats.Cycles)/float64(run[k].Stats.Cycles) - 1)
 		}
 		rows[i] = PKRUSafeRow{
-			Workload:      label(p),
-			SerializedPct: ser,
-			NonSecurePct:  ns,
-			SpecMPKPct:    sp,
+			Workload:      label(ext[i]),
+			SerializedPct: overhead(0),
+			NonSecurePct:  overhead(1),
+			SpecMPKPct:    overhead(2),
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderPKRUSafe prints the overhead comparison.

@@ -92,7 +92,7 @@ func ProfileRun(r Runner) (*ProfileResult, error) {
 	modes := r.modes()
 	rows := make([]ProfileRow, len(cat)*len(modes))
 	reports := make([]*profile.Report, len(rows))
-	err := forEach(r.workers(), indices(rows), func(i int) error {
+	err := forEach(r.workers(), len(rows), func(i int) error {
 		row, rep, err := runProfiled(cat[i/len(modes)], modes[i%len(modes)])
 		if err != nil {
 			return err

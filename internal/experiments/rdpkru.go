@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"specmpk/internal/pipeline"
+	"specmpk/internal/server/api"
 	"specmpk/internal/workload"
 )
 
@@ -34,38 +35,28 @@ func Rdpkru(r Runner) ([]RdpkruRow, error) {
 		r.Workloads = RdpkruWorkloads
 	}
 	cat := r.catalog()
+	runs, err := r.sweep(len(cat), func(i int) []api.JobSpec {
+		return append(modeSpecs(cat[i], workload.VariantFull, pipeline.ModeSerialized, pipeline.ModeSpecMPK),
+			modeSpecs(cat[i], workload.VariantRdpkru, pipeline.ModeSpecMPK, pipeline.ModeSerialized)...)
+	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]RdpkruRow, len(cat))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
-		p := cat[i]
-		base, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeSerialized))
-		if err != nil {
-			return err
-		}
-		spFull, err := r.runStats(p, workload.VariantFull, modeConfig(pipeline.ModeSpecMPK))
-		if err != nil {
-			return err
-		}
-		spRMW, err := r.runStats(p, workload.VariantRdpkru, modeConfig(pipeline.ModeSpecMPK))
-		if err != nil {
-			return err
-		}
-		serRMW, err := r.runStats(p, workload.VariantRdpkru, modeConfig(pipeline.ModeSerialized))
-		if err != nil {
-			return err
-		}
+	for i, run := range runs {
+		base, spFull, spRMW, serRMW := run[0].Stats, run[1].Stats, run[2].Stats, run[3].Stats
 		// Normalize by cycles on identical work? The RMW variant retires
 		// two extra instructions per update, so compare by cycles of the
 		// whole program against the serialized-full cycle count scaled by
 		// instruction ratio — IPC ratios do that implicitly.
 		rows[i] = RdpkruRow{
-			Workload:         label(p),
+			Workload:         label(cat[i]),
 			SpecMPKFull:      spFull.IPC() / base.IPC(),
 			SpecMPKRdpkru:    spRMW.IPC() / base.IPC(),
 			SerializedRdpkru: serRMW.IPC() / base.IPC(),
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderRdpkru prints the study.

@@ -4,18 +4,20 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"specmpk/internal/pipeline"
 	"specmpk/internal/server/api"
+	"specmpk/internal/workload"
 )
 
 // TestForEachCollectsAllErrors: a sweep failing on several items must report
 // every failure, not just whichever error won a race.
 func TestForEachCollectsAllErrors(t *testing.T) {
-	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	err := forEach(3, items, func(i int) error {
+	err := forEach(3, 8, func(i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("item-%d-broke", i)
 		}
@@ -32,7 +34,7 @@ func TestForEachCollectsAllErrors(t *testing.T) {
 	if strings.Contains(err.Error(), "item-1") {
 		t.Errorf("joined error contains a non-error item: %v", err)
 	}
-	if err := forEach(3, items, func(int) error { return nil }); err != nil {
+	if err := forEach(3, 8, func(int) error { return nil }); err != nil {
 		t.Fatalf("all-success forEach returned %v", err)
 	}
 }
@@ -78,5 +80,66 @@ func TestSimSeam(t *testing.T) {
 	}
 	if len(srows) != 1 || srows[0].Metrics["stub"] != true {
 		t.Fatalf("stats rows %+v", srows)
+	}
+}
+
+// TestSweepOrdersRowsAndBoundsJobs: a sweep runs a row's jobs in order,
+// never has more than Parallelism jobs in flight, stops a row at its first
+// failure, and reports every failed row.
+func TestSweepOrdersRowsAndBoundsJobs(t *testing.T) {
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	order := map[string][]string{}
+	stub := func(_ context.Context, spec api.JobSpec) (api.Result, api.JobInfo, error) {
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		order[spec.Workload] = append(order[spec.Workload], spec.Variant)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		stop := pipeline.StopHalt
+		if spec.Variant == "nop" && spec.Workload != "w0" {
+			stop = pipeline.StopCycleLimit // a terminal failure: run does not retry it
+		}
+		return api.Result{StopReason: string(stop), Key: spec.Workload + "/" + spec.Variant}, api.JobInfo{}, nil
+	}
+	variants := []workload.Variant{workload.VariantNone, workload.VariantNop, workload.VariantFull}
+	row := func(i int) []api.JobSpec {
+		var specs []api.JobSpec
+		for _, v := range variants {
+			specs = append(specs, api.SpecFor(fmt.Sprintf("w%d", i), v, pipeline.DefaultConfig()))
+		}
+		return specs
+	}
+
+	r := Runner{Parallelism: 2, Jobs: stub}
+	_, err := r.sweep(4, row)
+	if err == nil {
+		t.Fatal("sweep with failing rows succeeded")
+	}
+	for _, w := range []string{"w1", "w2", "w3"} {
+		if !strings.Contains(err.Error(), w+"/nop/") {
+			t.Errorf("joined error misses row %s: %v", w, err)
+		}
+		if got := order[w]; strings.Join(got, ",") != "none,nop" {
+			t.Errorf("row %s ran %v, want none,nop and a stop at the failure", w, got)
+		}
+	}
+	if got := strings.Join(order["w0"], ","); got != "none,nop,full" {
+		t.Errorf("row w0 ran %s, want its jobs in order", got)
+	}
+	if peak > 2 {
+		t.Errorf("%d jobs in flight, Parallelism is 2", peak)
+	}
+
+	out, err := r.sweep(1, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || len(out[0]) != 3 || out[0][2].Key != "w0/full" {
+		t.Fatalf("sweep results %+v", out)
 	}
 }

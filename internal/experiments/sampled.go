@@ -39,51 +39,53 @@ func (r Runner) sampledModes() []pipeline.Mode {
 // sampled-fidelity job and one full-fidelity job, both through the runner's
 // job seam — so a local run takes the daemon's own sampled path, with its
 // profile store shared across the policy sweep and its intervals fanned out
-// over the pool. Wall times are the jobs' own (JobInfo.WallMS): a policy
-// after a workload's first pays no profile build, and a cell with a job
-// answered from a result store never ran, so its speedup is reported as 0
-// (rendered "-") rather than a fabricated ratio.
+// over the pool. A workload is one sweep row, so its cells run in order and
+// every policy after the first finds the workload's plan in the store. Wall
+// times are the jobs' own (JobInfo.WallMS): a policy after a workload's
+// first pays no profile build, and a cell with a job answered from a result
+// store never ran, so its speedup is reported as 0 (rendered "-") rather
+// than a fabricated ratio.
 func Sampled(r Runner) ([]SampledRow, error) {
 	modes := r.sampledModes()
 	cat := r.catalog()
-	rows := make([]SampledRow, len(cat)*len(modes))
-	err := forEach(r.workers(), indices(cat), func(i int) error {
-		p := cat[i]
+	runs, err := r.sweep(len(cat), func(i int) []api.JobSpec {
+		var specs []api.JobSpec
+		for _, full := range modeSpecs(cat[i], workload.VariantFull, modes...) {
+			sampled := full
+			sampled.Fidelity = api.FidelitySampled
+			specs = append(specs, sampled, full)
+		}
+		return specs
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SampledRow, 0, len(cat)*len(modes))
+	for i, run := range runs {
 		for j, mode := range modes {
-			fSpec := api.SpecFor(p.Name, workload.VariantFull, modeConfig(mode))
-			sSpec := fSpec
-			sSpec.Fidelity = api.FidelitySampled
-			sRes, sInfo, err := r.run(sSpec)
-			if err != nil {
-				return err
+			s, f := run[2*j], run[2*j+1]
+			if s.Sampled == nil {
+				return nil, fmt.Errorf("%s/%v: sampled job returned no sampled section", cat[i].Name, mode)
 			}
-			if sRes.Sampled == nil {
-				return fmt.Errorf("%s/%v: sampled job returned no sampled section", p.Name, mode)
-			}
-			fRes, fInfo, err := r.run(fSpec)
-			if err != nil {
-				return err
-			}
-			fullCPI := float64(fRes.Stats.Cycles) / float64(fRes.Stats.Insts)
+			fullCPI := float64(f.Stats.Cycles) / float64(f.Stats.Insts)
 			row := SampledRow{
-				Workload:   label(p),
+				Workload:   label(cat[i]),
 				Mode:       mode.String(),
-				SampledCPI: sRes.Sampled.CPI,
+				SampledCPI: s.Sampled.CPI,
 				FullCPI:    fullCPI,
-				ErrPct:     100 * (sRes.Sampled.CPI - fullCPI) / fullCPI,
-				BoundPct:   100 * sRes.Sampled.ErrorBound,
+				ErrPct:     100 * (s.Sampled.CPI - fullCPI) / fullCPI,
+				BoundPct:   100 * s.Sampled.ErrorBound,
 			}
-			if sInfo.WallMS > 0 && fInfo.WallMS > 0 {
-				row.SampledMS = sInfo.WallMS
-				row.FullMS = fInfo.WallMS
-				row.Speedup = fInfo.WallMS / sInfo.WallMS
+			if s.info.WallMS > 0 && f.info.WallMS > 0 {
+				row.SampledMS = s.info.WallMS
+				row.FullMS = f.info.WallMS
+				row.Speedup = f.info.WallMS / s.info.WallMS
 			}
 			row.WithinBound = row.ErrPct >= -row.BoundPct && row.ErrPct <= row.BoundPct
-			rows[i*len(modes)+j] = row
+			rows = append(rows, row)
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderSampled prints the validation table plus the aggregate the

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"specmpk/internal/pipeline"
+	"specmpk/internal/server/api"
 	"specmpk/internal/workload"
 )
 
@@ -28,17 +29,17 @@ type StatsRow struct {
 func StatsRows(r Runner) ([]StatsRow, error) {
 	cat := r.catalog()
 	modes := r.modes()
-	rows := make([]StatsRow, len(cat)*len(modes))
-	err := forEach(r.workers(), indices(rows), func(i int) error {
-		p := cat[i/len(modes)]
-		mode := modes[i%len(modes)]
-		res, err := r.sim(p, workload.VariantFull, modeConfig(mode))
-		if err != nil {
-			return err
-		}
-		s := res.Stats
+	runs, err := r.sweep(len(cat)*len(modes), func(i int) []api.JobSpec {
+		return modeSpecs(cat[i/len(modes)], workload.VariantFull, modes[i%len(modes)])
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]StatsRow, len(runs))
+	for i, run := range runs {
+		p, mode, s := cat[i/len(modes)], modes[i%len(modes)], run[0].Stats
 		if s.CPI.Sum() != s.Cycles {
-			return fmt.Errorf("stats: %s/%v: CPI stack sums to %d, want %d cycles",
+			return nil, fmt.Errorf("stats: %s/%v: CPI stack sums to %d, want %d cycles",
 				p.Name, mode, s.CPI.Sum(), s.Cycles)
 		}
 		rows[i] = StatsRow{
@@ -48,11 +49,10 @@ func StatsRows(r Runner) ([]StatsRow, error) {
 			Insts:    s.Insts,
 			IPC:      s.IPC(),
 			CPI:      s.CPI,
-			Metrics:  res.Metrics,
+			Metrics:  run[0].Metrics,
 		}
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }
 
 // RenderStats prints the CPI-stack decomposition per workload×mode as bucket

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"specmpk/internal/pipeline"
+	"specmpk/internal/server/api"
 	"specmpk/internal/workload"
 )
 
@@ -32,11 +33,11 @@ func WindowSweep(r Runner, workloadName string) ([]WindowRow, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", workloadName)
 	}
-	var rows []WindowRow
-	for _, al := range WindowSizes {
-		shape := func(mode pipeline.Mode) (pipeline.Stats, error) {
-			cfg := pipeline.DefaultConfig()
-			cfg.Mode = mode
+	runs, err := r.sweep(len(WindowSizes), func(i int) []api.JobSpec {
+		al := WindowSizes[i]
+		var specs []api.JobSpec
+		for _, mode := range []pipeline.Mode{pipeline.ModeSerialized, pipeline.ModeNonSecure, pipeline.ModeSpecMPK} {
+			cfg := modeConfig(mode)
 			cfg.ALSize = al
 			// Scale the auxiliary windows with the AL, as a real design
 			// would; ROB_pkru follows the paper's 1/24 ratio.
@@ -45,26 +46,22 @@ func WindowSweep(r Runner, workloadName string) ([]WindowRow, error) {
 			cfg.SQSize = al / 5
 			cfg.PRFSize = al/2 + 104
 			cfg.ROBPkruSize = max(al/24, 2)
-			return r.runStats(p, workload.VariantFull, cfg)
+			specs = append(specs, api.SpecFor(p.Name, workload.VariantFull, cfg))
 		}
-		ser, err := shape(pipeline.ModeSerialized)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := shape(pipeline.ModeNonSecure)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := shape(pipeline.ModeSpecMPK)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, WindowRow{
-			ALSize:        al,
+		return specs
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]WindowRow, len(runs))
+	for i, run := range runs {
+		ser, ns, sp := run[0].Stats, run[1].Stats, run[2].Stats
+		rows[i] = WindowRow{
+			ALSize:        WindowSizes[i],
 			SerializedIPC: ser.IPC(),
 			NonSecureNorm: ns.IPC() / ser.IPC(),
 			SpecMPKNorm:   sp.IPC() / ser.IPC(),
-		})
+		}
 	}
 	return rows, nil
 }

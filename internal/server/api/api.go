@@ -106,11 +106,6 @@ type SampledParams struct {
 	Seed int64 `json:"seed,omitempty"`
 	// WarmInsts is the per-checkpoint warm-up log depth in instructions.
 	WarmInsts uint64 `json:"warmInsts,omitempty"`
-	// Audit additionally runs the program at full fidelity and reports the
-	// measured sampled-vs-full CPI error next to the predicted bound. It
-	// costs what a full job costs — a validation tool, not a production
-	// setting.
-	Audit bool `json:"audit,omitempty"`
 }
 
 // Upper bounds on the sampled parameters, checked by Normalize so an
@@ -262,7 +257,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 			if o.WarmInsts != 0 {
 				sp.WarmInsts = o.WarmInsts
 			}
-			sp.Audit = o.Audit
 		}
 		switch {
 		case sp.IntervalLen < 1000:
@@ -312,9 +306,9 @@ func (s JobSpec) Key() (string, error) {
 }
 
 // profileIdentity is exactly what a sampled job's profiling pass depends on:
-// the program and the profiling parameters. The machine config, the mode and
-// the audit flag only affect detailed simulation, so they are deliberately
-// absent — two sampled specs with equal profile keys share one cached plan.
+// the program and the profiling parameters. The machine config and the mode
+// only affect detailed simulation, so they are deliberately absent — two
+// sampled specs with equal profile keys share one cached plan.
 type profileIdentity struct {
 	Workload    string `json:"workload,omitempty"`
 	Asm         string `json:"asm,omitempty"`
@@ -330,9 +324,9 @@ type profileIdentity struct {
 // ProfileKey returns the content-addressed identity of a sampled job's
 // profiling product (the simpoint plan: chosen points plus checkpoints).
 // It is a strict reduction of the job key: everything that does not change
-// the profile — machine config, policy mode, cycle/wall budgets, the audit
-// flag — is excluded, which is what lets a policy sweep over one workload
-// reuse a single cached profile.
+// the profile — machine config, policy mode, cycle/wall budgets — is
+// excluded, which is what lets a policy sweep over one workload reuse a
+// single cached profile.
 func (s JobSpec) ProfileKey() (string, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -525,12 +519,6 @@ type SampledResult struct {
 	// ErrorBound is the relative half-width of the CPI confidence interval:
 	// the full-fidelity CPI is expected within CPI * (1 ± ErrorBound).
 	ErrorBound float64 `json:"errorBound"`
-	// Audit fields, present when Params.Audit requested a full-fidelity
-	// comparison run: the measured CPI, the measured relative error of the
-	// sampled estimate against it, and the audit run's stop reason.
-	AuditCPI        float64 `json:"auditCPI,omitempty"`
-	AuditErr        float64 `json:"auditErr,omitempty"`
-	AuditStopReason string  `json:"auditStopReason,omitempty"`
 }
 
 // Healthz is the /v1/healthz diagnostic payload: enough to tell which

@@ -308,7 +308,6 @@ func TestSampledParamsPerturbTheKey(t *testing.T) {
 		{K: 3},
 		{Seed: 7},
 		{WarmInsts: 4096},
-		{Audit: true},
 	}
 	for _, p := range perturb {
 		s := base
@@ -342,15 +341,13 @@ func TestProfileKeyScopes(t *testing.T) {
 		t.Fatal("profile key must not collide with the job key")
 	}
 
-	// Things that do NOT change the profile: mode, machine config, budgets,
-	// the audit flag.
+	// Things that do NOT change the profile: mode, machine config, budgets.
 	cfg := pipeline.DefaultConfig()
 	cfg.ROBPkruSize = 2
 	same := []JobSpec{
 		{Workload: "541.leela_r", Mode: "serialized", Fidelity: FidelitySampled},
 		{Workload: "541.leela_r", Mode: "specmpk", Fidelity: FidelitySampled, Config: &cfg},
 		{Workload: "541.leela_r", Mode: "specmpk", Fidelity: FidelitySampled, MaxCycles: 12345},
-		{Workload: "541.leela_r", Mode: "specmpk", Fidelity: FidelitySampled, Sampled: &SampledParams{Audit: true}},
 	}
 	for _, s := range same {
 		k, err := s.ProfileKey()

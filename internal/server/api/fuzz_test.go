@@ -27,7 +27,7 @@ func FuzzJobSpecKey(f *testing.F) {
 		{Workload: "548.exchange2_r", Variant: "nop", Mode: "serialized", Seed: 3, MaxCycles: 5000},
 		{Workload: "557.xz_r", Config: &cfg, MaxWallMS: 10},
 		{Asm: "main:\n    movi t0, 3\n    halt\n", Mode: "specmpk"},
-		{Workload: "548.exchange2_r", Fidelity: FidelitySampled, Sampled: &SampledParams{IntervalLen: 2000, K: 2, Audit: true}},
+		{Workload: "548.exchange2_r", Fidelity: FidelitySampled, Sampled: &SampledParams{IntervalLen: 2000, K: 2}},
 		{Asm: hugeRegionAsm},
 	} {
 		b, err := json.Marshal(spec)

@@ -85,13 +85,14 @@ type intervalTask struct {
 func (t *intervalTask) claim() bool { return t.claimed.CompareAndSwap(false, true) }
 
 // runSampled is the run simulate picks for the sampled fidelity: resolve the
-// plan (profile store), fan the intervals out under the job's context,
-// recombine, and optionally audit the estimate against runFull. The result
-// it returns is a pure function of the spec — estimates, weights, interval
-// measurements — so sampled results are as byte-reproducible and cacheable
-// as full ones; whether the profile came from the store lives only in spans
-// and server metrics. It also returns the cycles and instructions it
-// simulated.
+// plan (profile store), fan the intervals out under the job's context, and
+// recombine. It simulates nothing else: the measured error of an estimate
+// is a comparison with the full job of the same spec, which the result
+// store caches like any other. The result it returns is a pure function of
+// the spec — estimates, weights, interval measurements — so sampled results
+// are as byte-reproducible and cacheable as full ones; whether the profile
+// came from the store lives only in spans and server metrics. It also
+// returns the cycles and instructions it simulated.
 func (s *Server) runSampled(ctx context.Context, ex *execution, cfg pipeline.Config, prog *asm.Program) (res api.Result, cycle, insts uint64, err error) {
 	spec := ex.spec
 	pkey, err := spec.ProfileKey()
@@ -190,55 +191,6 @@ func (s *Server) runSampled(ctx context.Context, ex *execution, cfg pipeline.Con
 			CPI:    float64(istats[i].Cycles) / float64(istats[i].Insts),
 		}
 	}
-	sr := &api.SampledResult{
-		Params:          *spec.Sampled,
-		ProfileKey:      pkey,
-		Intervals:       plan.Intervals,
-		TotalInsts:      plan.TotalInsts,
-		Points:          points,
-		CPI:             est.CPI,
-		IPC:             est.IPC,
-		EstimatedCycles: est.Cycles,
-		ErrorBound:      est.ErrorBound,
-	}
-	metrics := map[string]any{
-		"sampled.cpi":              est.CPI,
-		"sampled.ipc":              est.IPC,
-		"sampled.error_bound":      est.ErrorBound,
-		"sampled.estimated_cycles": float64(est.Cycles),
-		"sampled.total_insts":      float64(plan.TotalInsts),
-		"sampled.intervals":        float64(plan.Intervals),
-		"sampled.points":           float64(n),
-		"sampled.interval_len":     float64(spec.Sampled.IntervalLen),
-	}
-
-	// The audit is a full run of the program under the same machine config:
-	// the measured truth the estimate is validated against.
-	if spec.Sampled.Audit {
-		at0 := time.Now()
-		asp := s.rec.StartSpanAt(ex.simSpan.Context(), "sampled.audit", at0)
-		full, c, i, aerr := s.runFull(ctx, ex, cfg, prog)
-		cycle, insts = cycle+c, insts+i
-		asp.SetAttr("cycles", c)
-		asp.SetAttr("insts", i)
-		asp.SetAttr("stop_reason", full.StopReason)
-		if aerr == nil && i == 0 {
-			aerr = errors.New("audit run retired no instructions")
-		}
-		if aerr != nil {
-			asp.SetError(aerr.Error())
-		}
-		asp.EndAt(at0.Add(time.Since(at0)))
-		if aerr != nil {
-			return res, cycle, insts, fmt.Errorf("sampled audit: %w", aerr)
-		}
-		cpi := float64(c) / float64(i)
-		sr.AuditCPI = cpi
-		sr.AuditErr = (est.CPI - cpi) / cpi
-		sr.AuditStopReason = full.StopReason
-		metrics["sampled.audit_cpi"] = cpi
-		metrics["sampled.audit_err"] = sr.AuditErr
-	}
 	ex.progress(cycle, insts, est.IPC)
 	s.sampledJobs.Add(1)
 	return api.Result{
@@ -250,7 +202,26 @@ func (s *Server) runSampled(ctx context.Context, ex *execution, cfg pipeline.Con
 			Insts:  plan.TotalInsts,
 			Stop:   pipeline.StopReason(api.StopSampled),
 		},
-		Metrics: metrics,
-		Sampled: sr,
+		Metrics: map[string]any{
+			"sampled.cpi":              est.CPI,
+			"sampled.ipc":              est.IPC,
+			"sampled.error_bound":      est.ErrorBound,
+			"sampled.estimated_cycles": float64(est.Cycles),
+			"sampled.total_insts":      float64(plan.TotalInsts),
+			"sampled.intervals":        float64(plan.Intervals),
+			"sampled.points":           float64(n),
+			"sampled.interval_len":     float64(spec.Sampled.IntervalLen),
+		},
+		Sampled: &api.SampledResult{
+			Params:          *spec.Sampled,
+			ProfileKey:      pkey,
+			Intervals:       plan.Intervals,
+			TotalInsts:      plan.TotalInsts,
+			Points:          points,
+			CPI:             est.CPI,
+			IPC:             est.IPC,
+			EstimatedCycles: est.Cycles,
+			ErrorBound:      est.ErrorBound,
+		},
 	}, cycle, insts, nil
 }

@@ -581,30 +581,37 @@ func TestHTTPRejectsOversizedConfig(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsOversizedSampling: sampled parameters above their bounds
-// are refused at admission with a 400. The warm-up depth sits one past its
-// bound, so a server without the bound queues the job (and fails the
-// assertion) rather than exhausting memory.
+// TestHTTPRejectsOversizedSampling: sampled parameters above their bounds,
+// or ones the API does not have, are refused at admission with a 400. The
+// warm-up depth sits one past its bound, so a server without the bound
+// queues the job (and fails the assertion) rather than exhausting memory.
+// SampledParams has no audit field, so a spec asking for one is refused
+// rather than run without it.
 func TestHTTPRejectsOversizedSampling(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	body, err := json.Marshal(api.JobSpec{Workload: "548.exchange2_r", Fidelity: api.FidelitySampled,
+	warm, err := json.Marshal(api.JobSpec{Workload: "548.exchange2_r", Fidelity: api.FidelitySampled,
 		Sampled: &api.SampledParams{WarmInsts: api.MaxSampledWarmInsts + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized warmInsts: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		string(warm),
+		`{"workload":"548.exchange2_r","fidelity":"sampled","sampled":{"audit":true}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	if n := s.accepted.Load(); n != 0 {
-		t.Fatalf("%d oversized sampled jobs queued", n)
+		t.Fatalf("%d refused sampled jobs queued", n)
 	}
 }
 

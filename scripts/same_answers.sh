@@ -8,10 +8,14 @@
 # policies with every output file on, plus the program listing (-disasm) and
 # the annotated disassembly (-annotate) on stdout, and compares stdout and the
 # five files byte for byte. A second run per cell writes -stats-interval
-# deltas as JSONL, compared byte for byte too. It prints each run that
-# differs and exits non-zero if any does. Everything lives under one temporary directory ($TMPDIR), removed on
-# exit, so nothing is written inside the checkout. CI does not run it: a
-# change that means to move an answer fails it by design.
+# deltas as JSONL, compared byte for byte too. It also builds specmpk-bench
+# on both sides and compares the text and -json output of every job-driven
+# experiment on two small workloads, and the sampled experiment's -json rows
+# without their wall times (sampledMS, fullMS, speedup), which vary from run
+# to run. It prints each output that differs and exits non-zero if any does.
+# Everything lives under one temporary directory ($TMPDIR), removed on exit,
+# so nothing is written inside the checkout. CI does not run it: a change
+# that means to move an answer fails it by design.
 set -eu
 
 BASE=${1:?usage: same_answers.sh <base-ref>}
@@ -21,11 +25,15 @@ POLICIES="serialized nonsecure specmpk delayupgrade noforward"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== build specmpk-sim at $BASE and in the working tree"
+echo "== build specmpk-sim and specmpk-bench at $BASE and in the working tree"
 mkdir "$TMP/src"
 git -C "$ROOT" archive "$BASE" | tar -x -C "$TMP/src"
-(cd "$TMP/src" && go build -buildvcs=false -o "$TMP/base.sim" ./cmd/specmpk-sim)
-(cd "$ROOT" && go build -buildvcs=false -o "$TMP/work.sim" ./cmd/specmpk-sim)
+for side in base work; do
+	src=$TMP/src
+	[ "$side" = work ] && src=$ROOT
+	(cd "$src" && go build -buildvcs=false -o "$TMP/$side.sim" ./cmd/specmpk-sim &&
+		go build -buildvcs=false -o "$TMP/$side.bench" ./cmd/specmpk-bench)
+done
 
 # run <side> <workload> <policy>: one run with every output and one interval
 # run, into $TMP/<side>/<workload>.<policy>/; status holds their exit codes.
@@ -58,8 +66,42 @@ for wl in $("$TMP/work.sim" -list | awk '{print $1}'); do
 		rm -rf "$TMP/base/$wl.$pol" "$TMP/work/$wl.$pol"
 	done
 done
+
+# bench <side> <out> <args...>: one specmpk-bench run on the two workloads,
+# stdout into $TMP/<side>.<out> followed by its exit code.
+WORKLOADS=541.leela_r,557.xz_r
+bench() {
+	side=$1 out=$2
+	shift 2
+	status=0
+	"$TMP/$side.bench" -workloads "$WORKLOADS" "$@" >"$TMP/$side.$out" 2>/dev/null || status=$?
+	echo "exit $status" >>"$TMP/$side.$out"
+}
+
+echo "== experiments on $WORKLOADS"
+outs=""
+for e in fig3 fig4 fig9 fig11 rdpkru pkrusafe window stats; do
+	for side in base work; do
+		bench "$side" "$e.txt" "$e"
+		bench "$side" "$e.json" -json "$e"
+	done
+	outs="$outs $e.txt $e.json"
+done
+for side in base work; do
+	bench "$side" sampled.raw -json sampled
+	grep -v '"sampledMS"\|"fullMS"\|"speedup"' "$TMP/$side.sampled.raw" >"$TMP/$side.sampled.json" || true
+done
+outs="$outs sampled.json"
+for out in $outs; do
+	if ! cmp -s "$TMP/base.$out" "$TMP/work.$out"; then
+		echo "DIFFERS: specmpk-bench $out"
+		differ=$((differ + 1))
+	fi
+done
+
 if [ "$differ" -ne 0 ]; then
-	echo "same-answers: $differ outputs differ from $BASE across $cells runs" >&2
+	echo "same-answers: $differ outputs differ from $BASE across $cells runs and the experiments" >&2
 	exit 1
 fi
 echo "same-answers: $cells runs, stdout, five output files and an interval run each, identical to $BASE"
+echo "same-answers: experiments $(echo $outs | wc -w) outputs identical to $BASE"
