@@ -20,7 +20,7 @@
 //	                      deltas (interval IPC etc.), final cumulative last;
 //	                      a usage error without -stats-out or with -timeline
 //	-prom-out FILE        the same registry in Prometheus text exposition
-//	-trace-out FILE       the core's event stream as JSONL: squash,
+//	-trace-out FILE       the core's event stream as JSONL: load, squash,
 //	                      wrpkru_retire, upgrade_open/commit/squash,
 //	                      load_stall, load_replay, store_replay, no_forward,
 //	                      no_forward_commit, tlb_defer, tlb_fill

@@ -163,3 +163,58 @@ func TestOverflowBlockedBySpecMPKAndSerialized(t *testing.T) {
 		}
 	}
 }
+
+// --- every policy ------------------------------------------------------------
+
+// TestGadgetsUnderEveryPolicy meets every registered policy with the three
+// gadgets: Fig. 13's flush+reload, Spectre-BTI (Fig. 12(d)) and the §III-C
+// speculative buffer overflow. delayupgrade (Okapi) stalls the transiently
+// upgraded load but still forwards the transient store; noforward is the
+// reverse; SpecMPK blocks all three.
+func TestGadgetsUnderEveryPolicy(t *testing.T) {
+	want := map[pipeline.Mode]struct {
+		loadLeaks     bool // Fig. 13 and BTI: the secret probe entry is hot
+		overflowLeaks bool // the transiently stored value forwards
+	}{
+		pipeline.ModeSerialized:   {false, false},
+		pipeline.ModeNonSecure:    {true, true},
+		pipeline.ModeSpecMPK:      {false, false},
+		pipeline.ModeDelayUpgrade: {false, true},
+		pipeline.ModeNoForward:    {true, false},
+	}
+	for _, mode := range pipeline.RegisteredModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, ok := want[mode]
+			if !ok {
+				t.Fatal("no expectation for this policy")
+			}
+			for _, g := range []struct {
+				name string
+				run  func(pipeline.Mode, Config) (Result, error)
+			}{{"fig13", Run}, {"bti", RunBTI}} {
+				res, err := g.run(mode, DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				train, secret := res.Latency[res.Cfg.TrainValue], res.Latency[res.Cfg.SecretValue]
+				t.Logf("%s: training entry %d cycles, secret entry %d cycles", g.name, train, secret)
+				if !res.TrainingVisible() {
+					t.Errorf("%s: training value must be hot; latency=%d", g.name, train)
+				}
+				if res.Leaked() != w.loadLeaks {
+					t.Errorf("%s: leaked = %v, want %v; latency=%d", g.name, res.Leaked(), w.loadLeaks, secret)
+				}
+				if hot := res.HotIndices(); len(hot) > 8 {
+					t.Errorf("%s: too many hot indices (noise): %v", g.name, hot)
+				}
+			}
+			res, err := RunOverflow(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CorruptLeaked != w.overflowLeaks {
+				t.Errorf("overflow: leaked = %v, want %v (lat=%d)", res.CorruptLeaked, w.overflowLeaks, res.CorruptLatency)
+			}
+		})
+	}
+}

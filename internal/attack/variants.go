@@ -7,6 +7,7 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mpk"
 	"specmpk/internal/pipeline"
+	"specmpk/internal/trace"
 )
 
 // This file holds the other two attack shapes the paper analyzes:
@@ -102,20 +103,18 @@ func runProbe(mcfg pipeline.Config, prog *asm.Program, mode pipeline.Mode, cfg C
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Mode: mode, Cfg: cfg, Threshold: 120}
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr < array2Base || vaddr >= array2Base+ProbeEntries*ProbeStride {
-			return
-		}
-		if (vaddr-array2Base)%ProbeStride != 0 {
-			return
-		}
-		// The reload loads are the final accesses to each entry, so keeping
-		// the last observation per index yields the probe measurement.
-		res.Latency[(vaddr-array2Base)/ProbeStride] = lat
-	}
+	loads := trace.Loads{}
+	m.Events = loads
 	if err := m.Run(50_000_000); err != nil {
 		return Result{}, fmt.Errorf("attack: %v: %w", mode, err)
+	}
+	res := Result{Mode: mode, Cfg: cfg, Threshold: 120}
+	for i := range res.Latency {
+		// The reload loads are the final accesses to each entry, so the
+		// last observation per index is the probe measurement.
+		if lats := loads[array2Base+uint64(i)*ProbeStride]; len(lats) > 0 {
+			res.Latency[i] = int(lats[len(lats)-1])
+		}
 	}
 	return res, nil
 }

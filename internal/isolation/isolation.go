@@ -25,6 +25,7 @@ import (
 	"specmpk/internal/mpk"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/tlb"
+	"specmpk/internal/trace"
 )
 
 // Properties is one Table I row plus the measurements behind it.
@@ -302,18 +303,14 @@ func branchGuardLeaks(mode pipeline.Mode) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	touchedAfterAttack := false
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr == secretBase+8 {
-			// No architectural access reads secret[8]; any touch is the
-			// transient bounds-check bypass.
-			touchedAfterAttack = true
-		}
-	}
+	loads := trace.Loads{}
+	m.Events = loads
 	if err := m.Run(10_000_000); err != nil {
 		return false, err
 	}
-	return touchedAfterAttack, nil
+	// No architectural access reads secret[8]; any touch is the transient
+	// bounds-check bypass.
+	return len(loads[secretBase+8]) > 0, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -404,18 +401,12 @@ func speculativeProbe(mode pipeline.Mode) (found, crashed bool, err error) {
 	if err != nil {
 		return false, false, err
 	}
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr == base+secretSlot*slotStride {
-			// The mapped candidate returned data — layout recovered.
-			found = true
-		}
-	}
-	runErr := m.Run(20_000_000)
-	if runErr != nil {
-		// An architectural fault would be the crash ASLR defenders rely on.
-		crashed = true
-	}
-	return found, crashed, nil
+	loads := trace.Loads{}
+	m.Events = loads
+	// An architectural fault would be the crash ASLR defenders rely on; a
+	// load of the mapped candidate returned data — layout recovered.
+	crashed = m.Run(20_000_000) != nil
+	return len(loads[base+secretSlot*slotStride]) > 0, crashed, nil
 }
 
 // ---------------------------------------------------------------------------

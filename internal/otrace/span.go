@@ -3,6 +3,8 @@ package otrace
 import (
 	"sync"
 	"time"
+
+	"specmpk/internal/trace"
 )
 
 // SpanEvent is one timestamped occurrence inside a span — a fault injection
@@ -147,11 +149,8 @@ func (s *Span) EndAt(t time.Time) {
 // (GET /v1/debug/spans). A nil *Recorder is the disarmed state: StartSpan
 // returns nil and recording costs one nil check.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []SpanData
-	start   int // index of the oldest span
-	n       int
-	dropped uint64
+	mu  sync.Mutex
+	buf trace.Buffer[SpanData]
 }
 
 // NewRecorder builds a flight recorder holding up to capacity completed
@@ -160,7 +159,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Recorder{buf: make([]SpanData, capacity)}
+	return &Recorder{buf: trace.NewBuffer[SpanData](capacity)}
 }
 
 // StartSpan starts a span now. See StartSpanAt.
@@ -203,14 +202,7 @@ func (r *Recorder) record(sd SpanData) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = sd
-		r.n++
-		return
-	}
-	r.buf[r.start] = sd
-	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
+	r.buf.Push(sd)
 }
 
 // Spans returns the recorded spans, oldest first.
@@ -220,11 +212,7 @@ func (r *Recorder) Spans() []SpanData {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SpanData, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+	return r.buf.All()
 }
 
 // Len returns the number of resident spans.
@@ -234,7 +222,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.buf.Len()
 }
 
 // Dropped returns how many spans were overwritten since start.
@@ -244,7 +232,7 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.buf.Dropped()
 }
 
 // FilterSpans narrows spans to one request's worth: spans whose trace ID is

@@ -12,7 +12,7 @@ import (
 
 // runStream runs prog to halt under cfg with a ring and a pkey audit ledger
 // both attached to the one event stream. The ring must drop nothing.
-func runStream(t *testing.T, cfg pipeline.Config, prog *asm.Program) (*trace.Ring, *profile.Ledger, pipeline.Stats) {
+func runStream(t *testing.T, cfg pipeline.Config, prog *asm.Program) (*trace.Ring, *profile.Ledger, *pipeline.Machine) {
 	t.Helper()
 	m, err := pipeline.New(cfg, prog)
 	if err != nil {
@@ -26,7 +26,7 @@ func runStream(t *testing.T, cfg pipeline.Config, prog *asm.Program) (*trace.Rin
 	if ring.Dropped() != 0 {
 		t.Fatalf("%v: ring dropped %d events", cfg.Mode, ring.Dropped())
 	}
-	return ring, led, m.Stats
+	return ring, led, m
 }
 
 func catalogue(t *testing.T, name string) *asm.Program {
@@ -42,7 +42,8 @@ func catalogue(t *testing.T, name string) *asm.Program {
 // TestRingAndLedgerAgree: the ring, the ledger and the machine's own
 // counters tally the same occurrences, under every policy. 541.leela_r
 // holds loads at the head for forwarding and TLB deferral, 403.gcc for the
-// PKRU Load Check.
+// PKRU Load Check. Every load the latency histogram counts is one load
+// event.
 func TestRingAndLedgerAgree(t *testing.T) {
 	progs := map[string]*asm.Program{
 		"wrpkruLoop":  pipeline.WrpkruLoop(t),
@@ -53,7 +54,12 @@ func TestRingAndLedgerAgree(t *testing.T) {
 		for _, mode := range pipeline.RegisteredModes() {
 			cfg := pipeline.DefaultConfig()
 			cfg.Mode = mode
-			ring, led, st := runStream(t, cfg, prog)
+			ring, led, m := runStream(t, cfg, prog)
+			st := m.Stats
+			lat, ok := m.StatsRegistry().Snapshot().Get("pipeline.load_latency")
+			if !ok || lat.Hist == nil {
+				t.Fatalf("%s/%v: snapshot has no pipeline.load_latency histogram", name, mode)
+			}
 			count := ring.CountByKind()
 			cycles := map[trace.Kind]uint64{}
 			for _, e := range ring.Events() {
@@ -77,6 +83,7 @@ func TestRingAndLedgerAgree(t *testing.T) {
 				{"load_stall events vs Stats.LoadsStalledTillHead", count[trace.KindLoadStall], st.LoadsStalledTillHead},
 				{"no_forward events vs Stats.StoresNoForward", count[trace.KindNoForward], st.StoresNoForward},
 				{"wrpkru_retire events vs Stats.Wrpkru", count[trace.KindWrpkruRetire], st.Wrpkru},
+				{"load events vs pipeline.load_latency count", count[trace.KindLoad], lat.Hist.Count},
 			} {
 				if c.got != c.want {
 					t.Errorf("%s/%v: %s = %d, want %d", name, mode, c.what, c.got, c.want)
@@ -102,7 +109,7 @@ func TestEveryEventKindFires(t *testing.T) {
 	ring, _, _ = runStream(t, cfg, prog)
 	fired[trace.KindStoreReplay] += ring.CountByKind()[trace.KindStoreReplay]
 	for _, k := range []trace.Kind{
-		trace.KindSquash, trace.KindWrpkruRetire,
+		trace.KindLoad, trace.KindSquash, trace.KindWrpkruRetire,
 		trace.KindUpgradeOpen, trace.KindUpgradeCommit, trace.KindUpgradeSquash,
 		trace.KindLoadStall, trace.KindLoadReplay, trace.KindStoreReplay,
 		trace.KindNoForward, trace.KindNoForwardCommit,

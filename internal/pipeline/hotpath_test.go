@@ -11,6 +11,7 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/stats"
+	"specmpk/internal/trace"
 	"specmpk/internal/workload"
 )
 
@@ -474,39 +475,48 @@ func TestLoadLatBucketMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestLoadLatValueMatchesHistogram runs real loads and cross-checks the
-// machine's batched counters, as its registry's snapshot reports them in
-// pipeline.load_latency, against an independent stats.Histogram fed from the
-// OnLoadLatency hook — same observations, so the two must agree exactly.
+// TestLoadLatValueMatchesHistogram runs real loads under every policy and
+// cross-checks the machine's batched counters, as its registry's snapshot
+// reports them in pipeline.load_latency, against an independent
+// stats.Histogram fed from every load event — same observations, so the two
+// must agree exactly.
 func TestLoadLatValueMatchesHistogram(t *testing.T) {
 	p := stormProg(t)
-	m, err := New(smallCfg(ModeSpecMPK), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := stats.NewHistogram(loadLatBounds[:])
-	m.OnLoadLatency = func(_ uint64, lat int) { ref.Observe(float64(lat)) }
-	if err := m.Run(2_000_000); err != nil {
-		t.Fatal(err)
-	}
-	rv := ref.Value()
-	bv, ok := m.StatsRegistry().Snapshot().Get("pipeline.load_latency")
-	if !ok || bv.Hist == nil {
-		t.Fatal("snapshot has no pipeline.load_latency histogram")
-	}
-	if rv.Count == 0 {
-		t.Fatal("storm ran no loads")
-	}
-	if rv.Count != bv.Hist.Count || rv.Sum != bv.Hist.Sum {
-		t.Fatalf("count/sum diverge: ref %d/%.0f batched %d/%.0f",
-			rv.Count, rv.Sum, bv.Hist.Count, bv.Hist.Sum)
-	}
-	if !slices.Equal(rv.Bounds, bv.Hist.Bounds) || len(rv.Counts) != len(bv.Hist.Counts) {
-		t.Fatalf("bucket layouts diverge: ref %v batched %v", rv.Bounds, bv.Hist.Bounds)
-	}
-	for i := range rv.Counts {
-		if rv.Counts[i] != bv.Hist.Counts[i] {
-			t.Fatalf("bucket %d diverges: ref %d batched %d", i, rv.Counts[i], bv.Hist.Counts[i])
+	for _, mode := range RegisteredModes() {
+		m, err := New(smallCfg(mode), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := trace.Loads{}
+		m.Events = loads
+		if err := m.Run(2_000_000); err != nil {
+			t.Fatal(err)
+		}
+		ref := stats.NewHistogram(loadLatBounds[:])
+		for _, lats := range loads {
+			for _, lat := range lats {
+				ref.Observe(float64(lat))
+			}
+		}
+		rv := ref.Value()
+		bv, ok := m.StatsRegistry().Snapshot().Get("pipeline.load_latency")
+		if !ok || bv.Hist == nil {
+			t.Fatalf("%v: snapshot has no pipeline.load_latency histogram", mode)
+		}
+		if rv.Count == 0 {
+			t.Fatalf("%v: storm ran no loads", mode)
+		}
+		if rv.Count != bv.Hist.Count || rv.Sum != bv.Hist.Sum {
+			t.Fatalf("%v: count/sum diverge: ref %d/%.0f batched %d/%.0f",
+				mode, rv.Count, rv.Sum, bv.Hist.Count, bv.Hist.Sum)
+		}
+		if !slices.Equal(rv.Bounds, bv.Hist.Bounds) || len(rv.Counts) != len(bv.Hist.Counts) {
+			t.Fatalf("%v: bucket layouts diverge: ref %v batched %v", mode, rv.Bounds, bv.Hist.Bounds)
+		}
+		for i := range rv.Counts {
+			if rv.Counts[i] != bv.Hist.Counts[i] {
+				t.Fatalf("%v: bucket %d diverges: ref %d batched %d", mode, i, rv.Counts[i], bv.Hist.Counts[i])
+			}
 		}
 	}
 }

@@ -469,10 +469,6 @@ type Machine struct {
 	// the NonSecure mode; the serialized mode only uses its ARF).
 	PKRUState *core.State
 
-	// OnLoadLatency observes every executed load (including transient
-	// ones) with its observed latency — the measurement hook the
-	// flush+reload harness uses (Fig. 13).
-	OnLoadLatency func(vaddr uint64, lat int)
 	// OnTrace, when set, receives every retired (architecturally
 	// committed) instruction in program order with its per-stage
 	// timestamps — the one per-retire hook behind the retire log, the
@@ -482,13 +478,15 @@ type Machine struct {
 	// FaultHandler is consulted when a fault reaches retirement.
 	FaultHandler func(f *mem.Fault, pkru *mpk.PKRU) FaultAction
 
-	// Events, when non-nil, receives the core's one event stream: squashes,
-	// WRPKRU retirements, transient PKRU-upgrade windows, loads held to the
-	// window head and their replays, forwarding suppression, deferred TLB
-	// fills (see trace.Kind). A trace.Ring keeps it for JSONL export
-	// (cmd/specmpk-sim -trace-out); internal/profile's Ledger tallies it
-	// per protection key; trace.Fanout feeds both. Nil disables the layer
-	// entirely.
+	// Events, when non-nil, receives the core's one event stream: load
+	// executions (transient ones included), squashes, WRPKRU retirements,
+	// transient PKRU-upgrade windows, loads held to the window head and
+	// their replays, forwarding suppression, deferred TLB fills (see
+	// trace.Kind). A trace.Ring keeps it for JSONL export (cmd/specmpk-sim
+	// -trace-out); trace.Loads keeps load latencies by address for the
+	// flush+reload probes (Fig. 13, Table I); internal/profile's Ledger
+	// tallies it per protection key; trace.Fanout feeds several. Nil
+	// disables the layer entirely.
 	Events trace.Sink
 
 	// Prof, when non-nil, receives the per-PC profiler feed: every cycle's

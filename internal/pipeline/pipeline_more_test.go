@@ -10,6 +10,7 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
+	"specmpk/internal/trace"
 )
 
 // TestRdpkruSerialization: RDPKRU must read the committed PKRU in every
@@ -61,15 +62,12 @@ func TestClflushEvictsInPipeline(t *testing.T) {
 		f.Halt()
 	})
 	m := newMachine(t, ModeNonSecure, p)
-	var lats []int
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr == heapBase {
-			lats = append(lats, lat)
-		}
-	}
+	loads := trace.Loads{}
+	m.Events = loads
 	if err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
+	lats := loads[heapBase]
 	if len(lats) != 2 {
 		t.Fatalf("saw %d loads", len(lats))
 	}

@@ -10,6 +10,7 @@ import (
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
+	"specmpk/internal/trace"
 )
 
 const (
@@ -391,15 +392,12 @@ func TestTransientPermissionUpgradeBlockedBySpecMPK(t *testing.T) {
 	for _, mode := range []Mode{ModeNonSecure, ModeSpecMPK, ModeSerialized} {
 		p, secretBase := spectreGadget(t)
 		m := newMachine(t, mode, p)
-		touched := false
-		m.OnLoadLatency = func(vaddr uint64, lat int) {
-			if vaddr == secretBase {
-				touched = true
-			}
-		}
+		loads := trace.Loads{}
+		m.Events = loads
 		if err := m.Run(10_000_000); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
+		touched := len(loads[secretBase]) > 0
 		switch mode {
 		case ModeNonSecure:
 			if !touched {

@@ -6,6 +6,7 @@ import (
 
 	"specmpk/internal/asm"
 	"specmpk/internal/mem"
+	"specmpk/internal/trace"
 )
 
 func TestParseModeRoundTrip(t *testing.T) {
@@ -111,16 +112,12 @@ func TestDelayUpgradeBlocksTransientSecretLeak(t *testing.T) {
 	// of the cache — the load stalls till head and the squash kills it first.
 	p, secretBase := spectreGadget(t)
 	m := newMachine(t, ModeDelayUpgrade, p)
-	touched := false
-	m.OnLoadLatency = func(vaddr uint64, lat int) {
-		if vaddr == secretBase {
-			touched = true
-		}
-	}
+	loads := trace.Loads{}
+	m.Events = loads
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if touched {
+	if len(loads[secretBase]) > 0 {
 		t.Fatal("delayupgrade: transient secret access went through")
 	}
 }

@@ -629,12 +629,14 @@ func loadLatBucket(lat int) int {
 	return b
 }
 
+// loadHook accounts an executed load's latency, at execute, forwarded or at
+// its head replay, and on the wrong path too.
 func (m *Machine) loadHook(e *alEntry, lat int) {
 	m.loadLatCounts[loadLatBucket(lat)]++
 	m.loadLatSum += uint64(lat)
 	m.loadLatN++
-	if m.OnLoadLatency != nil {
-		m.OnLoadLatency(e.vaddr, lat)
+	if m.Events != nil {
+		m.emit(trace.Event{Kind: trace.KindLoad, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(e.pkey), N: uint64(lat), Addr: e.vaddr})
 	}
 }
 

@@ -35,7 +35,9 @@ func armPlan(t *testing.T, plan faults.Plan) {
 // TestChaosBookkeepingPanicStillPublishes: a panic in a job's terminal
 // bookkeeping (here the job-finished log line) strikes after the job's end
 // is claimed; the job must still publish the claimed outcome, be counted
-// once, and leave the worker serving.
+// once, and leave the worker serving. The panic unwinds through the claim's
+// deferred publish before the worker's boundary counts it, so the waiter
+// can see the job done first and must wait for the count.
 func TestChaosBookkeepingPanicStillPublishes(t *testing.T) {
 	logger := slog.New(panicOnHandler{msg: "job finished"})
 	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000, Logger: logger})
@@ -48,6 +50,7 @@ func TestChaosBookkeepingPanicStillPublishes(t *testing.T) {
 			t.Fatalf("job %s: state %s (%s), want done", info.ID, final.State, final.Error)
 		}
 	}
+	waitFor(t, "panics_recovered to reach 2", func() bool { return s.panicsRecovered.Load() >= 2 })
 	if got := s.panicsRecovered.Load(); got != 2 {
 		t.Fatalf("panics_recovered = %d, want 2", got)
 	}

@@ -1,9 +1,10 @@
 // Package trace is the observation vocabulary of the cycle-level core: one
-// stream of typed microarchitectural events (squashes, WRPKRU retirements,
-// transient PKRU-upgrade windows, loads held to the window head, suppressed
-// store-to-load forwarding, deferred TLB fills) and one per-retire stage
-// record, with the sinks and renderers that read them — a bounded ring with
-// a JSONL serializer, a Konata/gem5-O3 exporter and a text pipeline diagram.
+// stream of typed microarchitectural events (load executions, squashes,
+// WRPKRU retirements, transient PKRU-upgrade windows, loads held to the
+// window head, suppressed store-to-load forwarding, deferred TLB fills) and
+// one per-retire stage record, with the sinks and renderers that read them —
+// a bounded ring with a JSONL serializer, a per-address load-latency map, a
+// Konata/gem5-O3 exporter and a text pipeline diagram.
 //
 // The core emits each occurrence once, into Machine.Events, a Sink. A nil
 // sink disables the whole layer, so the hooks cost nothing when observation
@@ -26,6 +27,11 @@ type Kind string
 // number and Note its cause, where the kind has one. Window-closing kinds
 // (commit, squash, replay, fill) carry the window's duration in cycles.
 const (
+	// KindLoad is a load executing, from memory or forwarded from an older
+	// store, at execute or at its head replay, on the wrong path too;
+	// Pkey = the loaded page's key, N = the latency, Addr = the virtual
+	// address. It is the flush+reload probes' timer.
+	KindLoad Kind = "load"
 	// KindSquash is a pipeline squash; N = flushed active-list entries,
 	// Note = the cause (mispredict, memorder, fault).
 	KindSquash Kind = "squash"
@@ -104,10 +110,12 @@ type Event struct {
 	Pkey  Key    `json:"pkey,omitempty"`
 	N     uint64 `json:"n,omitempty"`
 	Note  string `json:"note,omitempty"`
+	Addr  uint64 `json:"addr,omitempty"`
 }
 
-// Sink receives the core's event stream. Ring keeps it for export and
-// profile.Ledger tallies it per protection key; Fanout feeds several.
+// Sink receives the core's event stream. Ring keeps it for export, Loads
+// keeps load latencies by address and profile.Ledger tallies it per
+// protection key; Fanout feeds several.
 type Sink interface {
 	Emit(Event)
 }
@@ -122,55 +130,80 @@ func (f Fanout) Emit(e Event) {
 	}
 }
 
-// Ring is a bounded event buffer: Emit overwrites the oldest event when
-// full, counting the overwritten ones as dropped.
-type Ring struct {
-	buf     []Event
-	start   int // index of the oldest event
+// Loads is a Sink that keeps every executed load's latency by virtual
+// address, in execution order — what a flush+reload probe reads.
+type Loads map[uint64][]uint64
+
+// Emit implements Sink.
+func (l Loads) Emit(e Event) {
+	if e.Kind == KindLoad {
+		l[e.Addr] = append(l[e.Addr], e.N)
+	}
+}
+
+// Buffer is a bounded buffer that keeps the newest values: Push overwrites
+// the oldest when full, counting the overwritten ones as dropped. The event
+// Ring and otrace's span recorder are built on it.
+type Buffer[T any] struct {
+	buf     []T
+	start   int // index of the oldest value
 	n       int
 	dropped uint64
 }
 
-// NewRing builds a ring holding up to capacity events.
-func NewRing(capacity int) *Ring {
+// NewBuffer builds a buffer holding up to capacity values.
+func NewBuffer[T any](capacity int) Buffer[T] {
 	if capacity <= 0 {
-		panic("trace: ring capacity must be positive")
+		panic("trace: buffer capacity must be positive")
 	}
-	return &Ring{buf: make([]Event, capacity)}
+	return Buffer[T]{buf: make([]T, capacity)}
 }
 
-// Emit appends an event, evicting the oldest when full.
-func (r *Ring) Emit(e Event) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
-		r.n++
+// Push appends v, evicting the oldest value when full.
+func (b *Buffer[T]) Push(v T) {
+	if b.n < len(b.buf) {
+		b.buf[(b.start+b.n)%len(b.buf)] = v
+		b.n++
 		return
 	}
-	r.buf[r.start] = e
-	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
+	b.buf[b.start] = v
+	b.start = (b.start + 1) % len(b.buf)
+	b.dropped++
 }
 
-// Len returns the number of buffered events.
-func (r *Ring) Len() int { return r.n }
+// Len returns the number of buffered values.
+func (b *Buffer[T]) Len() int { return b.n }
 
-// Dropped returns how many events were overwritten.
-func (r *Ring) Dropped() uint64 { return r.dropped }
+// Dropped returns how many values were overwritten.
+func (b *Buffer[T]) Dropped() uint64 { return b.dropped }
 
-// Events returns the buffered events, oldest first.
-func (r *Ring) Events() []Event {
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
+// All returns the buffered values, oldest first.
+func (b *Buffer[T]) All() []T {
+	out := make([]T, b.n)
+	for i := range out {
+		out[i] = b.buf[(b.start+i)%len(b.buf)]
 	}
 	return out
 }
 
+// Ring is a bounded event buffer: Emit overwrites the oldest event when
+// full, counting the overwritten ones as dropped.
+type Ring struct{ Buffer[Event] }
+
+// NewRing builds a ring holding up to capacity events.
+func NewRing(capacity int) *Ring { return &Ring{NewBuffer[Event](capacity)} }
+
+// Emit appends an event, evicting the oldest when full.
+func (r *Ring) Emit(e Event) { r.Push(e) }
+
+// Events returns the buffered events, oldest first.
+func (r *Ring) Events() []Event { return r.All() }
+
 // CountByKind tallies the buffered events per kind.
 func (r *Ring) CountByKind() map[Kind]uint64 {
 	out := make(map[Kind]uint64)
-	for i := 0; i < r.n; i++ {
-		out[r.buf[(r.start+i)%len(r.buf)].Kind]++
+	for _, e := range r.All() {
+		out[e.Kind]++
 	}
 	return out
 }

@@ -10,9 +10,10 @@
 # five files byte for byte. A second run per cell writes -stats-interval
 # deltas as JSONL, compared byte for byte too. It also builds specmpk-bench
 # on both sides and compares the text and -json output of every job-driven
-# experiment on two small workloads, and the sampled experiment's -json rows
-# without their wall times (sampledMS, fullMS, speedup), which vary from run
-# to run. It prints each output that differs and exits non-zero if any does.
+# experiment on two small workloads and of the security experiments (table1,
+# fig13), and the sampled experiment's -json rows without their wall times
+# (sampledMS, fullMS, speedup), which vary from run to run. It prints each
+# output that differs and exits non-zero if any does.
 # Everything lives under one temporary directory ($TMPDIR), removed on exit,
 # so nothing is written inside the checkout. CI does not run it: a change
 # that means to move an answer fails it by design.
@@ -80,7 +81,7 @@ bench() {
 
 echo "== experiments on $WORKLOADS"
 outs=""
-for e in fig3 fig4 fig9 fig11 rdpkru pkrusafe window stats; do
+for e in fig3 fig4 fig9 fig11 rdpkru pkrusafe window stats table1 fig13; do
 	for side in base work; do
 		bench "$side" "$e.txt" "$e"
 		bench "$side" "$e.json" -json "$e"
