@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"specmpk/internal/faults"
+	"specmpk/internal/otrace"
 	"specmpk/internal/server/api"
+	"specmpk/internal/stats"
 )
 
 // The chaos suite: arm a seeded fault plan at the service seams and prove
@@ -57,6 +59,227 @@ func TestChaosBookkeepingPanicStillPublishes(t *testing.T) {
 	if done, failed := s.jobsDone.Load(), s.jobsFailed.Load(); done != 2 || failed != 0 {
 		t.Fatalf("jobs done/failed = %d/%d, want 2/0", done, failed)
 	}
+}
+
+// TestChaosEveryJobEnd drives one job to each way a job can end and checks
+// that every end is recorded alike: the job span carries the outcome's
+// state, stop reason, cache disposition and error; the server's counters
+// move by exactly the end's own counts, the e2e histogram once per job ended;
+// the job is retired once; and its event stream holds one final event, last.
+func TestChaosEveryJobEnd(t *testing.T) {
+	type end struct {
+		state, stop, cache, err string // "" = attribute absent
+	}
+	cases := []struct {
+		name string
+		plan []faults.Rule
+		// setup runs before the counters are read; job then submits the job
+		// under test and returns its id.
+		setup func(t *testing.T, s *Server)
+		job   func(t *testing.T, s *Server) string
+		want  end
+		// alsoStop is a second stop reason the span may carry: when a
+		// running job is cancelled, the worker's end may win the claim.
+		alsoStop string
+		moved    map[string]uint64
+	}{
+		{
+			name: "cache hit",
+			setup: func(t *testing.T, s *Server) {
+				if _, _, err := s.Run(context.Background(), api.JobSpec{Asm: haltAsm}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, api.JobSpec{Asm: haltAsm}).ID },
+			want:  end{state: api.StateDone, cache: "hit"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.hits": 1, "e2e": 1},
+		},
+		{
+			// The injected latency holds the primary on its worker while an
+			// identical submit attaches; both jobs end with the execution.
+			name:  "dedup attach",
+			plan:  []faults.Rule{{Point: "server.worker.simulate", Action: faults.ActionLatency, DelayMS: 200, Times: 1}},
+			setup: func(t *testing.T, s *Server) { submitJob(t, s, uniqueSpec(2, 5_000)) },
+			job: func(t *testing.T, s *Server) string {
+				info := submitJob(t, s, uniqueSpec(2, 5_000))
+				if !info.Deduped {
+					t.Fatal("identical in-flight submit did not dedup")
+				}
+				return info.ID
+			},
+			want:  end{state: api.StateDone, stop: "cycle_limit", cache: "filled"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.jobs.deduped": 1, "server.cache.misses": 1, "server.jobs.done": 1, "e2e": 2},
+		},
+		{
+			name:  "done at the cycle budget",
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(3, 5_000)).ID },
+			want:  end{state: api.StateDone, stop: "cycle_limit", cache: "filled"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.done": 1, "e2e": 1},
+		},
+		{
+			name:  "failed by an injected simulate error",
+			plan:  []faults.Rule{{Point: "server.worker.simulate", Times: 1, Message: "chaos-sim"}},
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(4, 5_000)).ID },
+			want:  end{state: api.StateFailed, cache: "uncacheable", err: "chaos-sim"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "e2e": 1},
+		},
+		{
+			name: "failed by the wall-clock deadline",
+			job: func(t *testing.T, s *Server) string {
+				spec := spinSpec(1 << 40)
+				spec.MaxWallMS = 20
+				return submitJob(t, s, spec).ID
+			},
+			want:  end{state: api.StateFailed, stop: "deadline", cache: "uncacheable", err: "deadline:"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "server.jobs.deadline": 1, "e2e": 1},
+		},
+		{
+			name:  "failed by a worker panic",
+			plan:  []faults.Rule{{Point: "server.worker.simulate", Action: faults.ActionPanic, Times: 1, Message: "chaos-panic"}},
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(5, 5_000)).ID },
+			want:  end{state: api.StateFailed, cache: "uncacheable", err: "chaos-panic"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "server.panics_recovered": 1, "e2e": 1},
+		},
+		{
+			// A panic past the simulation, in the cache fill, reaches the
+			// worker pool's panic boundary, which ends the job.
+			name:  "failed at the panic boundary",
+			plan:  []faults.Rule{{Point: "server.cache.put", Action: faults.ActionPanic, Times: 1, Message: "chaos-put-panic"}},
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(6, 5_000)).ID },
+			want:  end{state: api.StateFailed, cache: "uncacheable", err: "chaos-put-panic"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "server.panics_recovered": 1, "e2e": 1},
+		},
+		{
+			name: "cancelled while queued",
+			setup: func(t *testing.T, s *Server) {
+				blocker := submitJob(t, s, spinSpec(1<<40))
+				t.Cleanup(func() { s.Cancel(blocker.ID) })
+			},
+			job: func(t *testing.T, s *Server) string {
+				info := submitJob(t, s, uniqueSpec(7, 1<<40))
+				s.Cancel(info.ID)
+				return info.ID
+			},
+			want:  end{state: api.StateCancelled, cache: "uncacheable", err: context.Canceled.Error()},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.cancelled": 1, "e2e": 1},
+		},
+		{
+			name: "cancelled while running",
+			job: func(t *testing.T, s *Server) string {
+				info := submitJob(t, s, spinSpec(1<<40))
+				waitFor(t, "the job to start", func() bool {
+					cur, _ := s.Job(info.ID)
+					return cur.State == api.StateRunning
+				})
+				s.Cancel(info.ID)
+				return info.ID
+			},
+			want:     end{state: api.StateCancelled, cache: "uncacheable", err: context.Canceled.Error()},
+			alsoStop: "cancelled",
+			moved:    map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.cancelled": 1, "e2e": 1},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := tracedTestServer(t, Options{Workers: 1, EventInterval: 1000})
+			if c.plan != nil {
+				armPlan(t, faults.Plan{Rules: c.plan})
+			}
+			if c.setup != nil {
+				c.setup(t, s)
+			}
+			before := endCounters(s)
+			id := c.job(t, s)
+			waitJob(t, s, id)
+			after := endCounters(s)
+			for name, v := range after {
+				if d := v - before[name]; d != c.moved[name] {
+					t.Errorf("%s moved by %d, want %d", name, d, c.moved[name])
+				}
+			}
+			for name := range c.moved {
+				if _, ok := after[name]; !ok {
+					t.Errorf("no counter %s", name)
+				}
+			}
+
+			var spans []otrace.SpanData
+			for _, sd := range s.SpanRecorder().Spans() {
+				if sd.Name == "job" && sd.Attrs["job_id"] == id {
+					spans = append(spans, sd)
+				}
+			}
+			if len(spans) != 1 {
+				t.Fatalf("%d job spans, want 1", len(spans))
+			}
+			attr := func(k string) string { v, _ := spans[0].Attrs[k].(string); return v }
+			got := end{state: attr("state"), stop: attr("stop_reason"), cache: attr("cache"), err: attr("error")}
+			if c.alsoStop != "" && got.stop == c.alsoStop {
+				got.stop = c.want.stop
+			}
+			if !strings.Contains(got.err, c.want.err) || (got.err == "") != (c.want.err == "") {
+				t.Errorf("span error %q, want one containing %q", got.err, c.want.err)
+			}
+			got.err = c.want.err
+			if got != c.want {
+				t.Errorf("span ended %+v, want %+v", got, c.want)
+			}
+			if (spans[0].Status == "error") != (c.want.err != "") {
+				t.Errorf("span status %q with error %q", spans[0].Status, got.err)
+			}
+
+			s.mu.Lock()
+			retired := 0
+			for _, f := range s.finished {
+				if f == id {
+					retired++
+				}
+			}
+			s.mu.Unlock()
+			if retired != 1 {
+				t.Errorf("job retired %d times, want once", retired)
+			}
+
+			ch, unsubscribe, ok := s.Subscribe(id)
+			if !ok {
+				t.Fatal("job left the retention window")
+			}
+			defer unsubscribe()
+			var finals, last int
+			for ev := range ch {
+				last++
+				if ev.Final {
+					finals, last = finals+1, 0
+				}
+			}
+			if finals != 1 || last != 0 {
+				t.Errorf("%d final events, %d events after the last, want one final event, last", finals, last)
+			}
+		})
+	}
+}
+
+// submitJob submits spec and fails the test on a refusal.
+func submitJob(t *testing.T, s *Server, spec api.JobSpec) api.JobInfo {
+	t.Helper()
+	info, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// endCounters reads every server counter a job's end may move, and the e2e
+// histogram's count as "e2e". The wall-time total is left out: it moves by
+// milliseconds, not by ends.
+func endCounters(s *Server) map[string]uint64 {
+	c := map[string]uint64{"e2e": s.lat.e2e.Count()}
+	for _, v := range s.Registry().Snapshot().Values {
+		if v.Kind == stats.KindCounter && strings.HasPrefix(v.Name, "server.") && v.Name != "server.jobs.wall_ms_total" {
+			c[v.Name] = v.Uint
+		}
+	}
+	return c
 }
 
 // panicOnHandler is a slog handler that panics on one log message.

@@ -477,12 +477,22 @@ func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, f
 }
 
 // Wait blocks until the job reaches a terminal state and returns its final
-// status. It rides the event stream (so waiting costs no polling) and falls
-// back to re-polling with capped exponential backoff plus jitter when the
-// stream drops or ends inconclusively.
+// status. It starts with the event stream, which the daemon ends only after
+// the job's end is recorded, and then reads the status once; a stream that
+// drops or ends inconclusively falls back to re-polling with capped
+// exponential backoff plus jitter. A dead peer (PeerDownError) or an unknown
+// job (404) on the stream returns as-is, so failover and Run's resubmission
+// each spend one retry budget.
 func (c *Client) Wait(ctx context.Context, id string) (api.JobInfo, error) {
 	bo := newBackoff(c.Retry)
 	for {
+		err := c.Events(ctx, id, func(api.Event) error { return nil })
+		if ctx.Err() != nil {
+			return api.JobInfo{}, ctx.Err()
+		}
+		if IsPeerDown(err) || IsUnknownJob(err) {
+			return api.JobInfo{}, err
+		}
 		info, err := c.Job(ctx, id)
 		if err != nil {
 			return api.JobInfo{}, err
@@ -490,18 +500,7 @@ func (c *Client) Wait(ctx context.Context, id string) (api.JobInfo, error) {
 		if api.Terminal(info.State) {
 			return info, nil
 		}
-		// Block on the event stream (reconnecting internally) until it
-		// closes, then re-check; a terminal state returns without sleeping.
-		streamErr := c.Events(ctx, id, func(api.Event) error { return nil })
-		if ctx.Err() != nil {
-			return api.JobInfo{}, ctx.Err()
-		}
-		if info, err := c.Job(ctx, id); err == nil && api.Terminal(info.State) {
-			return info, nil
-		} else if err != nil {
-			return api.JobInfo{}, err
-		}
-		_ = streamErr // inconclusive stream: poll again, backed off
+		// An inconclusive stream: poll again, backed off.
 		if err := bo.sleep(ctx, 0); err != nil {
 			return api.JobInfo{}, err
 		}

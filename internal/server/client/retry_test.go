@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -430,5 +432,84 @@ func TestWaitRecoversWhenStreamsEndInconclusively(t *testing.T) {
 	}
 	if info.State != api.StateDone {
 		t.Fatalf("state %s", info.State)
+	}
+}
+
+// TestWaitStartsWithTheStream: waiting on a running job opens the event
+// stream first and reads the status once it ends — the daemon ends the
+// stream only after the job's end is recorded, so a status read before it
+// would be a wasted round trip.
+func TestWaitStartsWithTheStream(t *testing.T) {
+	var mu sync.Mutex
+	var paths []string
+	state := api.StateRunning // until the stream has carried the end
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		paths = append(paths, r.URL.Path)
+		if r.URL.Path == "/v1/jobs/j-1/events" {
+			enc := json.NewEncoder(w)
+			enc.Encode(api.Event{Seq: 1, State: api.StateRunning})
+			enc.Encode(api.Event{Seq: 2, State: api.StateDone, Final: true})
+			state = api.StateDone
+			return
+		}
+		json.NewEncoder(w).Encode(api.JobInfo{ID: "j-1", State: state})
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.Retry = fastRetry
+	info, err := c.Wait(context.Background(), "j-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != api.StateDone {
+		t.Fatalf("state %s", info.State)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"/v1/jobs/j-1/events", "/v1/jobs/j-1"}; !slices.Equal(paths, want) {
+		t.Fatalf("requests %v, want %v", paths, want)
+	}
+}
+
+// TestWaitUnknownJob: a daemon that disowns the id answers the stream with
+// a 404, which Wait returns at once for Run to resubmit on.
+func TestWaitUnknownJob(t *testing.T) {
+	var requests atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, `{"error":"unknown job"}`)
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.Retry = fastRetry
+	if _, err := c.Wait(context.Background(), "j-1"); !IsUnknownJob(err) {
+		t.Fatalf("err = %v, want an unknown-job error", err)
+	}
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("%d requests, want 1", got)
+	}
+}
+
+// TestWaitSurfacesPeerDown: waiting on a dead daemon ends in the typed
+// PeerDownError after one retry budget of connection attempts, not one
+// budget per request Wait makes.
+func TestWaitSurfacesPeerDown(t *testing.T) {
+	c := New(deadAddr(t))
+	c.Retry = fastRetry
+	_, err := c.Wait(context.Background(), "j-1")
+	var pd *PeerDownError
+	if !errors.As(err, &pd) {
+		t.Fatalf("err = %v, want a PeerDownError", err)
+	}
+	if pd.Attempts != fastRetry.MaxAttempts {
+		t.Errorf("PeerDownError.Attempts = %d, want %d", pd.Attempts, fastRetry.MaxAttempts)
+	}
+	if st := c.Stats(); st.Retries+st.Reconnects != uint64(fastRetry.MaxAttempts-1) {
+		t.Errorf("%d retries and %d reconnects, want %d in all", st.Retries, st.Reconnects, fastRetry.MaxAttempts-1)
 	}
 }

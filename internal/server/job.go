@@ -46,13 +46,6 @@ type execution struct {
 	queueSpan *otrace.Span
 	simSpan   *otrace.Span
 
-	// traceMu guards the cross-goroutine trace annotations below: the worker
-	// writes them mid-run while Cancel/onExecutionDone may read them when
-	// ending the attached jobs' spans.
-	traceMu    sync.Mutex
-	stopReason string
-	cacheDisp  string // result-cache disposition: hit|filled|released|skipped_fault|uncacheable|disabled
-
 	mu    sync.Mutex
 	state string
 	// final is the terminal outcome: reserved by claim, made visible by
@@ -69,13 +62,18 @@ type execution struct {
 	seq    uint64
 }
 
-// outcome is how an execution ends: its terminal state, error, result bytes
-// (the canonical result JSON when state is done) and the final event's
-// progress figures.
+// outcome is the whole of how an execution ends, carried in one value from
+// whoever reaches the end to every attached job: its terminal state, error,
+// result bytes (the canonical result JSON when state is done), the final
+// event's progress figures, the run's stop reason, the result store's
+// disposition of the key and the simulation's wall time.
 type outcome struct {
 	state, errMsg string
 	result        []byte
 	cycle, insts  uint64
+	stopReason    string
+	cacheDisp     string // hit|filled|released|skipped_fault|uncacheable|disabled
+	wall          time.Duration
 }
 
 // maxBufferedEvents bounds the replay buffer; older progress events are
@@ -103,16 +101,14 @@ func newExecution(parent context.Context, key string, spec api.JobSpec) *executi
 	}
 }
 
-// resolvedExecution builds an already-terminal execution — the cache-hit
-// path, where the result exists before any worker is involved.
-func resolvedExecution(key string, spec api.JobSpec, result []byte) *execution {
+// resolvedExecution builds an execution already ended with o — the cache-hit
+// path, where the result exists before any worker is involved. Its event
+// stream replays the one final event.
+func resolvedExecution(key string, spec api.JobSpec, o outcome) *execution {
 	ex := newExecution(context.Background(), key, spec)
 	ex.cancel()
-	ex.final = outcome{state: api.StateDone, result: result}
-	ex.state = api.StateDone
-	ex.finished = time.Now()
-	ex.events = append(ex.events, api.Event{Seq: 1, State: api.StateDone, Final: true})
-	ex.seq = 1
+	ex.claim(o)
+	ex.publish()
 	return ex
 }
 
@@ -232,25 +228,6 @@ func (ex *execution) subscribe() (<-chan api.Event, func()) {
 			close(ch)
 		}
 	}
-}
-
-// setTrace records the worker-side trace annotations for the job spans.
-func (ex *execution) setTrace(stopReason, cacheDisp string) {
-	ex.traceMu.Lock()
-	defer ex.traceMu.Unlock()
-	if stopReason != "" {
-		ex.stopReason = stopReason
-	}
-	if cacheDisp != "" {
-		ex.cacheDisp = cacheDisp
-	}
-}
-
-// traceInfo reads the worker-side trace annotations.
-func (ex *execution) traceInfo() (stopReason, cacheDisp string) {
-	ex.traceMu.Lock()
-	defer ex.traceMu.Unlock()
-	return ex.stopReason, ex.cacheDisp
 }
 
 // job is one accepted submission: a client-visible handle onto an execution.

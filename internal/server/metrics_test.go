@@ -20,7 +20,7 @@ import (
 	"specmpk/internal/stats"
 )
 
-var updateMetrics = flag.Bool("update", false, "rewrite testdata/metrics.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestMetricCatalogueGolden pins every registry's metric catalogue — each
 // metric's name, kind and description — for a default-config machine with
@@ -61,12 +61,19 @@ func TestMetricCatalogueGolden(t *testing.T) {
 			fmt.Fprintf(&b, "%s\t%s\t%s\n", v.Name, v.Kind, v.Desc)
 		}
 	}
-	golden := filepath.Join("testdata", "metrics.golden")
-	if *updateMetrics {
+	checkGolden(t, "metrics.golden", b.String())
+}
+
+// checkGolden compares got with testdata/name line by line, after rewriting
+// the file first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,14 +81,14 @@ func TestMetricCatalogueGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	if got := b.String(); got != string(want) {
+	if got != string(want) {
 		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(g) && i < len(w); i++ {
 			if g[i] != w[i] {
 				t.Fatalf("%s line %d drifted (regenerate with -update only on purpose):\ngot:  %s\nwant: %s", golden, i+1, g[i], w[i])
 			}
 		}
-		t.Fatalf("catalogue has %d lines, %s %d", len(g), golden, len(w))
+		t.Fatalf("got %d lines, %s %d", len(g), golden, len(w))
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"specmpk/internal/pipeline"
 	"specmpk/internal/server/api"
 	"specmpk/internal/server/client"
 )
@@ -135,4 +137,33 @@ func TestLaggingSubscriberSeesTheEnd(t *testing.T) {
 	if last.Seq <= uint64(len(got))+subscriberSlack {
 		t.Fatalf("the subscriber read %d of %d events: it never fell behind by more than the slack", len(got), last.Seq)
 	}
+}
+
+// TestResultBytesGolden pins the canonical result bytes a job stores and
+// serves verbatim, one line per spec in testdata/results.golden: the capped
+// full job of 548.exchange2_r and the sampled job of 541.leela_r under every
+// policy, and one halting asm job. Identical specs must produce identical
+// bytes across commits, since the cache key promises it; only a deliberate
+// api.Version bump regenerates the file (-update).
+func TestResultBytesGolden(t *testing.T) {
+	var specs []api.JobSpec
+	for _, mode := range pipeline.PolicyNames() {
+		specs = append(specs, cappedSpec("548.exchange2_r", mode))
+	}
+	for _, mode := range pipeline.PolicyNames() {
+		specs = append(specs, sampledSpec(mode))
+	}
+	specs = append(specs, api.JobSpec{Asm: haltAsm})
+
+	s := newTestServer(t, Options{Workers: 2})
+	var b strings.Builder
+	for _, spec := range specs {
+		_, info, err := s.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(info.Result)
+		b.WriteByte('\n')
+	}
+	checkGolden(t, "results.golden", b.String())
 }

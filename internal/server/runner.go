@@ -26,26 +26,21 @@ func (s *Server) runExecutionContained(ex *execution) {
 			s.panicsRecovered.Add(1)
 			s.logger.Error("panic contained in worker pool",
 				"trace_id", ex.sc.Trace.String(), "key", ex.key, "panic", fmt.Sprint(r))
-			// Both idempotent: they release the key and retire the
-			// execution's jobs even when the panic struck after a claim,
-			// whose deferred publish has then already run.
-			s.cache.settle(ex.key, ex, nil, false)
-			if !s.conclude(ex, outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())}, 0, "") {
-				s.onExecutionDone(ex)
-			}
+			// When the panic struck after a claim, whose deferred publish has
+			// then already run, end only retires the jobs the panic left.
+			s.end(ex, outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())})
 		}
 	}()
 	s.runExecution(ex)
 }
 
 // runExecution is one worker's handling of one execution: simulate in
-// event-interval chunks, publish progress, settle the key in the result
-// store, resolve the terminal state, and do the server-side bookkeeping.
-// The queue.wait and simulate stage spans close here with exactly the
-// durations the matching server.latency.* histograms observe.
+// event-interval chunks, publish progress, and end the execution with the
+// outcome. The queue.wait and simulate stage spans close here with exactly
+// the durations the matching server.latency.* histograms observe.
 func (s *Server) runExecution(ex *execution) {
 	if !ex.start() {
-		// Cancelled while queued; Cancel already resolved it.
+		// Cancelled while queued; Cancel already ended it.
 		return
 	}
 	s.running.Add(1)
@@ -65,41 +60,44 @@ func (s *Server) runExecution(ex *execution) {
 		ex.simSpan.SetError(o.errMsg)
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
-	cacheDisp := s.settleResult(ex, o.state, o.result)
-	// A lost claim means Cancel won the race; it does the bookkeeping.
-	s.conclude(ex, o, simDur, cacheDisp)
+	o.wall = simDur
+	s.end(ex, o)
 }
 
-// conclude is the one way an execution ends. It claims the end for o (a
-// lost claim returns false and does nothing), then does the bookkeeping —
-// the outcome counters, the wall-time total, the cache disposition, and
-// onExecutionDone's histograms and job spans — and only then publishes the
-// terminal event, so a reader it wakes sees all of that already done. The
-// publish is deferred: a panic in the bookkeeping still ends the execution.
-// It runs with ex.mu released, keeping the s.mu-before-ex.mu lock order.
-func (s *Server) conclude(ex *execution, o outcome, wall time.Duration, cacheDisp string) bool {
-	if !ex.claim(o) {
-		return false
+// end is the one way an execution ends, for the worker, Cancel and the panic
+// boundary alike. It settles the key first, so a client that resubmits the
+// moment it sees the outcome never joins this dead execution. Then it claims
+// the end for o: only the winning claim counts the outcome and its wall time
+// and publishes the terminal event, deferred until every attached job is
+// finished, so a reader it wakes sees the bookkeeping done and a panic in
+// the bookkeeping still ends the execution. Every caller, winner or not,
+// finishes the jobs with the claimed outcome; finishLocked finishes each job
+// once. It runs with ex.mu released, keeping the s.mu-before-ex.mu lock
+// order.
+func (s *Server) end(ex *execution, o outcome) {
+	o.cacheDisp = s.settleResult(ex, o.state, o.result)
+	if ex.claim(o) {
+		defer ex.publish()
+		s.wallMSTotal.Add(uint64(o.wall.Milliseconds()))
+		switch o.state {
+		case api.StateDone:
+			s.jobsDone.Add(1)
+		case api.StateFailed:
+			s.jobsFailed.Add(1)
+		case api.StateCancelled:
+			s.jobsCancelled.Add(1)
+		}
 	}
-	defer ex.publish()
-	s.wallMSTotal.Add(uint64(wall.Milliseconds()))
-	switch o.state {
-	case api.StateDone:
-		s.jobsDone.Add(1)
-	case api.StateFailed:
-		s.jobsFailed.Add(1)
-	case api.StateCancelled:
-		s.jobsCancelled.Add(1)
+	o = ex.claimed()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range ex.jobs {
+		s.finishLocked(j, o)
 	}
-	ex.setTrace("", cacheDisp)
-	s.onExecutionDone(ex)
-	return true
 }
 
-// settleResult moves the execution's key out of pending before conclude
-// publishes the terminal event: a client that resubmits the moment it sees
-// the outcome finds the key resident (a clean result) or absent (anything
-// else), never still pending on this dead execution. Only a clean,
+// settleResult moves the execution's key out of pending: to resident for a
+// clean result, back to absent for anything else. Only a clean,
 // deterministic completion is kept: failed (including deadline-exceeded and
 // panicking) and cancelled runs never produce result bytes, so they can
 // never poison the store. An injected fault at server.cache.put skips the
@@ -202,14 +200,12 @@ func (s *Server) simulate(ex *execution) outcome {
 	case err == nil:
 		o = s.marshal(ex, res)
 	case ex.ctx.Err() != nil:
-		ex.setTrace(string(pipeline.StopCancelled), "")
-		o = outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error()}
+		o = outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error(), stopReason: string(pipeline.StopCancelled)}
 	case ctx.Err() != nil:
 		s.jobsDeadline.Add(1)
-		ex.setTrace(string(pipeline.StopDeadline), "")
 		ex.simSpan.Event("deadline_exceeded", "wall_ms", wallMS, "cycle", cycle)
 		msg := fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded at cycle %d", wallMS, cycle)
-		o = outcome{state: api.StateFailed, errMsg: msg}
+		o = outcome{state: api.StateFailed, errMsg: msg, stopReason: string(pipeline.StopDeadline)}
 	default:
 		o = outcome{state: api.StateFailed, errMsg: err.Error()}
 	}
@@ -290,12 +286,11 @@ func (s *Server) forwardRemote(ex *execution) (o outcome, handled bool) {
 	switch {
 	case err == nil:
 		s.jobsForwarded.Add(1)
-		ex.setTrace(out.StopReason, "")
 		ex.simSpan.SetAttr("forwarded_to", out.Peer)
 		if out.PeerCacheHit {
 			ex.simSpan.SetAttr("peer_cache_hit", true)
 		}
-		return outcome{state: api.StateDone, result: out.Result, cycle: out.Cycles, insts: out.Insts}, true
+		return outcome{state: api.StateDone, result: out.Result, cycle: out.Cycles, insts: out.Insts, stopReason: out.StopReason}, true
 	case errors.Is(err, ErrDegradeLocal):
 		s.forwardDegraded.Add(1)
 		ex.simSpan.Event("cluster_degraded_local", "error", err.Error())
@@ -318,7 +313,6 @@ func (s *Server) forwardRemote(ex *execution) (o outcome, handled bool) {
 // bit-identical result bytes — the property the content-addressed cache
 // returns verbatim.
 func (s *Server) marshal(ex *execution, res api.Result) outcome {
-	ex.setTrace(res.StopReason, "")
 	msp := s.rec.StartSpanAt(ex.simSpan.Context(), "marshal", time.Now())
 	// An injected marshal fault (error or drop alike) fails the job: a
 	// result that cannot be encoded cannot be partially delivered.
@@ -326,17 +320,17 @@ func (s *Server) marshal(ex *execution, res api.Result) outcome {
 		msp.Event("fault_injected", "point", fpResultMarshal.Name(), "error", ferr.Error())
 		msp.SetError(ferr.Error())
 		msp.End()
-		return outcome{state: api.StateFailed, errMsg: fmt.Sprintf("marshal result: %v", ferr)}
+		return outcome{state: api.StateFailed, errMsg: fmt.Sprintf("marshal result: %v", ferr), stopReason: res.StopReason}
 	}
 	res.Key, res.Version, res.Spec = ex.key, api.Version, ex.spec
 	b, err := json.Marshal(res)
 	if err != nil {
 		msp.SetError(err.Error())
 		msp.End()
-		return outcome{state: api.StateFailed, errMsg: fmt.Sprintf("marshal result: %v", err)}
+		return outcome{state: api.StateFailed, errMsg: fmt.Sprintf("marshal result: %v", err), stopReason: res.StopReason}
 	}
 	msp.SetAttr("bytes", len(b))
 	msp.SetAttr("stop_reason", res.StopReason)
 	msp.End()
-	return outcome{state: api.StateDone, result: b}
+	return outcome{state: api.StateDone, result: b, stopReason: res.StopReason}
 }

@@ -406,15 +406,11 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 	switch st {
 	case resident:
 		j.cached = true
-		j.exec = resolvedExecution(key, norm, b)
-		s.registerLocked(j)
-		s.retireLocked(j)
-		e2e := time.Since(j.submitted)
-		s.lat.e2e.Observe(ms(e2e))
-		j.span.SetAttr("state", api.StateDone)
 		j.span.SetAttr("cached", true)
-		j.span.SetAttr("cache", "hit")
-		j.span.EndAt(j.submitted.Add(e2e))
+		hit := outcome{state: api.StateDone, result: b, cacheDisp: "hit"}
+		j.exec = resolvedExecution(key, norm, hit)
+		s.registerLocked(j)
+		s.finishLocked(j, hit)
 		return j.info(), nil
 	case joined:
 		j.deduped = true
@@ -440,8 +436,8 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 			return api.JobInfo{}, ErrUnavailable{Reason: "queue full"}
 		}
 	}
-	// Joins happen under s.mu, before the execution settles its key, so
-	// onExecutionDone (which takes s.mu after settling) sees every job.
+	// Joins happen under s.mu, before the execution settles its key, so end
+	// (which takes s.mu after settling) finishes every job.
 	j.exec = ex
 	ex.jobs = append(ex.jobs, j)
 	s.registerLocked(j)
@@ -451,21 +447,6 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 func (s *Server) registerLocked(j *job) {
 	s.accepted.Add(1)
 	s.jobs[j.id] = j
-}
-
-// retireLocked records a job as finished, once, and enforces the retention
-// cap. It reports whether this call retired the job.
-func (s *Server) retireLocked(j *job) bool {
-	if j.retired {
-		return false
-	}
-	j.retired = true
-	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.opt.RetainJobs {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-	return true
 }
 
 // Job returns a job's status.
@@ -493,12 +474,9 @@ func (s *Server) Cancel(id string) (api.JobInfo, bool) {
 	ex := j.exec
 	ex.cancel()
 	// A queued execution has no worker to notice the cancellation yet;
-	// resolve it here. (A running one is resolved by its worker unless this
-	// claim wins first.) The key settles before "cancelled" is published, so
-	// a client resubmitting on that event starts a fresh execution instead
-	// of joining this one.
-	s.cache.settle(ex.key, ex, nil, false)
-	s.conclude(ex, outcome{state: api.StateCancelled, errMsg: context.Canceled.Error()}, 0, "")
+	// end it here. (A running one is ended by its worker unless this claim
+	// wins first.)
+	s.end(ex, outcome{state: api.StateCancelled, errMsg: context.Canceled.Error()})
 	return j.info(), true
 }
 
@@ -551,41 +529,41 @@ func (s *Server) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.Job
 	return res, info, nil
 }
 
-// onExecutionDone retires the execution's attached jobs into the retention
-// window, closing each job's root span with its claimed terminal state and
-// emitting one structured log line per job.
-func (s *Server) onExecutionDone(ex *execution) {
-	o := ex.claimed()
-	stopReason, cacheDisp := ex.traceInfo()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range ex.jobs {
-		// One observation per job, guarded by the retire check (the panic
-		// path can reach here twice for one execution).
-		if !s.retireLocked(j) {
-			continue
-		}
-		wait := time.Since(j.submitted)
-		s.lat.e2e.Observe(ms(wait))
-		if j.deduped {
-			s.lat.dedupWait.Observe(ms(wait))
-			dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
-			dsp.EndAt(j.submitted.Add(wait))
-		}
-		j.span.SetAttr("state", o.state)
-		if stopReason != "" {
-			j.span.SetAttr("stop_reason", stopReason)
-		}
-		if cacheDisp != "" {
-			j.span.SetAttr("cache", cacheDisp)
-		}
-		if o.errMsg != "" {
-			j.span.SetError(o.errMsg)
-		}
-		j.span.EndAt(j.submitted.Add(wait))
+// finishLocked ends one job with its execution's outcome o, once: it retires
+// the job into the retention window, observes its end-to-end latency (and a
+// deduped job's dedup wait), closes its root span with o, and logs one line.
+// Every job ends here, cache hits included; a job already finished is left
+// alone.
+func (s *Server) finishLocked(j *job, o outcome) {
+	if j.retired {
+		return
+	}
+	j.retired = true
+	s.finished = append(s.finished, j.id)
+	for len(s.finished) > s.opt.RetainJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	wait := time.Since(j.submitted)
+	s.lat.e2e.Observe(ms(wait))
+	if j.deduped {
+		s.lat.dedupWait.Observe(ms(wait))
+		dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
+		dsp.EndAt(j.submitted.Add(wait))
+	}
+	j.span.SetAttr("state", o.state)
+	if o.stopReason != "" {
+		j.span.SetAttr("stop_reason", o.stopReason)
+	}
+	j.span.SetAttr("cache", o.cacheDisp)
+	if o.errMsg != "" {
+		j.span.SetError(o.errMsg)
+	}
+	j.span.EndAt(j.submitted.Add(wait))
+	if s.logger.Enabled(context.Background(), slog.LevelDebug) {
 		s.logger.Debug("job finished",
 			"job_id", j.id, "trace_id", j.traceID, "key", j.key,
-			"state", o.state, "stop_reason", stopReason,
+			"state", o.state, "stop_reason", o.stopReason,
 			"deduped", j.deduped, "e2e_ms", ms(wait))
 	}
 }

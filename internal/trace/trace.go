@@ -142,13 +142,15 @@ func (l Loads) Emit(e Event) {
 }
 
 // Buffer is a bounded buffer that keeps the newest values: Push overwrites
-// the oldest when full, counting the overwritten ones as dropped. The event
-// Ring and otrace's span recorder are built on it.
+// the oldest when full, counting the overwritten ones as dropped. Its storage
+// grows with what it holds, up to the capacity, so a large bound costs
+// nothing until it is used. The event Ring and otrace's span recorder are
+// built on it.
 type Buffer[T any] struct {
-	buf     []T
-	start   int // index of the oldest value
-	n       int
-	dropped uint64
+	buf      []T
+	capacity int
+	start    int // index of the oldest value once full
+	dropped  uint64
 }
 
 // NewBuffer builds a buffer holding up to capacity values.
@@ -156,34 +158,34 @@ func NewBuffer[T any](capacity int) Buffer[T] {
 	if capacity <= 0 {
 		panic("trace: buffer capacity must be positive")
 	}
-	return Buffer[T]{buf: make([]T, capacity)}
+	return Buffer[T]{capacity: capacity}
 }
 
 // Push appends v, evicting the oldest value when full.
 func (b *Buffer[T]) Push(v T) {
-	if b.n < len(b.buf) {
-		b.buf[(b.start+b.n)%len(b.buf)] = v
-		b.n++
+	if len(b.buf) == b.capacity {
+		b.buf[b.start] = v
+		b.start = (b.start + 1) % len(b.buf)
+		b.dropped++
 		return
 	}
-	b.buf[b.start] = v
-	b.start = (b.start + 1) % len(b.buf)
-	b.dropped++
+	if len(b.buf) == cap(b.buf) {
+		// Double the storage, never past the capacity.
+		b.buf = append(make([]T, 0, min(max(2*len(b.buf), 16), b.capacity)), b.buf...)
+	}
+	b.buf = append(b.buf, v)
 }
 
 // Len returns the number of buffered values.
-func (b *Buffer[T]) Len() int { return b.n }
+func (b *Buffer[T]) Len() int { return len(b.buf) }
 
 // Dropped returns how many values were overwritten.
 func (b *Buffer[T]) Dropped() uint64 { return b.dropped }
 
-// All returns the buffered values, oldest first.
+// All returns a copy of the buffered values, oldest first.
 func (b *Buffer[T]) All() []T {
-	out := make([]T, b.n)
-	for i := range out {
-		out[i] = b.buf[(b.start+i)%len(b.buf)]
-	}
-	return out
+	out := make([]T, 0, len(b.buf))
+	return append(append(out, b.buf[b.start:]...), b.buf[:b.start]...)
 }
 
 // Ring is a bounded event buffer: Emit overwrites the oldest event when

@@ -199,3 +199,19 @@ func TestWriteJSONLRows(t *testing.T) {
 		t.Fatalf("got %q, want %q", buf.String(), want)
 	}
 }
+
+// TestBufferGrowsAsItFills: a buffer's storage follows what it holds, so a
+// large bound (-trace-buf's default is 2^20 events) costs nothing until it
+// is used.
+func TestBufferGrowsAsItFills(t *testing.T) {
+	b := NewBuffer[Event](1 << 20)
+	for i := 0; i < 10; i++ {
+		b.Push(Event{Seq: uint64(i)})
+	}
+	if c := cap(b.buf); c > 64 {
+		t.Fatalf("10 values held in a backing array of %d", c)
+	}
+	if got := b.All(); len(got) != 10 || got[0].Seq != 0 || got[9].Seq != 9 {
+		t.Fatalf("All = %+v", got)
+	}
+}
