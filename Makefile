@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet lint size race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke fuzz-smoke same-answers profile-artifact check clean
+.PHONY: all build test vet lint size race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core bench-smoke bench-pairs fuzz-smoke same-answers profile-artifact check clean
 
 all: check
 
@@ -109,6 +109,16 @@ bench-smoke:
 		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 			{ echo "bench-smoke: $$w: answer checks failed" >&2; exit 1; }; \
 	done
+
+# Alternating parent/change pairs of one perfbench workload, built at BASE and
+# in the working tree, summarised per end-to-end metric: each side's median
+# and quartiles, the change's wins, and the gap between the medians against
+# the base's interquartile range. Not in CI: a pair takes about a minute.
+PAIRS ?= 10
+SEED ?= 1
+RUN_SECONDS ?= 20
+bench-pairs:
+	sh scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)
 
 # Short fuzz passes over the untrusted-input surfaces: the assembler's
 # parser, the instruction decoder, and the job-spec JSON that content-addresses

@@ -23,7 +23,7 @@
 //
 //	POST   /v1/jobs             submit a job spec
 //	GET    /v1/jobs/{id}        job status (+ result when done)
-//	GET    /v1/jobs/{id}/events NDJSON progress stream
+//	GET    /v1/jobs/{id}/events NDJSON progress stream (final line carries the job)
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/metrics          Prometheus metrics (server.* namespace)
 //	GET    /v1/healthz          liveness + uptime/version/worker-pool JSON
@@ -134,8 +134,8 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 func main() {
 	var (
 		addr      = flag.String("addr", ":8351", "listen address")
-		workers   = flag.Int("j", 0, "worker-pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 256, "bounded queue size; beyond it submits get 503")
+		workers   = flag.Int("j", 0, "worker-pool size: simulations at once (0 = GOMAXPROCS); forwards to peers hold none")
+		queue     = flag.Int("queue", 256, "bounded queue size, and bound on forwards in flight; beyond either submits get 503")
 		cache     = flag.Int("cache", 512, "result-cache entries (negative disables caching)")
 		profCache = flag.Int("profile-cache", 64, "sampled-job profile-cache entries (plans; negative disables)")
 		interval  = flag.Uint64("event-interval", 1_000_000, "progress-event cadence in simulated cycles")

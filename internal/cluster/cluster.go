@@ -380,8 +380,9 @@ func (c *Coordinator) RunRemote(ctx context.Context, key string, spec api.JobSpe
 	return rr, err
 }
 
-// Run is RunRemote plus key derivation and result decoding — the one-call
-// path specmpk-bench's cluster mode uses (experiments.ClusterJobs).
+// Run is RunRemote plus key derivation and result decoding, the result's
+// one full decode — the one-call path specmpk-bench's cluster mode uses
+// (experiments.ClusterJobs).
 func (c *Coordinator) Run(ctx context.Context, spec api.JobSpec) (api.Result, RemoteResult, error) {
 	key, err := spec.Key()
 	if err != nil {
@@ -510,21 +511,37 @@ func (c *Coordinator) runOn(ctx context.Context, p *peer, spec api.JobSpec) (Rem
 	if err := fpPeerForward.Fire(); err != nil {
 		return RemoteResult{}, fmt.Errorf("cluster: forward to %s: %w", p.name, err)
 	}
-	res, info, err := p.c.Run(ctx, spec)
+	info, err := p.c.RunJob(ctx, spec)
 	if err != nil {
 		return RemoteResult{}, err
 	}
+	return remoteResult(p.name, info)
+}
+
+// resultHead is the part of an api.Result a hop reports: decoding only it
+// skips building the result's metrics map, which the hop never reads.
+type resultHead struct {
+	StopReason string `json:"stopReason"`
+	Stats      struct{ Cycles, Insts uint64 }
+}
+
+// remoteResult reads a peer's done job. The job's status carries the peer's
+// stored result bytes verbatim, so they enter this node's store
+// bit-identical; of them, only the headline figures are decoded.
+func remoteResult(peer string, info api.JobInfo) (RemoteResult, error) {
 	if len(info.Result) == 0 {
-		return RemoteResult{}, fmt.Errorf("cluster: peer %s answered done with no result payload", p.name)
+		return RemoteResult{}, fmt.Errorf("cluster: peer %s answered done with no result payload", peer)
 	}
-	// The job-info endpoint carries the peer's stored result bytes
-	// verbatim, so they enter this node's store bit-identical.
+	var head resultHead
+	if err := json.Unmarshal(info.Result, &head); err != nil {
+		return RemoteResult{}, fmt.Errorf("cluster: bad result payload from %s: %w", peer, err)
+	}
 	return RemoteResult{
 		Raw:          info.Result,
-		StopReason:   res.StopReason,
-		Cycles:       res.Stats.Cycles,
-		Insts:        res.Stats.Insts,
-		Peer:         p.name,
+		StopReason:   head.StopReason,
+		Cycles:       head.Stats.Cycles,
+		Insts:        head.Stats.Insts,
+		Peer:         peer,
 		PeerCacheHit: info.Cached,
 		WallMS:       info.WallMS,
 	}, nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -457,5 +458,35 @@ func TestClusterChaosSeededFaultsBitIdentical(t *testing.T) {
 		if !bytes.Equal(rr.Raw, ref[i]) {
 			t.Errorf("chaos job %d: bytes differ from the pristine run", i)
 		}
+	}
+}
+
+// TestHopDecodesResultHead: the hop reads only a peer result's headline
+// figures, so it decodes them alone and leaves the result's metrics map
+// (about 300 entries for a capped full job) to Coordinator.Run's one full
+// decode. The figures match a full decode, the bytes pass through verbatim,
+// and the decode stays within a few allocations (a full decode of this
+// result makes over 300).
+func TestHopDecodesResultHead(t *testing.T) {
+	s := server.New(server.Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	res, info, err := s.Run(context.Background(), api.JobSpec{Workload: "548.exchange2_r", Mode: "specmpk", MaxCycles: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := remoteResult("p", info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.StopReason != res.StopReason || rr.Cycles != res.Stats.Cycles || rr.Insts != res.Stats.Insts ||
+		!bytes.Equal(rr.Raw, info.Result) || rr.Cycles == 0 {
+		t.Fatalf("hop read %s/%d/%d, want %s/%d/%d from the full decode, bytes verbatim",
+			rr.StopReason, rr.Cycles, rr.Insts, res.StopReason, res.Stats.Cycles, res.Stats.Insts)
+	}
+	allocs := testing.AllocsPerRun(20, func() { _, _ = remoteResult("p", info) })
+	full := testing.AllocsPerRun(20, func() { _ = json.Unmarshal(info.Result, new(api.Result)) })
+	t.Logf("%d-byte result: the hop's decode makes %.0f allocations, a full decode %.0f", len(info.Result), allocs, full)
+	if allocs > 20 {
+		t.Fatalf("the hop's decode made %.0f allocations, want at most 20", allocs)
 	}
 }

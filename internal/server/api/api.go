@@ -540,7 +540,8 @@ type Healthz struct {
 	// QueueCap is the bounded queue's capacity (submits beyond it get 503).
 	QueueDepth int `json:"queueDepth"`
 	QueueCap   int `json:"queueCap"`
-	// JobsInFlight is how many executions are currently on a worker.
+	// JobsInFlight is how many executions have started and not yet ended:
+	// simulating on a worker or forwarded to a cluster peer.
 	JobsInFlight int `json:"jobsInFlight"`
 }
 
@@ -571,4 +572,9 @@ type Event struct {
 	IPC   float64 `json:"ipc"`
 	// Final marks the last event of the stream.
 	Final bool `json:"final,omitempty"`
+	// Job is the job's terminal status, result bytes included, on the
+	// final line of the HTTP events stream (GET /v1/jobs/{id}/events), so a
+	// waiting client needs no status read. Only that line carries it, and
+	// it is absent when the job has already left the retention window.
+	Job *JobInfo `json:"job,omitempty"`
 }

@@ -73,6 +73,9 @@ func TestChaosEveryJobEnd(t *testing.T) {
 	cases := []struct {
 		name string
 		plan []faults.Rule
+		// fwd, when set, is installed as the server's forwarder: the job
+		// under test is then forwarded.
+		fwd func(t *testing.T) Forwarder
 		// setup runs before the counters are read; job then submits the job
 		// under test and returns its id.
 		setup func(t *testing.T, s *Server)
@@ -178,10 +181,86 @@ func TestChaosEveryJobEnd(t *testing.T) {
 			alsoStop: "cancelled",
 			moved:    map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.cancelled": 1, "e2e": 1},
 		},
+		{
+			name:  "forwarded, done by the peer",
+			fwd:   peerForwarder,
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(8, 5_000)).ID },
+			want:  end{state: api.StateDone, stop: "cycle_limit", cache: "filled"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.done": 1, "server.jobs.forwarded": 1, "e2e": 1},
+		},
+		{
+			// Only the peer simulates, so only the peer meets the fault.
+			name:  "forwarded, failed by the peer",
+			plan:  []faults.Rule{{Point: "server.worker.simulate", Times: 1, Message: "chaos-peer-sim"}},
+			fwd:   peerForwarder,
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(9, 5_000)).ID },
+			want:  end{state: api.StateFailed, cache: "uncacheable", err: "chaos-peer-sim"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "e2e": 1},
+		},
+		{
+			// The spec's wall-clock budget travels with it; the peer that
+			// runs it enforces it and counts the deadline.
+			name: "forwarded, failed by the wall-clock deadline",
+			fwd:  peerForwarder,
+			job: func(t *testing.T, s *Server) string {
+				spec := spinSpec(1 << 40)
+				spec.MaxWallMS = 20
+				return submitJob(t, s, spec).ID
+			},
+			want:  end{state: api.StateFailed, cache: "uncacheable", err: "deadline:"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "e2e": 1},
+		},
+		{
+			name:  "forwarded, cancelled while forwarding",
+			fwd:   func(*testing.T) Forwarder { return blockingForwarder(nil) },
+			job:   func(t *testing.T, s *Server) string { return forwardingJob(t, s, func(id string) { s.Cancel(id) }) },
+			want:  end{state: api.StateCancelled, cache: "uncacheable", err: context.Canceled.Error()},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.cancelled": 1, "e2e": 1},
+		},
+		{
+			// A drain whose context expires cancels what is still in flight.
+			name: "forwarded, drained while forwarding",
+			fwd:  func(*testing.T) Forwarder { return blockingForwarder(nil) },
+			job: func(t *testing.T, s *Server) string {
+				return forwardingJob(t, s, func(string) {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+					defer cancel()
+					if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+						t.Errorf("drain returned %v, want its context's deadline", err)
+					}
+				})
+			},
+			want:  end{state: api.StateCancelled, cache: "uncacheable", err: context.Canceled.Error()},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.cancelled": 1, "e2e": 1},
+		},
+		{
+			name: "forwarded, failed by a panic in the forward",
+			fwd: func(*testing.T) Forwarder {
+				return funcForwarder{
+					remote: func(string) bool { return true },
+					run: func(context.Context, string, api.JobSpec) (ForwardOutcome, error) {
+						panic("chaos-forward-panic")
+					},
+				}
+			},
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(10, 5_000)).ID },
+			want:  end{state: api.StateFailed, cache: "uncacheable", err: "chaos-forward-panic"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.failed": 1, "server.panics_recovered": 1, "e2e": 1},
+		},
+		{
+			name:  "forwarded, degraded to a local run",
+			fwd:   func(*testing.T) Forwarder { return degradingForwarder },
+			job:   func(t *testing.T, s *Server) string { return submitJob(t, s, uniqueSpec(11, 5_000)).ID },
+			want:  end{state: api.StateDone, stop: "cycle_limit", cache: "filled"},
+			moved: map[string]uint64{"server.jobs.accepted": 1, "server.cache.misses": 1, "server.jobs.done": 1, "server.jobs.forward_degraded": 1, "e2e": 1},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := tracedTestServer(t, Options{Workers: 1, EventInterval: 1000})
+			if c.fwd != nil {
+				s.SetForwarder(c.fwd(t))
+			}
 			if c.plan != nil {
 				armPlan(t, faults.Plan{Rules: c.plan})
 			}
@@ -256,6 +335,27 @@ func TestChaosEveryJobEnd(t *testing.T) {
 				t.Errorf("%d final events, %d events after the last, want one final event, last", finals, last)
 			}
 		})
+	}
+}
+
+// TestChaosCancelledRunCountsWallTime: a running job that Cancel ends still
+// adds the time it ran to server.jobs.wall_ms_total. The run adds what it
+// measures whichever claim wins the end, and Cancel's claim wins here.
+func TestChaosCancelledRunCountsWallTime(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 10_000})
+	info := submitJob(t, s, spinSpec(1<<40))
+	waitFor(t, "the job to start", func() bool {
+		cur, _ := s.Job(info.ID)
+		return cur.State == api.StateRunning
+	})
+	time.Sleep(300 * time.Millisecond)
+	s.Cancel(info.ID)
+	waitFor(t, "the worker to end the run", func() bool { return s.running.Load() == 0 })
+	if got := s.wallMSTotal.Load(); got < 300 {
+		t.Fatalf("server.jobs.wall_ms_total = %d after a run cancelled 300 ms in, want at least 300", got)
+	}
+	if got := s.jobsCancelled.Load(); got != 1 {
+		t.Fatalf("server.jobs.cancelled = %d, want 1", got)
 	}
 }
 

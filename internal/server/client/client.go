@@ -270,19 +270,21 @@ func (c *Client) request(ctx context.Context, method, path string, body any) (*h
 	return resp, nil
 }
 
-// do sends one request and decodes its JSON answer into out (nil
-// discards it).
+// do sends one request and decodes its JSON answer into out.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	resp, err := c.request(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if out == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read the rest to EOF, so the connection goes back to the transport's
+	// pool. The answer is already decoded, so a failed read costs only the
+	// connection.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // doRetry is do wrapped in the resilience layer: transient failures are
@@ -440,7 +442,10 @@ func (e *callbackError) Error() string { return e.err.Error() }
 
 // streamEvents runs one events connection, delivering events newer than
 // *lastSeq. It returns nil when the stream ended cleanly (final event or
-// EOF) and reports whether any new event arrived on this connection.
+// EOF) and reports whether any new event arrived on this connection. After
+// the final event it reads the body to EOF — the daemon ends the stream
+// right after that event — so the connection goes back to the transport's
+// pool instead of being closed.
 func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, fn func(api.Event) error) (progressed bool, err error) {
 	resp, err := c.request(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -467,6 +472,7 @@ func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, f
 			return progressed, &callbackError{err: err}
 		}
 		if ev.Final {
+			_, _ = io.Copy(io.Discard, resp.Body)
 			return progressed, nil
 		}
 	}
@@ -477,16 +483,26 @@ func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, f
 }
 
 // Wait blocks until the job reaches a terminal state and returns its final
-// status. It starts with the event stream, which the daemon ends only after
-// the job's end is recorded, and then reads the status once; a stream that
-// drops or ends inconclusively falls back to re-polling with capped
-// exponential backoff plus jitter. A dead peer (PeerDownError) or an unknown
-// job (404) on the stream returns as-is, so failover and Run's resubmission
-// each spend one retry budget.
+// status. It waits on the event stream, whose final line carries the job's
+// terminal status, so a waited job costs one request. A stream that ends
+// without it — an older daemon, a dropped or inconclusive stream — falls
+// back to reading the status, re-polled with capped exponential backoff plus
+// jitter until terminal. A dead peer (PeerDownError) or an unknown job (404)
+// on the stream returns as-is, so failover and Run's resubmission each spend
+// one retry budget.
 func (c *Client) Wait(ctx context.Context, id string) (api.JobInfo, error) {
 	bo := newBackoff(c.Retry)
 	for {
-		err := c.Events(ctx, id, func(api.Event) error { return nil })
+		var final *api.JobInfo
+		err := c.Events(ctx, id, func(ev api.Event) error {
+			if ev.Final && ev.Job != nil && api.Terminal(ev.Job.State) {
+				final = ev.Job
+			}
+			return nil
+		})
+		if final != nil {
+			return *final, nil
+		}
 		if ctx.Err() != nil {
 			return api.JobInfo{}, ctx.Err()
 		}
@@ -513,11 +529,27 @@ func (c *Client) Wait(ctx context.Context, id string) (api.JobInfo, error) {
 const resubmitAttempts = 3
 
 // Run submits the spec and waits for the result — the one-call path the
-// remote experiment runner uses. The returned JobInfo reports whether the
-// result came from the cache. If the daemon restarts mid-job and no longer
-// knows the job id, Run resubmits the spec: the content-addressed key
-// guarantees the resubmission asks for exactly the same simulation.
+// remote experiment runner uses. It is RunJob plus decoding the result.
 func (c *Client) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.JobInfo, error) {
+	info, err := c.RunJob(ctx, spec)
+	if err != nil {
+		return api.Result{}, info, err
+	}
+	var res api.Result
+	if err := json.Unmarshal(info.Result, &res); err != nil {
+		return api.Result{}, info, fmt.Errorf("specmpkd: bad result payload: %w", err)
+	}
+	return res, info, nil
+}
+
+// RunJob submits the spec and waits for the job to end, returning the done
+// job's status with its result bytes undecoded, for a caller that reads only
+// part of them; a failed or cancelled job is a *JobError. The returned
+// JobInfo reports whether the result came from the cache. If the daemon
+// restarts mid-job and no longer knows the job id, RunJob resubmits the
+// spec: the content-addressed key guarantees the resubmission asks for
+// exactly the same simulation.
+func (c *Client) RunJob(ctx context.Context, spec api.JobSpec) (api.JobInfo, error) {
 	var lastErr error
 	for attempt := 0; attempt < resubmitAttempts; attempt++ {
 		sctx := ctx
@@ -530,7 +562,7 @@ func (c *Client) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.Job
 		}
 		info, err := c.Submit(sctx, spec)
 		if err != nil {
-			return api.Result{}, api.JobInfo{}, err
+			return api.JobInfo{}, err
 		}
 		if !api.Terminal(info.State) {
 			if info, err = c.Wait(ctx, info.ID); err != nil {
@@ -538,21 +570,15 @@ func (c *Client) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.Job
 					lastErr = err
 					continue
 				}
-				return api.Result{}, info, err
+				return info, err
 			}
 		}
-		switch info.State {
-		case api.StateDone:
-			var res api.Result
-			if err := json.Unmarshal(info.Result, &res); err != nil {
-				return api.Result{}, info, fmt.Errorf("specmpkd: bad result payload: %w", err)
-			}
-			return res, info, nil
-		default:
-			return api.Result{}, info, &JobError{Info: info}
+		if info.State != api.StateDone {
+			return info, &JobError{Info: info}
 		}
+		return info, nil
 	}
-	return api.Result{}, api.JobInfo{}, fmt.Errorf("specmpkd: job lost %d times across daemon restarts: %w",
+	return api.JobInfo{}, fmt.Errorf("specmpkd: job lost %d times across daemon restarts: %w",
 		resubmitAttempts, lastErr)
 }
 

@@ -1,14 +1,22 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"specmpk/internal/faults"
 	"specmpk/internal/server"
 	"specmpk/internal/server/api"
 	"specmpk/internal/server/client"
@@ -145,5 +153,108 @@ func TestErrorsAreTyped(t *testing.T) {
 	}
 	if !strings.Contains(m, "server_jobs_accepted") {
 		t.Fatalf("metrics missing server namespace:\n%s", m)
+	}
+}
+
+// countingDaemon serves a fresh daemon through a handler that records each
+// request, and returns a client whose transport counts the TCP connections
+// it dials.
+func countingDaemon(t *testing.T) (c *client.Client, requests func() []string, dials *atomic.Int32) {
+	t.Helper()
+	s := server.New(server.Options{Workers: 1, EventInterval: 1000})
+	var mu sync.Mutex
+	var seen []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	dials = new(atomic.Int32)
+	c = client.New(ts.URL)
+	client.SetTransport(c, &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}})
+	requests = func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := seen
+		seen = nil
+		return out
+	}
+	return c, requests, dials
+}
+
+// spinSpec is the i-th distinct cold job: a spin loop capped at 20k cycles.
+func spinSpec(i int) api.JobSpec {
+	return api.JobSpec{Asm: fmt.Sprintf("main:\n    addi t0, t0, %d\n    jmp main\n", i+1), MaxCycles: 20_000}
+}
+
+// TestWaitIsOneStreamOverOneConnection: a cold job costs a submit and one
+// event stream, whose final line carries the job, and the stream is read to
+// its end, so every request of many jobs in a row reuses one TCP connection.
+func TestWaitIsOneStreamOverOneConnection(t *testing.T) {
+	c, requests, dials := countingDaemon(t)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		info, err := c.Submit(ctx, spinSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.Wait(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.ID != info.ID || final.State != api.StateDone || len(final.Result) == 0 {
+			t.Fatalf("job %d: Wait returned %+v, want job %s done with its result", i, final, info.ID)
+		}
+		want := []string{"POST /v1/jobs", "GET /v1/jobs/" + info.ID + "/events"}
+		if got := requests(); !slices.Equal(got, want) {
+			t.Fatalf("job %d: requests %v, want %v", i, got, want)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("%d TCP connections dialled for 20 submit+wait pairs, want 1", got)
+	}
+}
+
+// TestWaitFallsBackWhenTheStreamIsCut: a stream that ends without the
+// final line (here cut by the server.events.stream fault point before its
+// first line) still ends the wait with the job, through one status read.
+func TestWaitFallsBackWhenTheStreamIsCut(t *testing.T) {
+	c, requests, _ := countingDaemon(t)
+	ctx := context.Background()
+	info, err := c.Submit(ctx, spinSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !api.Terminal(info.State) {
+		time.Sleep(time.Millisecond)
+		if info, err = c.Job(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := faults.Arm(faults.Plan{Rules: []faults.Rule{{Point: "server.events.stream", Times: 1, Message: "cut"}}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Disarm)
+	requests()
+	final, err := c.Wait(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != api.StateDone || !bytes.Equal(final.Result, info.Result) {
+		t.Fatalf("Wait returned %+v, want the done job with its result", final)
+	}
+	want := []string{"GET /v1/jobs/" + info.ID + "/events", "GET /v1/jobs/" + info.ID}
+	if got := requests(); !slices.Equal(got, want) {
+		t.Fatalf("requests %v, want %v", got, want)
 	}
 }

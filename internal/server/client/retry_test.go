@@ -436,9 +436,10 @@ func TestWaitRecoversWhenStreamsEndInconclusively(t *testing.T) {
 }
 
 // TestWaitStartsWithTheStream: waiting on a running job opens the event
-// stream first and reads the status once it ends — the daemon ends the
-// stream only after the job's end is recorded, so a status read before it
-// would be a wasted round trip.
+// stream first — the daemon ends the stream only after the job's end is
+// recorded, so a status read before it would be a wasted round trip. This
+// stub answers in the older format, whose final line carries no job, so Wait
+// then reads the status once.
 func TestWaitStartsWithTheStream(t *testing.T) {
 	var mu sync.Mutex
 	var paths []string

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -361,4 +362,47 @@ func metricsOf(t *testing.T, s *Server) string {
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
 	return rec.Body.String()
+}
+
+// TestEventsFinalLineCarriesJob: the final line of the HTTP events stream
+// carries the job's terminal status, and its result is byte-identical to
+// what GET /v1/jobs/{id} answers, for a capped and a sampled job of
+// testdata/results.golden; no other line carries a job.
+func TestEventsFinalLineCarriesJob(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 2, EventInterval: 5000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, spec := range []api.JobSpec{cappedSpec("548.exchange2_r", "specmpk"), sampledSpec("specmpk")} {
+		info := httpJob(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + info.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var final *api.JobInfo
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			var ev api.Event
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("bad event line %q: %v", sc.Text(), err)
+			}
+			if ev.Job != nil && !ev.Final {
+				t.Fatalf("event %d carries a job but is not final", ev.Seq)
+			}
+			if ev.Final {
+				final = ev.Job
+			}
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if final == nil || final.ID != info.ID || final.State != api.StateDone {
+			t.Fatalf("final line's job %+v, want job %s done", final, info.ID)
+		}
+		status := httpJob(t, http.MethodGet, ts.URL+"/v1/jobs/"+info.ID, nil)
+		if len(status.Result) == 0 || !bytes.Equal(final.Result, status.Result) {
+			t.Fatalf("final line's result differs from the status read's:\n got: %s\nwant: %s", final.Result, status.Result)
+		}
+	}
 }

@@ -20,7 +20,7 @@ import (
 //	POST   /v1/jobs             submit a job spec; returns JobInfo
 //	GET    /v1/jobs/{id}        job status (Result inlined once done)
 //	DELETE /v1/jobs/{id}        cancel (queued: immediate; running: via ctx)
-//	GET    /v1/jobs/{id}/events NDJSON progress stream (replay + live)
+//	GET    /v1/jobs/{id}/events NDJSON progress stream (replay + live; final line carries the job)
 //	GET    /v1/cache/{key}      resident result for a content-addressed key (read-only peek)
 //	GET    /v1/metrics          Prometheus text exposition of server.* metrics
 //	GET    /v1/healthz          liveness + diagnostics (uptime, version, pool size)
@@ -223,9 +223,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the job's events as NDJSON: the replay buffer first,
 // then live events until the job finishes or the client goes away. Each line
-// is one api.Event; the line with "final":true is the last.
+// is one api.Event; the line with "final":true is the last, and carries the
+// job's terminal status as its "job" — the JobInfo GET /v1/jobs/{id} would
+// answer, result bytes included — so a client waiting on the stream needs
+// no status read. The job is terminal by then: publish sets the
+// execution's state before it publishes the final event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	ch, cancel, ok := s.Subscribe(r.PathValue("id"))
+	id := r.PathValue("id")
+	ch, cancel, ok := s.Subscribe(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, errors.New("unknown job id"))
 		return
@@ -248,6 +253,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// by re-polling (the replay buffer makes resubscription lossless).
 			if err := fpEventsStream.Fire(); err != nil {
 				return
+			}
+			if ev.Final {
+				if info, ok := s.Job(id); ok {
+					ev.Job = &info
+				}
 			}
 			if err := enc.Encode(ev); err != nil {
 				return

@@ -22,11 +22,6 @@ type execution struct {
 	// and read under Server.mu.
 	jobs []*job
 
-	// forwarded marks an execution a cluster coordinator already placed on
-	// this node: the worker must simulate it locally, never forward it
-	// onward (loop prevention). Set before the execution enters the queue.
-	forwarded bool
-
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -38,13 +33,18 @@ type execution struct {
 	// Tracing. sc is the primary job's span context (zero when tracing is
 	// disarmed): every execution-stage span — queue.wait, simulate, marshal —
 	// parents onto it, so the whole lifecycle lands in the primary trace.
-	// queueSpan opens at enqueue and closes at worker pickup; simSpan is the
-	// worker's simulate span. Both are set before the execution becomes
-	// reachable by the worker (sc/queueSpan) or only touched by the worker
-	// goroutine (simSpan).
+	// queueSpan opens at submit and closes when the run begins; simSpan is
+	// the run's simulate span. sc and queueSpan are set before the execution
+	// becomes reachable by whoever runs it.
 	sc        otrace.SpanContext
 	queueSpan *otrace.Span
-	simSpan   *otrace.Span
+
+	// simSpan and runStart (the start of the run, zero until it begins) are
+	// touched only by whoever runs the execution: a pool worker, or its
+	// forward and then, on the degrade ladder's last rung, the worker the
+	// forward hands it to through the queue.
+	simSpan  *otrace.Span
+	runStart time.Time
 
 	mu    sync.Mutex
 	state string
@@ -65,15 +65,14 @@ type execution struct {
 // outcome is the whole of how an execution ends, carried in one value from
 // whoever reaches the end to every attached job: its terminal state, error,
 // result bytes (the canonical result JSON when state is done), the final
-// event's progress figures, the run's stop reason, the result store's
-// disposition of the key and the simulation's wall time.
+// event's progress figures, the run's stop reason and the result store's
+// disposition of the key.
 type outcome struct {
 	state, errMsg string
 	result        []byte
 	cycle, insts  uint64
 	stopReason    string
 	cacheDisp     string // hit|filled|released|skipped_fault|uncacheable|disabled
-	wall          time.Duration
 }
 
 // maxBufferedEvents bounds the replay buffer; older progress events are
@@ -122,27 +121,30 @@ func (ex *execution) snapshot() (state, errMsg string, result []byte, started, f
 	return ex.state, errMsg, result, ex.started, ex.finished
 }
 
-// start transitions queued -> running and announces it on the event stream.
-// It returns false if the execution's end is already claimed (cancelled
-// while queued).
-func (ex *execution) start() bool {
+// start transitions queued -> running, announces it on the event stream
+// and returns the start time. It returns false if the execution's end is
+// already claimed (cancelled while queued).
+func (ex *execution) start() (time.Time, bool) {
 	ex.mu.Lock()
+	defer ex.mu.Unlock()
 	if ex.final.state != "" {
-		ex.mu.Unlock()
-		return false
+		return time.Time{}, false
 	}
 	ex.state = api.StateRunning
 	ex.started = time.Now()
 	ex.publishLocked(api.Event{State: api.StateRunning})
-	ex.mu.Unlock()
-	return true
+	return ex.started, true
 }
 
-// progress publishes one interval snapshot.
+// progress publishes one interval snapshot, unless the execution's end is
+// already published (a Cancel that won while the run finished its chunk):
+// the final event stays the last.
 func (ex *execution) progress(cycle, insts uint64, ipc float64) {
 	ex.mu.Lock()
-	ex.publishLocked(api.Event{Cycle: cycle, Insts: insts, IPC: ipc})
-	ex.mu.Unlock()
+	defer ex.mu.Unlock()
+	if !api.Terminal(ex.state) {
+		ex.publishLocked(api.Event{Cycle: cycle, Insts: insts, IPC: ipc})
+	}
 }
 
 // claim reserves the execution's end for o. Exactly one caller wins, and it

@@ -14,60 +14,108 @@ import (
 	"specmpk/internal/server/api"
 )
 
-// runExecutionContained is the worker pool's panic boundary: any panic that
-// escapes runExecution — a simulation bug, a fault-injected panic in the
-// bookkeeping path — resolves the execution as a failed job carrying the
-// panic value and stack, and the worker goroutine survives to serve the
-// next job. The containment is what makes "a panicking simulation" a job
-// outcome instead of a daemon outage.
-func (s *Server) runExecutionContained(ex *execution) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicsRecovered.Add(1)
-			s.logger.Error("panic contained in worker pool",
-				"trace_id", ex.sc.Trace.String(), "key", ex.key, "panic", fmt.Sprint(r))
-			// When the panic struck after a claim, whose deferred publish has
-			// then already run, end only retires the jobs the panic left.
-			s.end(ex, outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())})
-		}
-	}()
-	s.runExecution(ex)
+// contain is the panic boundary of whatever runs an execution, a pool
+// worker or a forward: any panic that escapes the run — a simulation bug, a
+// fault-injected panic in the bookkeeping path — ends the execution as a
+// failed job carrying the panic value and stack, and the goroutine survives
+// (a worker to serve the next job). The containment is what makes "a
+// panicking simulation" a job outcome instead of a daemon outage. Defer it
+// directly, so its recover sees the panic.
+func (s *Server) contain(ex *execution) {
+	if r := recover(); r != nil {
+		s.panicsRecovered.Add(1)
+		s.logger.Error("panic contained in a job's run",
+			"trace_id", ex.sc.Trace.String(), "key", ex.key, "panic", fmt.Sprint(r))
+		// When the panic struck after a claim, whose deferred publish has
+		// then already run, end only retires the jobs the panic left.
+		s.end(ex, outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())})
+	}
 }
 
-// runExecution is one worker's handling of one execution: simulate in
-// event-interval chunks, publish progress, and end the execution with the
-// outcome. The queue.wait and simulate stage spans close here with exactly
-// the durations the matching server.latency.* histograms observe.
+// runExecution is one worker's handling of one execution: begin the run
+// (unless its forward already did, on the degrade ladder's last rung),
+// simulate in event-interval chunks, publish progress, and conclude with
+// the outcome.
 func (s *Server) runExecution(ex *execution) {
-	if !ex.start() {
-		// Cancelled while queued; Cancel already ended it.
+	defer s.contain(ex)
+	if ex.runStart.IsZero() && !s.begin(ex) {
+		return // cancelled while queued; Cancel already ended it
+	}
+	s.conclude(ex, s.runContained(ex, func() outcome { return s.simulate(ex) }))
+}
+
+// forward runs an execution whose key a peer owns: it waits on the peer on
+// a goroutine of its own, holding none of the pool's workers, so a forward
+// never delays a local simulation. Only the degrade ladder's last rung
+// (ErrDegradeLocal) simulates, and it does so on a pool worker like any
+// local job: the forward hands the begun execution to the queue, giving up
+// if the execution's context ends first. Shutdown closes the queue only
+// after every forward has returned, so the hand-off never meets a closed
+// channel.
+func (s *Server) forward(ex *execution) {
+	defer s.forwards.Done()
+	defer s.forwarding.Add(-1)
+	defer s.contain(ex)
+	if !s.begin(ex) {
+		return // cancelled before it began; Cancel already ended it
+	}
+	degrade := false
+	o := s.runContained(ex, func() outcome {
+		o, d := s.forwardRemote(ex)
+		degrade = d
+		return o
+	})
+	if !degrade {
+		s.conclude(ex, o)
 		return
 	}
+	select {
+	case s.queue <- ex:
+	case <-ex.ctx.Done():
+		s.conclude(ex, outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error()})
+	}
+}
+
+// begin starts the run of ex for whoever runs it: it moves ex to running,
+// closes its queue wait — the queue.wait span with exactly the duration the
+// histogram observes — and opens the simulate span. It returns false if ex
+// already ended (cancelled while queued).
+func (s *Server) begin(ex *execution) bool {
+	t0, ok := ex.start()
+	if !ok {
+		return false
+	}
 	s.running.Add(1)
-	t0 := time.Now()
-	queueWait := t0.Sub(ex.queuedAt)
-	s.lat.queueWait.Observe(ms(queueWait))
-	ex.queueSpan.EndAt(ex.queuedAt.Add(queueWait))
+	ex.runStart = t0
+	s.lat.queueWait.Observe(ms(t0.Sub(ex.queuedAt)))
+	ex.queueSpan.EndAt(t0)
 	ex.simSpan = s.rec.StartSpanAt(ex.sc, "simulate", t0)
-	o := s.simulateContained(ex)
+	return true
+}
+
+// conclude closes the run begin opened and ends ex with o. The simulate span
+// and histogram and the wall-time total all take the run's one measured wall
+// time here, whichever claim then wins the end: a running job that Cancel
+// ended still counts the time it ran.
+func (s *Server) conclude(ex *execution, o outcome) {
 	s.running.Add(-1)
-	simDur := time.Since(t0)
-	s.lat.simulate.Observe(ms(simDur))
+	wall := time.Since(ex.runStart)
+	s.lat.simulate.Observe(ms(wall))
+	s.wallMSTotal.Add(uint64(wall.Milliseconds()))
 	ex.simSpan.SetAttr("state", o.state)
 	ex.simSpan.SetAttr("cycles", o.cycle)
 	ex.simSpan.SetAttr("insts", o.insts)
 	if o.errMsg != "" {
 		ex.simSpan.SetError(o.errMsg)
 	}
-	ex.simSpan.EndAt(t0.Add(simDur))
-	o.wall = simDur
+	ex.simSpan.EndAt(ex.runStart.Add(wall))
 	s.end(ex, o)
 }
 
-// end is the one way an execution ends, for the worker, Cancel and the panic
-// boundary alike. It settles the key first, so a client that resubmits the
-// moment it sees the outcome never joins this dead execution. Then it claims
-// the end for o: only the winning claim counts the outcome and its wall time
+// end is the one way an execution ends, for the worker, a forward, Cancel
+// and the panic boundary alike. It settles the key first, so a client that
+// resubmits the moment it sees the outcome never joins this dead execution.
+// Then it claims the end for o: only the winning claim counts the outcome
 // and publishes the terminal event, deferred until every attached job is
 // finished, so a reader it wakes sees the bookkeeping done and a panic in
 // the bookkeeping still ends the execution. Every caller, winner or not,
@@ -78,7 +126,6 @@ func (s *Server) end(ex *execution, o outcome) {
 	o.cacheDisp = s.settleResult(ex, o.state, o.result)
 	if ex.claim(o) {
 		defer ex.publish()
-		s.wallMSTotal.Add(uint64(o.wall.Milliseconds()))
 		switch o.state {
 		case api.StateDone:
 			s.jobsDone.Add(1)
@@ -119,12 +166,13 @@ func (s *Server) settleResult(ex *execution, state string, result []byte) string
 	return disp
 }
 
-// simulateContained runs the simulation itself under a recover, so a panic
-// inside the pipeline (or injected at server.worker.simulate) becomes a
-// failed-job outcome with the panic value and stack in the error — and a
+// runContained runs an execution's run itself — the simulation, or a
+// forward's wait on its peer — under a recover, so a panic inside the
+// pipeline or the forwarder (or injected at server.worker.simulate) becomes
+// a failed-job outcome with the panic value and stack in the error, and a
 // panic_recovered event on the simulate span, so a chaos run's contained
 // panics are reconstructable per request.
-func (s *Server) simulateContained(ex *execution) (o outcome) {
+func (s *Server) runContained(ex *execution, run func() outcome) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicsRecovered.Add(1)
@@ -132,7 +180,7 @@ func (s *Server) simulateContained(ex *execution) (o outcome) {
 			o = outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())}
 		}
 	}()
-	return s.simulate(ex)
+	return run()
 }
 
 // simulate runs the job to completion, cancellation, or one of its budgets.
@@ -157,9 +205,6 @@ func (s *Server) simulateContained(ex *execution) (o outcome) {
 // otherwise marks jobs that could not simulate at all (bad config,
 // unbuildable program, injected worker fault).
 func (s *Server) simulate(ex *execution) outcome {
-	if o, handled := s.forwardRemote(ex); handled {
-		return o
-	}
 	spec := ex.spec
 	cfg, err := spec.MachineConfig()
 	if err != nil {
@@ -259,22 +304,17 @@ func (s *Server) runFull(ctx context.Context, ex *execution, cfg pipeline.Config
 	}
 }
 
-// forwardRemote is the cluster seam on the worker path: when a Forwarder is
-// installed and places the job's content-addressed key on a peer, the worker
-// runs it there and adopts the peer's canonical result bytes verbatim — they
-// enter the local cache bit-identical to a local run, so later submits of
-// the same spec are served locally. handled=false falls through to local
-// simulation: no forwarder, a coordinator-placed submit (loop prevention),
-// a self-owned key, or the degradation ladder's bottom rung (every peer
-// down, signalled by ErrDegradeLocal).
+// forwardRemote is the cluster seam on a forward's path: it runs the
+// execution on the peer that owns its key and adopts the peer's canonical
+// result bytes verbatim — they enter the local cache bit-identical to a
+// local run, so later submits of the same spec are served locally. degrade
+// reports the degradation ladder's bottom rung (every peer down, signalled
+// by ErrDegradeLocal): the execution then simulates locally.
 //
 // Forwarding happens inside the execution rather than at the HTTP layer so
 // everything local stays local: the job id, its event stream, single-flight
 // dedup and the result cache all behave exactly as for a local run.
-func (s *Server) forwardRemote(ex *execution) (o outcome, handled bool) {
-	if s.fwd == nil || ex.forwarded || !s.fwd.Remote(ex.key) {
-		return outcome{}, false
-	}
+func (s *Server) forwardRemote(ex *execution) (o outcome, degrade bool) {
 	ctx := ex.ctx
 	if ex.sc.Valid() {
 		// Thread the job's trace across the node hop: the forwarder's client
@@ -290,20 +330,20 @@ func (s *Server) forwardRemote(ex *execution) (o outcome, handled bool) {
 		if out.PeerCacheHit {
 			ex.simSpan.SetAttr("peer_cache_hit", true)
 		}
-		return outcome{state: api.StateDone, result: out.Result, cycle: out.Cycles, insts: out.Insts, stopReason: out.StopReason}, true
+		return outcome{state: api.StateDone, result: out.Result, cycle: out.Cycles, insts: out.Insts, stopReason: out.StopReason}, false
 	case errors.Is(err, ErrDegradeLocal):
 		s.forwardDegraded.Add(1)
 		ex.simSpan.Event("cluster_degraded_local", "error", err.Error())
 		s.logger.Warn("cluster degraded to local simulation",
 			"trace_id", ex.sc.Trace.String(), "key", ex.key, "err", err)
-		return outcome{}, false
+		return outcome{}, true
 	case ex.ctx.Err() != nil:
-		return outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error()}, true
+		return outcome{state: api.StateCancelled, errMsg: ex.ctx.Err().Error()}, false
 	default:
 		// A terminal remote outcome (failed/cancelled job on the owner). The
 		// spec is deterministic, so simulating locally would reproduce it —
 		// adopt the failure instead of paying for the rerun.
-		return outcome{state: api.StateFailed, errMsg: err.Error()}, true
+		return outcome{state: api.StateFailed, errMsg: err.Error()}, false
 	}
 }
 

@@ -74,13 +74,16 @@ type ForwardOutcome struct {
 	PeerCacheHit bool
 }
 
-// Forwarder is the cluster seam: when set (SetForwarder), the worker asks it
-// before simulating whether the job's content-addressed key belongs to
-// another node, and if so runs it there. The server stays ignorant of ring
-// layout, health tracking and hedging — that is internal/cluster's job; the
-// interface keeps the dependency pointing outward.
+// Forwarder is the cluster seam: when set (SetForwarder), the submit path
+// asks it once per new execution whether the job's content-addressed key
+// belongs to another node, and if so a forward runs it there, holding no
+// worker. The server stays ignorant of ring layout, health tracking and
+// hedging — that is internal/cluster's job; the interface keeps the
+// dependency pointing outward.
 type Forwarder interface {
 	// Remote reports whether key should run on a peer rather than locally.
+	// It is asked once per new execution, under the server's submit lock,
+	// so it must answer from state it already holds, without blocking.
 	Remote(key string) bool
 	// RunRemote executes the spec on the cluster and returns the owner's
 	// result. An error wrapping ErrDegradeLocal means no peer could take it
@@ -92,10 +95,12 @@ type Forwarder interface {
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the worker-pool size (0 = GOMAXPROCS).
+	// Workers is the worker-pool size (0 = GOMAXPROCS): how many
+	// simulations run at once. A forward to a cluster peer holds no worker.
 	Workers int
-	// QueueSize bounds the pending-execution queue; submits beyond it are
-	// rejected with 503 rather than buffered without bound (0 = 256).
+	// QueueSize bounds the pending-execution queue, and apart from it the
+	// forwards in flight; submits beyond either bound are rejected with 503
+	// rather than buffered without bound (0 = 256).
 	QueueSize int
 	// CacheEntries bounds the resident results of the content-addressed
 	// result store (0 = 512, negative retains none; identical in-flight
@@ -175,12 +180,14 @@ var latencyBoundsMS = []float64{
 // where a job's wall-clock time goes between submit and final state. All are
 // SyncHistograms — workers observe while /v1/metrics snapshots concurrently.
 type latencies struct {
-	// queueWait: execution enqueued -> picked up by a worker.
+	// queueWait: execution enqueued -> its run begun by a worker or, for
+	// an execution a peer owns, by its forward.
 	queueWait *stats.SyncHistogram
 	// dedupWait: a deduped job's submit -> its primary execution finishing
 	// (how long single-flight coalescing made the attached job wait).
 	dedupWait *stats.SyncHistogram
-	// simulate: wall time of the simulation itself on the worker.
+	// simulate: wall time of the run itself, a simulation on a worker or a
+	// forward's wait on its peer.
 	simulate *stats.SyncHistogram
 	// cacheLookup: the result-store lookup on the submit path.
 	cacheLookup *stats.SyncHistogram
@@ -218,13 +225,19 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	// queue carries executions to the worker pool: new local ones and
+	// degraded forwards. Shutdown closes it once no forward can still send.
 	queue chan *execution
 	// subq carries sampled jobs' per-interval sub-tasks. Unlike queue it is
 	// never closed: tasks are claim-run (CAS) with the owning worker as the
 	// fallback runner, so stale entries after a drain are inert and a send
 	// can never hit a closed channel.
 	subq chan *intervalTask
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the pool's workers
+	// forwards waits for the forward goroutines; forwarding counts them for
+	// admission (incremented only under mu, against Options.QueueSize).
+	forwards   sync.WaitGroup
+	forwarding atomic.Int64
 
 	mu       sync.Mutex
 	draining bool
@@ -233,9 +246,8 @@ type Server struct {
 	nextID   uint64
 
 	// fwd is the cluster forwarding seam (nil = single-node). Written once
-	// by SetForwarder before the server starts taking submissions; workers
-	// read it after receiving an execution through the queue, so the channel
-	// send/receive orders the write before every read.
+	// by SetForwarder before the server starts taking submissions, which
+	// read it.
 	fwd Forwarder
 
 	// Metrics (atomics: snapshotted concurrently with workers).
@@ -303,8 +315,7 @@ func (s *Server) Submit(spec api.JobSpec) (api.JobInfo, error) {
 }
 
 // SetForwarder installs the cluster forwarding seam. Call it once, after New
-// and before the server takes its first submission (the queue's channel
-// handoff publishes the write to the workers); passing nil keeps the
+// and before the server takes its first submission; passing nil keeps the
 // single-node behaviour.
 func (s *Server) SetForwarder(f Forwarder) { s.fwd = f }
 
@@ -328,9 +339,9 @@ type SubmitOpts struct {
 // for the cluster-coordination markers. One result-store lookup decides the
 // fast paths, and neither simulates: a resident result resolves the job
 // immediately, and a spec identical to a pending execution attaches to it
-// (single-flight). Otherwise the job's new execution enters the bounded
-// queue, or the submit is rejected with ErrUnavailable when the queue is
-// full or the server is draining.
+// (single-flight). Otherwise the job's new execution is dispatched (see
+// dispatchLocked), or the submit is rejected with ErrUnavailable when its
+// bound is reached or the server is draining.
 func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, error) {
 	parent := opts.Parent
 	norm, err := spec.Normalize()
@@ -422,18 +433,15 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 			j.span.SetAttr("primary_trace", ex.sc.Trace.String())
 		}
 	case installed:
-		ex.forwarded = opts.Forwarded
-		// Arm the execution's trace seams before it can reach a worker:
-		// stage spans parent onto this (primary) job's span.
+		// Arm the execution's trace seams before it can reach whoever runs
+		// it: stage spans parent onto this (primary) job's span.
 		ex.sc = j.span.Context()
 		ex.queueSpan = s.rec.StartSpanAt(ex.sc, "queue.wait", ex.queuedAt)
-		select {
-		case s.queue <- ex:
-		default:
+		if err := s.dispatchLocked(ex, opts.Forwarded); err != nil {
 			ex.cancel()
 			s.cache.settle(key, ex, nil, false)
 			s.rejected.Add(1)
-			return api.JobInfo{}, ErrUnavailable{Reason: "queue full"}
+			return api.JobInfo{}, err
 		}
 	}
 	// Joins happen under s.mu, before the execution settles its key, so end
@@ -442,6 +450,32 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 	ex.jobs = append(ex.jobs, j)
 	s.registerLocked(j)
 	return j.info(), nil
+}
+
+// dispatchLocked hands a new execution to what runs it, deciding once
+// whether it is remote: a forward of its own when the forwarder places its
+// key on a peer, a pool worker through the queue otherwise. A submit a
+// cluster coordinator already placed here (placed) always runs locally,
+// never forwarded again (loop prevention). Forwards in flight and the queue
+// are each bounded by Options.QueueSize; beyond that the execution is
+// refused. Called under s.mu with draining false, so Shutdown's wait for
+// the forwards and its close of the queue see every dispatch.
+func (s *Server) dispatchLocked(ex *execution, placed bool) error {
+	if s.fwd != nil && !placed && s.fwd.Remote(ex.key) {
+		if s.forwarding.Load() >= int64(s.opt.QueueSize) {
+			return ErrUnavailable{Reason: "queue full: forwards in flight at the bound"}
+		}
+		s.forwarding.Add(1)
+		s.forwards.Add(1)
+		go s.forward(ex)
+		return nil
+	}
+	select {
+	case s.queue <- ex:
+		return nil
+	default:
+		return ErrUnavailable{Reason: "queue full"}
+	}
 }
 
 func (s *Server) registerLocked(j *job) {
@@ -582,7 +616,7 @@ func (s *Server) worker() {
 			if !ok {
 				return
 			}
-			s.runExecutionContained(ex)
+			s.runExecution(ex)
 		case t := <-s.subq:
 			if t.claim() {
 				t.run(true)
@@ -591,25 +625,30 @@ func (s *Server) worker() {
 	}
 }
 
-// Shutdown drains the server: new submits are rejected, queued and running
-// executions complete, then the worker pool exits. If ctx expires first,
-// every outstanding execution is cancelled (jobs resolve as "cancelled")
-// and the drain completes anyway; the context error is returned.
+// Shutdown drains the server: new submits are rejected, queued, forwarded
+// and running executions complete, then the worker pool exits. If ctx
+// expires first, every outstanding execution is cancelled (jobs resolve as
+// "cancelled") and the drain completes anyway; the context error is
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
+		s.forwards.Wait()
 		s.wg.Wait()
 		return nil
 	}
 	s.draining = true
 	s.mu.Unlock()
-	// No submitter can be mid-send: sends happen under s.mu with draining
-	// false, and draining is now set.
-	close(s.queue)
 
 	done := make(chan struct{})
 	go func() {
+		// No submitter can be mid-dispatch: dispatches happen under s.mu
+		// with draining false, and draining is now set. A forward may still
+		// hand a degraded execution to the queue, so the queue closes only
+		// once every forward has returned.
+		s.forwards.Wait()
+		close(s.queue)
 		s.wg.Wait()
 		close(done)
 	}()
@@ -669,15 +708,15 @@ func (s *Server) writeMetrics(w *stats.Writer) {
 	w.Counter("server.sampled.profile_cache_hits", "sampled jobs served an existing profile plan", s.profileHits.Load())
 	w.Counter("server.sampled.profile_cache_misses", "sampled jobs that had to build a profile plan", s.profileMisses.Load())
 	w.Gauge("server.sampled.profile_cache_entries", "profile-cache resident plans", float64(s.profiles.len()))
-	w.Gauge("server.jobs.running", "executions currently on a worker", float64(s.running.Load()))
+	w.Gauge("server.jobs.running", "executions started and not yet ended (simulating on a worker or forwarded to a peer)", float64(s.running.Load()))
 	w.Gauge("server.queue.depth", "executions waiting for a worker", float64(len(s.queue)))
 	w.Gauge("server.queue.capacity", "bounded queue capacity", float64(s.opt.QueueSize))
 	w.Gauge("server.workers", "worker-pool size", float64(s.opt.Workers))
 	w.Gauge("server.spans.resident", "spans resident in the flight recorder", float64(s.rec.Len()))
 	w.Gauge("server.spans.dropped", "spans overwritten in the flight-recorder ring", float64(s.rec.Dropped()))
-	w.Histogram("server.latency.queue_wait_ms", "queued -> picked up by a worker (ms)", s.lat.queueWait.Value())
+	w.Histogram("server.latency.queue_wait_ms", "queued -> run begun by a worker or a forward (ms)", s.lat.queueWait.Value())
 	w.Histogram("server.latency.dedup_wait_ms", "deduped job submit -> primary execution finished (ms)", s.lat.dedupWait.Value())
-	w.Histogram("server.latency.simulate_ms", "simulation wall time on the worker (ms)", s.lat.simulate.Value())
+	w.Histogram("server.latency.simulate_ms", "run wall time, simulating on a worker or forwarded to a peer (ms)", s.lat.simulate.Value())
 	w.Histogram("server.latency.cache_lookup_ms", "content-addressed cache probe on submit (ms)", s.lat.cacheLookup.Value())
 	w.Histogram("server.latency.e2e_ms", "submit -> terminal state, cache hits included (ms)", s.lat.e2e.Value())
 	w.Counter("faults.fired", "fault-point activations (all actions)", faults.Fired())
