@@ -9,8 +9,8 @@
 //	specmpk-sim -list
 //
 // -cycles N is the run's one cycle budget: a run that exhausts it stops
-// with stop reason cycle_limit at exactly cycle N, also under the chunked
-// -stats-interval and -timeline loops.
+// with stop reason cycle_limit at exactly cycle N and exits 1, also under
+// -stats-interval and -timeline, which run it in chunks.
 //
 // Observability outputs:
 //
@@ -220,17 +220,13 @@ func main() {
 	case *statsInterval > 0:
 		runErr = runWithIntervals(m, reg, out.stats, *statsInterval, *budget)
 	case *timeline:
-		const sample = 1000
 		var ipcs []float64
 		lastI := uint64(0)
-		for m.Cycle() < *budget && !m.Halted() && m.Fault() == nil && runErr == nil {
-			runErr = m.RunInsts(^uint64(0), min(m.Cycle()+sample, *budget))
-			if runErr == pipeline.ErrCycleLimit {
-				runErr = nil // just the sampling boundary
-			}
-			ipcs = append(ipcs, float64(m.Stats.Insts-lastI)/sample)
+		runErr = runChunks(m, 1000, *budget, func(cycles uint64) error {
+			ipcs = append(ipcs, float64(m.Stats.Insts-lastI)/float64(cycles))
 			lastI = m.Stats.Insts
-		}
+			return nil
+		})
 		fmt.Print(textplot.Timeline("IPC over time (1k-cycle samples)", ipcs, 100))
 	default:
 		runErr = m.Run(*budget)
@@ -349,30 +345,43 @@ type intervalRow struct {
 	Metrics map[string]any `json:"metrics"`
 }
 
-// runWithIntervals advances the machine in interval-sized chunks, writing a
-// JSONL line per chunk with that interval's metric deltas (rate formulas are
-// re-evaluated over the delta, so pipeline.ipc is the interval IPC), and a
-// final cumulative snapshot marked "final".
+// runChunks runs m until HALT, a fault or the cycle budget, in chunks of at
+// most chunk cycles, and calls each after every chunk with the cycles it
+// covered: a halting or faulting run's last chunk is short. It ends the way
+// m.Run(budget) does: nil on HALT, the fault, or ErrCycleLimit once the
+// budget is exhausted. An error from each ends it too.
+func runChunks(m *pipeline.Machine, chunk, budget uint64, each func(cycles uint64) error) error {
+	for {
+		start := m.Cycle()
+		end := min(start+chunk, budget)
+		err := m.RunInsts(^uint64(0), end)
+		if err == pipeline.ErrCycleLimit && end < budget {
+			err = nil // the chunk's boundary, not the budget
+		}
+		if cycles := m.Cycle() - start; cycles > 0 {
+			if err := each(cycles); err != nil {
+				return err
+			}
+		}
+		if err != nil || m.Halted() {
+			return err
+		}
+	}
+}
+
+// runWithIntervals runs m in interval-sized chunks, writing a JSONL line per
+// chunk with that interval's metric deltas (rate formulas are re-evaluated
+// over the delta, so pipeline.ipc is the interval IPC), and a final
+// cumulative snapshot marked "final".
 func runWithIntervals(m *pipeline.Machine, reg *stats.Registry, f *os.File, interval, maxCyc uint64) error {
 	defer f.Close()
 	enc := json.NewEncoder(f)
 	prev := reg.Snapshot()
-	var runErr error
-	for m.Cycle() < maxCyc && !m.Halted() && m.Fault() == nil && runErr == nil {
-		next := m.Cycle() + interval
-		if next > maxCyc {
-			next = maxCyc
-		}
-		runErr = m.RunInsts(^uint64(0), next)
-		if runErr == pipeline.ErrCycleLimit {
-			runErr = nil // just the sampling boundary
-		}
+	runErr := runChunks(m, interval, maxCyc, func(uint64) error {
 		delta := reg.DeltaSince(prev)
 		prev = reg.Snapshot()
-		if err := enc.Encode(intervalRow{Cycle: m.Cycle(), Metrics: delta.Flat()}); err != nil {
-			return err
-		}
-	}
+		return enc.Encode(intervalRow{Cycle: m.Cycle(), Metrics: delta.Flat()})
+	})
 	if err := enc.Encode(intervalRow{Cycle: m.Cycle(), Final: true, Metrics: reg.Snapshot().Flat()}); err != nil {
 		return err
 	}

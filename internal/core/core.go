@@ -4,12 +4,17 @@
 // and the per-pKey AccessDisable/WriteDisable counter files, together with
 // the PKRU Load Check and PKRU Store Check predicates.
 //
-// The out-of-order pipeline drives this state machine at four points:
+// It is the one model of PKRU renaming. RMT_pkru is read off the ROB_pkru
+// ring: it is valid exactly while an entry is in flight, and then names the
+// youngest one, at the tail. The out-of-order pipeline drives the state
+// machine at four points and asks it the three questions a PKRU consumer
+// (memory instruction or WRPKRU) has — its source, whether that source has
+// executed, and the value it observes:
 //
-//	rename:  Full / Rename / SourceTag
-//	execute: Executed / Execute / LoadCheckFails / StoreCheckFails / Value
+//	rename:  Full / InFlight / Source / Rename
+//	execute: ExecutedThrough / Execute / LoadCheckFails / StoreCheckFails / Value
 //	retire:  Retire
-//	squash:  SquashYoungest / SetRMT
+//	squash:  SquashYoungest
 //
 // Keeping it separate from the pipeline makes the paper's hardware additions
 // independently testable and lets internal/hwcost account for exactly these
@@ -34,13 +39,9 @@ type Entry struct {
 	Executed bool
 	ADMask   uint16
 	WDMask   uint16
-	Seq      uint64 // owning instruction's sequence number (diagnostics)
-}
-
-// Config sizes the structure.
-type Config struct {
-	// ROBSize is the number of ROB_pkru entries (Table III default: 8).
-	ROBSize int
+	// Seq is the owning WRPKRU's sequence number. A slot is reused once its
+	// WRPKRU retires, so a consumer names its source by tag and Seq together.
+	Seq uint64
 }
 
 // State is the complete SpecMPK hardware addition.
@@ -52,37 +53,20 @@ type State struct {
 
 	arf mpk.PKRU
 
-	rmtValid bool
-	rmtTag   int
+	// executed is the highest sequence number of any executed WRPKRU.
+	executed uint64
 
 	adCtr [mpk.NumKeys]uint16
 	wdCtr [mpk.NumKeys]uint16
-
-	// RenameStalls counts rename-stage stalls due to a full ROB_pkru
-	// (the Fig. 11 sensitivity effect).
-	RenameStalls uint64
 }
 
-// New builds the state with the given configuration.
-func New(cfg Config) *State {
-	if cfg.ROBSize <= 0 {
+// New builds the state with robSize ROB_pkru entries (Table III default: 8).
+func New(robSize int) *State {
+	if robSize <= 0 {
 		panic("core: ROB_pkru size must be positive")
 	}
-	return &State{rob: make([]Entry, cfg.ROBSize), rmtTag: TagARF}
+	return &State{rob: make([]Entry, robSize)}
 }
-
-// Reset restores power-on state with the given committed PKRU.
-func (s *State) Reset(pkru mpk.PKRU) {
-	s.head, s.tail, s.count = 0, 0, 0
-	s.arf = pkru
-	s.rmtValid = false
-	s.rmtTag = TagARF
-	s.adCtr = [mpk.NumKeys]uint16{}
-	s.wdCtr = [mpk.NumKeys]uint16{}
-}
-
-// Size returns the ROB_pkru capacity.
-func (s *State) Size() int { return len(s.rob) }
 
 // InFlight returns the number of occupied ROB_pkru entries.
 func (s *State) InFlight() int { return s.count }
@@ -97,23 +81,23 @@ func (s *State) ARF() mpk.PKRU { return s.arf }
 // microarchitecture, which bypasses renaming entirely).
 func (s *State) SetARF(v mpk.PKRU) { s.arf = v }
 
-// SourceTag returns the tag a PKRU consumer (memory instruction, WRPKRU, or
-// RDPKRU) renames its implicit PKRU source to: the youngest in-flight
-// WRPKRU's entry, or TagARF when none is in flight.
-func (s *State) SourceTag() int {
-	if s.rmtValid {
-		return s.rmtTag
+// Source returns what RMT_pkru maps a PKRU consumer's implicit source to at
+// rename: the youngest in-flight WRPKRU's tag and sequence number, or
+// (TagARF, 0) when none is in flight.
+func (s *State) Source() (tag int, seq uint64) {
+	if s.count == 0 {
+		return TagARF, 0
 	}
-	return TagARF
+	tag = s.tail - 1
+	if tag < 0 {
+		tag += len(s.rob)
+	}
+	return tag, s.rob[tag].Seq
 }
 
-// RMTValid reports whether any WRPKRU is in flight (RDPKRU serialization
-// stalls rename while this is true, §V-C6).
-func (s *State) RMTValid() bool { return s.rmtValid }
-
-// Rename allocates a ROB_pkru entry for a WRPKRU at rename, updates
-// RMT_pkru to point at it, and returns its tag. The caller must have
-// checked Full.
+// Rename allocates a ROB_pkru entry for the WRPKRU with sequence number seq,
+// which becomes the Source of every younger consumer, and returns its tag.
+// The caller must have checked Full.
 func (s *State) Rename(seq uint64) int {
 	if s.Full() {
 		panic("core: Rename on full ROB_pkru")
@@ -122,18 +106,7 @@ func (s *State) Rename(seq uint64) int {
 	s.rob[tag] = Entry{Seq: seq}
 	s.tail = (s.tail + 1) % len(s.rob)
 	s.count++
-	s.rmtValid = true
-	s.rmtTag = tag
 	return tag
-}
-
-// Executed reports whether the entry at tag has produced its value.
-// TagARF is always "executed" (the committed value is always readable).
-func (s *State) Executed(tag int) bool {
-	if tag == TagARF {
-		return true
-	}
-	return s.rob[tag].Executed
 }
 
 // Execute delivers a WRPKRU's value to its entry and bumps the Disabling
@@ -149,18 +122,28 @@ func (s *State) Execute(tag int, val mpk.PKRU) {
 	e.Executed = true
 	e.ADMask = val.ADMask()
 	e.WDMask = val.WDMask()
+	s.executed = max(s.executed, e.Seq)
 	s.bump(e.ADMask, e.WDMask, +1)
 }
 
-// Value returns the PKRU value visible at tag: the entry's value, or the
-// committed ARF for TagARF. Only the NonSecure microarchitecture reads
-// speculative values through this; SpecMPK memory instructions never read
-// ROB_pkru data (paper Table II note).
-func (s *State) Value(tag int) mpk.PKRU {
-	if tag == TagARF {
-		return s.arf
+// ExecutedThrough returns the highest sequence number of any executed
+// WRPKRU. WRPKRUs execute in program order, so a consumer's source has
+// executed exactly when its Source sequence number is at most this.
+func (s *State) ExecutedThrough() uint64 { return s.executed }
+
+// Value returns the PKRU a consumer whose Source was (tag, seq) observes,
+// once that source has executed: the entry's value while the slot still
+// holds that WRPKRU, and the committed ARF otherwise. Retirement is in
+// order and no WRPKRU lies between a consumer and its source, so from the
+// source's retirement until the consumer's the ARF holds the source's
+// value. The designs that fault a
+// forbidden access read speculative values through this; SpecMPK's memory
+// instructions never read ROB_pkru data (paper Table II note).
+func (s *State) Value(tag int, seq uint64) mpk.PKRU {
+	if tag != TagARF && s.rob[tag].Seq == seq {
+		return s.rob[tag].Val
 	}
-	return s.rob[tag].Val
+	return s.arf
 }
 
 // Retire pops the oldest entry into ARF_pkru and decrements the counters
@@ -175,16 +158,13 @@ func (s *State) Retire() {
 	}
 	s.arf = e.Val
 	s.bump(e.ADMask, e.WDMask, -1)
-	if s.rmtValid && s.rmtTag == s.head {
-		s.rmtValid = false
-	}
 	s.head = (s.head + 1) % len(s.rob)
 	s.count--
 }
 
 // SquashYoungest removes the newest entry (tail side) on a pipeline squash,
-// undoing its counter increments if it had executed. Returns the squashed
-// tag. The caller restores RMT_pkru afterwards with SetRMT.
+// undoing its counter increments if it had executed, so RMT_pkru names the
+// youngest survivor. Returns the squashed tag.
 func (s *State) SquashYoungest() int {
 	if s.count == 0 {
 		panic("core: SquashYoungest on empty ROB_pkru")
@@ -201,18 +181,6 @@ func (s *State) SquashYoungest() int {
 	return s.tail
 }
 
-// SetRMT repairs the rename map after a squash: tag is the youngest
-// surviving WRPKRU's entry, or TagARF when none survives.
-func (s *State) SetRMT(tag int) {
-	if tag == TagARF {
-		s.rmtValid = false
-		s.rmtTag = TagARF
-		return
-	}
-	s.rmtValid = true
-	s.rmtTag = tag
-}
-
 func (s *State) bump(ad, wd uint16, delta int) {
 	for k := 0; k < mpk.NumKeys; k++ {
 		if ad&(1<<k) != 0 {
@@ -224,10 +192,12 @@ func (s *State) bump(ad, wd uint16, delta int) {
 	}
 }
 
-// ADCount returns the AccessDisableCounter for key k.
+// ADCount returns the AccessDisableCounter for key k; a test oracle, since
+// the pipeline reads the counters only through the checks.
 func (s *State) ADCount(k int) uint16 { return s.adCtr[k] }
 
-// WDCount returns the WriteDisableCounter for key k.
+// WDCount returns the WriteDisableCounter for key k; a test oracle, like
+// ADCount.
 func (s *State) WDCount(k int) uint16 { return s.wdCtr[k] }
 
 // LoadCheckFails is the PKRU Load Check (paper §V-C2): a load touching
@@ -245,10 +215,10 @@ func (s *State) StoreCheckFails(k int) bool {
 		s.arf.AccessDisabled(k) || s.arf.WriteDisabled(k)
 }
 
-// Quiesced reports whether the structure is idle with zeroed counters —
-// the invariant property tests check after every drain.
+// Quiesced reports whether the structure is idle with zeroed counters; a
+// test oracle, the invariant property tests check after every drain.
 func (s *State) Quiesced() bool {
-	if s.count != 0 || s.rmtValid {
+	if s.count != 0 {
 		return false
 	}
 	for k := 0; k < mpk.NumKeys; k++ {

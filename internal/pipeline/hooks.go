@@ -69,11 +69,8 @@ func (c *CPIStack) field(b CPIBucket) *uint64 {
 	panic("pipeline: bad CPI bucket")
 }
 
-// Add increments the bucket b of the stack.
-func (c *CPIStack) Add(b CPIBucket) { *c.field(b)++ }
-
 // AddN adds n cycles to bucket b — the idle fast-forward's batch equivalent
-// of n Add calls (see skipIdle).
+// of n simulated cycles attributed to b (see skipIdle).
 func (c *CPIStack) AddN(b CPIBucket, n uint64) { *c.field(b) += n }
 
 // Bucket returns the count in bucket b.

@@ -10,6 +10,7 @@ import (
 	"specmpk/internal/funcsim"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
+	"specmpk/internal/mpk"
 	"specmpk/internal/stats"
 	"specmpk/internal/trace"
 	"specmpk/internal/workload"
@@ -19,7 +20,8 @@ import (
 // introduced: the in-flight ring (the window plus the fetch queue after it)
 // and its incremental occupancy counters, the event-driven scheduler's
 // bitmaps and wakeup registrations, the preallocated free list, the
-// RAS-checkpoint pool, and the batched load-latency histogram. The golden
+// RAS-checkpoint pool, the batched load-latency histogram, and the PKRU
+// value a renamed access observes (against a window walk). The golden
 // harness pins end-to-end timing; these tests pin the internal invariants
 // per cycle, under squash/refill storms, so a future edit that lets a
 // counter drift fails here with a named invariant instead of as an opaque
@@ -84,11 +86,19 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			{"iqBits", m.iqBits, e.st == stWaiting && !e.stallTillHead},
 			{"issuedBits", m.issuedBits, e.st == stIssued},
 			{"sqUnresolvedBits", m.sqUnresolvedBits, isUnresolved},
-			{"pkruWait", m.pkruWait, e.pkruDepSeq > m.wrpkruExecHighwater},
+			{"pkruWait", m.pkruWait, e.pkruDepSeq > m.PKRUState.ExecutedThrough()},
 		} {
 			if got := b.bits.has(phys); got != b.want {
 				t.Fatalf("cycle %d: %s[slot %d] = %v, want %v (seq %d st %d stallTillHead %v)",
 					m.cycle, b.name, phys, got, b.want, e.seq, e.st, e.stallTillHead)
+			}
+		}
+		// The PKRU an access observes: once its renamed source has executed,
+		// the value core answers for it is what a walk back to the youngest
+		// older WRPKRU finds.
+		if m.pol.renamesPKRU && (e.isLoad || e.isStore) && e.pkruDepSeq <= m.PKRUState.ExecutedThrough() {
+			if got, want := m.specPKRU(e), windowPKRU(m, i); got != want {
+				t.Fatalf("cycle %d: seq %d sees PKRU %#x, window walk says %#x", m.cycle, e.seq, uint32(got), uint32(want))
 			}
 		}
 		if e.st != stWaiting {
@@ -111,7 +121,7 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 					m.cycle, e.seq, phys, p)
 			}
 		}
-		operandsReady := regsReady && e.pkruDepSeq <= m.wrpkruExecHighwater
+		operandsReady := regsReady && e.pkruDepSeq <= m.PKRUState.ExecutedThrough()
 		if !e.stallTillHead && m.readyBits.has(phys) != operandsReady {
 			t.Fatalf("cycle %d: readyBits[slot %d] = %v but operands ready = %v (seq %d)",
 				m.cycle, phys, m.readyBits.has(phys), operandsReady, e.seq)
@@ -183,6 +193,21 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			t.Fatalf("cycle %d: fetch-queue entry rasCkpt %d out of pool range", m.cycle, ck)
 		}
 	}
+}
+
+// windowPKRU is the reference for specPKRU: the PKRU the memory instruction
+// at window offset idx observes, found by walking the window back to the
+// youngest older WRPKRU, or the committed ARF when none is in flight.
+func windowPKRU(m *Machine, idx int) mpk.PKRU {
+	if m.PKRUState.InFlight() == 0 {
+		return m.PKRUState.ARF()
+	}
+	for j := idx - 1; j >= 0; j-- {
+		if s := m.alAt(j); s.in.Op == isa.OpWrpkru {
+			return mpk.PKRU(s.storeData)
+		}
+	}
+	return m.PKRUState.ARF()
 }
 
 // StormProg and SmallCfg export the storm program and its small machine to

@@ -368,11 +368,12 @@ const noReg = -1
 // first 64 bytes.
 type alEntry struct {
 	done uint64 // cycle the result becomes visible
-	// pkruDepSeq is the sequence number of the youngest older WRPKRU this
-	// instruction must wait for (0 = none in flight at rename). Sequence
-	// numbers are used instead of ROB_pkru tags for the wakeup condition
-	// because a tag's slot can be recycled after retirement — the staleness
-	// hazard the paper's dedicated-register-file design addresses (§V-B1).
+	// pkruSrc and pkruDepSeq are a memory op's or WRPKRU's renamed PKRU
+	// source (PKRUState.Source at rename): the youngest older in-flight
+	// WRPKRU's ROB_pkru tag and sequence number, or (core.TagARF, 0) when
+	// none was in flight. The sequence number disambiguates the tag, whose
+	// slot can be recycled after retirement — the staleness hazard the
+	// paper's dedicated-register-file design addresses (§V-B1).
 	pkruDepSeq uint64
 	in         isa.Inst
 
@@ -394,7 +395,8 @@ type alEntry struct {
 	pc  uint64
 	// alIdx is the entry's own ring slot (set once at rename), so code
 	// holding only the entry pointer can maintain the scheduler's bitmaps.
-	alIdx int32
+	alIdx   int32
+	pkruSrc int32
 
 	fetchCyc  uint64
 	readyAt   uint64 // cycle the entry leaves the decode pipe (rename may take it)
@@ -563,16 +565,9 @@ type Machine struct {
 	curICLine  uint64 // last fetched I-cache line+1 (0 = none)
 	serialWait bool   // serialized mode: WRPKRU in flight blocks rename
 
-	// lastRenamedWrpkruSeq is the seq of the youngest renamed-and-surviving
-	// WRPKRU; consumers capture it as their pkruDepSeq.
-	lastRenamedWrpkruSeq uint64
 	// violators is the dependence predictor's blacklist: load PCs that
 	// caused a memory-order violation wait conservatively from then on.
 	violators map[uint64]bool
-	// wrpkruExecHighwater is the highest seq of any executed WRPKRU.
-	// Because WRPKRUs execute in program order, pkruDepSeq <= highwater
-	// means every older WRPKRU has executed.
-	wrpkruExecHighwater uint64
 
 	// CPI-stack accounting (one bucket per Step; see accountCycle).
 	retiredThisCycle int
@@ -665,7 +660,7 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 		Hier:      hier,
 		DTLB:      dtlb,
 		ITLB:      itlb,
-		PKRUState: core.New(core.Config{ROBSize: max(pkruEntries, 1)}),
+		PKRUState: core.New(max(pkruEntries, 1)),
 		tage:      bpred.NewTAGE(),
 		btb:       btb,
 		ras:       bpred.NewRAS(cfg.RASEntries),

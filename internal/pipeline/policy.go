@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"specmpk/internal/isa"
 	"specmpk/internal/mpk"
 )
 
@@ -119,20 +118,10 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode%d", int(m))
 }
 
-// specPKRU returns the PKRU value the memory instruction at AL offset idx
-// observes: the youngest older in-flight WRPKRU's value (guaranteed executed
-// by the issue dependence), or the committed ARF. The walk only runs while a
-// WRPKRU is actually in flight (RMT_pkru valid), which never happens under a
-// serializing policy — there every access checks the ARF.
-func (m *Machine) specPKRU(idx int) mpk.PKRU {
-	if !m.PKRUState.RMTValid() {
-		return m.PKRUState.ARF()
-	}
-	for j := idx - 1; j >= 0; j-- {
-		s := m.alAt(j)
-		if s.in.Op == isa.OpWrpkru {
-			return mpk.PKRU(s.storeData)
-		}
-	}
-	return m.PKRUState.ARF()
+// specPKRU returns the PKRU value the memory instruction e observes: its
+// renamed PKRU source's value (guaranteed executed by the issue dependence),
+// or the committed ARF. A serializing policy never renames PKRU, so there
+// every access checks the ARF.
+func (m *Machine) specPKRU(e *alEntry) mpk.PKRU {
+	return m.PKRUState.Value(int(e.pkruSrc), e.pkruDepSeq)
 }

@@ -16,8 +16,9 @@ import "math/bits"
 //   - regWaiters: one row per physical register p, holding the slots renamed
 //     while p was not yet written. Completing p's producer re-checks exactly
 //     that row (wakeReg). Rename clears the row when it reallocates p.
-//   - pkruWait: entries whose pkruDepSeq is above wrpkruExecHighwater. Only
-//     these are re-checked when a WRPKRU executes (wakePKRU).
+//   - pkruWait: entries whose PKRU source has not executed (pkruDepSeq above
+//     PKRUState.ExecutedThrough). Only these are re-checked when a WRPKRU
+//     executes (wakePKRU).
 //   - issuedBits: st == stIssued, the completion walk's work list.
 //   - sqUnresolvedBits: stores whose address is unknown (mirrors the
 //     sqUnresolved count), so a load's conservative disambiguation check is
@@ -25,8 +26,8 @@ import "math/bits"
 //
 // A wakeup always re-derives readiness from the entry now in the slot, so a
 // stale registration — a squashed consumer whose slot was reused — can only
-// repeat a verdict, never invent one. Register readiness and the WRPKRU
-// highwater change only in completeStage, which runs before issue, and a
+// repeat a verdict, never invent one. Register readiness and the executed
+// WRPKRU mark change only in completeStage, which runs before issue, and a
 // squash ends the issue walk, so the ready bits the walk reads are exactly
 // what polling every entry would have computed. The one input that can
 // change mid-walk is an older store resolving its address earlier in the
@@ -107,7 +108,7 @@ func (m *Machine) waitReg(p, slot int) bool {
 func (m *Machine) operandsReady(e *alEntry) bool {
 	return (e.physRs1 == noReg || m.prfReady[e.physRs1]) &&
 		(e.physRs2 == noReg || m.prfReady[e.physRs2]) &&
-		e.pkruDepSeq <= m.wrpkruExecHighwater
+		e.pkruDepSeq <= m.PKRUState.ExecutedThrough()
 }
 
 // wakeReg re-checks the consumers registered on physical register p, which
@@ -124,15 +125,15 @@ func (m *Machine) wakeReg(p int) {
 	}
 }
 
-// wakePKRU re-checks the entries waiting on a WRPKRU after
-// wrpkruExecHighwater rose.
+// wakePKRU re-checks the entries waiting on a WRPKRU after one executed.
 func (m *Machine) wakePKRU() {
+	executed := m.PKRUState.ExecutedThrough()
 	for w, word := range m.pkruWait {
 		for word != 0 {
 			slot := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			e := &m.al[slot]
-			if e.pkruDepSeq > m.wrpkruExecHighwater {
+			if e.pkruDepSeq > executed {
 				continue
 			}
 			m.pkruWait.clear(slot)

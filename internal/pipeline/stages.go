@@ -3,7 +3,6 @@ package pipeline
 import (
 	"math/bits"
 
-	"specmpk/internal/core"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
@@ -196,7 +195,7 @@ func (m *Machine) renameStage() {
 			reason = stallSerialize
 		case in.Op == isa.OpWrpkru && m.PKRUState.Full():
 			reason = stallPkruFull
-		case in.Op == isa.OpRdpkru && m.PKRUState.RMTValid():
+		case in.Op == isa.OpRdpkru && m.PKRUState.InFlight() > 0:
 			// RDPKRU serializes against in-flight WRPKRU (§V-C6).
 			reason = stallSerialize
 		}
@@ -242,12 +241,14 @@ func (m *Machine) renameStage() {
 			e.physRs2 = m.rmt[in.Rs2]
 			ready = m.waitReg(e.physRs2, slot) && ready
 		}
-		// PKRU renaming: memory ops and WRPKRU wait for the youngest older
-		// renamed WRPKRU; a WRPKRU takes a rename slot or, serialized,
-		// blocks rename until it retires.
+		// PKRU renaming: memory ops and WRPKRU take the youngest older
+		// in-flight WRPKRU as their PKRU source and wait until it executed;
+		// a WRPKRU takes a rename slot or, serialized, blocks rename until
+		// it retires.
 		if in.Op.IsMem() || in.Op == isa.OpWrpkru {
-			e.pkruDepSeq = m.lastRenamedWrpkruSeq
-			if e.pkruDepSeq > m.wrpkruExecHighwater {
+			src, seq := m.PKRUState.Source()
+			e.pkruSrc, e.pkruDepSeq = int32(src), seq
+			if seq > m.PKRUState.ExecutedThrough() {
 				m.pkruWait.set(slot)
 				ready = false
 			}
@@ -260,7 +261,6 @@ func (m *Machine) renameStage() {
 		if in.Op == isa.OpWrpkru {
 			if m.pol.renamesPKRU {
 				e.pkruDst = m.PKRUState.Rename(e.seq)
-				m.lastRenamedWrpkruSeq = e.seq
 			} else {
 				m.serialWait = true
 			}
@@ -436,7 +436,7 @@ func (m *Machine) execute(e *alEntry, idx int) bool {
 		m.loadExecute(e, idx, rs1)
 		return false
 	case e.isStore:
-		m.storeExecute(e, idx, rs1, rs2)
+		m.storeExecute(e, rs1, rs2)
 		return m.checkMemOrder(idx)
 	case e.in.Op == isa.OpWrpkru:
 		e.storeData = uint64(uint32(rs1))
@@ -550,7 +550,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 	switch {
 	case m.pol.load == loadCheckStall:
 		stall = m.PKRUState.LoadCheckFails(e.pkey)
-	case !m.specPKRU(idx).Allows(e.pkey, false):
+	case !m.specPKRU(e).Allows(e.pkey, false):
 		// Forbidden even speculatively: a transient fault, squashed on
 		// the wrong path and delivered at retire otherwise.
 		m.finishFaulted(e, pkeyFault(e.vaddr, mem.Read, e.pkey), lat)
@@ -656,7 +656,7 @@ func (m *Machine) finishFaulted(e *alEntry, f *mem.Fault, lat int) {
 	m.markIssued(e, m.cycle+uint64(lat))
 }
 
-func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
+func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 	e.vaddr = rs1 + uint64(e.in.Imm)
 	e.storeData = rs2
 	e.addrReady = true
@@ -706,7 +706,7 @@ func (m *Machine) storeExecute(e *alEntry, idx int, rs1, rs2 uint64) {
 				m.Stats.StoresNoForward++
 				m.emit(trace.Event{Kind: trace.KindNoForward, Seq: e.seq, PC: e.pc, Pkey: trace.KeyOf(e.pkey), Note: "store_check"})
 			}
-		} else if !m.specPKRU(idx).Allows(e.pkey, true) {
+		} else if !m.specPKRU(e).Allows(e.pkey, true) {
 			e.fault = pkeyFault(e.vaddr, mem.Write, e.pkey)
 		}
 	}
@@ -768,7 +768,6 @@ func (m *Machine) completeStage() {
 					m.openUpgrades(e)
 					if m.pol.renamesPKRU {
 						m.PKRUState.Execute(e.pkruDst, mpk.PKRU(e.storeData))
-						m.wrpkruExecHighwater = max(m.wrpkruExecHighwater, e.seq)
 						m.wakePKRU()
 					} else {
 						m.PKRUState.SetARF(mpk.PKRU(e.storeData))
@@ -882,21 +881,14 @@ func (m *Machine) squashAfter(idx int, why string) {
 	m.progressed = true
 
 	// Rebuild the RMT: committed mappings plus surviving allocations.
+	// (RMT_pkru needs no rebuild: SquashYoungest left its youngest survivor
+	// at the ROB_pkru tail.)
 	m.rmt = m.amt
-	youngestPkru := core.TagARF
-	var youngestPkruSeq uint64
 	for j := 0; j <= idx; j++ {
-		e := m.alAt(j)
-		if e.newPhys != noReg {
+		if e := m.alAt(j); e.newPhys != noReg {
 			m.rmt[e.in.Rd] = e.newPhys
 		}
-		if e.pkruDst >= 0 {
-			youngestPkru = e.pkruDst
-			youngestPkruSeq = e.seq
-		}
 	}
-	m.PKRUState.SetRMT(youngestPkru)
-	m.lastRenamedWrpkruSeq = youngestPkruSeq
 }
 
 // ---------------------------------------------------------------------------

@@ -339,8 +339,8 @@ func TestChaosEveryJobEnd(t *testing.T) {
 }
 
 // TestChaosCancelledRunCountsWallTime: a running job that Cancel ends still
-// adds the time it ran to server.jobs.wall_ms_total. The run adds what it
-// measures whichever claim wins the end, and Cancel's claim wins here.
+// adds the time it ran to server.latency.simulate_ms. The run observes what
+// it measures whichever claim wins the end, and Cancel's claim wins here.
 func TestChaosCancelledRunCountsWallTime(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, EventInterval: 10_000})
 	info := submitJob(t, s, spinSpec(1<<40))
@@ -351,8 +351,8 @@ func TestChaosCancelledRunCountsWallTime(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	s.Cancel(info.ID)
 	waitFor(t, "the worker to end the run", func() bool { return s.running.Load() == 0 })
-	if got := s.wallMSTotal.Load(); got < 300 {
-		t.Fatalf("server.jobs.wall_ms_total = %d after a run cancelled 300 ms in, want at least 300", got)
+	if got := s.lat.simulate.Sum(); got < 300 {
+		t.Fatalf("server.latency.simulate_ms sums %.1f ms after a run cancelled 300 ms in, want at least 300", got)
 	}
 	if got := s.jobsCancelled.Load(); got != 1 {
 		t.Fatalf("server.jobs.cancelled = %d, want 1", got)
@@ -370,12 +370,11 @@ func submitJob(t *testing.T, s *Server, spec api.JobSpec) api.JobInfo {
 }
 
 // endCounters reads every server counter a job's end may move, and the e2e
-// histogram's count as "e2e". The wall-time total is left out: it moves by
-// milliseconds, not by ends.
+// histogram's count as "e2e".
 func endCounters(s *Server) map[string]uint64 {
 	c := map[string]uint64{"e2e": s.lat.e2e.Count()}
 	for _, v := range s.Registry().Snapshot().Values {
-		if v.Kind == stats.KindCounter && strings.HasPrefix(v.Name, "server.") && v.Name != "server.jobs.wall_ms_total" {
+		if v.Kind == stats.KindCounter && strings.HasPrefix(v.Name, "server.") {
 			c[v.Name] = v.Uint
 		}
 	}

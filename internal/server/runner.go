@@ -94,14 +94,13 @@ func (s *Server) begin(ex *execution) bool {
 }
 
 // conclude closes the run begin opened and ends ex with o. The simulate span
-// and histogram and the wall-time total all take the run's one measured wall
-// time here, whichever claim then wins the end: a running job that Cancel
-// ended still counts the time it ran.
+// and histogram take the run's one measured wall time here, whichever claim
+// then wins the end: a running job that Cancel ended still counts the time
+// it ran.
 func (s *Server) conclude(ex *execution, o outcome) {
 	s.running.Add(-1)
 	wall := time.Since(ex.runStart)
 	s.lat.simulate.Observe(ms(wall))
-	s.wallMSTotal.Add(uint64(wall.Milliseconds()))
 	ex.simSpan.SetAttr("state", o.state)
 	ex.simSpan.SetAttr("cycles", o.cycle)
 	ex.simSpan.SetAttr("insts", o.insts)

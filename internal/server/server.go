@@ -266,7 +266,6 @@ type Server struct {
 	profileHits          atomic.Uint64
 	profileMisses        atomic.Uint64
 	running              atomic.Int64
-	wallMSTotal          atomic.Uint64
 	reg                  *stats.Registry
 	registerMetricsOnce  sync.Once
 	handlerOnce          sync.Once
@@ -695,7 +694,6 @@ func (s *Server) writeMetrics(w *stats.Writer) {
 	w.Counter("server.jobs.forwarded", "executions answered by a cluster peer instead of simulating locally", s.jobsForwarded.Load())
 	w.Counter("server.jobs.forward_degraded", "executions simulated locally because no healthy peer could take them", s.forwardDegraded.Load())
 	w.Counter("server.panics_recovered", "worker/HTTP panics contained without killing the process", s.panicsRecovered.Load())
-	w.Counter("server.jobs.wall_ms_total", "total execution wall time (ms)", s.wallMSTotal.Load())
 	w.Counter("server.cache.hits", "result-cache hits", s.cache.hits.Load())
 	w.Counter("server.cache.misses", "result-cache misses (dedups onto a pending execution included)", s.cache.misses.Load())
 	w.Counter("server.cache.evictions", "result-cache LRU evictions", s.cache.evictions.Load())
@@ -724,6 +722,4 @@ func (s *Server) writeMetrics(w *stats.Writer) {
 	w.Counter("faults.panics", "injected panics", faults.Panics())
 	w.Counter("faults.latency_injected", "injected latency events", faults.Latencies())
 	w.Counter("faults.drops", "injected drops", faults.Drops())
-	w.Ratio("server.jobs.wall_avg_ms", "mean execution wall time (ms)", 1,
-		"server.jobs.wall_ms_total", "server.jobs.done", "server.jobs.failed", "server.jobs.cancelled")
 }

@@ -8,7 +8,9 @@
 # policies with every output file on, plus the program listing (-disasm) and
 # the annotated disassembly (-annotate) on stdout, and compares stdout and the
 # five files byte for byte. A second run per cell writes -stats-interval
-# deltas as JSONL, compared byte for byte too. It also builds specmpk-bench
+# deltas as JSONL, and a third runs the program to its end (no -cycles cap)
+# with -stats-out, both compared byte for byte too, so an answer that moves
+# only after the first 400,000 cycles still shows. It also builds specmpk-bench
 # on both sides and compares the text and -json output of every job-driven
 # experiment on two small workloads and of the security experiments (table1,
 # fig13), and the sampled experiment's -json rows without their wall times
@@ -36,19 +38,21 @@ for side in base work; do
 		go build -buildvcs=false -o "$TMP/$side.bench" ./cmd/specmpk-bench)
 done
 
-# run <side> <workload> <policy>: one run with every output and one interval
-# run, into $TMP/<side>/<workload>.<policy>/; status holds their exit codes.
+# run <side> <workload> <policy>: one run with every output, one interval run
+# and one full-length run, into $TMP/<side>/<workload>.<policy>/; status holds
+# their exit codes.
 run() {
 	d=$TMP/$1/$2.$3
 	mkdir -p "$d"
-	status=0 istatus=0
+	status=0 istatus=0 fstatus=0
 	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -trace 40 -pipeview 60 -disasm -annotate \
 		-stats-out "$d/stats.json" -prom-out "$d/stats.prom" -trace-out "$d/trace.jsonl" \
 		-konata-out "$d/konata.log" -konata-n 3000 -profile-out "$d/profile.json" \
 		-traceparent "$TP" >"$d/stdout" 2>/dev/null || status=$?
 	"$TMP/$1.sim" -workload "$2" -mode "$3" -cycles 400000 -stats-interval 50000 \
 		-stats-out "$d/intervals.jsonl" >/dev/null 2>&1 || istatus=$?
-	echo "$status $istatus" >"$d/status"
+	"$TMP/$1.sim" -workload "$2" -mode "$3" -stats-out "$d/full.json" >/dev/null 2>&1 || fstatus=$?
+	echo "$status $istatus $fstatus" >"$d/status"
 }
 
 cells=0
@@ -58,7 +62,7 @@ for wl in $("$TMP/work.sim" -list | awk '{print $1}'); do
 		run base "$wl" "$pol"
 		run work "$wl" "$pol"
 		cells=$((cells + 1))
-		for f in status stdout stats.json stats.prom trace.jsonl konata.log profile.json intervals.jsonl; do
+		for f in status stdout stats.json stats.prom trace.jsonl konata.log profile.json intervals.jsonl full.json; do
 			if ! cmp -s "$TMP/base/$wl.$pol/$f" "$TMP/work/$wl.$pol/$f"; then
 				echo "DIFFERS: $wl $pol $f"
 				differ=$((differ + 1))
@@ -104,5 +108,5 @@ if [ "$differ" -ne 0 ]; then
 	echo "same-answers: $differ outputs differ from $BASE across $cells runs and the experiments" >&2
 	exit 1
 fi
-echo "same-answers: $cells runs, stdout, five output files and an interval run each, identical to $BASE"
+echo "same-answers: $cells runs, stdout, five output files, an interval run and a full-length run each, identical to $BASE"
 echo "same-answers: experiments $(echo $outs | wc -w) outputs identical to $BASE"
