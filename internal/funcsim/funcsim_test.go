@@ -214,10 +214,10 @@ func TestFaultHandlerRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	m.FaultHandler = func(th *Thread, f *mem.Fault) FaultAction {
+	m.FaultHandler = func(th *Thread, f *mem.Fault) mem.FaultAction {
 		calls++
 		th.PKRU = th.PKRU.WithKey(f.PKey, mpk.Perm{}) // grant access
-		return FaultRetry
+		return mem.FaultRetry
 	}
 	if err := m.Run(1000, 1); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestFaultHandlerSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.FaultHandler = func(*Thread, *mem.Fault) FaultAction { return FaultSkip }
+	m.FaultHandler = func(*Thread, *mem.Fault) mem.FaultAction { return mem.FaultSkip }
 	if err := m.Run(1000, 1); err != nil {
 		t.Fatal(err)
 	}

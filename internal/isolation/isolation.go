@@ -20,12 +20,12 @@ import (
 	"fmt"
 
 	"specmpk/internal/asm"
+	"specmpk/internal/attack"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/mpk"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/tlb"
-	"specmpk/internal/trace"
 )
 
 // Properties is one Table I row plus the measurements behind it.
@@ -273,14 +273,7 @@ func branchGuardLeaks(mode pipeline.Mode) (bool, error) {
 	// Attack: index 8, bound shrunk to 4 and flushed so the check resolves
 	// late enough for the transient out-of-bounds access.
 	f.Movi(9, 8)
-	f.Movi(11, 4)
-	f.St(11, 6, 0)
-	f.Addi(21, 11, 0)
-	for i := 0; i < 10; i++ {
-		f.Mul(21, 21, 21)
-	}
-	f.Add(6, 6, 21)
-	f.Clflush(6, 0)
+	attack.ArmGuard(f, 4)
 	f.Call("victim")
 	f.Halt()
 
@@ -297,15 +290,8 @@ func branchGuardLeaks(mode pipeline.Mode) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Mode = mode
-	m, err := pipeline.New(cfg, p)
+	loads, err := attack.Probe(pipeline.DefaultConfig(), mode, p, 10_000_000)
 	if err != nil {
-		return false, err
-	}
-	loads := trace.Loads{}
-	m.Events = loads
-	if err := m.Run(10_000_000); err != nil {
 		return false, err
 	}
 	// No architectural access reads secret[8]; any touch is the transient
@@ -367,16 +353,8 @@ func speculativeProbe(mode pipeline.Mode) (found, crashed bool, err error) {
 		f.Call(gate)
 		f.Addi(9, 9, -1)
 		f.Bne(9, isa.RegZero, trainLbl)
-		// Probe: guard = 0 and flushed (through a dependency chain so the
-		// flush lands after the store commits), candidate target.
-		f.Movi(11, 0)
-		f.St(11, 6, 0)
-		f.Addi(21, 11, 0)
-		for i := 0; i < 10; i++ {
-			f.Mul(21, 21, 21)
-		}
-		f.Add(6, 6, 21)
-		f.Clflush(6, 0)
+		// Probe: guard = 0 and flushed, candidate target.
+		attack.ArmGuard(f, 0)
 		f.Movi(12, base+int64(slot)*slotStride)
 		f.Call(gate)
 	}
@@ -395,18 +373,13 @@ func speculativeProbe(mode pipeline.Mode) (found, crashed bool, err error) {
 	if err != nil {
 		return false, false, err
 	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Mode = mode
-	m, err := pipeline.New(cfg, p)
-	if err != nil {
+	loads, err := attack.Probe(pipeline.DefaultConfig(), mode, p, 20_000_000)
+	if loads == nil {
 		return false, false, err
 	}
-	loads := trace.Loads{}
-	m.Events = loads
 	// An architectural fault would be the crash ASLR defenders rely on; a
 	// load of the mapped candidate returned data — layout recovered.
-	crashed = m.Run(20_000_000) != nil
-	return len(loads[base+secretSlot*slotStride]) > 0, crashed, nil
+	return len(loads[base+secretSlot*slotStride]) > 0, err != nil, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -124,24 +124,31 @@ func (d *Detector) onInst(t *funcsim.Thread, pc uint64, in isa.Inst) {
 	}
 }
 
-func (d *Detector) onFault(t *funcsim.Thread, f *mem.Fault) funcsim.FaultAction {
+func (d *Detector) onFault(t *funcsim.Thread, f *mem.Fault) mem.FaultAction {
+	return d.fault(f, t.ID, d.held[t.ID], &t.PKRU)
+}
+
+// fault is Kard's trap handler on either machine. A pkey fault on a shared
+// object associates the object with lock, the lock thread holds, on the
+// object's first fault; a later fault under another lock is a race, and
+// one under NoLock an unlocked access. Then it grants the object's key in
+// *pkru and retries the access. Any other fault stops.
+func (d *Detector) fault(f *mem.Fault, thread, lock int, pkru *mpk.PKRU) mem.FaultAction {
 	if f.Kind != mem.FaultPkey || !d.objKeys[f.PKey] {
-		return funcsim.FaultStop
+		return mem.FaultStop
 	}
 	d.Faults++
-	lock := d.held[t.ID]
 	if lock == NoLock {
-		d.Unlocked = append(d.Unlocked, UnlockedAccess{PKey: f.PKey, Thread: t.ID, Addr: f.Addr})
+		d.Unlocked = append(d.Unlocked, UnlockedAccess{PKey: f.PKey, Thread: thread, Addr: f.Addr})
 	} else if owner, known := d.objLock[f.PKey]; !known {
 		d.objLock[f.PKey] = lock
 	} else if owner != lock {
 		d.Races = append(d.Races, Race{
-			PKey: f.PKey, Thread: t.ID, HeldLock: lock, OwnLock: owner, Addr: f.Addr,
+			PKey: f.PKey, Thread: thread, HeldLock: lock, OwnLock: owner, Addr: f.Addr,
 		})
 	}
-	// Grant access and retry, exactly like Kard's trap handler.
-	t.PKRU = t.PKRU.WithKey(f.PKey, mpk.Perm{})
-	return funcsim.FaultRetry
+	*pkru = pkru.WithKey(f.PKey, mpk.Perm{})
+	return mem.FaultRetry
 }
 
 // Scenario memory layout.

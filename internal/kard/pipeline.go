@@ -69,35 +69,23 @@ func RunPipelineScenario(mode pipeline.Mode, sameLock bool) (*PipelineResult, er
 	if err != nil {
 		return nil, err
 	}
-	res := &PipelineResult{}
-	objLock := map[int]int{}
-	m.FaultHandler = func(f *mem.Fault, pkru *mpk.PKRU) pipeline.FaultAction {
-		if f.Kind != mem.FaultPkey || f.PKey != objAKey {
-			return pipeline.FaultStop
-		}
-		res.Faults++
+	// The detector's trap handler alone: the program's one thread (0)
+	// holds the lock its lock word names.
+	d := &Detector{objKeys: map[int]bool{objAKey: true}, objLock: map[int]int{}}
+	m.FaultHandler = func(f *mem.Fault, pkru *mpk.PKRU) mem.FaultAction {
 		// The fault delivers at retirement, so every older store — in
 		// particular the lock-id store — has committed: the handler reads
 		// an architecturally precise lock word even on SpecMPK.
 		lockWord, err := m.AS.ReadVirt64(lockVar)
 		if err != nil {
-			return pipeline.FaultStop
+			return mem.FaultStop
 		}
-		lock := int(lockWord)
-		if owner, known := objLock[f.PKey]; !known {
-			objLock[f.PKey] = lock
-		} else if owner != lock {
-			res.Races = append(res.Races, Race{
-				PKey: f.PKey, HeldLock: lock, OwnLock: owner, Addr: f.Addr,
-			})
-		}
-		*pkru = pkru.WithKey(f.PKey, mpk.Perm{})
-		return pipeline.FaultRetry
+		return d.fault(f, 0, int(lockWord), pkru)
 	}
 	if err := m.Run(10_000_000); err != nil {
 		return nil, err
 	}
-	res.Finished = m.Halted()
+	res := &PipelineResult{Races: d.Races, Faults: d.Faults, Finished: m.Halted()}
 	res.Counter, _ = m.AS.ReadVirt64(objARegion)
 	return res, nil
 }

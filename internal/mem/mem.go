@@ -82,6 +82,20 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s on %s of 0x%x", f.Kind, f.Access, f.Addr)
 }
 
+// FaultAction is a fault handler's verdict: how the functional machine
+// (funcsim) or the cycle-level core (pipeline) continues after a fault.
+type FaultAction int
+
+const (
+	// FaultStop halts the faulting thread and surfaces the fault.
+	FaultStop FaultAction = iota
+	// FaultRetry re-executes the faulting instruction (the handler fixed
+	// permissions, like a kernel would).
+	FaultRetry
+	// FaultSkip advances past the faulting instruction.
+	FaultSkip
+)
+
 // Prot is a page's RWX permission set in its PTE.
 type Prot uint8
 

@@ -388,7 +388,6 @@ type alEntry struct {
 	addrReady       bool
 	noForward       bool // SpecMPK: store-to-load forwarding suppressed
 	stallTillHead   bool // execute only at AL head
-	reissued        bool
 	tlbDeferred     bool // SpecMPK: TLB fill deferred to retirement
 
 	seq uint64
@@ -438,16 +437,6 @@ type alEntry struct {
 	upgMask  uint16 // pkeys this WRPKRU transiently upgrades vs the ARF
 }
 
-// FaultAction mirrors funcsim's fault-handler verdicts.
-type FaultAction int
-
-// Fault-handler verdicts.
-const (
-	FaultStop FaultAction = iota
-	FaultRetry
-	FaultSkip
-)
-
 // Machine is one out-of-order core bound to a loaded program.
 type Machine struct {
 	Cfg  Config
@@ -478,7 +467,7 @@ type Machine struct {
 	// -konata-out, -pipeview).
 	OnTrace func(trace.Record)
 	// FaultHandler is consulted when a fault reaches retirement.
-	FaultHandler func(f *mem.Fault, pkru *mpk.PKRU) FaultAction
+	FaultHandler func(f *mem.Fault, pkru *mpk.PKRU) mem.FaultAction
 
 	// Events, when non-nil, receives the core's one event stream: load
 	// executions (transient ones included), squashes, WRPKRU retirements,

@@ -151,7 +151,7 @@ func TestFaultHandlerSkipInPipeline(t *testing.T) {
 	})
 	for _, mode := range allModes() {
 		m := newMachine(t, mode, p)
-		m.FaultHandler = func(*mem.Fault, *mpk.PKRU) FaultAction { return FaultSkip }
+		m.FaultHandler = func(*mem.Fault, *mpk.PKRU) mem.FaultAction { return mem.FaultSkip }
 		if err := m.Run(1_000_000); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

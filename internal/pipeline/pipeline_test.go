@@ -290,10 +290,10 @@ func TestFaultHandlerRetry(t *testing.T) {
 	for _, mode := range allModes() {
 		m := newMachine(t, mode, p)
 		calls := 0
-		m.FaultHandler = func(f *mem.Fault, pkru *mpk.PKRU) FaultAction {
+		m.FaultHandler = func(f *mem.Fault, pkru *mpk.PKRU) mem.FaultAction {
 			calls++
 			*pkru = pkru.WithKey(f.PKey, mpk.Perm{})
-			return FaultRetry
+			return mem.FaultRetry
 		}
 		if err := m.Run(1_000_000); err != nil {
 			t.Fatalf("%v: %v", mode, err)

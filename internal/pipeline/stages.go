@@ -898,7 +898,7 @@ func (m *Machine) retireStage() {
 	retired := 0
 	for retired < m.Cfg.Width && m.alCnt > 0 && !m.halted && m.fault == nil {
 		e := m.alAt(0)
-		if e.stallTillHead && !e.reissued {
+		if e.stallTillHead {
 			m.progressed = true
 			if e.isStore {
 				m.reissueStoreAtHead(e)
@@ -980,7 +980,6 @@ func (m *Machine) retireStage() {
 // reissueAtHead re-executes a stalled load once it is non-squashable,
 // performing the deferred TLB fill and the precise ARF_pkru check (§V-C4).
 func (m *Machine) reissueAtHead(e *alEntry) {
-	e.reissued = true
 	e.stallTillHead = false
 	e.issueCyc = m.cycle
 	lat := 1
@@ -1012,7 +1011,6 @@ func (m *Machine) reissueAtHead(e *alEntry) {
 // against the committed PKRU, publish the address, and squash any younger
 // load that speculated past it.
 func (m *Machine) reissueStoreAtHead(e *alEntry) {
-	e.reissued = true
 	e.stallTillHead = false
 	e.issueCyc = m.cycle
 	// The withheld address resolves now — either published below or the
@@ -1078,10 +1076,10 @@ func (m *Machine) deliverFault(e *alEntry) {
 		action := m.FaultHandler(e.fault, &pkru)
 		m.PKRUState.SetARF(pkru)
 		switch action {
-		case FaultRetry:
+		case mem.FaultRetry:
 			m.flushAndRedirect(e.pc)
 			return
-		case FaultSkip:
+		case mem.FaultSkip:
 			m.Stats.Insts++
 			m.flushAndRedirect(e.pc + isa.InstBytes)
 			return

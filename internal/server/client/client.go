@@ -292,7 +292,8 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // Retry-After), permanent ones return immediately. When every attempt failed
 // at the connection level the exhausted budget surfaces as a typed
 // PeerDownError, so callers (the cluster coordinator above all) can fail
-// over to another peer instead of retrying a dead address.
+// over to another peer instead of retrying a dead address. A backoff the
+// context cuts short returns the context's error: the budget was not spent.
 func (c *Client) doRetry(ctx context.Context, method, path string, body, out any) error {
 	bo := newBackoff(c.Retry)
 	attempts := c.Retry.attempts()
@@ -309,7 +310,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body, out any
 		}
 		c.retries.Add(1)
 		if serr := bo.sleep(ctx, ra); serr != nil {
-			break
+			return serr
 		}
 	}
 	if allConn && err != nil {
@@ -381,7 +382,8 @@ const maxEventLine = 8 << 20
 // fn sees each event once, in order, across reconnects. Events returns nil
 // if the stream ends cleanly without a final event (job already terminal
 // before subscribing and its buffer was replayed, or the subscription was
-// detached server-side) — callers confirm terminal state via Job.
+// detached server-side) — callers confirm terminal state via Job. A context
+// that ends during a reconnection backoff returns the context's error.
 //
 // A peer that refuses every connection is a special case: progress resets
 // the failure budget (deliberately — a long job must survive many isolated
@@ -429,7 +431,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(api.Event) error
 		}
 		c.reconnects.Add(1)
 		if serr := bo.sleep(ctx, 0); serr != nil {
-			return err
+			return serr
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"specmpk/internal/server/api"
 )
@@ -63,6 +64,35 @@ func TestEventsSurfacesPeerDown(t *testing.T) {
 	err := c.Events(context.Background(), "job-1", func(api.Event) error { return nil })
 	if !IsPeerDown(err) {
 		t.Fatalf("Events error = %v, want a PeerDownError", err)
+	}
+}
+
+// TestCancelledBackoffIsNotPeerDown: a call whose context ends during its
+// first backoff made one attempt of the policy's six, so it says nothing
+// about the peer. Submit and Events must return the context's error, not a
+// PeerDownError a coordinator would fail over on.
+func TestCancelledBackoffIsNotPeerDown(t *testing.T) {
+	c := New(deadAddr(t))
+	c.Retry = RetryPolicy{BaseDelay: 200 * time.Millisecond}
+	calls := []struct {
+		name string
+		call func(context.Context) error
+	}{
+		{"submit", func(ctx context.Context) error {
+			_, err := c.Submit(ctx, api.JobSpec{Asm: "main:\n    halt\n"})
+			return err
+		}},
+		{"events", func(ctx context.Context) error {
+			return c.Events(ctx, "job-1", func(api.Event) error { return nil })
+		}},
+	}
+	for _, tc := range calls {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := tc.call(ctx)
+		cancel()
+		if IsPeerDown(err) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: error %T (%v), want the context's deadline", tc.name, err, err)
+		}
 	}
 }
 

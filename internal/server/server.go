@@ -124,9 +124,6 @@ type Options struct {
 	// cycles a wall-clock window buys are host-dependent, so a partial
 	// result would break the cache's determinism contract.
 	MaxWallMS uint64
-	// RetainJobs bounds how many finished job records stay queryable; the
-	// oldest are forgotten first (0 = 4096).
-	RetainJobs int
 	// SpanBuffer sizes the span flight recorder: completed request spans
 	// land in a bounded ring dumpable via GET /v1/debug/spans. 0 disables
 	// tracing entirely — the disarmed state, where every trace seam costs
@@ -161,9 +158,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 500_000_000
-	}
-	if o.RetainJobs <= 0 {
-		o.RetainJobs = 4096
 	}
 	return o
 }
@@ -562,6 +556,10 @@ func (s *Server) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.Job
 	return res, info, nil
 }
 
+// retainJobs bounds how many finished job records stay queryable; the
+// oldest are forgotten first.
+const retainJobs = 4096
+
 // finishLocked ends one job with its execution's outcome o, once: it retires
 // the job into the retention window, observes its end-to-end latency (and a
 // deduped job's dedup wait), closes its root span with o, and logs one line.
@@ -573,7 +571,7 @@ func (s *Server) finishLocked(j *job, o outcome) {
 	}
 	j.retired = true
 	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.opt.RetainJobs {
+	for len(s.finished) > retainJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

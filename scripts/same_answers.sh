@@ -14,8 +14,11 @@
 # on both sides and compares the text and -json output of every job-driven
 # experiment on two small workloads and of the security experiments (table1,
 # fig13), and the sampled experiment's -json rows without their wall times
-# (sampledMS, fullMS, speedup), which vary from run to run. It prints each
-# output that differs and exits non-zero if any does.
+# (sampledMS, fullMS, speedup), which vary from run to run. Last it builds
+# examples/spectre and examples/datarace on both sides and compares their
+# stdout: Spectre-BTI, the speculative buffer overflow and Kard on the
+# cycle-level machines appear in no experiment. It prints each output that
+# differs and exits non-zero if any does.
 # Everything lives under one temporary directory ($TMPDIR), removed on exit,
 # so nothing is written inside the checkout. CI does not run it: a change
 # that means to move an answer fails it by design.
@@ -28,14 +31,16 @@ POLICIES="serialized nonsecure specmpk delayupgrade noforward"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== build specmpk-sim and specmpk-bench at $BASE and in the working tree"
+echo "== build specmpk-sim, specmpk-bench and two examples at $BASE and in the working tree"
 mkdir "$TMP/src"
 git -C "$ROOT" archive "$BASE" | tar -x -C "$TMP/src"
 for side in base work; do
 	src=$TMP/src
 	[ "$side" = work ] && src=$ROOT
 	(cd "$src" && go build -buildvcs=false -o "$TMP/$side.sim" ./cmd/specmpk-sim &&
-		go build -buildvcs=false -o "$TMP/$side.bench" ./cmd/specmpk-bench)
+		go build -buildvcs=false -o "$TMP/$side.bench" ./cmd/specmpk-bench &&
+		go build -buildvcs=false -o "$TMP/$side.spectre" ./examples/spectre &&
+		go build -buildvcs=false -o "$TMP/$side.datarace" ./examples/datarace)
 done
 
 # run <side> <workload> <policy>: one run with every output, one interval run
@@ -104,9 +109,23 @@ for out in $outs; do
 	fi
 done
 
+echo "== examples spectre and datarace"
+for ex in spectre datarace; do
+	for side in base work; do
+		status=0
+		"$TMP/$side.$ex" >"$TMP/$side.$ex.out" 2>/dev/null || status=$?
+		echo "exit $status" >>"$TMP/$side.$ex.out"
+	done
+	if ! cmp -s "$TMP/base.$ex.out" "$TMP/work.$ex.out"; then
+		echo "DIFFERS: example $ex"
+		differ=$((differ + 1))
+	fi
+done
+
 if [ "$differ" -ne 0 ]; then
 	echo "same-answers: $differ outputs differ from $BASE across $cells runs and the experiments" >&2
 	exit 1
 fi
 echo "same-answers: $cells runs, stdout, five output files, an interval run and a full-length run each, identical to $BASE"
 echo "same-answers: experiments $(echo $outs | wc -w) outputs identical to $BASE"
+echo "same-answers: examples spectre and datarace identical to $BASE"
