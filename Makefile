@@ -92,10 +92,14 @@ bench:
 
 # Hot-path micro-benchmarks only: the cost of one Machine.Step and of a whole
 # bounded Run, with allocs/op (the refactor's zero-alloc claim is visible as
-# "0 allocs/op" on the Step rows). Much faster than the full bench sweep.
+# "0 allocs/op" on the Step rows), then the functional layer: funcsim's pass
+# over the catalogue (ms/pass, Minst/s) and a SimPoint plan build (ms/plan).
+# Much faster than the full bench sweep.
 bench-core:
 	$(GO) test -bench='MachineStep|MachineRun' -benchmem -run=^$$ \
 		./internal/pipeline
+	$(GO) test -bench='^BenchmarkRun$$' -benchmem -run=^$$ ./internal/funcsim
+	$(GO) test -bench='^BenchmarkBuildPlan$$' -benchmem -run=^$$ ./internal/simpoint
 
 # Answer smoke over the benchmark: each perfbench workload for a one-second
 # window (a window still holds at least 100 simulating jobs). perfbench
@@ -113,21 +117,25 @@ bench-smoke:
 # Alternating parent/change pairs of one perfbench workload, built at BASE and
 # in the working tree, summarised per end-to-end metric: each side's median
 # and quartiles, the change's wins, and the gap between the medians against
-# the base's interquartile range. Not in CI: a pair takes about a minute.
+# the base's interquartile range. LAYERS=1 runs the pairs traced and
+# summarises the per-layer metrics too; LABEL=<label> keeps the runs and the
+# summary in BENCH_<label>.json. Not in CI: a pair takes about a minute.
 PAIRS ?= 10
 SEED ?= 1
 RUN_SECONDS ?= 20
+LAYERS ?= 0
 bench-pairs:
-	sh scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)
+	LAYERS=$(LAYERS) sh scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS) $(LABEL)
 
 # Short fuzz passes over the untrusted-input surfaces: the assembler's
 # parser, the instruction decoder, and the job-spec JSON that content-addresses
 # every daemon result (Normalize must be idempotent and key-stable, because a
 # cluster owner re-normalizes forwarded specs); plus physical memory's
 # page-wise bulk copies against a byte-wise model, since every program load
-# and checkpoint restore goes through them; and the two checkpoint encodings
-# (the warm-up log and the page delta), which must round-trip exactly. CI
-# runs them on every push. `go test -fuzz` takes one target per run.
+# and checkpoint restore goes through them; the two checkpoint encodings
+# (the warm-up log and the page delta), which must round-trip exactly; and
+# funcsim's batched Run against single-stepping with no translation memo.
+# CI runs them on every push. `go test -fuzz` takes one target per run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/asm
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run=^$$ ./internal/isa
@@ -135,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPhysMemBytes -fuzztime=10s -run=^$$ ./internal/mem
 	$(GO) test -fuzz=FuzzWarmLog -fuzztime=10s -run=^$$ ./internal/simpoint
 	$(GO) test -fuzz=FuzzPageDelta -fuzztime=10s -run=^$$ ./internal/simpoint
+	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run=^$$ ./internal/funcsim
 
 # Identity check for a change that must not move any answer: every catalogue
 # workload under every policy, built at BASE and in the working tree, with

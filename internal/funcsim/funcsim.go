@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"specmpk/internal/asm"
 	"specmpk/internal/isa"
@@ -73,6 +74,9 @@ type Machine struct {
 	OnStore func(t *Thread, vaddr uint64)
 	// FaultHandler, when set, is consulted on pkey/protection/page faults.
 	FaultHandler func(t *Thread, f *mem.Fault) mem.FaultAction
+
+	// memo translates the loads' and stores' addresses through AS.
+	memo mem.Memo
 }
 
 // New loads prog into a fresh address space and creates thread 0 at the
@@ -102,32 +106,37 @@ func (m *Machine) AddThread(pc uint64) *Thread {
 // before every thread halts.
 var ErrLimit = errors.New("funcsim: instruction limit reached")
 
-// Run interleaves all threads round-robin (quantum instructions each) until
-// every thread halts or limit instructions have retired in total.
-// A fault with no handler (or a mem.FaultStop verdict) stops the run and
-// returns the fault.
+// Run interleaves all threads round-robin (quantum steps each) until every
+// thread halts or limit instructions have retired in total. A fault with no
+// handler (or a mem.FaultStop verdict) stops the run and returns the fault.
+// A lone live thread has no one to take turns with, so it gets the whole
+// remaining budget in one call.
 func (m *Machine) Run(limit uint64, quantum int) error {
 	if quantum <= 0 {
 		quantum = 1
 	}
 	for {
-		live := false
+		live, lone := 0, (*Thread)(nil)
 		for _, t := range m.Threads {
-			if t.Halted {
-				continue
+			if !t.Halted {
+				live, lone = live+1, t
 			}
-			live = true
-			for q := 0; q < quantum && !t.Halted; q++ {
-				if m.Stats.Insts >= limit {
-					return ErrLimit
-				}
-				if err := m.Step(t); err != nil {
+		}
+		switch live {
+		case 0:
+			return nil
+		case 1:
+			if err := m.run(lone, math.MaxUint64, limit); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, t := range m.Threads {
+			if !t.Halted {
+				if err := m.run(t, uint64(quantum), limit); err != nil {
 					return err
 				}
 			}
-		}
-		if !live {
-			return nil
 		}
 	}
 }
@@ -147,135 +156,166 @@ func (m *Machine) write(t *Thread, r uint8, v uint64) {
 }
 
 // Step retires one instruction on thread t.
-func (m *Machine) Step(t *Thread) error {
-	if t.Halted {
-		return nil
-	}
-	in, ok := m.Prog.InstAt(t.PC)
-	if !ok {
-		f := &mem.Fault{Kind: mem.FaultPage, Addr: t.PC, Access: mem.Exec}
-		return m.fault(t, f, t.PC)
-	}
+func (m *Machine) Step(t *Thread) error { return m.run(t, 1, math.MaxUint64) }
+
+// run is the interpreter: it steps thread t up to n times and stops early
+// when t halts or on an error. A step retires an instruction, skips a
+// faulting one (which counts as retired) or retries it (which does not).
+// Before every step it returns ErrLimit if limit instructions have retired
+// in total. Loads and stores translate through the machine's memo. The PC
+// lives in a local between steps; t.PC holds it whenever a hook or the
+// fault handler runs and when run returns.
+func (m *Machine) run(t *Thread, n, limit uint64) (err error) {
+	code, base := m.Prog.Insts, m.Prog.CodeBase
 	pc := t.PC
-	next := pc + isa.InstBytes
+	for ; n > 0 && !t.Halted; n-- {
+		if m.Stats.Insts >= limit {
+			err = ErrLimit
+			break
+		}
+		// asm.Program.InstAt, with the program's code in locals.
+		i := (pc - base) / isa.InstBytes
+		if (pc-base)%isa.InstBytes != 0 || i >= uint64(len(code)) {
+			if err = m.fault(t, &mem.Fault{Kind: mem.FaultPage, Addr: pc, Access: mem.Exec}, pc); err != nil {
+				return err
+			}
+			pc = t.PC
+			continue
+		}
+		in := code[i]
+		next := pc + isa.InstBytes
 
-	rs1 := t.Reg(in.Rs1)
-	rs2 := t.Reg(in.Rs2)
+		rs1 := t.Reg(in.Rs1)
+		rs2 := t.Reg(in.Rs2)
 
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpHalt:
-		t.Halted = true
-	case isa.OpAdd:
-		m.write(t, in.Rd, rs1+rs2)
-	case isa.OpSub:
-		m.write(t, in.Rd, rs1-rs2)
-	case isa.OpAnd:
-		m.write(t, in.Rd, rs1&rs2)
-	case isa.OpOr:
-		m.write(t, in.Rd, rs1|rs2)
-	case isa.OpXor:
-		m.write(t, in.Rd, rs1^rs2)
-	case isa.OpShl:
-		m.write(t, in.Rd, rs1<<(rs2&63))
-	case isa.OpShr:
-		m.write(t, in.Rd, rs1>>(rs2&63))
-	case isa.OpMul:
-		m.write(t, in.Rd, rs1*rs2)
-	case isa.OpDiv:
-		if rs2 == 0 {
-			m.write(t, in.Rd, ^uint64(0))
-		} else {
-			m.write(t, in.Rd, rs1/rs2)
-		}
-	case isa.OpAddi:
-		m.write(t, in.Rd, rs1+uint64(in.Imm))
-	case isa.OpAndi:
-		m.write(t, in.Rd, rs1&uint64(in.Imm))
-	case isa.OpOri:
-		m.write(t, in.Rd, rs1|uint64(in.Imm))
-	case isa.OpXori:
-		m.write(t, in.Rd, rs1^uint64(in.Imm))
-	case isa.OpShli:
-		m.write(t, in.Rd, rs1<<(uint64(in.Imm)&63))
-	case isa.OpShri:
-		m.write(t, in.Rd, rs1>>(uint64(in.Imm)&63))
-	case isa.OpMovi:
-		m.write(t, in.Rd, uint64(in.Imm))
-	case isa.OpLd, isa.OpLb:
-		m.Stats.Loads++
-		vaddr := rs1 + uint64(in.Imm)
-		paddr, _, err := m.AS.Access(vaddr, mem.Read, t.PKRU)
-		if err != nil {
-			return m.fault(t, err.(*mem.Fault), pc)
-		}
-		if in.Op == isa.OpLd {
-			m.write(t, in.Rd, m.AS.Phys.Read64(paddr))
-		} else {
-			m.write(t, in.Rd, uint64(m.AS.Phys.Read8(paddr)))
-		}
-	case isa.OpSt, isa.OpSb:
-		m.Stats.Stores++
-		vaddr := rs1 + uint64(in.Imm)
-		paddr, _, err := m.AS.Access(vaddr, mem.Write, t.PKRU)
-		if err != nil {
-			return m.fault(t, err.(*mem.Fault), pc)
-		}
-		if in.Op == isa.OpSt {
-			m.AS.Phys.Write64(paddr, rs2)
-		} else {
-			m.AS.Phys.Write8(paddr, byte(rs2))
-		}
-		if m.OnStore != nil {
-			m.OnStore(t, vaddr)
-		}
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		m.Stats.Branches++
-		if BranchTaken(in.Op, rs1, rs2) {
-			m.Stats.Taken++
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpHalt:
+			t.Halted = true
+		case isa.OpAdd:
+			m.write(t, in.Rd, rs1+rs2)
+		case isa.OpSub:
+			m.write(t, in.Rd, rs1-rs2)
+		case isa.OpAnd:
+			m.write(t, in.Rd, rs1&rs2)
+		case isa.OpOr:
+			m.write(t, in.Rd, rs1|rs2)
+		case isa.OpXor:
+			m.write(t, in.Rd, rs1^rs2)
+		case isa.OpShl:
+			m.write(t, in.Rd, rs1<<(rs2&63))
+		case isa.OpShr:
+			m.write(t, in.Rd, rs1>>(rs2&63))
+		case isa.OpMul:
+			m.write(t, in.Rd, rs1*rs2)
+		case isa.OpDiv:
+			if rs2 == 0 {
+				m.write(t, in.Rd, ^uint64(0))
+			} else {
+				m.write(t, in.Rd, rs1/rs2)
+			}
+		case isa.OpAddi:
+			m.write(t, in.Rd, rs1+uint64(in.Imm))
+		case isa.OpAndi:
+			m.write(t, in.Rd, rs1&uint64(in.Imm))
+		case isa.OpOri:
+			m.write(t, in.Rd, rs1|uint64(in.Imm))
+		case isa.OpXori:
+			m.write(t, in.Rd, rs1^uint64(in.Imm))
+		case isa.OpShli:
+			m.write(t, in.Rd, rs1<<(uint64(in.Imm)&63))
+		case isa.OpShri:
+			m.write(t, in.Rd, rs1>>(uint64(in.Imm)&63))
+		case isa.OpMovi:
+			m.write(t, in.Rd, uint64(in.Imm))
+		case isa.OpLd, isa.OpLb:
+			m.Stats.Loads++
+			v, f := m.memo.Load(m.AS, rs1+uint64(in.Imm), accessBytes(in.Op), t.PKRU)
+			if f != nil {
+				if err = m.fault(t, f, pc); err != nil {
+					return err
+				}
+				pc = t.PC
+				continue
+			}
+			m.write(t, in.Rd, v)
+		case isa.OpSt, isa.OpSb:
+			m.Stats.Stores++
+			vaddr := rs1 + uint64(in.Imm)
+			if f := m.memo.Store(m.AS, vaddr, accessBytes(in.Op), rs2, t.PKRU); f != nil {
+				if err = m.fault(t, f, pc); err != nil {
+					return err
+				}
+				pc = t.PC
+				continue
+			}
+			if m.OnStore != nil {
+				t.PC = pc
+				m.OnStore(t, vaddr)
+			}
+		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
+			m.Stats.Branches++
+			if BranchTaken(in.Op, rs1, rs2) {
+				m.Stats.Taken++
+				next = uint64(in.Imm)
+			}
+		case isa.OpJal:
+			if in.Rd != isa.RegZero {
+				m.Stats.Calls++
+			}
+			m.write(t, in.Rd, next)
 			next = uint64(in.Imm)
+		case isa.OpJalr:
+			if in.IsReturn() {
+				m.Stats.Returns++
+			} else if in.Rd != isa.RegZero {
+				m.Stats.Calls++
+			}
+			target := rs1 + uint64(in.Imm)
+			m.write(t, in.Rd, next)
+			next = target
+		case isa.OpWrpkru:
+			m.Stats.Wrpkru++
+			t.PKRU = mpk.PKRU(rs1)
+		case isa.OpRdpkru:
+			m.Stats.Rdpkru++
+			m.write(t, in.Rd, uint64(t.PKRU))
+		case isa.OpClflush:
+			// Architecturally a no-op here; the cycle simulators model the
+			// cache eviction.
+		case isa.OpRdcycle:
+			// The functional machine has no clock; expose retired-instruction
+			// count, which is monotonic, as the timebase.
+			m.write(t, in.Rd, m.Stats.Insts)
+		default:
+			t.PC = pc
+			return fmt.Errorf("funcsim: unimplemented opcode %v at 0x%x", in.Op, pc)
 		}
-	case isa.OpJal:
-		if in.Rd != isa.RegZero {
-			m.Stats.Calls++
-		}
-		m.write(t, in.Rd, next)
-		next = uint64(in.Imm)
-	case isa.OpJalr:
-		if in.IsReturn() {
-			m.Stats.Returns++
-		} else if in.Rd != isa.RegZero {
-			m.Stats.Calls++
-		}
-		target := rs1 + uint64(in.Imm)
-		m.write(t, in.Rd, next)
-		next = target
-	case isa.OpWrpkru:
-		m.Stats.Wrpkru++
-		t.PKRU = mpk.PKRU(rs1)
-	case isa.OpRdpkru:
-		m.Stats.Rdpkru++
-		m.write(t, in.Rd, uint64(t.PKRU))
-	case isa.OpClflush:
-		// Architecturally a no-op here; the cycle simulators model the
-		// cache eviction.
-	case isa.OpRdcycle:
-		// The functional machine has no clock; expose retired-instruction
-		// count, which is monotonic, as the timebase.
-		m.write(t, in.Rd, m.Stats.Insts)
-	default:
-		return fmt.Errorf("funcsim: unimplemented opcode %v at 0x%x", in.Op, pc)
-	}
 
-	m.Stats.Insts++
-	t.Insts++
-	if m.OnInst != nil {
-		m.OnInst(t, pc, in)
+		m.Stats.Insts++
+		t.Insts++
+		if m.OnInst != nil {
+			t.PC = pc
+			m.OnInst(t, pc, in)
+			if t.Halted {
+				pc = t.PC
+			}
+		}
+		if !t.Halted {
+			pc = next
+		}
 	}
-	if !t.Halted {
-		t.PC = next
+	t.PC = pc
+	return err
+}
+
+// accessBytes is the width of load or store op: a word, or one byte for
+// OpLb and OpSb.
+func accessBytes(op isa.Op) int {
+	if op == isa.OpLb || op == isa.OpSb {
+		return 1
 	}
-	return nil
+	return 8
 }
 
 // BranchTaken reports whether conditional branch op is taken on source
@@ -296,6 +336,7 @@ func BranchTaken(op isa.Op, a, b uint64) bool {
 
 func (m *Machine) fault(t *Thread, f *mem.Fault, pc uint64) error {
 	m.Stats.Faults++
+	t.PC = pc
 	if m.FaultHandler != nil {
 		switch m.FaultHandler(t, f) {
 		case mem.FaultRetry:

@@ -1,12 +1,15 @@
 package kard
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"specmpk/internal/asm"
 	"specmpk/internal/funcsim"
+	"specmpk/internal/isa"
 	"specmpk/internal/mem"
+	"specmpk/internal/mpk"
 	"specmpk/internal/pipeline"
 )
 
@@ -145,6 +148,65 @@ func TestPipelineScenarioAcrossMicroarchitectures(t *testing.T) {
 		r := racy.Races[0]
 		if r.OwnLock != 1 || r.HeldLock != 2 || r.PKey != objAKey {
 			t.Fatalf("%v: race details: %+v", mode, r)
+		}
+	}
+}
+
+// TestPipelineMatchesFuncsimDetector: a program that touches the shared
+// object again after releasing its lock (an unlocked access, then a second
+// section under the same lock) gets the same races and unlocked accesses
+// from Kard on every cycle-level policy as from funcsim's detector. The
+// program follows the cycle-level protocol: it stores the lock id to
+// lockVar on acquire and 0 on release, and locks the objects down with a
+// WRPKRU after each; funcsim's detector reads the same stores as lock 1's
+// acquire and release.
+func TestPipelineMatchesFuncsimDetector(t *testing.T) {
+	b := progBuilder(t)
+	lockdown := int64(mpk.AllowAll.WithKey(objAKey, mpk.Perm{AD: true}))
+	f := b.Func("main")
+	f.Movi(4, lockRegion)
+	f.Movi(5, objARegion)
+	f.Movi(26, lockdown)
+	f.Movi(9, 1)
+	touch := func() {
+		f.Ld(10, 5, 0)
+		f.Addi(10, 10, 1)
+		f.St(10, 5, 0)
+	}
+	for _, locked := range []bool{true, false, true, false} {
+		if locked {
+			f.St(9, 4, 16) // acquire lock 1
+		} else {
+			f.St(isa.RegZero, 4, 16) // release
+		}
+		f.Wrpkru(26)
+		touch()
+	}
+	f.Halt()
+	prog, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := funcsim.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := Attach(m, map[uint64]int{lockVar: 1}, []int{objAKey})
+	if err := m.Run(10_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(det.Unlocked) != 2 || len(det.Races) != 0 {
+		t.Fatalf("funcsim: races %v, unlocked %v; want no race and two unlocked accesses", det.Races, det.Unlocked)
+	}
+	for _, mode := range pipeline.RegisteredModes() {
+		res, err := runPipeline(mode, prog)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !res.Finished || !reflect.DeepEqual(res.Races, det.Races) || !reflect.DeepEqual(res.Unlocked, det.Unlocked) {
+			t.Errorf("%v: finished %v, races %v, unlocked %v; funcsim: races %v, unlocked %v",
+				mode, res.Finished, res.Races, res.Unlocked, det.Races, det.Unlocked)
 		}
 	}
 }

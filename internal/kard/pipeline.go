@@ -15,6 +15,7 @@ import (
 // retirement.
 type PipelineResult struct {
 	Races    []Race
+	Unlocked []UnlockedAccess
 	Faults   int
 	Counter  uint64 // final value of the shared counter
 	Finished bool
@@ -63,6 +64,13 @@ func RunPipelineScenario(mode pipeline.Mode, sameLock bool) (*PipelineResult, er
 	if err != nil {
 		return nil, err
 	}
+	return runPipeline(mode, prog)
+}
+
+// runPipeline runs prog under Kard on the given microarchitecture. prog
+// follows the scenario's protocol: it stores the id of the lock it acquires
+// to lockVar, 0 on release, and locks the shared objects down itself.
+func runPipeline(mode pipeline.Mode, prog *asm.Program) (*PipelineResult, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Mode = mode
 	m, err := pipeline.New(cfg, prog)
@@ -70,7 +78,7 @@ func RunPipelineScenario(mode pipeline.Mode, sameLock bool) (*PipelineResult, er
 		return nil, err
 	}
 	// The detector's trap handler alone: the program's one thread (0)
-	// holds the lock its lock word names.
+	// holds the lock its lock word names, and none while the word is 0.
 	d := &Detector{objKeys: map[int]bool{objAKey: true}, objLock: map[int]int{}}
 	m.FaultHandler = func(f *mem.Fault, pkru *mpk.PKRU) mem.FaultAction {
 		// The fault delivers at retirement, so every older store — in
@@ -80,12 +88,16 @@ func RunPipelineScenario(mode pipeline.Mode, sameLock bool) (*PipelineResult, er
 		if err != nil {
 			return mem.FaultStop
 		}
-		return d.fault(f, 0, int(lockWord), pkru)
+		lock := int(lockWord)
+		if lockWord == 0 {
+			lock = NoLock
+		}
+		return d.fault(f, 0, lock, pkru)
 	}
 	if err := m.Run(10_000_000); err != nil {
 		return nil, err
 	}
-	res := &PipelineResult{Races: d.Races, Faults: d.Faults, Finished: m.Halted()}
+	res := &PipelineResult{Races: d.Races, Unlocked: d.Unlocked, Faults: d.Faults, Finished: m.Halted()}
 	res.Counter, _ = m.AS.ReadVirt64(objARegion)
 	return res, nil
 }

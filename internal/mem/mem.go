@@ -248,6 +248,7 @@ type AddressSpace struct {
 	Phys *PhysMem
 
 	pages    map[uint64]PTE // vpn -> pte
+	gen      uint64         // page-table generation; see Gen
 	nextPPN  uint64
 	pkeyUsed [mpk.NumKeys]bool
 }
@@ -266,6 +267,11 @@ func NewAddressSpace() *AddressSpace {
 // PageCount reports the number of mapped virtual pages.
 func (as *AddressSpace) PageCount() int { return len(as.pages) }
 
+// Gen returns the page table's generation. Every Map, Unmap, Mprotect and
+// PkeyMprotect changes it, so an entry read at one generation is still the
+// page table's while Gen returns that generation (Memo relies on this).
+func (as *AddressSpace) Gen() uint64 { return as.gen }
+
 // Map establishes length bytes of fresh zeroed mappings starting at the
 // page-aligned address vaddr with the given permissions and pKey 0.
 // Mapping over an existing page replaces it (fresh frame).
@@ -273,6 +279,7 @@ func (as *AddressSpace) Map(vaddr, length uint64, prot Prot) {
 	if vaddr%PageSize != 0 {
 		panic(fmt.Sprintf("mem: Map of unaligned address 0x%x", vaddr))
 	}
+	as.gen++
 	for off := uint64(0); off < length; off += PageSize {
 		vpn := (vaddr + off) >> PageBits
 		as.pages[vpn] = PTE{PPN: as.nextPPN, Prot: prot, PKey: 0, Valid: true}
@@ -282,6 +289,7 @@ func (as *AddressSpace) Map(vaddr, length uint64, prot Prot) {
 
 // Unmap removes the mappings covering [vaddr, vaddr+length).
 func (as *AddressSpace) Unmap(vaddr, length uint64) {
+	as.gen++
 	for off := uint64(0); off < length; off += PageSize {
 		delete(as.pages, (vaddr+off)>>PageBits)
 	}
@@ -340,6 +348,7 @@ func (as *AddressSpace) updatePages(vaddr, length uint64, f func(*PTE)) error {
 			return &Fault{Kind: FaultPage, Addr: vaddr + off, Access: Read}
 		}
 	}
+	as.gen++
 	for off := uint64(0); off < length; off += PageSize {
 		vpn := (vaddr + off) >> PageBits
 		pte := as.pages[vpn]

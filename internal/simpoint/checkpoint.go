@@ -114,6 +114,7 @@ func (c *Checkpoint) EncodedBytes() (pages, warm int) { return len(c.pageData), 
 // capturer accumulates checkpoint inputs while the functional machine runs.
 type capturer struct {
 	dirty map[uint64]struct{} // written virtual page numbers, cumulative
+	last  uint64              // the page of the last store (noPage before any)
 	ring  []warmRecord        // warm-up log ring
 	pos   int                 // next write position
 	n     int                 // records written (saturates at len(ring))
@@ -131,45 +132,56 @@ func newCapturer(warmInsts uint64) *capturer {
 	}
 	return &capturer{
 		dirty: make(map[uint64]struct{}),
+		last:  noPage,
 		ring:  make([]warmRecord, warmInsts),
 	}
 }
 
-// onStore is the funcsim store hook: record the written page.
+// noPage is a virtual page number no address has (addresses shift down by
+// mem.PageBits).
+const noPage = ^uint64(0)
+
+// onStore is the funcsim store hook: record the written page, unless the
+// last store already did.
 func (c *capturer) onStore(_ *funcsim.Thread, vaddr uint64) {
-	c.dirty[vaddr>>mem.PageBits] = struct{}{}
+	if vpn := vaddr >> mem.PageBits; vpn != c.last {
+		c.dirty[vpn] = struct{}{}
+		c.last = vpn
+	}
 }
 
-// onInst is the funcsim retirement hook: append one warm record and keep the
-// shadow call stack current. It relies on the hook firing after execution:
-// branches and stores never write registers, so their operands are still
-// recomputable; the cases where an output clobbers an input (a load or an
-// indirect jump with Rd == Rs1) degrade to a fetch-only record.
+// onCall keeps the shadow call stack current: a call pushes its return
+// address, a return pops. It is the whole retirement hook outside the
+// warm-up windows.
+func (c *capturer) onCall(_ *funcsim.Thread, pc uint64, in isa.Inst) {
+	switch {
+	case in.Op == isa.OpJal && in.Rd != isa.RegZero:
+		c.push(pc + isa.InstBytes)
+	case in.Op != isa.OpJalr:
+	case in.IsReturn():
+		if len(c.ras) > 0 {
+			c.ras = c.ras[:len(c.ras)-1]
+		}
+	case in.Rd != isa.RegZero:
+		c.push(pc + isa.InstBytes)
+	}
+}
+
+// onInst is the retirement hook inside a warm-up window: onCall, then one
+// warm record. It relies on the hook firing after execution: branches and
+// stores never write registers, so their operands are still recomputable;
+// the cases where an output clobbers an input (a load or an indirect jump
+// with Rd == Rs1) degrade to a fetch-only record.
 func (c *capturer) onInst(t *funcsim.Thread, pc uint64, in isa.Inst) {
+	c.onCall(t, pc, in)
 	rec := warmRecord{pc: pc, kind: warmPlain}
 	switch {
 	case in.Op.IsCondBranch():
 		rec.kind = warmBranch
 		rec.taken = funcsim.BranchTaken(in.Op, t.Reg(in.Rs1), t.Reg(in.Rs2))
-	case in.Op == isa.OpJal:
-		if in.Rd != isa.RegZero {
-			c.push(pc + isa.InstBytes)
-		}
-	case in.Op == isa.OpJalr:
-		switch {
-		case in.IsReturn():
-			if len(c.ras) > 0 {
-				c.ras = c.ras[:len(c.ras)-1]
-			}
-		case in.Rd != isa.RegZero:
-			c.push(pc + isa.InstBytes)
-			fallthrough
-		default:
-			if in.Rd != in.Rs1 {
-				rec.kind = warmIndirect
-				rec.addr = t.Reg(in.Rs1) + uint64(in.Imm)
-			}
-		}
+	case in.Op == isa.OpJalr && !in.IsReturn() && in.Rd != in.Rs1:
+		rec.kind = warmIndirect
+		rec.addr = t.Reg(in.Rs1) + uint64(in.Imm)
 	case in.Op.IsStore():
 		rec.kind = warmStore
 		rec.addr = t.Reg(in.Rs1) + uint64(in.Imm)
@@ -245,15 +257,17 @@ func (c *capturer) snapshot(ff *funcsim.Machine, index uint64) *Checkpoint {
 // CaptureCheckpoints fast-forwards prog functionally and captures one
 // checkpoint at the start of each requested interval (indices in units of
 // cfg.IntervalLen), all in a single pass. The returned slice is aligned with
-// indices; duplicate indices share one capture.
+// indices; duplicate indices share one capture. Warm records are taken only
+// in the window of WarmInsts instructions before each checkpoint, since the
+// ring holds no older ones; before a window, onCall keeps the call stack.
 func CaptureCheckpoints(prog *asm.Program, cfg Config, indices []uint64) ([]*Checkpoint, error) {
 	ff, err := funcsim.New(prog)
 	if err != nil {
 		return nil, err
 	}
 	cpt := newCapturer(cfg.WarmInsts)
-	ff.OnInst = cpt.onInst
 	ff.OnStore = cpt.onStore
+	window := uint64(len(cpt.ring))
 
 	sorted := append([]uint64(nil), indices...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -264,7 +278,14 @@ func CaptureCheckpoints(prog *asm.Program, cfg Config, indices []uint64) ([]*Che
 			continue
 		}
 		target := idx * cfg.IntervalLen
+		if target > window && target-window > ff.Stats.Insts {
+			ff.OnInst = cpt.onCall
+			if err := ff.Run(target-window, 1); err != nil && err != funcsim.ErrLimit {
+				return nil, err
+			}
+		}
 		if target > ff.Stats.Insts {
+			ff.OnInst = cpt.onInst
 			if err := ff.Run(target, 1); err != nil && err != funcsim.ErrLimit {
 				return nil, err
 			}
@@ -332,19 +353,19 @@ func (c *Checkpoint) patchPages(as *mem.AddressSpace) error {
 // replayWarm trains the machine's I-side (ITLB, L1I), D-side (DTLB, L1D)
 // and branch predictors from the warm-up log — the same footprint the old
 // live warmer applied, now decoupled from the fast-forward pass. Each side
-// walks the page table only when its page changes (pageMemo); every TLB
-// lookup and fill, cache access and predictor update still happens per
-// record.
+// translates through its own mem.Memo, so a run of records on the pages in
+// use walks no page table; every TLB lookup and fill, cache access and
+// predictor update still happens per record.
 func (c *Checkpoint) replayWarm(m *pipeline.Machine, as *mem.AddressSpace) {
 	tage, btb := m.Predictors()
-	ipage, dpage := pageMemo{vpn: noPage}, pageMemo{vpn: noPage}
+	var ipage, dpage mem.Memo
 	d := warmDecoder{buf: c.warm}
 	for {
 		rec, ok := d.next()
 		if !ok {
 			return
 		}
-		if ipaddr, ipte, ok := ipage.translate(as, rec.pc, mem.Exec); ok {
+		if ipaddr, ipte, ok := ipage.Translate(as, rec.pc, mem.Exec); ok {
 			if _, hit := m.ITLB.Lookup(rec.pc >> mem.PageBits); !hit {
 				m.ITLB.Fill(rec.pc>>mem.PageBits, ipte)
 			}
@@ -362,7 +383,7 @@ func (c *Checkpoint) replayWarm(m *pipeline.Machine, as *mem.AddressSpace) {
 			if rec.kind == warmStore {
 				acc = mem.Write
 			}
-			if paddr, pte, ok := dpage.translate(as, rec.addr, acc); ok {
+			if paddr, pte, ok := dpage.Translate(as, rec.addr, acc); ok {
 				if _, hit := m.DTLB.Lookup(rec.addr >> mem.PageBits); !hit {
 					m.DTLB.Fill(rec.addr>>mem.PageBits, pte)
 				}
@@ -370,32 +391,4 @@ func (c *Checkpoint) replayWarm(m *pipeline.Machine, as *mem.AddressSpace) {
 			}
 		}
 	}
-}
-
-// noPage is a virtual page number no address has (addresses shift down by
-// mem.PageBits), so a pageMemo holding it remembers nothing.
-const noPage = ^uint64(0)
-
-// pageMemo remembers the last page-table lookup, so a run of warm records on
-// one page walks the table once. Page tables are static at runtime (see
-// patchPages), so the remembered entry never goes stale.
-type pageMemo struct {
-	vpn   uint64
-	pte   mem.PTE
-	valid bool // mapped and valid
-}
-
-// translate is AddressSpace.Translate without the fault value: the
-// physical address and entry of vaddr, and whether the page is mapped,
-// valid and allows access a.
-func (p *pageMemo) translate(as *mem.AddressSpace, vaddr uint64, a mem.AccessKind) (uint64, mem.PTE, bool) {
-	if vpn := vaddr >> mem.PageBits; vpn != p.vpn {
-		p.vpn = vpn
-		p.pte, p.valid = as.Lookup(vaddr)
-		p.valid = p.valid && p.pte.Valid
-	}
-	if !p.valid || !p.pte.AllowsProt(a) {
-		return 0, p.pte, false
-	}
-	return p.pte.PPN<<mem.PageBits | vaddr&(mem.PageSize-1), p.pte, true
 }

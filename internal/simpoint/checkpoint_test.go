@@ -228,28 +228,6 @@ func referenceRestore(t *testing.T, cp *Checkpoint, mcfg pipeline.Config, prog *
 	return m
 }
 
-// TestPageMemoMatchesTranslate: the replay's remembered page-table lookup
-// answers every access as AddressSpace.Translate does, including a
-// different access kind on the page it remembers (a store after a load on a
-// read-only page, a fetch from a data page) and unmapped pages.
-func TestPageMemoMatchesTranslate(t *testing.T) {
-	as := mem.NewAddressSpace()
-	as.Map(0x1000, mem.PageSize, mem.ProtRW)
-	as.Map(0x2000, mem.PageSize, mem.ProtRX)
-	as.Map(0x3000, mem.PageSize, mem.ProtRead)
-	memo := pageMemo{vpn: noPage}
-	for _, addr := range []uint64{0x1008, 0x1010, 0x2000, 0x2ff8, 0x3010, 0x3018, 0x4000, 0x4008, 0x3000, 0x1000} {
-		for _, a := range []mem.AccessKind{mem.Read, mem.Write, mem.Exec, mem.Read} {
-			wantPA, wantPTE, err := as.Translate(addr, a)
-			gotPA, gotPTE, ok := memo.translate(as, addr, a)
-			if ok != (err == nil) || ok && (gotPA != wantPA || gotPTE != wantPTE) {
-				t.Fatalf("%v at %#x: memo says (%#x, %+v, %v), Translate (%#x, %+v, %v)",
-					a, addr, gotPA, gotPTE, ok, wantPA, wantPTE, err)
-			}
-		}
-	}
-}
-
 // TestCataloguePlansAreCompact bounds what a plan holds: every catalogue
 // program's DefaultConfig plan stays under 0.3 MB of checkpoint storage.
 func TestCataloguePlansAreCompact(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false,
-	"rewrite testdata/golden_sampled.json from the current simulator")
+	"rewrite the testdata pins the selected tests compare (golden_sampled.json, catalogue_plans.sha256) from the current simulator")
 
 // goldenSampledWorkloads span the sampled path's footprints: mcf's large
 // heap (the most checkpoint pages to restore), omnetpp's WRPKRU density,

@@ -76,15 +76,18 @@ func Profile(prog *asm.Program, cfg Config) ([]Interval, error) {
 		blockLen    int
 		leader      uint64
 		leaderValid bool
-		count       uint64
+		left        = cfg.IntervalLen // instructions until the interval ends
 	)
+	// addBlock adds the block's projection times its length, to the
+	// dimensions the projection touches only: every other term would be
+	// +0.0, and no entry of vec is ever -0.0, so the sums are the dense
+	// ones bit for bit.
 	addBlock := func() {
 		if !leaderValid || blockLen == 0 {
 			return
 		}
-		d := project(leader)
-		for i := range d {
-			vec[i] += d[i] * float64(blockLen)
+		for _, tm := range project(leader) {
+			vec[tm.dim] += tm.sign * float64(blockLen)
 		}
 		blockLen = 0
 	}
@@ -95,23 +98,25 @@ func Profile(prog *asm.Program, cfg Config) ([]Interval, error) {
 			blockLen = 0
 		}
 		blockLen++
-		count++
 		if in.Op.IsControl() || in.Op == isa.OpHalt {
 			addBlock()
 			leaderValid = false
 		}
-		if count%cfg.IntervalLen == 0 {
+		if left--; left == 0 {
 			addBlock()
 			leaderValid = false
 			normalize(&vec)
-			intervals = append(intervals, Interval{Index: count/cfg.IntervalLen - 1, Vec: vec})
+			intervals = append(intervals, Interval{Index: uint64(len(intervals)), Vec: vec})
 			vec = [Dims]float64{}
+			left = cfg.IntervalLen
 		}
 	}
 	if err := m.Run(cfg.MaxInsts, 1); err != nil && err != funcsim.ErrLimit {
 		return nil, err
 	}
-	// Close a substantial trailing partial interval.
+	// Close a substantial trailing partial interval. Every retired
+	// instruction reached the hook: a fault would have ended the run above.
+	count := m.Stats.Insts
 	if rem := count % cfg.IntervalLen; rem > cfg.IntervalLen/2 {
 		addBlock()
 		normalize(&vec)
@@ -123,21 +128,27 @@ func Profile(prog *asm.Program, cfg Config) ([]Interval, error) {
 	return intervals, nil
 }
 
-// project hashes a basic-block leader address into a sparse unit
-// contribution over the Dims-dimensional space (random projection of the
-// full BBV).
-func project(leader uint64) [Dims]float64 {
-	var v [Dims]float64
+// term is one signed unit of a projected basic block: sign (+1 or -1)
+// on dimension dim.
+type term struct {
+	dim  int
+	sign float64
+}
+
+// project hashes a basic-block leader address into four signed unit terms
+// over the Dims-dimensional space (random projection of the full BBV). Two
+// terms may share a dimension.
+func project(leader uint64) [4]term {
+	var v [4]term
 	h := leader * 0x9e3779b97f4a7c15
-	for i := 0; i < 4; i++ {
-		dim := int(h % Dims)
+	for i := range v {
+		v[i].dim = int(h % Dims)
 		h /= Dims
-		sign := 1.0
+		v[i].sign = 1.0
 		if h&1 == 1 {
-			sign = -1
+			v[i].sign = -1
 		}
 		h >>= 1
-		v[dim] += sign
 	}
 	return v
 }

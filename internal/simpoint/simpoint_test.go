@@ -149,8 +149,12 @@ func TestProjectDeterministicAndSigned(t *testing.T) {
 	if a != b {
 		t.Fatal("projection must be deterministic")
 	}
+	var dense [Dims]float64
+	for _, tm := range a {
+		dense[tm.dim] += tm.sign
+	}
 	var nonzero int
-	for _, x := range a {
+	for _, x := range dense {
 		if x != 0 {
 			nonzero++
 		}

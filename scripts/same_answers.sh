@@ -13,12 +13,14 @@
 # only after the first 400,000 cycles still shows. It also builds specmpk-bench
 # on both sides and compares the text and -json output of every job-driven
 # experiment on two small workloads and of the security experiments (table1,
-# fig13), and the sampled experiment's -json rows without their wall times
-# (sampledMS, fullMS, speedup), which vary from run to run. Last it builds
-# examples/spectre and examples/datarace on both sides and compares their
-# stdout: Spectre-BTI, the speculative buffer overflow and Kard on the
-# cycle-level machines appear in no experiment. It prints each output that
-# differs and exits non-zero if any does.
+# fig13), of fig10 (the one purely functional experiment, cheap enough to run
+# over the whole catalogue), and the sampled experiment's -json rows without
+# their wall times (sampledMS, fullMS, speedup), which vary from run to run.
+# Last it builds examples/spectre, examples/datarace and examples/simpoint on
+# both sides and compares their stdout: Spectre-BTI, the speculative buffer
+# overflow, Kard on the cycle-level machines and a plan built at a
+# non-default interval length appear in no experiment. It prints each output
+# that differs and exits non-zero if any does.
 # Everything lives under one temporary directory ($TMPDIR), removed on exit,
 # so nothing is written inside the checkout. CI does not run it: a change
 # that means to move an answer fails it by design.
@@ -31,7 +33,7 @@ POLICIES="serialized nonsecure specmpk delayupgrade noforward"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== build specmpk-sim, specmpk-bench and two examples at $BASE and in the working tree"
+echo "== build specmpk-sim, specmpk-bench and three examples at $BASE and in the working tree"
 mkdir "$TMP/src"
 git -C "$ROOT" archive "$BASE" | tar -x -C "$TMP/src"
 for side in base work; do
@@ -40,7 +42,8 @@ for side in base work; do
 	(cd "$src" && go build -buildvcs=false -o "$TMP/$side.sim" ./cmd/specmpk-sim &&
 		go build -buildvcs=false -o "$TMP/$side.bench" ./cmd/specmpk-bench &&
 		go build -buildvcs=false -o "$TMP/$side.spectre" ./examples/spectre &&
-		go build -buildvcs=false -o "$TMP/$side.datarace" ./examples/datarace)
+		go build -buildvcs=false -o "$TMP/$side.datarace" ./examples/datarace &&
+		go build -buildvcs=false -o "$TMP/$side.simpoint" ./examples/simpoint)
 done
 
 # run <side> <workload> <policy>: one run with every output, one interval run
@@ -77,28 +80,34 @@ for wl in $("$TMP/work.sim" -list | awk '{print $1}'); do
 	done
 done
 
-# bench <side> <out> <args...>: one specmpk-bench run on the two workloads,
-# stdout into $TMP/<side>.<out> followed by its exit code.
+# bench <side> <out> <workloads> <args...>: one specmpk-bench run on the
+# workloads (empty: the whole catalogue), stdout into $TMP/<side>.<out>
+# followed by its exit code.
 WORKLOADS=541.leela_r,557.xz_r
 bench() {
-	side=$1 out=$2
-	shift 2
+	side=$1 out=$2 wl=$3
+	shift 3
 	status=0
-	"$TMP/$side.bench" -workloads "$WORKLOADS" "$@" >"$TMP/$side.$out" 2>/dev/null || status=$?
+	"$TMP/$side.bench" -workloads "$wl" "$@" >"$TMP/$side.$out" 2>/dev/null || status=$?
 	echo "exit $status" >>"$TMP/$side.$out"
 }
 
-echo "== experiments on $WORKLOADS"
+echo "== experiments on $WORKLOADS, fig10 on the whole catalogue"
 outs=""
 for e in fig3 fig4 fig9 fig11 rdpkru pkrusafe window stats table1 fig13; do
 	for side in base work; do
-		bench "$side" "$e.txt" "$e"
-		bench "$side" "$e.json" -json "$e"
+		bench "$side" "$e.txt" "$WORKLOADS" "$e"
+		bench "$side" "$e.json" "$WORKLOADS" -json "$e"
 	done
 	outs="$outs $e.txt $e.json"
 done
 for side in base work; do
-	bench "$side" sampled.raw -json sampled
+	bench "$side" fig10.txt "" fig10
+	bench "$side" fig10.json "" -json fig10
+done
+outs="$outs fig10.txt fig10.json"
+for side in base work; do
+	bench "$side" sampled.raw "$WORKLOADS" -json sampled
 	grep -v '"sampledMS"\|"fullMS"\|"speedup"' "$TMP/$side.sampled.raw" >"$TMP/$side.sampled.json" || true
 done
 outs="$outs sampled.json"
@@ -109,8 +118,8 @@ for out in $outs; do
 	fi
 done
 
-echo "== examples spectre and datarace"
-for ex in spectre datarace; do
+echo "== examples spectre, datarace and simpoint"
+for ex in spectre datarace simpoint; do
 	for side in base work; do
 		status=0
 		"$TMP/$side.$ex" >"$TMP/$side.$ex.out" 2>/dev/null || status=$?
@@ -128,4 +137,4 @@ if [ "$differ" -ne 0 ]; then
 fi
 echo "same-answers: $cells runs, stdout, five output files, an interval run and a full-length run each, identical to $BASE"
 echo "same-answers: experiments $(echo $outs | wc -w) outputs identical to $BASE"
-echo "same-answers: examples spectre and datarace identical to $BASE"
+echo "same-answers: examples spectre, datarace and simpoint identical to $BASE"
